@@ -1,26 +1,39 @@
 """Weekly rolling-estimation backtest with a bond-balanced ledger.
 
-The loop: at each decision week, estimate mean/covariance from the previous
-26-week batch, evaluate the chosen strategy to a money vector, convert to
-shares at current prices (self-financing, bond account absorbs the balance),
-then accrue bond interest and stock P&L to the next week.  Initial wealth is
-zero and short selling is allowed.
+At each decision week the strategy sees mean/covariance estimates from the
+previous 26-week batch and names a money vector theta; the ledger converts
+it to shares at current prices (self-financing, the bond account absorbs
+the balance), then accrues bond interest and stock P&L to the next week.
+Initial wealth is zero and short selling is allowed.
+
+No strategy's theta depends on wealth, so `run_backtest` works in stages
+over blocks of BLOCK_WEEKS decision weeks: (i) the rolling estimates of the
+whole block as (k, N) and (k, N, N) stacks, (ii) the ridge and one pivot
+check of the stack, (iii) the block's theta rows; then, after the last
+block, (iv) one pass of the ledger recurrence
+    W_{k+1} = e^{r dt} (W_k - sum(theta_k)) + (theta_k / P_k) . P_{k+1}.
+The stages use numpy's batched LAPACK only (no scipy on this path), and
+fixed blocks bound the memory the stacks take.  `rebalance_step`,
+`accrue_step` and `Ledger` are the same ledger one step at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import dynamic_policy, estimate, static_mvo
-from .errors import DataError, WarmupError
+from .errors import DataError, LedgerError, MvlabError, WarmupError
 from .simulate import PriceSeries
 
 Array = NDArray[np.float64]
 
 STRATEGIES = ("static", "simple", "multi", "cev")
+BLOCK_WEEKS = 64
+LEDGER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,17 +59,28 @@ class BacktestConfig:
             raise ValueError("batch_len must be at least 2")
 
 
+def _check_identity(bond, stock, wealth, tol: float = LEDGER_TOL):
+    """Raise LedgerError where bond + stock != wealth beyond
+    tol * max(1, |wealth|); on arrays, `index` is the first such entry."""
+    residual = np.abs(bond + stock - wealth)
+    bad = np.flatnonzero(residual > tol * np.maximum(1.0, np.abs(wealth)))
+    if bad.size:
+        i = int(bad[0])
+        raise LedgerError(
+            f"ledger identity violated: |bond + stock - wealth| = "
+            f"{np.ravel(residual)[i]:.3e} at wealth {np.ravel(wealth)[i]:.6g}",
+            index=i if np.ndim(residual) else None,
+        )
+
+
 @dataclass
 class Ledger:
     bond_cash: float
     shares: Array
     wealth: float
 
-    def check(self, prices: Array, tol: float = 1e-9):
-        stock = float(self.shares @ prices)
-        scale = max(1.0, abs(self.wealth))
-        if abs(self.bond_cash + stock - self.wealth) > tol * scale:
-            raise AssertionError("ledger identity violated")
+    def check(self, prices: Array, tol: float = LEDGER_TOL):
+        _check_identity(self.bond_cash, float(self.shares @ prices), self.wealth, tol)
 
 
 @dataclass(frozen=True)
@@ -87,42 +111,46 @@ def accrue_step(ledger: Ledger, prices_next: Array, dt: float, r: float) -> Ledg
     return Ledger(bond_cash=float(bond_cash), shares=ledger.shares, wealth=float(wealth))
 
 
-def _strategy_theta(cfg: BacktestConfig, est: estimate.ParamEstimate,
-                    prices_now: Array, t_years: float, horizon: float) -> Array:
+def _block_theta(cfg: BacktestConfig, panel: estimate.ReturnsPanel, prices: Array,
+                 rows: Array, horizon: float) -> Array:
+    """Money vectors (k, N) of the strategy at decision rows `rows`."""
+    mu, sigma = estimate.rolling_estimates(panel, rows, cfg.batch_len)
+    prices_now = prices[rows]
     if callable(cfg.strategy):
-        return np.asarray(cfg.strategy(est, prices_now, t_years, horizon), float)
-    sigma = estimate.regularize_covariance(est.sigma_hat)
-    n = sigma.shape[0]
+        return np.array([
+            np.asarray(cfg.strategy(
+                estimate.ParamEstimate(mu_hat=mu[i], sigma_hat=sigma[i],
+                                       batch_start=t - cfg.batch_len, batch_end=t),
+                prices_now[i], t * cfg.dt, horizon), float)
+            for i, t in enumerate(rows.tolist())
+        ])
+    sigma = estimate.regularize_covariance(sigma)
+    static_mvo.robust_cholesky(sigma)   # the pivot floor; the factor is not used
+    n = sigma.shape[-1]
+    tau = horizon - rows * cfg.dt
     if cfg.strategy == "static":
-        problem = static_mvo.StaticProblem(mu=est.mu_hat, sigma=sigma,
-                                           target=cfg.target)
         if n == 1:
             # A single asset cannot generally hit the target; invest fully.
-            omega = np.ones(1)
-        else:
-            omega = static_mvo.solve_static_mvo(problem).omega
-        return cfg.notional * omega
+            return np.full((rows.size, 1), cfg.notional)
+        return cfg.notional * static_mvo.frontier_weights(sigma, mu, cfg.target)[0]
     if cfg.strategy in ("simple", "multi"):
-        m = dynamic_policy.MarketParams(
-            mu=est.mu_hat, sigma=static_mvo.robust_cholesky(sigma),
-            r=cfg.r, T=horizon, gamma=cfg.gamma,
-        )
-        return dynamic_policy.multi_policy(m, t_years).theta
+        return dynamic_policy.gbm_demand(mu, sigma, cfg.r, cfg.gamma, tau)
     # cev: read the estimated covariance as the instantaneous covariance of
     # dS/S at current prices, so sigma_bar_i = sqrt(Sigma_ii) / S_i^(alpha/2).
-    alpha = np.full(n, cfg.alpha)
-    vols = np.sqrt(np.diag(sigma))
-    corr = sigma / np.outer(vols, vols)
-    np.fill_diagonal(corr, 1.0)
-    corr = 0.5 * (corr + corr.T)
+    vols = np.sqrt(np.diagonal(sigma, axis1=-2, axis2=-1))
+    corr = sigma / (vols[:, :, None] * vols[:, None, :])
+    corr[:, np.arange(n), np.arange(n)] = 1.0
+    corr = 0.5 * (corr + np.swapaxes(corr, -1, -2))
     sigma_bar = vols / prices_now ** (cfg.alpha / 2.0)
-    c = dynamic_policy.CevParams(mu=est.mu_hat, sigma_bar=sigma_bar, alpha=alpha,
-                                 corr=corr, r=cfg.r, T=horizon, gamma=cfg.gamma)
-    return dynamic_policy.cev_policy_multi(c, prices_now, t_years).theta
+    alpha = np.full(n, cfg.alpha)
+    myopic, hedging = dynamic_policy.cev_demand(mu, sigma_bar, corr, alpha, prices_now,
+                                                cfg.r, cfg.gamma, tau)
+    return myopic + hedging
 
 
 def run_backtest(prices: PriceSeries, cfg: BacktestConfig) -> WealthPath:
-    """Full weekly loop; returns the recorded wealth path (initial wealth 0)."""
+    """Weekly backtest from initial wealth 0; returns the recorded wealth
+    path, one row per decision week plus the final week."""
     n_rows = prices.prices.shape[0]
     if n_rows < cfg.batch_len + 3:
         raise WarmupError(
@@ -130,28 +158,54 @@ def run_backtest(prices: PriceSeries, cfg: BacktestConfig) -> WealthPath:
         )
     panel = estimate.to_returns(prices)
     horizon = (n_rows - 1) * cfg.dt
-    first = cfg.batch_len + 1
-    ledger = Ledger(bond_cash=0.0, shares=np.zeros(prices.n_assets), wealth=0.0)
-    idx = [first]
-    wealth = [0.0]
-    bond = [0.0]
-    stock = [0.0]
-    for t in range(first, n_rows - 1):
-        est = estimate.rolling_estimate(panel, t, cfg.batch_len)
-        prices_now = prices.prices[t]
-        theta = _strategy_theta(cfg, est, prices_now, t * cfg.dt, horizon)
-        ledger = rebalance_step(ledger, prices_now, theta)
-        ledger.check(prices_now)
-        ledger = accrue_step(ledger, prices.prices[t + 1], cfg.dt, cfg.r)
-        ledger.check(prices.prices[t + 1])
-        idx.append(t + 1)
-        wealth.append(ledger.wealth)
-        bond.append(ledger.bond_cash)
-        stock.append(float(ledger.shares @ prices.prices[t + 1]))
+    rows = np.arange(cfg.batch_len + 1, n_rows - 1)
+    theta = np.empty((rows.size, prices.n_assets))
+    for start in range(0, rows.size, BLOCK_WEEKS):
+        block = rows[start:start + BLOCK_WEEKS]
+        with _naming_week(block):
+            theta[start:start + block.size] = _block_theta(cfg, panel, prices.prices,
+                                                           block, horizon)
+    with _naming_week(rows):
+        return _ledger(prices.prices, rows, theta, cfg)
+
+
+@contextmanager
+def _naming_week(rows: Array):
+    """Re-raise an error about one entry of a stack of weeks (its `index`)
+    with that entry's decision week in the message."""
+    try:
+        yield
+    except MvlabError as exc:
+        if exc.index is None:
+            raise
+        raise type(exc)(f"decision week {rows[exc.index]}: {exc}") from None
+
+
+def _ledger(prices: Array, rows: Array, theta: Array, cfg: BacktestConfig) -> WealthPath:
+    """The ledger recurrence over all decision weeks, with the
+    self-financing identity checked at every rebalancing."""
+    prices_now = prices[rows]
+    shares = theta / prices_now
+    spent = theta.sum(axis=1)
+    # Row-wise shares . prices as BLAS dot products, as in Ledger.check.
+    stock_now = (shares[:, None, :] @ prices_now[:, :, None])[:, 0, 0]
+    stock = (shares[:, None, :] @ prices[rows + 1][:, :, None])[:, 0, 0]
+    growth = float(np.exp(cfg.r * cfg.dt))
+    w, wealth, bond = 0.0, [0.0], [0.0]
+    for cost, held in zip(spent.tolist(), stock.tolist()):
+        b = (w - cost) * growth
+        w = b + held
+        bond.append(b)
+        wealth.append(w)
+    wealth, bond = np.array(wealth), np.array(bond)
+    # Wealth after accrual is bond + stock by construction; at rebalancing
+    # the cash left, W_k - sum(theta_k), plus the shares' value must be W_k.
+    _check_identity(wealth[:-1] - spent, stock_now, wealth[:-1])
+    weeks = np.concatenate([rows[:1], rows + 1])
     return WealthPath(
-        times=np.array(idx, dtype=float) * cfg.dt,
-        wealth=np.array(wealth),
-        bond=np.array(bond),
-        stock_value=np.array(stock),
-        week_index=np.array(idx),
+        times=weeks * cfg.dt,
+        wealth=wealth,
+        bond=bond,
+        stock_value=np.concatenate([[0.0], stock]),
+        week_index=weeks,
     )

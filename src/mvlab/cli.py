@@ -94,6 +94,9 @@ def read_wealth_csv(path) -> backtest.WealthPath:
 # ------------------------------------------------------------- plumbing
 
 def _out_dir(args, command: str) -> str:
+    """Create the output directory; commands call it only once their
+    inputs have been read and their results computed, so a failing run
+    leaves no directory behind."""
     out = args.out or os.environ.get("MVLAB_OUT") or f"mvlab-{command}"
     os.makedirs(out, exist_ok=True)
     return out
@@ -168,17 +171,12 @@ def _all_parsers(parser: argparse.ArgumentParser):
 # ------------------------------------------------------------- commands
 
 def cmd_simulate(args):
-    out = _out_dir(args, "simulate")
-    n, weeks = int(args.assets), int(args.weeks)
-    variance = float(args.variance)
-    mean = float(args.mean)
-    corr_val = float(args.corr)
-    s0 = float(args.s0)
+    n, weeks, variance, mean, s0 = args.assets, args.weeks, args.variance, args.mean, args.s0
     T = weeks / 52.0
-    corr = np.full((n, n), corr_val)
+    corr = np.full((n, n), args.corr)
     np.fill_diagonal(corr, 1.0)
     cfg = simulate.SimConfig(n_assets=n, n_steps=weeks, dt=1.0 / 52.0,
-                             s0=np.full(n, s0), seed=int(args.seed),
+                             s0=np.full(n, s0), seed=args.seed,
                              measure=args.measure)
     if args.model == "gbm":
         loading = np.sqrt(variance) * np.linalg.cholesky(corr) if variance > 0 \
@@ -186,7 +184,7 @@ def cmd_simulate(args):
         m = dynamic_policy.MarketParams(
             mu=np.full(n, mean),
             sigma=loading if variance > 0 else np.sqrt(1e-18) * np.eye(n),
-            r=float(args.rate), T=T, gamma=1.0,
+            r=args.rate, T=T, gamma=1.0,
         )
         if variance == 0:
             # degenerate deterministic market: exponential growth
@@ -196,16 +194,16 @@ def cmd_simulate(args):
         else:
             series = simulate.gbm_paths(m, cfg)
     elif args.model == "cev":
-        alpha = float(args.alpha)
-        sigma_bar = np.sqrt(variance) / s0 ** (alpha / 2.0)
+        sigma_bar = np.sqrt(variance) / s0 ** (args.alpha / 2.0)
         c = dynamic_policy.CevParams(
             mu=np.full(n, mean), sigma_bar=np.full(n, max(sigma_bar, 1e-12)),
-            alpha=np.full(n, alpha), corr=corr,
-            r=float(args.rate), T=T, gamma=1.0,
+            alpha=np.full(n, args.alpha), corr=corr,
+            r=args.rate, T=T, gamma=1.0,
         )
         series = simulate.cev_paths(c, cfg)
     else:
         raise DataError(f"unknown model {args.model!r}")
+    out = _out_dir(args, "simulate")
     csv_path = os.path.join(out, "prices.csv")
     write_price_csv(csv_path, series)
     _write_manifest(out, "simulate", args, ["prices.csv"])
@@ -213,19 +211,19 @@ def cmd_simulate(args):
 
 
 def cmd_backtest(args):
-    out = _out_dir(args, "backtest")
     series, _ = read_price_csv(args.input)
     cfg = backtest.BacktestConfig(
         strategy=args.strategy,
-        target=float(args.target),
-        alpha=float(args.alpha),
-        gamma=float(args.gamma),
-        r=float(args.rate),
-        batch_len=int(args.batch_len),
-        notional=float(args.notional),
+        target=args.target,
+        alpha=args.alpha,
+        gamma=args.gamma,
+        r=args.rate,
+        batch_len=args.batch_len,
+        notional=args.notional,
     )
     wp = backtest.run_backtest(series, cfg)
-    stats = metrics.perf_stats(wp, base=float(args.base))
+    stats = metrics.perf_stats(wp, base=args.base)
+    out = _out_dir(args, "backtest")
     wealth_path = os.path.join(out, "wealth.csv")
     stats_path = os.path.join(out, "stats.json")
     write_wealth_csv(wealth_path, wp)
@@ -252,7 +250,7 @@ def cmd_mvo(args):
             raise DataError("provide either --input or both --mu and --sigma")
         mu = _parse_vector(args.mu)
         sigma = _parse_matrix(args.sigma)
-    problem = static_mvo.StaticProblem(mu=mu, sigma=sigma, target=float(args.target))
+    problem = static_mvo.StaticProblem(mu=mu, sigma=sigma, target=args.target)
     fc = static_mvo.frontier_constants(problem)
     w = static_mvo.solve_static_mvo(problem)
     residual = float(np.max(np.abs(
@@ -271,14 +269,14 @@ def cmd_mvo(args):
 
 
 def cmd_policy(args):
-    t = float(args.time)
-    T = float(args.horizon)
+    t = args.time
+    T = args.horizon
     if args.type in ("simple", "multi"):
         mu = _parse_vector(args.mu)
         sigma = _parse_matrix(args.sigma) if ";" in args.sigma \
             else np.diag(_parse_vector(args.sigma))
-        m = dynamic_policy.MarketParams(mu=mu, sigma=sigma, r=float(args.rate),
-                                        T=T, gamma=float(args.gamma))
+        m = dynamic_policy.MarketParams(mu=mu, sigma=sigma, r=args.rate,
+                                        T=T, gamma=args.gamma)
         pol = (dynamic_policy.simple_policy(m, t) if args.type == "simple"
                else dynamic_policy.multi_policy(m, t))
     elif args.type == "cev":
@@ -288,8 +286,8 @@ def cmd_policy(args):
         prices = _parse_vector(args.price)
         corr = _parse_matrix(args.corr) if args.corr else np.eye(n)
         c = dynamic_policy.CevParams(
-            mu=mu, sigma_bar=sigma_bar, alpha=np.full(n, float(args.alpha)),
-            corr=corr, r=float(args.rate), T=T, gamma=float(args.gamma))
+            mu=mu, sigma_bar=sigma_bar, alpha=np.full(n, args.alpha),
+            corr=corr, r=args.rate, T=T, gamma=args.gamma)
         pol = dynamic_policy.cev_policy_multi(c, prices, t)
     else:
         raise DataError(f"unknown policy type {args.type!r}")
@@ -302,10 +300,10 @@ def cmd_policy(args):
 
 def cmd_compare_precommit(args):
     m = dynamic_policy.MarketParams.single(
-        mu=float(args.mu), sigma=float(args.sigma), r=float(args.rate),
-        T=float(args.horizon), gamma=float(args.gamma))
+        mu=args.mu, sigma=args.sigma, r=args.rate,
+        T=args.horizon, gamma=args.gamma)
     cmp_ = wealth_analysis.compare_strategies_mc(
-        m, W0=float(args.w0), paths=int(args.paths), seed=int(args.seed))
+        m, W0=args.w0, paths=args.paths, seed=args.seed)
     _emit_json(args, "compare-precommit", {
         "mean_pre": cmp_.mean_pre,
         "mean_tc": cmp_.mean_tc,
@@ -317,7 +315,7 @@ def cmd_compare_precommit(args):
 
 def cmd_report(args):
     wp = read_wealth_csv(args.input)
-    stats = metrics.perf_stats(wp, base=float(args.base))
+    stats = metrics.perf_stats(wp, base=args.base)
     _emit_json(args, "report", {
         "terminal_return": stats.terminal_return,
         "max_drawdown": stats.max_drawdown,
@@ -352,15 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a simulated price panel")
     p.add_argument("--model", choices=["gbm", "cev"], default="gbm")
-    p.add_argument("--assets", default=50)
-    p.add_argument("--weeks", default=523)
-    p.add_argument("--mean", default=0.125)
-    p.add_argument("--variance", default=0.2)
-    p.add_argument("--corr", default=0.05)
-    p.add_argument("--alpha", default=0.0)
-    p.add_argument("--rate", default=0.025)
-    p.add_argument("--s0", default=100.0)
-    p.add_argument("--seed", default=0)
+    p.add_argument("--assets", default=50, type=int)
+    p.add_argument("--weeks", default=523, type=int)
+    p.add_argument("--mean", default=0.125, type=float)
+    p.add_argument("--variance", default=0.2, type=float)
+    p.add_argument("--corr", default=0.05, type=float)
+    p.add_argument("--alpha", default=0.0, type=float)
+    p.add_argument("--rate", default=0.025, type=float)
+    p.add_argument("--s0", default=100.0, type=float)
+    p.add_argument("--seed", default=0, type=int)
     p.add_argument("--measure", choices=[simulate.PHYSICAL, simulate.HEDGE_NEUTRAL],
                    default=simulate.PHYSICAL)
     common(p)
@@ -369,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backtest", help="run a weekly rolling backtest")
     p.add_argument("--input", required=True)
     p.add_argument("--strategy", choices=list(backtest.STRATEGIES), default="simple")
-    p.add_argument("--target", default=0.15)
-    p.add_argument("--alpha", default=0.0)
-    p.add_argument("--gamma", default=1.0)
-    p.add_argument("--rate", default=0.025)
-    p.add_argument("--batch-len", dest="batch_len", default=26)
-    p.add_argument("--notional", default=1.0)
-    p.add_argument("--base", default=1.0)
+    p.add_argument("--target", default=0.15, type=float)
+    p.add_argument("--alpha", default=0.0, type=float)
+    p.add_argument("--gamma", default=1.0, type=float)
+    p.add_argument("--rate", default=0.025, type=float)
+    p.add_argument("--batch-len", dest="batch_len", default=26, type=int)
+    p.add_argument("--notional", default=1.0, type=float)
+    p.add_argument("--base", default=1.0, type=float)
     common(p)
     p.set_defaults(func=cmd_backtest)
 
@@ -383,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", default=None, help="comma-separated returns")
     p.add_argument("--sigma", default=None, help="semicolon-separated rows")
     p.add_argument("--input", default=None, help="price CSV to estimate from")
-    p.add_argument("--target", default=0.15)
+    p.add_argument("--target", default=0.15, type=float)
     common(p)
     p.set_defaults(func=cmd_mvo)
 
@@ -392,32 +390,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True)
     p.add_argument("--sigma", default=None, help="loading matrix (GBM)")
     p.add_argument("--sigma-bar", dest="sigma_bar", default=None)
-    p.add_argument("--alpha", default=0.0)
+    p.add_argument("--alpha", default=0.0, type=float)
     p.add_argument("--corr", default=None)
     p.add_argument("--price", default="1.0")
-    p.add_argument("--rate", default=0.025)
-    p.add_argument("--horizon", default=10.0)
-    p.add_argument("--time", default=0.0)
-    p.add_argument("--gamma", default=1.0)
+    p.add_argument("--rate", default=0.025, type=float)
+    p.add_argument("--horizon", default=10.0, type=float)
+    p.add_argument("--time", default=0.0, type=float)
+    p.add_argument("--gamma", default=1.0, type=float)
     common(p)
     p.set_defaults(func=cmd_policy)
 
     p = sub.add_parser("compare-precommit",
                        help="Monte Carlo precommitment vs time-consistent")
-    p.add_argument("--mu", default=0.125)
-    p.add_argument("--sigma", default=float(np.sqrt(0.2)))
-    p.add_argument("--rate", default=0.025)
-    p.add_argument("--horizon", default=10.0)
-    p.add_argument("--gamma", default=1.0)
-    p.add_argument("--w0", default=0.0)
-    p.add_argument("--paths", default=100_000)
-    p.add_argument("--seed", default=0)
+    p.add_argument("--mu", default=0.125, type=float)
+    p.add_argument("--sigma", default=float(np.sqrt(0.2)), type=float)
+    p.add_argument("--rate", default=0.025, type=float)
+    p.add_argument("--horizon", default=10.0, type=float)
+    p.add_argument("--gamma", default=1.0, type=float)
+    p.add_argument("--w0", default=0.0, type=float)
+    p.add_argument("--paths", default=100_000, type=int)
+    p.add_argument("--seed", default=0, type=int)
     common(p)
     p.set_defaults(func=cmd_compare_precommit)
 
     p = sub.add_parser("report", help="performance statistics of a wealth CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--base", default=1.0)
+    p.add_argument("--base", default=1.0, type=float)
     common(p)
     p.set_defaults(func=cmd_report)
 

@@ -189,14 +189,24 @@ def simple_policy(m: MarketParams, t: float) -> Policy:
     return Policy(myopic=np.array([myopic]), hedging=np.zeros(1))
 
 
-def multi_policy(m: MarketParams, t: float) -> Policy:
-    """Equilibrium policy for several GBM assets; hedging demand is zero."""
-    tau = _check_horizon(t, m.T)
-    excess = m.mu - m.r
+def gbm_demand(mu: Array, cov: Array, r: float, gamma: float, tau) -> Array:
+    """Money per asset of the GBM equilibrium policy,
+    exp(-r tau) cov^-1 (mu - r) / gamma.
+
+    Works over leading axes: mu (..., N), cov (..., N, N), tau (...), so a
+    backtest evaluates a block of decision weeks in one call.
+    """
+    excess = np.asarray(mu, dtype=np.float64) - r
     try:
-        myopic = np.linalg.solve(m.cov, excess) / m.gamma * np.exp(-m.r * tau)
+        x = np.linalg.solve(cov, excess[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise DefinitenessError("singular instantaneous covariance") from exc
+    return x / gamma * np.asarray(np.exp(-r * tau))[..., None]
+
+
+def multi_policy(m: MarketParams, t: float) -> Policy:
+    """Equilibrium policy for several GBM assets; hedging demand is zero."""
+    myopic = gbm_demand(m.mu, m.cov, m.r, m.gamma, _check_horizon(t, m.T))
     return Policy(myopic=myopic, hedging=np.zeros_like(myopic))
 
 
@@ -225,25 +235,37 @@ def cev_policy(c: CevParams, S: float, t: float) -> Policy:
     return Policy(myopic=np.array([myopic]), hedging=np.array([hedging]))
 
 
+def cev_demand(mu: Array, sigma_bar: Array, corr: Array, alpha: Array, S: Array,
+               r: float, gamma: float, tau) -> tuple[Array, Array]:
+    """Myopic and hedging money per asset of the multi-asset CEV policy:
+    the single-asset formula applied through the inverse scale covariance
+    sigma_bar_i sigma_bar_j corr_ij, componentwise in the price powers.
+
+    Works over leading axes: mu, sigma_bar, alpha and S (..., N), corr
+    (..., N, N), tau (...).
+    """
+    disc = np.asarray(np.exp(-r * tau))[..., None]
+    omega = sigma_bar[..., :, None] * sigma_bar[..., None, :] * corr
+    excess = mu - r
+    s_pow = S**alpha
+    try:
+        myopic = np.linalg.solve(omega, (excess / s_pow)[..., None])[..., 0] / gamma * disc
+        hedged = np.linalg.solve(omega, (excess**2 / s_pow)[..., None])[..., 0] / gamma
+    except np.linalg.LinAlgError as exc:
+        raise DefinitenessError("singular scale covariance") from exc
+    hedging = -hedged * _rate_factor(alpha, r, np.asarray(tau)[..., None]) * disc
+    return myopic, hedging
+
+
 def cev_policy_multi(c: CevParams, S: Array, t: float) -> Policy:
-    """Multi-asset CEV policy: the single-asset formula applied through
-    the inverse scale covariance, componentwise in the price powers."""
+    """Multi-asset CEV policy of one market at prices S (see cev_demand)."""
     S = _as_vector(S)
     if S.size != c.n_assets:
         raise ValueError(f"expected {c.n_assets} prices, got {S.size}")
     if np.any(S <= 0):
         raise DomainError("prices must be positive componentwise")
     tau = _check_horizon(t, c.T)
-    disc = np.exp(-c.r * tau)
-    omega = np.outer(c.sigma_bar, c.sigma_bar) * c.corr
-    excess = c.mu - c.r
-    s_pow = S**c.alpha
-    try:
-        myopic = np.linalg.solve(omega, excess / s_pow) / c.gamma * disc
-        hedged = np.linalg.solve(omega, excess**2 / s_pow) / c.gamma
-    except np.linalg.LinAlgError as exc:
-        raise DefinitenessError("singular scale covariance") from exc
-    hedging = -hedged * _rate_factor(c.alpha, c.r, tau) * disc
+    myopic, hedging = cev_demand(c.mu, c.sigma_bar, c.corr, c.alpha, S, c.r, c.gamma, tau)
     return Policy(myopic=myopic, hedging=hedging)
 
 

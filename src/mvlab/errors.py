@@ -2,7 +2,15 @@
 
 
 class MvlabError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    A function that works on a stack of instances sets `index` to the
+    position of the first failing one; it is None otherwise.
+    """
+
+    def __init__(self, *args, index: int | None = None):
+        super().__init__(*args)
+        self.index = index
 
 
 class DefinitenessError(MvlabError):
@@ -35,6 +43,11 @@ class WarmupError(MvlabError):
 
 class ProtocolError(MvlabError):
     """An input violates a structural protocol (e.g. non-uniform time grid)."""
+
+
+class LedgerError(MvlabError):
+    """A backtest ledger broke the self-financing identity
+    bond + stock = wealth beyond its tolerance."""
 
 
 class ResourceError(MvlabError):

@@ -53,6 +53,33 @@ def to_returns(p: PriceSeries) -> ReturnsPanel:
     return ReturnsPanel(returns=rets, times=p.times[1:])
 
 
+def rolling_estimates(r: ReturnsPanel, t_indices,
+                      batch_len: int = DEFAULT_BATCH_LEN,
+                      periods_per_year: int = WEEKS_PER_YEAR) -> tuple[Array, Array]:
+    """Annualised sample means (k, N) and covariances (k, N, N) of the
+    batches ending before each of the k decision indices in t_indices.
+
+    The batch for index t is return rows [t - batch_len, t); all batches
+    are read at once through a sliding window over the return rows.
+    """
+    t = np.atleast_1d(np.asarray(t_indices, dtype=np.intp))
+    if t.min() < batch_len:
+        raise WarmupError(
+            f"need {batch_len} return observations before index {t.min()}"
+        )
+    if t.max() > r.returns.shape[0]:
+        raise DataError(f"t_index {t.max()} beyond available returns")
+    if batch_len < 2:
+        raise DataError("batch too short for a covariance")
+    windows = np.lib.stride_tricks.sliding_window_view(r.returns, batch_len, axis=0)
+    centred = windows[t - batch_len]                      # (k, N, batch_len), a copy
+    mean = centred.mean(axis=-1)
+    centred -= mean[..., None]
+    cov = centred @ np.swapaxes(centred, -1, -2)
+    cov *= periods_per_year / (batch_len - 1)
+    return periods_per_year * mean, cov
+
+
 def rolling_estimate(r: ReturnsPanel, t_index: int,
                      batch_len: int = DEFAULT_BATCH_LEN,
                      periods_per_year: int = WEEKS_PER_YEAR) -> ParamEstimate:
@@ -61,28 +88,19 @@ def rolling_estimate(r: ReturnsPanel, t_index: int,
     Uses return rows [t_index - batch_len, t_index); consecutive calls at
     t and t+1 therefore share batch_len - 1 observations.
     """
-    if t_index < batch_len:
-        raise WarmupError(
-            f"need {batch_len} return observations before index {t_index}"
-        )
-    if t_index > r.returns.shape[0]:
-        raise DataError(f"t_index {t_index} beyond available returns")
-    batch = r.returns[t_index - batch_len:t_index]
-    mu_hat = periods_per_year * batch.mean(axis=0)
-    if batch_len < 2:
-        raise DataError("batch too short for a covariance")
-    sigma_hat = periods_per_year * np.cov(batch, rowvar=False, ddof=1)
-    sigma_hat = np.atleast_2d(sigma_hat)
-    return ParamEstimate(mu_hat=mu_hat, sigma_hat=sigma_hat,
+    mu, sigma = rolling_estimates(r, t_index, batch_len, periods_per_year)
+    return ParamEstimate(mu_hat=mu[0], sigma_hat=sigma[0],
                          batch_start=t_index - batch_len, batch_end=t_index)
 
 
 def regularize_covariance(sigma: Array, eps: float = RIDGE_EPS) -> Array:
     """Ridge for rank-deficient batch covariances: add eps * trace/N on the
-    diagonal.  Needed whenever the asset count exceeds the batch length."""
+    diagonal.  Needed whenever the asset count exceeds the batch length.
+    Works on one matrix or a stack of them (leading axes)."""
     sigma = np.asarray(sigma, dtype=np.float64)
-    n = sigma.shape[0]
-    ridge = eps * np.trace(sigma) / n
-    if ridge <= 0:
-        ridge = eps
-    return sigma + ridge * np.eye(n)
+    n = sigma.shape[-1]
+    ridge = eps * np.trace(sigma, axis1=-2, axis2=-1) / n
+    ridge = np.where(ridge <= 0, eps, ridge)
+    out = sigma.copy()
+    np.einsum("...ii->...i", out)[...] += ridge[..., None]
+    return out

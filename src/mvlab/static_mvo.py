@@ -12,7 +12,7 @@ generic dense solver, independently of the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,28 +36,52 @@ def _as_vector(x) -> Array:
 def robust_cholesky(sigma: Array) -> Array:
     """Lower Cholesky factor with an explicit pivot check.
 
-    LAPACK dpotrf (through numpy, so callers that never solve need not load
-    scipy) factorises the lower triangle; the pivots are diag(L)^2.  Rejects
-    the matrix if any pivot falls below 1e-12 times the largest diagonal
-    entry, naming the first failing pivot index.
+    Takes one matrix or a stack of them (leading axes).  LAPACK dpotrf
+    (through numpy, so callers that never solve need not load scipy)
+    factorises the lower triangles; the pivots are diag(L)^2.  Rejects the
+    input if any pivot falls below 1e-12 times the largest diagonal entry
+    of its matrix, naming the first failing pivot of the first failing
+    matrix; a stack's error carries that matrix's position in the
+    flattened stack as its `index`.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
-    # fmax skips NaNs, so a NaN diagonal entry is named as its own pivot.
-    floor = _PIVOT_REL_TOL * np.fmax.reduce(np.diag(sigma), initial=0.0)
     try:
         L = np.linalg.cholesky(sigma)
-        pivots = np.diag(L) ** 2
+        pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
+        # `not >` rather than `<=`, so a NaN pivot is rejected too.
+        ok = not np.any(~(pivots > _pivot_floor(sigma)[..., None]))
     except np.linalg.LinAlgError:
-        L, pivots = None, _pivots_to_failure(sigma)
-    # `not >` rather than `<=`, so a NaN pivot is rejected too.
+        ok = False
+    if not ok:
+        # Rare path: one matrix at a time, in stack order, to name the first.
+        stack = sigma.reshape(-1, *sigma.shape[-2:])
+        for i, matrix in enumerate(stack):
+            _check_pivots(matrix, i if sigma.ndim > 2 else None)
+    return L
+
+
+def _pivot_floor(sigma: Array) -> Array:
+    # fmax skips NaNs, so a NaN diagonal entry is named as its own pivot.
+    diag = np.diagonal(sigma, axis1=-2, axis2=-1)
+    return _PIVOT_REL_TOL * np.fmax.reduce(diag, axis=-1, initial=0.0)
+
+
+def _check_pivots(sigma: Array, index: int | None) -> None:
+    """Raise DefinitenessError if one matrix fails the pivot floor."""
+    floor = float(_pivot_floor(sigma))
+    try:
+        pivots = np.diag(np.linalg.cholesky(sigma)) ** 2
+        stopped = False
+    except np.linalg.LinAlgError:
+        pivots, stopped = _pivots_to_failure(sigma), True
     bad = np.flatnonzero(~(pivots > floor))
-    if bad.size or L is None:
+    if bad.size or stopped:
         j = bad[0] if bad.size else pivots.size - 1
         raise DefinitenessError(
             f"covariance not positive definite: pivot {j} = {pivots[j]:.3e} "
-            f"(floor {floor:.3e})"
+            f"(floor {floor:.3e})",
+            index=index,
         )
-    return L
 
 
 def _pivots_to_failure(sigma: Array) -> Array:
@@ -79,11 +103,41 @@ def _pivots_to_failure(sigma: Array) -> Array:
     return np.append(np.diag(L) ** 2, sigma[j, j] - l @ l)
 
 
-def _chol_solve(L: Array, rhs: Array) -> Array:
-    from scipy.linalg import solve_triangular
+def _frontier_solve(sigma: Array, mu: Array) -> tuple[Array, Array, Array, Array]:
+    """Sigma^-1 [1, mu] as an (..., N, 2) array, over any leading axes, and
+    the frontier constants a, b, c it gives."""
+    mu = np.asarray(mu, dtype=np.float64)
+    inv = np.linalg.solve(sigma, np.stack([np.ones_like(mu), mu], axis=-1))
+    return (inv, inv[..., 0].sum(axis=-1), inv[..., 1].sum(axis=-1),
+            np.einsum("...i,...i->...", mu, inv[..., 1]))
 
-    y = solve_triangular(L, rhs, lower=True)
-    return solve_triangular(L.T, y, lower=False)
+
+def _frontier_tol(a, c):
+    return _FRONTIER_TOL * np.maximum(1.0, np.abs(a * c))
+
+
+def frontier_weights(sigma: Array, mu: Array, target: float) -> tuple[Array, Array, Array]:
+    """Closed-form minimum-variance weights hitting the target return.
+
+    omega = ((c - b*m)/(ac - b^2)) Sigma^-1 1 + ((a*m - b)/(ac - b^2)) Sigma^-1 mu
+    with m the target; the Lagrange multipliers are the two scalar
+    prefactors.  Works over leading axes of sigma (..., N, N) and mu
+    (..., N); returns (omega, lambda1, lambda2).  A degenerate frontier
+    raises SingularFrontierError with the first one's position in the
+    flattened stack as its `index`.
+    """
+    inv, a, b, c = _frontier_solve(sigma, mu)
+    disc = a * c - b * b
+    bad = np.flatnonzero(disc <= _frontier_tol(a, c))
+    if bad.size:
+        raise SingularFrontierError(
+            f"degenerate frontier: a*c - b^2 = {disc.flat[bad[0]]:.3e}",
+            index=int(bad[0]) if disc.ndim else None,
+        )
+    lam1 = (c - b * target) / disc
+    lam2 = (a * target - b) / disc
+    omega = lam1[..., None] * inv[..., 0] + lam2[..., None] * inv[..., 1]
+    return omega, lam1, lam2
 
 
 @dataclass(frozen=True)
@@ -147,28 +201,13 @@ class Weights:
 
 def frontier_constants(p: StaticProblem) -> FrontierConstants:
     """Quadratic forms of Sigma^-1 against the ones vector and mu."""
-    L = robust_cholesky(p.sigma)
-    ones = np.ones(p.n_assets)
-    inv_ones = _chol_solve(L, ones)
-    inv_mu = _chol_solve(L, p.mu)
-    return FrontierConstants(
-        a=float(ones @ inv_ones),
-        b=float(ones @ inv_mu),
-        c=float(p.mu @ inv_mu),
-    )
-
-
-def _frontier_tol(fc: FrontierConstants) -> float:
-    return _FRONTIER_TOL * max(1.0, abs(fc.a * fc.c))
+    _, a, b, c = _frontier_solve(p.sigma, p.mu)
+    return FrontierConstants(a=float(a), b=float(b), c=float(c))
 
 
 def solve_static_mvo(p: StaticProblem) -> Weights:
-    """Closed-form minimum-variance weights hitting the target return.
-
-    omega = ((c - b*m)/(ac - b^2)) Sigma^-1 1 + ((a*m - b)/(ac - b^2)) Sigma^-1 mu
-    with m the target; the Lagrange multipliers are the two scalar prefactors.
-    """
-    fc = frontier_constants(p)
+    """Closed-form minimum-variance weights of one instance (see
+    frontier_weights)."""
     if p.n_assets == 1:
         # Degenerate single-asset frontier: omega = 1 is the only feasible point.
         if abs(p.mu[0] - p.target) > 1e-10 * max(1.0, abs(p.mu[0])):
@@ -176,23 +215,14 @@ def solve_static_mvo(p: StaticProblem) -> Weights:
                 f"single asset cannot reach target {p.target} (mu = {p.mu[0]})"
             )
         return Weights(omega=np.array([1.0]), lambda1=float(p.sigma[0, 0]), lambda2=0.0)
-    disc = fc.discriminant
-    if disc <= _frontier_tol(fc):
-        raise SingularFrontierError(
-            f"degenerate frontier: a*c - b^2 = {disc:.3e}"
-        )
-    L = robust_cholesky(p.sigma)
-    ones = np.ones(p.n_assets)
-    lam1 = (fc.c - fc.b * p.target) / disc
-    lam2 = (fc.a * p.target - fc.b) / disc
-    omega = lam1 * _chol_solve(L, ones) + lam2 * _chol_solve(L, p.mu)
+    omega, lam1, lam2 = frontier_weights(p.sigma, p.mu, p.target)
     return Weights(omega=omega, lambda1=float(lam1), lambda2=float(lam2))
 
 
 def frontier_variance(fc: FrontierConstants, target: float) -> float:
     """Minimal portfolio variance achievable at the given target return."""
     disc = fc.discriminant
-    if disc <= _frontier_tol(fc):
+    if disc <= _frontier_tol(fc.a, fc.c):
         raise SingularFrontierError(f"degenerate frontier: a*c - b^2 = {disc:.3e}")
     return (fc.a * target * target - 2.0 * fc.b * target + fc.c) / disc
 

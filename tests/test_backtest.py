@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvlab import estimate, static_mvo
+from mvlab import backtest, estimate, static_mvo
 from mvlab.backtest import (
     BacktestConfig,
     Ledger,
@@ -9,8 +9,8 @@ from mvlab.backtest import (
     rebalance_step,
     run_backtest,
 )
-from mvlab.dynamic_policy import MarketParams
-from mvlab.errors import DataError, WarmupError
+from mvlab.dynamic_policy import CevParams, MarketParams, cev_policy_multi, multi_policy
+from mvlab.errors import DataError, DefinitenessError, LedgerError, WarmupError
 from mvlab.simulate import PriceSeries, SimConfig, gbm_paths
 
 from conftest import loop_cholesky
@@ -52,8 +52,124 @@ class TestLedgerSteps:
 
     def test_check_catches_violation(self):
         led = Ledger(bond_cash=1.0, shares=np.array([1.0]), wealth=5.0)
-        with pytest.raises(AssertionError):
+        with pytest.raises(LedgerError, match="ledger identity violated"):
             led.check(np.array([1.0]))
+
+
+def oracle_theta(cfg, est, prices_now, t_years, horizon):
+    """One decision week through the single-instance policy functions:
+    (theta, the matrix the policy solves with, or None)."""
+    if callable(cfg.strategy):
+        return np.asarray(cfg.strategy(est, prices_now, t_years, horizon), float), None
+    sigma = estimate.regularize_covariance(est.sigma_hat)
+    n = sigma.shape[0]
+    if cfg.strategy == "static":
+        if n == 1:
+            return cfg.notional * np.ones(1), None
+        problem = static_mvo.StaticProblem(mu=est.mu_hat, sigma=sigma, target=cfg.target)
+        return cfg.notional * static_mvo.solve_static_mvo(problem).omega, sigma
+    if cfg.strategy in ("simple", "multi"):
+        m = MarketParams(mu=est.mu_hat, sigma=static_mvo.robust_cholesky(sigma),
+                         r=cfg.r, T=horizon, gamma=cfg.gamma)
+        return multi_policy(m, t_years).theta, sigma
+    vols = np.sqrt(np.diag(sigma))
+    corr = sigma / np.outer(vols, vols)
+    np.fill_diagonal(corr, 1.0)
+    corr = 0.5 * (corr + corr.T)
+    c = CevParams(mu=est.mu_hat, sigma_bar=vols / prices_now ** (cfg.alpha / 2.0),
+                  alpha=np.full(n, cfg.alpha), corr=corr, r=cfg.r, T=horizon,
+                  gamma=cfg.gamma)
+    omega = np.outer(c.sigma_bar, c.sigma_bar) * corr
+    return cev_policy_multi(c, prices_now, t_years).theta, omega
+
+
+def oracle_backtest(prices, cfg):
+    """The weekly loop one step at a time: per-week rolling_estimate, the
+    single-instance policies and rebalance_step/accrue_step, with the
+    ledger identity checked after each.  Returns the wealth, bond and
+    stock columns and the tolerance 100 eps cond(Sigma_hat) x gross
+    exposure, cond taken over the matrices the policies solve with."""
+    panel = estimate.to_returns(prices)
+    n_rows = prices.prices.shape[0]
+    horizon = (n_rows - 1) * cfg.dt
+    ledger = Ledger(bond_cash=0.0, shares=np.zeros(prices.n_assets), wealth=0.0)
+    rows = [[0.0, 0.0, 0.0]]
+    cond = gross = 1.0
+    for t in range(cfg.batch_len + 1, n_rows - 1):
+        est = estimate.rolling_estimate(panel, t, cfg.batch_len)
+        theta, solved = oracle_theta(cfg, est, prices.prices[t], t * cfg.dt, horizon)
+        if solved is not None:
+            cond = max(cond, np.linalg.cond(solved))
+        gross = max(gross, np.sum(np.abs(theta)))
+        ledger = rebalance_step(ledger, prices.prices[t], theta)
+        ledger.check(prices.prices[t])
+        ledger = accrue_step(ledger, prices.prices[t + 1], cfg.dt, cfg.r)
+        ledger.check(prices.prices[t + 1])
+        rows.append([ledger.wealth, ledger.bond_cash,
+                     float(ledger.shares @ prices.prices[t + 1])])
+        gross = max(gross, abs(ledger.bond_cash))
+    return np.array(rows), 100 * np.finfo(float).eps * cond * gross
+
+
+def assert_matches_oracle(path, prices, cfg):
+    want, tol = oracle_backtest(prices, cfg)
+    got = np.column_stack([path.wealth, path.bond, path.stock_value])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol
+
+
+def scaled_edge(est, prices_now, t_years, horizon):
+    """A callable strategy that reads every argument it is given."""
+    return (est.mu_hat - 0.025) / np.diag(est.sigma_hat) * np.exp(t_years - horizon)
+
+
+class TestBatchedKernel:
+    """run_backtest's blocked stages against the step-by-step oracle, on
+    decision-week counts either side of each block seam."""
+
+    @pytest.mark.parametrize("weeks", [63, 64, 65, 129])
+    @pytest.mark.parametrize("kwargs", [
+        {"strategy": "static", "target": 0.15},
+        {"strategy": "simple"},
+        {"strategy": "multi"},
+        {"strategy": "cev", "alpha": 1.0},
+        {"strategy": scaled_edge},
+    ], ids=["static", "simple", "multi", "cev", "callable"])
+    def test_matches_step_by_step_oracle(self, weeks, kwargs):
+        assert backtest.BLOCK_WEEKS == 64
+        cfg = BacktestConfig(**kwargs)
+        prices = gbm_series(n_weeks=weeks + cfg.batch_len + 1, n_assets=4, seed=weeks)
+        path = run_backtest(prices, cfg)
+        assert path.week_index.size == weeks + 1
+        assert_matches_oracle(path, prices, cfg)
+
+    def test_single_asset_static_invests_notional(self):
+        prices = gbm_series(n_weeks=100, seed=1)
+        cfg = BacktestConfig(strategy="static", notional=2.0)
+        assert_matches_oracle(run_backtest(prices, cfg), prices, cfg)
+
+    def test_pivot_failure_names_the_week(self, monkeypatch):
+        # Without the ridge, an asset whose returns are constant over a
+        # whole batch has a zero pivot.  Asset 1 grows at a fixed rate over
+        # return rows 80..119, so the first batch inside that stretch ends
+        # at decision week 106: decision 79, in the second block.
+        prices = gbm_series(n_weeks=156, n_assets=2, seed=8)
+        p = prices.prices.copy()
+        p[81:121, 1] = p[80, 1] * 1.002 ** np.arange(1, 41)
+        p[121:, 1] *= p[120, 1] / prices.prices[120, 1]
+        prices = type(prices)(times=prices.times, prices=p)
+        monkeypatch.setattr(estimate, "regularize_covariance", lambda s: s)
+        with pytest.raises(DefinitenessError, match=r"^decision week 106: .*pivot 1 = "):
+            run_backtest(prices, BacktestConfig(strategy="static"))
+
+    def test_ledger_violation_names_the_week(self):
+        # Money of 1e16 in and out of two assets: the value of the shares
+        # bought, (theta / P) . P, rounds away from sum(theta) = 0 by far
+        # more than 1e-9 of the (zero) wealth.
+        prices = gbm_series(n_weeks=60, n_assets=2, seed=0)
+        cfg = BacktestConfig(strategy=lambda est, p, t, T: np.array([1e16, -1e16]))
+        with pytest.raises(LedgerError, match=r"^decision week 27: ledger identity"):
+            run_backtest(prices, cfg)
 
 
 class TestConfig:
@@ -123,23 +239,14 @@ class TestRunBacktest:
 
     def test_static_wealth_matches_column_loop_cholesky(self, monkeypatch):
         # 50 assets > the 26-week batch: only the ridge keeps Sigma_hat
-        # definite, so the factorisation works at cond(Sigma_hat) ~ 1e6.
+        # definite, so the pivot check works at cond(Sigma_hat) ~ 1e6.  The
+        # batched kernel factorises with LAPACK; the oracle's per-week path
+        # (each StaticProblem) with the textbook column loop.
         prices = gbm_series(n_weeks=70, n_assets=50, seed=4)
         cfg = BacktestConfig(strategy="static", target=0.15)
-        panel = estimate.to_returns(prices)
-        cond = gross = 0.0
-        for t in range(cfg.batch_len + 1, prices.prices.shape[0] - 1):
-            est = estimate.rolling_estimate(panel, t, cfg.batch_len)
-            sigma = estimate.regularize_covariance(est.sigma_hat)
-            omega = static_mvo.solve_static_mvo(static_mvo.StaticProblem(
-                mu=est.mu_hat, sigma=sigma, target=cfg.target)).omega
-            cond = max(cond, np.linalg.cond(sigma))
-            gross = max(gross, cfg.notional * np.sum(np.abs(omega)))
-        lapack = run_backtest(prices, cfg)
+        path = run_backtest(prices, cfg)
         monkeypatch.setattr(static_mvo, "robust_cholesky", loop_cholesky)
-        loop = run_backtest(prices, cfg)
-        tol = 100 * np.finfo(float).eps * cond * gross
-        assert np.max(np.abs(lapack.wealth - loop.wealth)) <= tol
+        assert_matches_oracle(path, prices, cfg)
 
     def test_constant_bond_strategy_compounds(self):
         # park one unit of money in stock 0? no: all-bond via theta=0 handled

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mvlab
 from mvlab.cli import main, read_price_csv, read_wealth_csv, write_price_csv
 from mvlab.simulate import PriceSeries
 
@@ -26,7 +29,7 @@ class TestSimulate:
         assert len(tickers) == 3
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
-        assert manifest["parameters"]["seed"] == "7"
+        assert manifest["parameters"]["seed"] == 7
         assert manifest["outputs"] == ["prices.csv"]
 
     def test_bit_identical_reruns(self, tmp_path):
@@ -99,6 +102,32 @@ class TestBacktestReport:
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["backtest", "--input", str(tmp_path / "nope.csv")]) == 3
+
+    def test_failed_input_leaves_no_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("MVLAB_OUT", raising=False)
+        assert main(["backtest", "--input", str(tmp_path / "nonexistent.csv")]) == 3
+        assert main(["simulate", "--assets", "2", "--corr", "2.0"]) == 4
+        assert os.listdir(tmp_path) == []
+
+    def test_readme_multi_at_50_exits_4_without_traceback(self, tmp_path):
+        # The README recipe: 50 assets exceed the 26-week batch, so the
+        # multi strategy inverts a ridged, ill-conditioned Sigma_hat and its
+        # backtest fails; the failure is a numerical error, not a crash.
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(mvlab.__file__))}
+        def mvlab_cli(*argv):
+            return subprocess.run([sys.executable, "-m", "mvlab.cli", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=120)
+        assert mvlab_cli("simulate", "--model", "gbm", "--assets", "50", "--weeks", "523",
+                         "--seed", "0", "--out", "panel").returncode == 0
+        proc = mvlab_cli("backtest", "--input", "panel/prices.csv", "--strategy", "multi",
+                         "--base", "10", "--out", "bt")
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "bt").exists()
 
     def test_short_input_is_data_error(self, tmp_path):
         out = tmp_path / "tiny"
@@ -173,6 +202,25 @@ class TestPlumbing:
             main(["simulate", "--model", "heston"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--assets", "abc"],
+        ["simulate", "--weeks", "2.5"],
+        ["backtest", "--input", "p.csv", "--target", "high"],
+        ["compare-precommit", "--paths", "many"],
+    ])
+    def test_non_numeric_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+
+    def test_config_value_goes_through_flag_type(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("assets=abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
     def test_no_command_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -188,7 +236,7 @@ class TestPlumbing:
         series, _ = read_price_csv(out / "prices.csv")
         assert series.prices.shape == (31, 2)  # flag beat config for weeks
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["parameters"]["seed"] == "9"
+        assert manifest["parameters"]["seed"] == 9
 
     def test_price_csv_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
