@@ -11,12 +11,10 @@ from .dynamic_policy import (
     CevParams,
     MarketParams,
     Policy,
-    anticipated_gain_cev,
     anticipated_gain_gbm,
     cev_anticipated_gain_exact,
     cev_policy,
     cev_policy_multi,
-    hedging_covariance_check,
     lattice_equilibrium_oracle,
     multi_policy,
     simple_policy,
@@ -30,6 +28,7 @@ from .simulate import (
     correlated_normals,
     gbm_ensemble,
     gbm_paths,
+    hedging_covariance_check,
     mc_anticipated_gain,
     rn_weight,
     rn_weights,

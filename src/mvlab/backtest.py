@@ -61,9 +61,10 @@ class BacktestConfig:
 
 def _check_identity(bond, stock, wealth, tol: float = LEDGER_TOL):
     """Raise LedgerError where bond + stock != wealth beyond
-    tol * max(1, |wealth|); on arrays, `index` is the first such entry."""
+    tol * max(1, |wealth|), or where either side is not finite (a NaN
+    residual compares False); on arrays, `index` is the first such entry."""
     residual = np.abs(bond + stock - wealth)
-    bad = np.flatnonzero(residual > tol * np.maximum(1.0, np.abs(wealth)))
+    bad = np.flatnonzero(~(residual <= tol * np.maximum(1.0, np.abs(wealth))))
     if bad.size:
         i = int(bad[0])
         raise LedgerError(

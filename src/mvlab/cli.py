@@ -12,6 +12,7 @@ The MVLAB_OUT environment variable overrides the default output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import json
 import os
@@ -46,6 +47,7 @@ def write_price_csv(path, series: simulate.PriceSeries, tickers=None,
 
 
 def read_price_csv(path) -> tuple[simulate.PriceSeries, list[str]]:
+    """Read a 'date,<tickers>' price CSV whose ISO dates are 7 days apart."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].lower().startswith("date"):
@@ -54,10 +56,19 @@ def read_price_csv(path) -> tuple[simulate.PriceSeries, list[str]]:
     if not tickers:
         raise DataError(f"{path}: no asset columns")
     rows = []
+    prev = None
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
         if len(parts) != len(tickers) + 1:
             raise DataError(f"{path}:{lineno}: expected {len(tickers)+1} fields")
+        try:
+            day = dt.date.fromisoformat(parts[0])
+        except ValueError:
+            raise ProtocolError(f"{path}:{lineno}: bad date {parts[0]!r}") from None
+        if prev is not None and (day - prev).days != 7:
+            raise ProtocolError(f"{path}:{lineno}: {day} is {(day - prev).days} days "
+                                f"after {prev}; rows must be weekly")
+        prev = day
         try:
             rows.append([float(x) for x in parts[1:]])
         except ValueError as exc:
@@ -68,15 +79,10 @@ def read_price_csv(path) -> tuple[simulate.PriceSeries, list[str]]:
 
 
 def write_wealth_csv(path, wp: backtest.WealthPath):
-    with open(path, "w") as fh:
-        fh.write("week_index,time_years,wealth,bond,stock_value\n")
-        for i in range(wp.wealth.size):
-            fh.write(
-                f"{int(wp.week_index[i])},"
-                + ",".join(_FLOAT_FMT % v for v in
-                           (wp.times[i], wp.wealth[i], wp.bond[i], wp.stock_value[i]))
-                + "\n"
-            )
+    np.savetxt(path, np.column_stack([wp.week_index, wp.times, wp.wealth, wp.bond,
+                                      wp.stock_value]),
+               fmt=["%d"] + [_FLOAT_FMT] * 4, delimiter=",", comments="",
+               header="week_index,time_years,wealth,bond,stock_value")
 
 
 def read_wealth_csv(path) -> backtest.WealthPath:
@@ -228,11 +234,7 @@ def cmd_backtest(args):
     stats_path = os.path.join(out, "stats.json")
     write_wealth_csv(wealth_path, wp)
     with open(stats_path, "w") as fh:
-        json.dump({
-            "terminal_return": stats.terminal_return,
-            "max_drawdown": stats.max_drawdown,
-            "std_dev": stats.std_dev,
-        }, fh, indent=2)
+        json.dump(dataclasses.asdict(stats), fh, indent=2)
         fh.write("\n")
     _write_manifest(out, "backtest", args, ["wealth.csv", "stats.json"])
     print(stats_path)
@@ -304,23 +306,12 @@ def cmd_compare_precommit(args):
         T=args.horizon, gamma=args.gamma)
     cmp_ = wealth_analysis.compare_strategies_mc(
         m, W0=args.w0, paths=args.paths, seed=args.seed)
-    _emit_json(args, "compare-precommit", {
-        "mean_pre": cmp_.mean_pre,
-        "mean_tc": cmp_.mean_tc,
-        "gap": cmp_.gap,
-        "gap_analytic": cmp_.gap_analytic,
-        "gap_stderr": cmp_.gap_stderr,
-    })
+    _emit_json(args, "compare-precommit", dataclasses.asdict(cmp_))
 
 
 def cmd_report(args):
     wp = read_wealth_csv(args.input)
-    stats = metrics.perf_stats(wp, base=args.base)
-    _emit_json(args, "report", {
-        "terminal_return": stats.terminal_return,
-        "max_drawdown": stats.max_drawdown,
-        "std_dev": stats.std_dev,
-    })
+    _emit_json(args, "report", dataclasses.asdict(metrics.perf_stats(wp, base=args.base)))
 
 
 def _emit_json(args, command: str, payload: dict):

@@ -7,9 +7,6 @@ into a myopic and a hedging component, plus:
 * the deterministic anticipated-gain formula for GBM and its exact CEV
   counterpart (solved from the moment ODE of S^-alpha under the
   drift-r measure),
-* a Monte Carlo anticipated-gain estimator for CEV,
-* a covariance sign diagnostic linking hedging demand to the co-movement of
-  stock returns and anticipated gains,
 * a recombining binomial lattice that computes the discrete-time equilibrium
   policy by backward induction and serves as an independent oracle for the
   continuous-time closed form.
@@ -280,8 +277,9 @@ def anticipated_gain_gbm(m: MarketParams, t: float) -> float:
     return m.sharpe**2 * tau / m.gamma
 
 
-def cev_anticipated_gain_exact(c: CevParams, S: float, t: float) -> float:
-    """Exact anticipated gain for a single CEV asset.
+def cev_anticipated_gain_exact(c: CevParams, S: float | Array, t: float) -> float | Array:
+    """Exact anticipated gain for a single CEV asset at a price S or at
+    each price of an array S.
 
     Under the drift-r measure, h(s) = E[S_s^-alpha] obeys
         dh/ds = -alpha r h + alpha (alpha+1) sigma_bar^2 / 2,
@@ -290,103 +288,14 @@ def cev_anticipated_gain_exact(c: CevParams, S: float, t: float) -> float:
     """
     if c.n_assets != 1:
         raise ValueError("requires a single-asset market")
-    if S <= 0:
-        raise DomainError(f"price must be positive, got {S}")
+    if np.any(S <= 0):
+        raise DomainError(f"price must be positive, got {np.min(S)}")
     tau = _check_horizon(t, c.T)
     mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
     h0 = S ** (-alpha)
     ar = alpha * c.r
     if abs(ar) <= _ZERO_RATE_TOL:
         # h grows linearly: h(s) = h0 + (s-t) alpha (alpha+1) sb^2 / 2
-        integral = h0 * tau + alpha * (alpha + 1.0) * sb * sb * tau * tau / 4.0
-    else:
-        h_inf = (alpha + 1.0) * sb * sb / (2.0 * c.r)
-        integral = h_inf * tau + (h0 - h_inf) * (-np.expm1(-ar * tau)) / ar
-    return (mu - c.r) ** 2 / (c.gamma * sb * sb) * integral
-
-
-@dataclass(frozen=True)
-class GainEstimate:
-    value: float
-    stderr: float
-
-
-def anticipated_gain_cev(c: CevParams, S: float, t: float, paths: int,
-                         seed: int, n_steps: int | None = None) -> GainEstimate:
-    """Monte Carlo anticipated gain for a single CEV asset.
-
-    Simulates dS/S = r dt + sigma_bar S^(alpha/2) dw under the hedge-neutral
-    measure and averages the trapezoid-rule integral of the squared
-    instantaneous Sharpe ratio over gamma.
-    """
-    from . import simulate
-
-    if paths < 100:
-        raise ValueError("need at least 100 paths")
-    est = simulate.mc_anticipated_gain(c, S, t, paths, seed, n_steps=n_steps)
-    return GainEstimate(value=est.value, stderr=est.stderr)
-
-
-@dataclass(frozen=True)
-class CovarianceSignReport:
-    correlation: float
-    covariance_sign: int
-    hedging_sign: int
-    consistent: bool
-
-
-def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
-                             seed: int, n_steps: int = 64) -> CovarianceSignReport:
-    """Sign diagnostic: cov(dS/S, df) against the hedging demand.
-
-    Simulates physical-measure CEV paths, evaluates the anticipated gain
-    along them, and pools one-step covariances.  A negative covariance should
-    pair with a positive hedging demand and vice versa.
-    """
-    from . import simulate
-
-    if c.n_assets != 1:
-        raise ValueError("requires a single-asset market")
-    tau = _check_horizon(t, c.T)
-    dt = tau / n_steps
-    rng = np.random.default_rng(seed)
-    s = np.full(paths, float(S))
-    mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
-    floor = 1e-8 * S
-    rets = []
-    dfs = []
-    f_prev = np.full(paths, cev_anticipated_gain_exact(c, S, t))
-    for k in range(n_steps):
-        z = rng.standard_normal(paths)
-        alive = s > floor
-        ds = s * (mu * dt + sb * s ** (alpha / 2.0) * np.sqrt(dt) * z)
-        s_new = np.where(alive, np.maximum(s + ds, floor), s)
-        tk = t + (k + 1) * dt
-        f_new = _gain_exact_vec(c, s_new, tk)
-        rets.append(np.where(alive, s_new / s - 1.0, 0.0))
-        dfs.append(f_new - f_prev)
-        s, f_prev = s_new, f_new
-    rets = np.concatenate(rets)
-    dfs = np.concatenate(dfs)
-    if np.std(dfs) < 1e-15 or np.std(rets) < 1e-15:
-        corr = 0.0
-    else:
-        corr = float(np.corrcoef(rets, dfs)[0, 1])
-    hedging = float(cev_policy(c, S, t).hedging[0])
-    cov_sign = int(np.sign(corr)) if abs(corr) > 0.05 else 0
-    hedge_sign = int(np.sign(hedging)) if abs(hedging) > 1e-14 else 0
-    consistent = (cov_sign == 0 and hedge_sign == 0) or (cov_sign == -hedge_sign)
-    return CovarianceSignReport(correlation=corr, covariance_sign=cov_sign,
-                                hedging_sign=hedge_sign, consistent=consistent)
-
-
-def _gain_exact_vec(c: CevParams, S: Array, t: float) -> Array:
-    """Vectorised cev_anticipated_gain_exact over a price array."""
-    tau = c.T - t
-    mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
-    h0 = S ** (-alpha)
-    ar = alpha * c.r
-    if abs(ar) <= _ZERO_RATE_TOL:
         integral = h0 * tau + alpha * (alpha + 1.0) * sb * sb * tau * tau / 4.0
     else:
         h_inf = (alpha + 1.0) * sb * sb / (2.0 * c.r)

@@ -46,9 +46,10 @@ def to_returns(p: PriceSeries) -> ReturnsPanel:
     prices = p.prices
     if prices.shape[0] < 2:
         raise DataError("need at least two price rows")
-    bad = np.argwhere(prices <= 0)
+    bad = np.argwhere(~(np.isfinite(prices) & (prices > 0)))
     if bad.size:
-        raise DataError(f"non-positive price at row {bad[0][0]}")
+        row, col = bad[0]
+        raise DataError(f"price {prices[row, col]} at row {row} is not positive and finite")
     rets = prices[1:] / prices[:-1] - 1.0
     return ReturnsPanel(returns=rets, times=p.times[1:])
 

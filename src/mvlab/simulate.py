@@ -4,7 +4,9 @@ GBM panels use exact lognormal stepping (no discretisation bias); CEV panels
 use Euler-Maruyama with an absorption floor.  Both can be generated under the
 physical measure (drift mu) or the hedge-neutral measure (drift r).  The
 module also provides Radon-Nikodym reweighting from the physical to the
-hedge-neutral measure and the Monte Carlo anticipated-gain estimator.
+hedge-neutral measure, the Monte Carlo anticipated-gain estimator and the
+covariance sign diagnostic of the CEV hedging demand.  Every CEV simulation
+here steps through the one Euler kernel, `_cev_euler`.
 
 Determinism: each operation draws from a single numpy Generator seeded by the
 caller and consumes randomness in a fixed order, so identical (config, seed)
@@ -18,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamic_policy import CevParams, MarketParams
+from .dynamic_policy import (
+    CevParams,
+    MarketParams,
+    anticipated_gain_gbm,
+    cev_anticipated_gain_exact,
+    cev_policy,
+)
 from .errors import DomainError, InstabilityError, ProtocolError
 
 Array = NDArray[np.float64]
@@ -136,6 +144,32 @@ def gbm_paths(m: MarketParams, cfg: SimConfig) -> PriceSeries:
     return PriceSeries(times=times, prices=prices)
 
 
+def _cev_euler(s0, shape, drift, sigma_bar, alpha, dt: float, n_steps: int, draw):
+    """Euler-Maruyama steps of dS/S = drift dt + sigma_bar S^(alpha/2) dw
+    for a state of `shape` that starts at s0 (a scalar, or one price per
+    asset), draw() giving each step's standard normals.
+
+    An entry that touches floor = ABSORPTION_REL_FLOOR * s0 is absorbed and
+    stays there.  Yields (s, alive) after each step, alive marking the
+    entries not absorbed before it; after the last step, raises
+    InstabilityError if more than half of the entries are absorbed.
+    """
+    floor = ABSORPTION_REL_FLOOR * s0
+    sqdt = np.sqrt(dt)
+    s = np.full(shape, s0, dtype=np.float64)
+    for _ in range(n_steps):
+        z = draw()
+        alive = s > floor
+        s_new = s + s * (drift * dt + sigma_bar * s ** (alpha / 2.0) * sqdt * z)
+        s = np.where(alive, np.maximum(s_new, floor), s)
+        yield s, alive
+    absorbed = np.mean(s <= floor)
+    if absorbed > ABSORPTION_MAX_FRACTION:
+        raise InstabilityError(
+            f"{absorbed:.0%} of paths absorbed; use a smaller dt or milder alpha"
+        )
+
+
 def cev_paths(c: CevParams, cfg: SimConfig) -> PriceSeries:
     """One panel of CEV prices via Euler-Maruyama with an absorption floor.
 
@@ -147,23 +181,12 @@ def cev_paths(c: CevParams, cfg: SimConfig) -> PriceSeries:
     drift = c.mu if cfg.measure == PHYSICAL else np.full(c.n_assets, c.r)
     L = _corr_factor(c.corr)
     rng = np.random.default_rng(cfg.seed)
-    floor = ABSORPTION_REL_FLOOR * cfg.s0
-    sqdt = np.sqrt(cfg.dt)
     prices = np.empty((cfg.n_steps + 1, c.n_assets))
     prices[0] = cfg.s0
-    s = cfg.s0.copy()
-    for k in range(cfg.n_steps):
-        z = rng.standard_normal(c.n_assets) @ L.T
-        alive = s > floor
-        vol = c.sigma_bar * s ** (c.alpha / 2.0)
-        s_new = s + s * (drift * cfg.dt + vol * sqdt * z)
-        s = np.where(alive, np.maximum(s_new, floor), s)
-        prices[k + 1] = s
-    absorbed = np.mean(s <= floor)
-    if absorbed > ABSORPTION_MAX_FRACTION:
-        raise InstabilityError(
-            f"{absorbed:.0%} of paths absorbed; use a smaller dt or milder alpha"
-        )
+    steps = _cev_euler(cfg.s0, c.n_assets, drift, c.sigma_bar, c.alpha, cfg.dt,
+                       cfg.n_steps, lambda: rng.standard_normal(c.n_assets) @ L.T)
+    for k, (s, _) in enumerate(steps, start=1):
+        prices[k] = s
     times = np.arange(cfg.n_steps + 1) * cfg.dt
     return PriceSeries(times=times, prices=prices)
 
@@ -187,8 +210,22 @@ def gbm_ensemble(mu: float, sigma: float, r: float, T: float, n_steps: int,
     return times, np.exp(log_prices)
 
 
-def _rn_weights_from_logs(m: MarketParams, times: Array, log_prices: Array) -> Array:
-    """Core RN computation from log-price rows sampled on a uniform grid."""
+def rn_weight(m: MarketParams, path: PriceSeries) -> float:
+    """dP*/dP along one physical-measure single-asset GBM path (rn_weights
+    of a one-path ensemble)."""
+    if m.n_assets != 1 or path.n_assets != 1:
+        raise ValueError("rn_weight requires a single-asset market and path")
+    return float(rn_weights(m, path.times, path.prices[:, 0]))
+
+
+def rn_weights(m: MarketParams, times: Array, prices: Array) -> Array:
+    """dP*/dP along each physical-measure single-asset GBM path of an
+    ensemble, prices shape (n_paths, n_steps+1) on a uniform time grid.
+
+    The Brownian terminal value is reconstructed from the log-price
+    increments; weight = exp(-kappa^2 T / 2 - kappa w_T).
+    """
+    times = np.asarray(times, float)
     steps = np.diff(times)
     dt = steps[0]
     if np.max(np.abs(steps - dt)) > 1e-9 * dt:
@@ -196,28 +233,10 @@ def _rn_weights_from_logs(m: MarketParams, times: Array, log_prices: Array) -> A
     sigma = float(m.sigma[0, 0])
     kappa = m.sharpe
     T = times[-1] - times[0]
-    incr = np.diff(log_prices, axis=-1)
+    incr = np.diff(np.log(np.asarray(prices, float)), axis=-1)
     dw = (incr - (m.mu[0] - 0.5 * sigma * sigma) * dt) / sigma
     w_T = np.sum(dw, axis=-1)
     return np.exp(-0.5 * kappa * kappa * T - kappa * w_T)
-
-
-def rn_weight(m: MarketParams, path: PriceSeries) -> float:
-    """dP*/dP along one physical-measure single-asset GBM path.
-
-    The Brownian terminal value is reconstructed from the log-price
-    increments; weight = exp(-kappa^2 T / 2 - kappa w_T).
-    """
-    if m.n_assets != 1 or path.n_assets != 1:
-        raise ValueError("rn_weight requires a single-asset market and path")
-    logs = np.log(path.prices[:, 0])
-    return float(_rn_weights_from_logs(m, path.times, logs))
-
-
-def rn_weights(m: MarketParams, times: Array, prices: Array) -> Array:
-    """Vectorised rn_weight over an ensemble, prices shape (n_paths, n_steps+1)."""
-    return _rn_weights_from_logs(m, np.asarray(times, float),
-                                 np.log(np.asarray(prices, float)))
 
 
 @dataclass(frozen=True)
@@ -242,8 +261,7 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
         raise DomainError(f"time {t} outside horizon [0, {model.T}]")
     tau = model.T - t
     if isinstance(model, MarketParams):
-        kappa = model.sharpe
-        return McEstimate(value=kappa * kappa * tau / model.gamma, stderr=0.0)
+        return McEstimate(value=anticipated_gain_gbm(model, t), stderr=0.0)
     c = model
     if c.n_assets != 1:
         raise ValueError("MC anticipated gain requires a single-asset market")
@@ -260,21 +278,57 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
         n_steps = max(64, int(np.ceil(tau * 512)))
     dt = tau / n_steps
     rng = np.random.default_rng(seed)
-    floor = ABSORPTION_REL_FLOOR * S0
     coef = (mu - c.r) ** 2 / (c.gamma * sb * sb)
-    s = np.full(paths, float(S0))
-    integrand = coef * s ** (-alpha)
+    integrand = coef * np.full(paths, float(S0)) ** (-alpha)
     acc = np.zeros(paths)
-    sqdt = np.sqrt(dt)
-    for _ in range(n_steps):
-        z = rng.standard_normal(paths)
-        alive = s > floor
-        s_new = s + s * (c.r * dt + sb * s ** (alpha / 2.0) * sqdt * z)
-        s = np.where(alive, np.maximum(s_new, floor), s)
+    for s, _ in _cev_euler(float(S0), paths, c.r, sb, alpha, dt, n_steps,
+                           lambda: rng.standard_normal(paths)):
         new_integrand = coef * s ** (-alpha)
         acc += 0.5 * (integrand + new_integrand) * dt
         integrand = new_integrand
-    if np.mean(s <= floor) > ABSORPTION_MAX_FRACTION:
-        raise InstabilityError("too many absorbed paths; use a smaller dt")
     return McEstimate(value=float(np.mean(acc)),
                       stderr=float(np.std(acc, ddof=1) / np.sqrt(paths)))
+
+
+@dataclass(frozen=True)
+class CovarianceSignReport:
+    correlation: float
+    covariance_sign: int
+    hedging_sign: int
+    consistent: bool
+
+
+def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
+                             seed: int, n_steps: int = 64) -> CovarianceSignReport:
+    """Sign diagnostic: cov(dS/S, df) against the hedging demand.
+
+    Simulates physical-measure CEV paths, evaluates the exact anticipated
+    gain f along them, and pools one-step covariances.  A negative
+    covariance should pair with a positive hedging demand and vice versa.
+    """
+    f_prev = np.full(paths, cev_anticipated_gain_exact(c, S, t))
+    dt = (c.T - t) / n_steps
+    rng = np.random.default_rng(seed)
+    s_prev = np.full(paths, float(S))
+    rets = []
+    dfs = []
+    steps = _cev_euler(float(S), paths, c.mu[0], c.sigma_bar[0], c.alpha[0], dt,
+                       n_steps, lambda: rng.standard_normal(paths))
+    for k, (s, alive) in enumerate(steps, start=1):
+        # t + n_steps * dt may overshoot T by an ulp
+        f = cev_anticipated_gain_exact(c, s, min(t + k * dt, c.T))
+        rets.append(np.where(alive, s / s_prev - 1.0, 0.0))
+        dfs.append(f - f_prev)
+        s_prev, f_prev = s, f
+    rets = np.concatenate(rets)
+    dfs = np.concatenate(dfs)
+    if np.std(dfs) < 1e-15 or np.std(rets) < 1e-15:
+        corr = 0.0
+    else:
+        corr = float(np.corrcoef(rets, dfs)[0, 1])
+    hedging = float(cev_policy(c, S, t).hedging[0])
+    cov_sign = int(np.sign(corr)) if abs(corr) > 0.05 else 0
+    hedge_sign = int(np.sign(hedging)) if abs(hedging) > 1e-14 else 0
+    consistent = (cov_sign == 0 and hedge_sign == 0) or (cov_sign == -hedge_sign)
+    return CovarianceSignReport(correlation=corr, covariance_sign=cov_sign,
+                                hedging_sign=hedge_sign, consistent=consistent)

@@ -13,8 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .dynamic_policy import MarketParams
+
+Array = NDArray[np.float64]
 
 
 @dataclass(frozen=True)
@@ -26,10 +29,10 @@ class WealthStats:
 
 @dataclass(frozen=True)
 class DensitySample:
-    """State-price density realisation (xi_0 = 1) with its driving draw."""
+    """State-price density realisations (xi_0 = 1) with their driving draws."""
 
-    xi_T: float
-    w_T: float
+    xi_T: float | Array
+    w_T: float | Array
 
 
 def tc_wealth_stats(m: MarketParams, W0: float) -> WealthStats:
@@ -45,32 +48,33 @@ def tc_wealth_stats(m: MarketParams, W0: float) -> WealthStats:
                        value_function=float(mean - 0.5 * m.gamma * variance))
 
 
-def price_density_sample(m: MarketParams, w_T: float) -> DensitySample:
-    """xi_T = exp(-rT - kappa^2 T / 2 - kappa w_T) for a given Brownian draw."""
+def price_density_sample(m: MarketParams, w_T: float | Array) -> DensitySample:
+    """xi_T = exp(-rT - kappa^2 T / 2 - kappa w_T) for a Brownian draw or
+    an array of them."""
     kappa = m.sharpe
     xi = np.exp(-m.r * m.T - 0.5 * kappa**2 * m.T - kappa * w_T)
-    return DensitySample(xi_T=float(xi), w_T=float(w_T))
+    return DensitySample(xi_T=xi, w_T=w_T)
 
 
-def precommitment_wealth(m: MarketParams, W0: float, s: DensitySample) -> float:
+def precommitment_wealth(m: MarketParams, W0: float, s: DensitySample) -> float | Array:
     """Realised terminal wealth of the precommitment optimizer.
 
     W_hat = W0 e^{rT} + (1/gamma) e^{kappa^2 T} - (1/gamma) xi_T e^{rT}.
     """
     k2T = m.sharpe**2 * m.T
     erT = np.exp(m.r * m.T)
-    return float(W0 * erT + np.exp(k2T) / m.gamma - s.xi_T * erT / m.gamma)
+    return W0 * erT + np.exp(k2T) / m.gamma - s.xi_T * erT / m.gamma
 
 
-def tc_terminal_wealth_sample(m: MarketParams, W0: float, w_T: float) -> float:
+def tc_terminal_wealth_sample(m: MarketParams, W0: float,
+                              w_T: float | Array) -> float | Array:
     """Realised terminal wealth of the time-consistent strategy.
 
     Affine in the Brownian draw: W* = W0 e^{rT} + kappa^2 T/gamma - kappa w_T/gamma,
     so its moments match tc_wealth_stats exactly.
     """
     kappa = m.sharpe
-    return float(W0 * np.exp(m.r * m.T) + kappa**2 * m.T / m.gamma
-                 - kappa * w_T / m.gamma)
+    return W0 * np.exp(m.r * m.T) + kappa**2 * m.T / m.gamma - kappa * w_T / m.gamma
 
 
 @dataclass(frozen=True)
@@ -93,16 +97,12 @@ def compare_strategies_mc(m: MarketParams, W0: float, paths: int,
     """Shared-draw Monte Carlo comparison of the two strategies."""
     if paths < 10_000:
         raise ValueError("need at least 10^4 paths")
-    kappa = m.sharpe
     rng = np.random.default_rng(seed)
     w_T = rng.standard_normal(paths) * np.sqrt(m.T)
-    erT = np.exp(m.r * m.T)
-    k2T = kappa**2 * m.T
-    xi = np.exp(-m.r * m.T - 0.5 * k2T - kappa * w_T)
-    pre = W0 * erT + np.exp(k2T) / m.gamma - xi * erT / m.gamma
-    tc = W0 * erT + k2T / m.gamma - kappa * w_T / m.gamma
+    pre = precommitment_wealth(m, W0, price_density_sample(m, w_T))
+    tc = tc_terminal_wealth_sample(m, W0, w_T)
     diff = pre - tc
-    gap_se = float(np.std(diff, ddof=1) / np.sqrt(paths)) if kappa != 0.0 else 0.0
+    gap_se = float(np.std(diff, ddof=1) / np.sqrt(paths)) if m.sharpe != 0.0 else 0.0
     return StrategyComparison(
         mean_pre=float(np.mean(pre)),
         mean_tc=float(np.mean(tc)),

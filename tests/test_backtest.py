@@ -171,6 +171,14 @@ class TestBatchedKernel:
         with pytest.raises(LedgerError, match=r"^decision week 27: ledger identity"):
             run_backtest(prices, cfg)
 
+    @pytest.mark.parametrize("money", [np.nan, np.inf, -np.inf])
+    def test_non_finite_money_is_ledger_error(self, money):
+        # a NaN residual compares False against any tolerance
+        prices = gbm_series(n_weeks=60, seed=0)
+        cfg = BacktestConfig(strategy=lambda est, p, t, T: np.array([money]))
+        with pytest.raises(LedgerError, match=r"^decision week 27: ledger identity"):
+            run_backtest(prices, cfg)
+
 
 class TestConfig:
     def test_unknown_strategy(self):

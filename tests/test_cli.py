@@ -8,6 +8,7 @@ import pytest
 
 import mvlab
 from mvlab.cli import main, read_price_csv, read_wealth_csv, write_price_csv
+from mvlab.errors import ProtocolError
 from mvlab.simulate import PriceSeries
 
 
@@ -252,6 +253,33 @@ class TestPlumbing:
         bad = tmp_path / "bad.csv"
         bad.write_text("date,A\n2007-10-29,1.0,2.0\n")
         assert main(["backtest", "--input", str(bad)]) == 3
+
+    @pytest.mark.parametrize("rows, what", [
+        (["2007-10-29", "2007-11-05", "2007-11-13"], "8 days after 2007-11-05"),
+        (["2007-10-29", "2007-10-29"], "0 days after"),
+        (["2007-10-29", "2007-11-5"], "bad date '2007-11-5'"),
+        (["week1", "week2"], "bad date 'week1'"),
+    ])
+    def test_dates_must_be_weekly_iso(self, tmp_path, capsys, rows, what):
+        path = tmp_path / "p.csv"
+        path.write_text("date,A\n" + "".join(f"{d},1.0\n" for d in rows))
+        with pytest.raises(ProtocolError, match=what):
+            read_price_csv(path)
+        code, cap = run(["backtest", "--input", str(path)], capsys)
+        assert code == 3
+        assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+
+    def test_nan_price_is_data_error(self, tmp_path, capsys):
+        # the CSV reader parses 'nan'; the returns reject it naming the row
+        path = tmp_path / "p.csv"
+        prices = np.exp(np.random.default_rng(0).normal(0, 0.02, size=(60, 2)))
+        write_price_csv(path, PriceSeries(times=np.arange(60) / 52, prices=prices))
+        lines = path.read_text().splitlines()
+        lines[31] = lines[31].split(",")[0] + ",nan,1.0"
+        path.write_text("\n".join(lines) + "\n")
+        code, cap = run(["backtest", "--input", str(path)], capsys)
+        assert code == 3
+        assert cap.err == "error: price nan at row 30 is not positive and finite\n"
 
     def test_missing_header_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -4,17 +4,22 @@ import pytest
 from mvlab.dynamic_policy import (
     CevParams,
     MarketParams,
-    anticipated_gain_cev,
     anticipated_gain_gbm,
     cev_anticipated_gain_exact,
     cev_policy,
     cev_policy_multi,
-    hedging_covariance_check,
     lattice_equilibrium_oracle,
     multi_policy,
     simple_policy,
 )
-from mvlab.errors import DefinitenessError, DomainError, HorizonError, ResourceError
+from mvlab.errors import (
+    DefinitenessError,
+    DomainError,
+    HorizonError,
+    InstabilityError,
+    ResourceError,
+)
+from mvlab.simulate import hedging_covariance_check, mc_anticipated_gain
 
 MKT = dict(mu=0.125, sigma=np.sqrt(0.2), r=0.025, T=10.0, gamma=1.0)
 
@@ -190,7 +195,6 @@ class TestAnticipatedGain:
         assert anticipated_gain_gbm(single(), 0.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_gbm_matches_mc(self):
-        from mvlab.simulate import mc_anticipated_gain
         m = single()
         est = mc_anticipated_gain(m, 1.0, 2.0, 1000, 3)
         assert est.stderr == 0.0
@@ -198,13 +202,13 @@ class TestAnticipatedGain:
 
     def test_cev_alpha_zero_deterministic(self):
         c = cev_single(alpha=0.0, T=2.0)
-        est = anticipated_gain_cev(c, S=1.0, t=0.0, paths=500, seed=1)
+        est = mc_anticipated_gain(c, S0=1.0, t=0.0, paths=500, seed=1)
         assert est.value == pytest.approx((0.1 / 0.2) ** 2 * 2.0, rel=1e-9)
         assert est.stderr <= 1e-12
 
     def test_cev_zero_excess(self):
         c = cev_single(mu=0.025)
-        est = anticipated_gain_cev(c, S=1.0, t=0.0, paths=500, seed=1)
+        est = mc_anticipated_gain(c, S0=1.0, t=0.0, paths=500, seed=1)
         assert est.value == 0.0
 
     def test_cev_matches_ode_oracle(self):
@@ -219,12 +223,32 @@ class TestAnticipatedGain:
         integral = quad(lambda s: sol.sol(s)[0], t, c.T, epsabs=1e-12)[0]
         oracle = (c.mu[0] - c.r) ** 2 / (c.gamma * c.sigma_bar[0] ** 2) * integral
         assert cev_anticipated_gain_exact(c, S, t) == pytest.approx(oracle, rel=1e-8)
-        est = anticipated_gain_cev(c, S, t, paths=40_000, seed=9)
+        est = mc_anticipated_gain(c, S, t, paths=40_000, seed=9)
         assert abs(est.value - oracle) <= 3.0 * max(est.stderr, 1e-12) + 2e-4
+
+    @pytest.mark.parametrize("r", [0.0, 0.025])
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, 2.5])
+    def test_exact_gain_on_an_array(self, alpha, r):
+        c = cev_single(alpha=alpha, r=r)
+        S = np.exp(np.random.default_rng(0).normal(0.0, 0.5, 500))
+        gains = cev_anticipated_gain_exact(c, S, 0.4)
+        assert gains.shape == S.shape
+        # One price at a time through the same numpy loops: exactly equal.
+        one_by_one = [cev_anticipated_gain_exact(c, np.asarray(s), 0.4) for s in S]
+        assert np.array_equal(gains, one_by_one)
+        # A Python float takes the C library's pow, an array numpy's vectorised
+        # pow; the two may differ in the last bit of S^-alpha, which the
+        # h0 - h_inf cancellation amplifies by a few ulps at most.
+        scalars = [cev_anticipated_gain_exact(c, float(s), 0.4) for s in S]
+        np.testing.assert_allclose(gains, scalars, rtol=1e-14, atol=0.0)
+
+    def test_exact_gain_rejects_a_nonpositive_price_in_an_array(self):
+        with pytest.raises(DomainError):
+            cev_anticipated_gain_exact(cev_single(), np.array([1.0, 0.0]), 0.0)
 
     def test_requires_minimum_paths(self):
         with pytest.raises(ValueError):
-            anticipated_gain_cev(cev_single(), 1.0, 0.0, paths=10, seed=0)
+            mc_anticipated_gain(cev_single(), 1.0, 0.0, paths=10, seed=0)
 
 
 class TestHedgingCovariance:
@@ -248,6 +272,38 @@ class TestHedgingCovariance:
         assert rep.covariance_sign == 1
         assert rep.hedging_sign == -1
         assert rep.consistent
+
+    @pytest.mark.parametrize("alpha", [-1.0, 1.0])
+    def test_correlation_matches_step_by_step_loop(self, alpha):
+        # reference: physical-measure Euler steps absorbed at 1e-8 S, the
+        # exact gain at each step's end time, one-step returns and gain
+        # changes pooled over paths and steps
+        c = cev_single(alpha=alpha, T=2.0)
+        S, t, paths, n_steps = 1.3, 0.2, 2000, 16
+        dt = (c.T - t) / n_steps
+        rng = np.random.default_rng(4)
+        s = np.full(paths, S)
+        f = cev_anticipated_gain_exact(c, S, t)
+        rets, dfs = [], []
+        for k in range(1, n_steps + 1):
+            z = rng.standard_normal(paths)
+            alive = s > 1e-8 * S
+            step = s + s * (c.mu[0] * dt + c.sigma_bar[0] * s ** (alpha / 2.0) * np.sqrt(dt) * z)
+            s_new = np.where(alive, np.maximum(step, 1e-8 * S), s)
+            f_new = cev_anticipated_gain_exact(c, s_new, t + k * dt)
+            rets.append(np.where(alive, s_new / s - 1.0, 0.0))
+            dfs.append(f_new - f)
+            s, f = s_new, f_new
+        expected = np.corrcoef(np.concatenate(rets), np.concatenate(dfs))[0, 1]
+        rep = hedging_covariance_check(c, S, t, paths, seed=4, n_steps=n_steps)
+        assert rep.correlation == expected
+
+    def test_mass_absorption_is_unstable(self):
+        # the CEV step shared with cev_paths and mc_anticipated_gain rejects
+        # a run that absorbs more than half of its paths
+        with pytest.raises(InstabilityError):
+            hedging_covariance_check(cev_single(sigma_bar=8.0, alpha=0.0), S=1.0, t=0.0,
+                                     paths=1000, seed=1)
 
 
 class TestLattice:

@@ -27,6 +27,11 @@ class TestToReturns:
         with pytest.raises(DataError, match="row 2"):
             to_returns(series([1.0, 1.1, -0.5, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_price(self, bad):
+        with pytest.raises(DataError, match="row 2"):
+            to_returns(series([[1.0, 1.0], [1.1, 1.0], [1.2, bad], [1.0, 1.0]]))
+
     def test_too_short(self):
         with pytest.raises(DataError):
             to_returns(series([1.0]))

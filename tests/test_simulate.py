@@ -109,7 +109,47 @@ def cev1(mu=0.125, sigma_bar=0.2, alpha=1.0, r=0.025, T=1.0, gamma=1.0):
     return CevParams.single(mu, sigma_bar, alpha, r, T, gamma)
 
 
+def euler_loop(c, config):
+    """Step-by-step Euler-Maruyama reference for cev_paths: one draw of
+    correlated normals per week, paths absorbed at 1e-8 * s0."""
+    drift = c.mu if config.measure == PHYSICAL else np.full(c.n_assets, c.r)
+    L = np.linalg.cholesky(c.corr)
+    rng = np.random.default_rng(config.seed)
+    floor = 1e-8 * config.s0
+    s = config.s0
+    rows = [s]
+    for _ in range(config.n_steps):
+        z = rng.standard_normal(c.n_assets) @ L.T
+        vol = c.sigma_bar * s ** (c.alpha / 2.0)
+        step = s + s * (drift * config.dt + vol * np.sqrt(config.dt) * z)
+        s = np.where(s > floor, np.maximum(step, floor), s)
+        rows.append(s)
+    return np.array(rows)
+
+
 class TestCevPaths:
+    @pytest.mark.parametrize("measure", [PHYSICAL, HEDGE_NEUTRAL])
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
+    def test_matches_step_by_step_euler(self, alpha, measure):
+        corr = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+        c = CevParams(mu=[0.1, 0.12, 0.08], sigma_bar=[0.3, 0.2, 0.4], alpha=alpha,
+                      corr=corr, r=0.025, T=4.0, gamma=1.0)
+        config = SimConfig(n_assets=3, n_steps=200, dt=1 / 52, s0=[1.0, 2.0, 0.5],
+                           seed=11, measure=measure)
+        assert np.array_equal(cev_paths(c, config).prices, euler_loop(c, config))
+
+    @pytest.mark.parametrize("measure", [PHYSICAL, HEDGE_NEUTRAL])
+    def test_absorbing_panel_matches_step_by_step_euler(self, measure):
+        # the middle asset's weekly vol of 6/sqrt(52) = 0.83 drives it to the
+        # floor; one absorbed asset of three stays under the 50% limit
+        c = CevParams(mu=[0.1, 0.1, 0.1], sigma_bar=[0.2, 6.0, 0.2], alpha=0.0,
+                      corr=np.eye(3), r=0.025, T=2.0, gamma=1.0)
+        config = SimConfig(n_assets=3, n_steps=100, dt=1 / 52, s0=1.0, seed=3,
+                           measure=measure)
+        prices = cev_paths(c, config).prices
+        assert np.array_equal(prices, euler_loop(c, config))
+        assert prices[-1, 1] == 1e-8 and np.all(prices[-1, [0, 2]] > 0.5)
+
     def test_alpha_zero_matches_gbm_weakly(self):
         # Euler CEV with alpha=0 is Euler GBM; drift matches to O(dt)
         c = cev1(alpha=0.0)
