@@ -12,9 +12,9 @@ whole block as (k, N) and (k, N, N) stacks, (ii) the ridge and one pivot
 check of the stack, (iii) the block's theta rows; then, after the last
 block, (iv) one pass of the ledger recurrence
     W_{k+1} = e^{r dt} (W_k - sum(theta_k)) + (theta_k / P_k) . P_{k+1}.
-The stages use numpy's batched LAPACK only (no scipy on this path), and
-fixed blocks bound the memory the stacks take.  `rebalance_step`,
-`accrue_step` and `Ledger` are the same ledger one step at a time.
+The stages use numpy's batched LAPACK only, and fixed blocks bound the
+memory the stacks take.  `rebalance_step`, `accrue_step` and `Ledger` are
+the same ledger one step at a time.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ def _check_identity(bond, stock, wealth, tol: float = LEDGER_TOL):
     """Raise LedgerError where bond + stock != wealth beyond
     tol * max(1, |wealth|), or where either side is not finite (a NaN
     residual compares False); on arrays, `index` is the first such entry."""
-    residual = np.abs(bond + stock - wealth)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
+        residual = np.abs(bond + stock - wealth)
     bad = np.flatnonzero(~(residual <= tol * np.maximum(1.0, np.abs(wealth))))
     if bad.size:
         i = int(bad[0])

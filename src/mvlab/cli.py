@@ -5,7 +5,8 @@ Outputs are plot-ready CSV/JSON files plus a manifest that records the full
 parameter set and seed, sufficient to re-run the command bit-identically.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error.
-A flat key=value config file may supply defaults; explicit flags win.
+A flat key=value config file supplies flags of the command (key=value is
+--key=value); explicit flags win.
 The MVLAB_OUT environment variable overrides the default output directory.
 """
 
@@ -29,6 +30,7 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 _FLOAT_FMT = "%.17g"
+_WEALTH_HEADER = "week_index,time_years,wealth,bond,stock_value"
 
 
 # ---------------------------------------------------------------- CSV I/O
@@ -82,44 +84,58 @@ def write_wealth_csv(path, wp: backtest.WealthPath):
     np.savetxt(path, np.column_stack([wp.week_index, wp.times, wp.wealth, wp.bond,
                                       wp.stock_value]),
                fmt=["%d"] + [_FLOAT_FMT] * 4, delimiter=",", comments="",
-               header="week_index,time_years,wealth,bond,stock_value")
+               header=_WEALTH_HEADER)
 
 
 def read_wealth_csv(path) -> backtest.WealthPath:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
-    return backtest.WealthPath(
-        times=np.asarray(data["time_years"], float),
-        wealth=np.asarray(data["wealth"], float),
-        bond=np.asarray(data["bond"], float),
-        stock_value=np.asarray(data["stock_value"], float),
-        week_index=np.asarray(data["week_index"], float),
-    )
+    """Read the wealth CSV that write_wealth_csv writes."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != _WEALTH_HEADER:
+        raise DataError(f"{path}: expected the header {_WEALTH_HEADER!r}")
+    rows = [ln for ln in lines[1:] if ln.strip()]
+    if not rows:
+        raise DataError(f"{path}: no rows")
+    try:
+        week, times, wealth, bond, stock = np.loadtxt(rows, delimiter=",", ndmin=2,
+                                                      unpack=True)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return backtest.WealthPath(times=times, wealth=wealth, bond=bond,
+                               stock_value=stock, week_index=week)
 
 
 # ------------------------------------------------------------- plumbing
 
-def _out_dir(args, command: str) -> str:
-    """Create the output directory; commands call it only once their
-    inputs have been read and their results computed, so a failing run
-    leaves no directory behind."""
+def _save(args, command: str, writers: dict):
+    """Make the output directory, write each file through writers[name](path),
+    then the manifest listing them, and print the last file's path.  Commands
+    call it only once their results are computed, so a failing run leaves no
+    directory behind."""
     out = args.out or os.environ.get("MVLAB_OUT") or f"mvlab-{command}"
     os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write_manifest(out_dir: str, command: str, args, outputs: list[str]):
+    for name, write in writers.items():
+        write(os.path.join(out, name))
     params = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "config") and v is not None}
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "parameters": params,
-        "outputs": outputs,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
-        fh.write("\n")
+    _json_writer({"command": command, "version": __version__, "parameters": params,
+                  "outputs": list(writers)})(os.path.join(out, "manifest.json"))
+    print(os.path.join(out, name))
+
+
+def _json_writer(payload: dict):
+    def write(path):
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, default=str)
+            fh.write("\n")
+    return write
+
+
+def _emit_json(args, command: str, payload: dict):
+    if args.out:
+        _save(args, command, {f"{command.replace('-', '_')}.json": _json_writer(payload)})
+    else:
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -137,69 +153,25 @@ def _parse_matrix(text: str) -> np.ndarray:
         raise DataError(f"bad matrix {text!r}: {exc}") from None
 
 
-def _apply_config(argv: list[str], parser: argparse.ArgumentParser):
-    """Flat key=value config file values become parser defaults; flags win."""
-    if "--config" not in argv:
-        return
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        parser.error("--config requires a path")
-    path = argv[i + 1]
-    try:
-        with open(path) as fh:
-            pairs = dict(
-                ln.strip().split("=", 1) for ln in fh
-                if ln.strip() and not ln.strip().startswith("#")
-            )
-    except OSError as exc:
-        parser.error(f"cannot read config {path}: {exc}")
-    defaults = {}
-    for key, value in pairs.items():
-        dest = key.strip().replace("-", "_")
-        defaults[dest] = value.strip()
-    # Subparsers re-apply their own defaults over the parent namespace, so
-    # the overrides must be installed on every subparser that knows the key.
-    for target in _all_parsers(parser):
-        known = {a.dest for a in target._actions}
-        relevant = {k: v for k, v in defaults.items() if k in known}
-        if relevant:
-            target.set_defaults(**relevant)
-
-
-def _all_parsers(parser: argparse.ArgumentParser):
-    yield parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                yield from _all_parsers(sub)
-
-
 # ------------------------------------------------------------- commands
 
 def cmd_simulate(args):
-    n, weeks, variance, mean, s0 = args.assets, args.weeks, args.variance, args.mean, args.s0
-    T = weeks / 52.0
+    n, variance, mean, s0 = args.assets, args.variance, args.mean, args.s0
+    if variance < 0:
+        raise DataError(f"variance {variance} is negative")
+    T = args.weeks / 52.0
     corr = np.full((n, n), args.corr)
     np.fill_diagonal(corr, 1.0)
-    cfg = simulate.SimConfig(n_assets=n, n_steps=weeks, dt=1.0 / 52.0,
+    cfg = simulate.SimConfig(n_assets=n, n_steps=args.weeks, dt=1.0 / 52.0,
                              s0=np.full(n, s0), seed=args.seed,
                              measure=args.measure)
     if args.model == "gbm":
-        loading = np.sqrt(variance) * np.linalg.cholesky(corr) if variance > 0 \
-            else np.zeros((n, n))
         m = dynamic_policy.MarketParams(
-            mu=np.full(n, mean),
-            sigma=loading if variance > 0 else np.sqrt(1e-18) * np.eye(n),
+            mu=np.full(n, mean), sigma=np.sqrt(variance) * np.linalg.cholesky(corr),
             r=args.rate, T=T, gamma=1.0,
         )
-        if variance == 0:
-            # degenerate deterministic market: exponential growth
-            times = np.arange(weeks + 1) / 52.0
-            prices = s0 * np.exp(np.outer(times, np.full(n, mean)))
-            series = simulate.PriceSeries(times=times, prices=prices)
-        else:
-            series = simulate.gbm_paths(m, cfg)
-    elif args.model == "cev":
+        series = simulate.gbm_paths(m, cfg)
+    else:
         sigma_bar = np.sqrt(variance) / s0 ** (args.alpha / 2.0)
         c = dynamic_policy.CevParams(
             mu=np.full(n, mean), sigma_bar=np.full(n, max(sigma_bar, 1e-12)),
@@ -207,13 +179,7 @@ def cmd_simulate(args):
             r=args.rate, T=T, gamma=1.0,
         )
         series = simulate.cev_paths(c, cfg)
-    else:
-        raise DataError(f"unknown model {args.model!r}")
-    out = _out_dir(args, "simulate")
-    csv_path = os.path.join(out, "prices.csv")
-    write_price_csv(csv_path, series)
-    _write_manifest(out, "simulate", args, ["prices.csv"])
-    print(csv_path)
+    _save(args, "simulate", {"prices.csv": lambda path: write_price_csv(path, series)})
 
 
 def cmd_backtest(args):
@@ -229,15 +195,8 @@ def cmd_backtest(args):
     )
     wp = backtest.run_backtest(series, cfg)
     stats = metrics.perf_stats(wp, base=args.base)
-    out = _out_dir(args, "backtest")
-    wealth_path = os.path.join(out, "wealth.csv")
-    stats_path = os.path.join(out, "stats.json")
-    write_wealth_csv(wealth_path, wp)
-    with open(stats_path, "w") as fh:
-        json.dump(dataclasses.asdict(stats), fh, indent=2)
-        fh.write("\n")
-    _write_manifest(out, "backtest", args, ["wealth.csv", "stats.json"])
-    print(stats_path)
+    _save(args, "backtest", {"wealth.csv": lambda path: write_wealth_csv(path, wp),
+                             "stats.json": _json_writer(dataclasses.asdict(stats))})
 
 
 def cmd_mvo(args):
@@ -271,18 +230,12 @@ def cmd_mvo(args):
 
 
 def cmd_policy(args):
-    t = args.time
-    T = args.horizon
-    if args.type in ("simple", "multi"):
-        mu = _parse_vector(args.mu)
-        sigma = _parse_matrix(args.sigma) if ";" in args.sigma \
-            else np.diag(_parse_vector(args.sigma))
-        m = dynamic_policy.MarketParams(mu=mu, sigma=sigma, r=args.rate,
-                                        T=T, gamma=args.gamma)
-        pol = (dynamic_policy.simple_policy(m, t) if args.type == "simple"
-               else dynamic_policy.multi_policy(m, t))
-    elif args.type == "cev":
-        mu = _parse_vector(args.mu)
+    t, T = args.time, args.horizon
+    mu = _parse_vector(args.mu)
+    flag = "sigma_bar" if args.type == "cev" else "sigma"
+    if getattr(args, flag) is None:
+        raise DataError(f"policy --type {args.type} needs --{flag.replace('_', '-')}")
+    if args.type == "cev":
         n = mu.size
         sigma_bar = _parse_vector(args.sigma_bar)
         prices = _parse_vector(args.price)
@@ -292,7 +245,12 @@ def cmd_policy(args):
             corr=corr, r=args.rate, T=T, gamma=args.gamma)
         pol = dynamic_policy.cev_policy_multi(c, prices, t)
     else:
-        raise DataError(f"unknown policy type {args.type!r}")
+        sigma = _parse_matrix(args.sigma) if ";" in args.sigma \
+            else np.diag(_parse_vector(args.sigma))
+        m = dynamic_policy.MarketParams(mu=mu, sigma=sigma, r=args.rate,
+                                        T=T, gamma=args.gamma)
+        pol = (dynamic_policy.simple_policy(m, t) if args.type == "simple"
+               else dynamic_policy.multi_policy(m, t))
     _emit_json(args, "policy", {
         "theta": list(pol.theta),
         "myopic": list(pol.myopic),
@@ -314,19 +272,6 @@ def cmd_report(args):
     _emit_json(args, "report", dataclasses.asdict(metrics.perf_stats(wp, base=args.base)))
 
 
-def _emit_json(args, command: str, payload: dict):
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        out = _out_dir(args, command)
-        path = os.path.join(out, f"{command.replace('-', '_')}.json")
-        with open(path, "w") as fh:
-            fh.write(text)
-        _write_manifest(out, command, args, [os.path.basename(path)])
-        print(path)
-    else:
-        sys.stdout.write(text)
-
-
 # ------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--config", default=None,
-                       help="flat key=value defaults file (flags win)")
+                       help="flat key=value file of flags (explicit flags win)")
 
     p = sub.add_parser("simulate", help="generate a simulated price panel")
     p.add_argument("--model", choices=["gbm", "cev"], default="gbm")
@@ -413,11 +358,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_flags(parser, path: str) -> list[str]:
+    """Each `key=value` line of a config file as `--key=value` (`_` in a
+    key read as `-`); blank lines and `#` comments are skipped."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        parser.error(f"cannot read config {path}: {exc}")
+    flags = []
+    for lineno, ln in enumerate(lines, start=1):
+        ln = ln.strip()
+        if ln and not ln.startswith("#"):
+            key, eq, value = ln.partition("=")
+            if not eq:
+                parser.error(f"{path}:{lineno}: expected key=value, got {ln!r}")
+            flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    _apply_config(argv, parser)
     args = parser.parse_args(argv)
+    if args.config:
+        # Config flags come first, so the explicit flags after them win.
+        args = parser.parse_args(argv[:1] + _config_flags(parser, args.config) + argv[1:])
     try:
         args.func(args)
     except (DataError, WarmupError, ProtocolError, OSError) as exc:

@@ -29,7 +29,7 @@ def max_drawdown(series) -> float:
     series = np.asarray(series, dtype=np.float64)
     if series.size == 0:
         raise DomainError("empty series")
-    if np.any(series <= 0):
+    if np.any(~(series > 0)):  # `not > 0`, so NaN is rejected too
         raise DomainError("max_drawdown requires positive entries")
     peaks = np.maximum.accumulate(series)
     return float(np.min(series / peaks - 1.0))
@@ -46,6 +46,9 @@ def perf_stats(path, base: float, periods_per_year: int = 52) -> PerfStats:
     wealth = np.asarray(getattr(path, "wealth", path), dtype=np.float64)
     if wealth.size == 0:
         raise DomainError("empty wealth path")
+    bad = np.flatnonzero(~np.isfinite(wealth))
+    if bad.size:
+        raise DomainError(f"wealth {wealth[bad[0]]} at row {bad[0]} is not finite")
     equity = base + wealth
     if np.any(equity <= 0):
         raise DomainError("equity curve crosses zero; increase the base")

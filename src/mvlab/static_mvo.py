@@ -37,12 +37,11 @@ def robust_cholesky(sigma: Array) -> Array:
     """Lower Cholesky factor with an explicit pivot check.
 
     Takes one matrix or a stack of them (leading axes).  LAPACK dpotrf
-    (through numpy, so callers that never solve need not load scipy)
-    factorises the lower triangles; the pivots are diag(L)^2.  Rejects the
-    input if any pivot falls below 1e-12 times the largest diagonal entry
-    of its matrix, naming the first failing pivot of the first failing
-    matrix; a stack's error carries that matrix's position in the
-    flattened stack as its `index`.
+    (through numpy) factorises the lower triangles; the pivots are
+    diag(L)^2.  Rejects the input if any pivot falls below 1e-12 times the
+    largest diagonal entry of its matrix, naming the first failing pivot of
+    the first failing matrix; a stack's error carries that matrix's
+    position in the flattened stack as its `index`.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     try:
@@ -67,40 +66,28 @@ def _pivot_floor(sigma: Array) -> Array:
 
 
 def _check_pivots(sigma: Array, index: int | None) -> None:
-    """Raise DefinitenessError if one matrix fails the pivot floor."""
+    """Raise DefinitenessError if one matrix fails the pivot floor.  Where
+    LAPACK stops or a pivot is low, an unblocked Cholesky of the lower
+    triangle names the first pivot not above the floor, or the last pivot if
+    all clear it (LAPACK rounded one within eps of zero the other way)."""
     floor = float(_pivot_floor(sigma))
     try:
-        pivots = np.diag(np.linalg.cholesky(sigma)) ** 2
-        stopped = False
+        if np.all(np.diag(np.linalg.cholesky(sigma)) ** 2 > floor):
+            return
     except np.linalg.LinAlgError:
-        pivots, stopped = _pivots_to_failure(sigma), True
-    bad = np.flatnonzero(~(pivots > floor))
-    if bad.size or stopped:
-        j = bad[0] if bad.size else pivots.size - 1
-        raise DefinitenessError(
-            f"covariance not positive definite: pivot {j} = {pivots[j]:.3e} "
-            f"(floor {floor:.3e})",
-            index=index,
-        )
-
-
-def _pivots_to_failure(sigma: Array) -> Array:
-    """Pivots 0..j of a matrix whose pivot j is not positive.
-
-    dpotrf's info gives j; pivot j is the Schur complement of the leading
-    j x j block, which factorises.
-    """
-    from scipy.linalg import lapack, solve_triangular
-
-    c, info = lapack.dpotrf(sigma, lower=1)
-    if info == 0:
-        # scipy's LAPACK rounded a pivot within eps of zero the other way;
-        # it is still far below the floor.
-        return np.diag(c) ** 2
-    j = info - 1
-    L = np.linalg.cholesky(sigma[:j, :j])
-    l = solve_triangular(L, sigma[:j, j], lower=True)
-    return np.append(np.diag(L) ** 2, sigma[j, j] - l @ l)
+        pass
+    L = np.zeros_like(sigma)
+    for j in range(sigma.shape[0]):
+        pivot = sigma[j, j] - L[j, :j] @ L[j, :j]
+        if not pivot > floor:
+            break
+        L[j, j] = np.sqrt(pivot)
+        L[j + 1:, j] = (sigma[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    raise DefinitenessError(
+        f"covariance not positive definite: pivot {j} = {pivot:.3e} "
+        f"(floor {floor:.3e})",
+        index=index,
+    )
 
 
 def _frontier_solve(sigma: Array, mu: Array) -> tuple[Array, Array, Array, Array]:

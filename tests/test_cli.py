@@ -227,6 +227,18 @@ class TestPlumbing:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("key", ["batch_len", "batch-len"])
+    def test_config_key_spellings_set_the_flag(self, tmp_path, key):
+        main(["simulate", "--assets", "2", "--weeks", "80", "--seed", "5",
+              "--out", str(tmp_path / "sim")])
+        cfg = tmp_path / "bt.cfg"
+        cfg.write_text(f"{key}=30\n")
+        out = tmp_path / "bt"
+        assert main(["backtest", "--input", str(tmp_path / "sim" / "prices.csv"),
+                     "--base", "10", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["batch_len"] == 30
+
     def test_config_file_defaults_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "defaults.cfg"
         cfg.write_text("weeks=40\nseed=9\nassets=2\n")
@@ -285,3 +297,48 @@ class TestPlumbing:
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,2.0\n")
         assert main(["backtest", "--input", str(bad)]) == 3
+
+
+WEALTH_HEADER = "week_index,time_years,wealth,bond,stock_value\n"
+
+
+@pytest.mark.parametrize("files, argv, code", [
+    pytest.param({"c.cfg": "assets=3\nweeks\n"}, ["simulate", "--config", "c.cfg"], 2,
+                 id="config-line-without-equals"),
+    pytest.param({"c.cfg": "seeds=3\n"}, ["simulate", "--config", "c.cfg"], 2,
+                 id="config-unknown-key"),
+    pytest.param({"c.cfg": "model=heston\n"}, ["simulate", "--config", "c.cfg"], 2,
+                 id="config-model-not-a-choice"),
+    pytest.param({"c.cfg": "strategy=bogus\n"},
+                 ["backtest", "--input", "p.csv", "--config", "c.cfg"], 2,
+                 id="config-strategy-not-a-choice"),
+    pytest.param({"w.csv": "date,A000\n2007-10-29,100\n"}, ["report", "--input", "w.csv"], 3,
+                 id="report-on-price-csv"),
+    pytest.param({"w.csv": ""}, ["report", "--input", "w.csv"], 3, id="report-empty-file"),
+    pytest.param({"w.csv": WEALTH_HEADER}, ["report", "--input", "w.csv"], 3,
+                 id="report-header-only"),
+    pytest.param({"w.csv": WEALTH_HEADER + "27,0.5,abc,0,0\n"}, ["report", "--input", "w.csv"],
+                 3, id="report-non-numeric-wealth"),
+    pytest.param({"w.csv": WEALTH_HEADER + "27,0.5,0,0,0\n28,0.52,nan,0,0\n"},
+                 ["report", "--input", "w.csv"], 4, id="report-nan-wealth"),
+    pytest.param({}, ["simulate", "--variance", "-0.1", "--assets", "2", "--weeks", "30"], 3,
+                 id="simulate-negative-variance"),
+    pytest.param({}, ["policy", "--mu", "0.1"], 3, id="policy-without-sigma"),
+    pytest.param({}, ["policy", "--type", "cev", "--mu", "0.1"], 3,
+                 id="policy-cev-without-sigma-bar"),
+])
+def test_bad_input_exits_with_one_error_line(tmp_path, monkeypatch, capsys, files, argv, code):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    try:
+        got = main(argv)  # an exception escaping here would be a traceback
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert got == code
+    assert "Traceback" not in err
+    assert [ln for ln in lines if "error: " in ln] == lines[-1:]
+    assert len(lines) == 1 or code == 2  # argparse prints its usage first
+    assert os.listdir(tmp_path) == sorted(files)

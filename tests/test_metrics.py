@@ -30,6 +30,10 @@ class TestMaxDrawdown:
         with pytest.raises(DomainError):
             max_drawdown([1.0, -0.5])
 
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            max_drawdown([1.0, np.nan, 2.0])
+
     @given(st.lists(st.floats(min_value=0.01, max_value=100.0,
                               allow_nan=False), min_size=1, max_size=60))
     def test_matches_brute_force(self, values):
@@ -75,6 +79,11 @@ class TestPerfStats:
     def test_bad_base(self):
         with pytest.raises(DomainError):
             perf_stats([0.0, 0.1], base=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_wealth_names_the_row(self, bad):
+        with pytest.raises(DomainError, match=rf"wealth {bad} at row 2 is not finite"):
+            perf_stats([0.0, 0.1, bad, 0.2, np.nan], base=1.0)
 
     def test_equity_crossing_zero(self):
         with pytest.raises(DomainError):
