@@ -6,7 +6,7 @@ seeded market simulators, a rolling-estimation weekly backtest engine, and
 equity-curve performance metrics.
 """
 
-from .backtest import BacktestConfig, Ledger, WealthPath, accrue_step, rebalance_step, run_backtest
+from .backtest import BacktestConfig, WealthPath, run_backtest
 from .dynamic_policy import (
     CevParams,
     MarketParams,
@@ -19,7 +19,7 @@ from .dynamic_policy import (
     multi_policy,
     simple_policy,
 )
-from .estimate import ParamEstimate, ReturnsPanel, regularize_covariance, rolling_estimate, to_returns
+from .estimate import ParamEstimate, regularize_covariance, rolling_estimates, to_returns
 from .metrics import PerfStats, max_drawdown, perf_stats
 from .simulate import (
     PriceSeries,
@@ -30,7 +30,6 @@ from .simulate import (
     gbm_paths,
     hedging_covariance_check,
     mc_anticipated_gain,
-    rn_weight,
     rn_weights,
 )
 from .static_mvo import (
@@ -43,7 +42,6 @@ from .static_mvo import (
     solve_static_mvo,
 )
 from .wealth_analysis import (
-    DensitySample,
     WealthStats,
     analytic_gap,
     compare_strategies_mc,

@@ -13,8 +13,7 @@ check of the stack, (iii) the block's theta rows; then, after the last
 block, (iv) one pass of the ledger recurrence
     W_{k+1} = e^{r dt} (W_k - sum(theta_k)) + (theta_k / P_k) . P_{k+1}.
 The stages use numpy's batched LAPACK only, and fixed blocks bound the
-memory the stacks take.  `rebalance_step`, `accrue_step` and `Ledger` are
-the same ledger one step at a time.
+memory the stacks take.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import dynamic_policy, estimate, static_mvo
-from .errors import DataError, LedgerError, MvlabError, WarmupError
+from .errors import LedgerError, MvlabError, WarmupError
 from .simulate import PriceSeries
 
 Array = NDArray[np.float64]
@@ -59,10 +58,10 @@ class BacktestConfig:
             raise ValueError("batch_len must be at least 2")
 
 
-def _check_identity(bond, stock, wealth, tol: float = LEDGER_TOL):
-    """Raise LedgerError where bond + stock != wealth beyond
-    tol * max(1, |wealth|), or where either side is not finite (a NaN
-    residual compares False); on arrays, `index` is the first such entry."""
+def _check_identity(bond: Array, stock: Array, wealth: Array, tol: float = LEDGER_TOL):
+    """Raise LedgerError at the first entry where bond + stock != wealth
+    beyond tol * max(1, |wealth|), or where either side is not finite (a
+    NaN residual compares False); its `index` is that entry."""
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
         residual = np.abs(bond + stock - wealth)
     bad = np.flatnonzero(~(residual <= tol * np.maximum(1.0, np.abs(wealth))))
@@ -70,19 +69,7 @@ def _check_identity(bond, stock, wealth, tol: float = LEDGER_TOL):
         i = int(bad[0])
         raise LedgerError(
             f"ledger identity violated: |bond + stock - wealth| = "
-            f"{np.ravel(residual)[i]:.3e} at wealth {np.ravel(wealth)[i]:.6g}",
-            index=i if np.ndim(residual) else None,
-        )
-
-
-@dataclass
-class Ledger:
-    bond_cash: float
-    shares: Array
-    wealth: float
-
-    def check(self, prices: Array, tol: float = LEDGER_TOL):
-        _check_identity(self.bond_cash, float(self.shares @ prices), self.wealth, tol)
+            f"{residual[i]:.3e} at wealth {wealth[i]:.6g}", index=i)
 
 
 @dataclass(frozen=True)
@@ -94,29 +81,10 @@ class WealthPath:
     week_index: Array
 
 
-def rebalance_step(ledger: Ledger, prices_now: Array, theta_money: Array) -> Ledger:
-    """Move to the target money allocation; wealth is unchanged."""
-    prices_now = np.asarray(prices_now, dtype=np.float64)
-    if np.any(prices_now <= 0):
-        raise DataError("prices must be positive at rebalancing")
-    theta_money = np.asarray(theta_money, dtype=np.float64)
-    shares = theta_money / prices_now
-    bond_cash = ledger.wealth - float(np.sum(theta_money))
-    return Ledger(bond_cash=bond_cash, shares=shares, wealth=ledger.wealth)
-
-
-def accrue_step(ledger: Ledger, prices_next: Array, dt: float, r: float) -> Ledger:
-    """One period of bond interest and stock P&L at fixed shares."""
-    prices_next = np.asarray(prices_next, dtype=np.float64)
-    bond_cash = ledger.bond_cash * np.exp(r * dt)
-    wealth = bond_cash + float(ledger.shares @ prices_next)
-    return Ledger(bond_cash=float(bond_cash), shares=ledger.shares, wealth=float(wealth))
-
-
-def _block_theta(cfg: BacktestConfig, panel: estimate.ReturnsPanel, prices: Array,
+def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
                  rows: Array, horizon: float) -> Array:
     """Money vectors (k, N) of the strategy at decision rows `rows`."""
-    mu, sigma = estimate.rolling_estimates(panel, rows, cfg.batch_len)
+    mu, sigma = estimate.rolling_estimates(returns, rows, cfg.batch_len)
     prices_now = prices[rows]
     if callable(cfg.strategy):
         return np.array([
@@ -158,14 +126,14 @@ def run_backtest(prices: PriceSeries, cfg: BacktestConfig) -> WealthPath:
         raise WarmupError(
             f"need at least {cfg.batch_len + 3} price rows, got {n_rows}"
         )
-    panel = estimate.to_returns(prices)
+    returns = estimate.to_returns(prices)
     horizon = (n_rows - 1) * cfg.dt
     rows = np.arange(cfg.batch_len + 1, n_rows - 1)
     theta = np.empty((rows.size, prices.n_assets))
     for start in range(0, rows.size, BLOCK_WEEKS):
         block = rows[start:start + BLOCK_WEEKS]
         with _naming_week(block):
-            theta[start:start + block.size] = _block_theta(cfg, panel, prices.prices,
+            theta[start:start + block.size] = _block_theta(cfg, returns, prices.prices,
                                                            block, horizon)
     with _naming_week(rows):
         return _ledger(prices.prices, rows, theta, cfg)
@@ -189,7 +157,7 @@ def _ledger(prices: Array, rows: Array, theta: Array, cfg: BacktestConfig) -> We
     prices_now = prices[rows]
     shares = theta / prices_now
     spent = theta.sum(axis=1)
-    # Row-wise shares . prices as BLAS dot products, as in Ledger.check.
+    # Row-wise shares . prices as BLAS dot products.
     stock_now = (shares[:, None, :] @ prices_now[:, :, None])[:, 0, 0]
     stock = (shares[:, None, :] @ prices[rows + 1][:, :, None])[:, 0, 0]
     growth = float(np.exp(cfg.r * cfg.dt))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime as dt
+import functools
 import json
 import os
 import sys
@@ -48,21 +49,37 @@ def write_price_csv(path, series: simulate.PriceSeries, tickers=None,
             fh.write(f"{day.isoformat()},{row}\n")
 
 
+def _csv_lines(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header fields of a CSV file and its data lines as (1-based file
+    line number, fields); blank lines are skipped, and each data line must
+    have as many fields as the header."""
+    with open(path) as fh:
+        lines = [(n, ln.strip().split(",")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    header = lines[0][1] if lines else []
+    for lineno, fields in lines[1:]:
+        if len(fields) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+    return header, lines[1:]
+
+
+def _floats(path, lineno: int, fields: list[str]) -> list[float]:
+    try:
+        return [float(x) for x in fields]
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from None
+
+
 def read_price_csv(path) -> tuple[simulate.PriceSeries, list[str]]:
     """Read a 'date,<tickers>' price CSV whose ISO dates are 7 days apart."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].lower().startswith("date"):
+    header, lines = _csv_lines(path)
+    if not header or not header[0].lower().startswith("date"):
         raise DataError(f"{path}: missing 'date,...' header")
-    tickers = lines[0].split(",")[1:]
+    tickers = header[1:]
     if not tickers:
         raise DataError(f"{path}: no asset columns")
     rows = []
     prev = None
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != len(tickers) + 1:
-            raise DataError(f"{path}:{lineno}: expected {len(tickers)+1} fields")
+    for lineno, parts in lines:
         try:
             day = dt.date.fromisoformat(parts[0])
         except ValueError:
@@ -71,10 +88,7 @@ def read_price_csv(path) -> tuple[simulate.PriceSeries, list[str]]:
             raise ProtocolError(f"{path}:{lineno}: {day} is {(day - prev).days} days "
                                 f"after {prev}; rows must be weekly")
         prev = day
-        try:
-            rows.append([float(x) for x in parts[1:]])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
+        rows.append(_floats(path, lineno, parts[1:]))
     prices = np.array(rows)
     times = np.arange(prices.shape[0]) / 52.0
     return simulate.PriceSeries(times=times, prices=prices), tickers
@@ -89,18 +103,12 @@ def write_wealth_csv(path, wp: backtest.WealthPath):
 
 def read_wealth_csv(path) -> backtest.WealthPath:
     """Read the wealth CSV that write_wealth_csv writes."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != _WEALTH_HEADER:
+    header, lines = _csv_lines(path)
+    if ",".join(header) != _WEALTH_HEADER:
         raise DataError(f"{path}: expected the header {_WEALTH_HEADER!r}")
-    rows = [ln for ln in lines[1:] if ln.strip()]
-    if not rows:
+    if not lines:
         raise DataError(f"{path}: no rows")
-    try:
-        week, times, wealth, bond, stock = np.loadtxt(rows, delimiter=",", ndmin=2,
-                                                      unpack=True)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    week, times, wealth, bond, stock = np.array([_floats(path, n, f) for n, f in lines]).T
     return backtest.WealthPath(times=times, wealth=wealth, bond=bond,
                                stock_value=stock, week_index=week)
 
@@ -202,10 +210,9 @@ def cmd_backtest(args):
 def cmd_mvo(args):
     if args.input:
         series, _ = read_price_csv(args.input)
-        panel = estimate.to_returns(series)
-        est = estimate.rolling_estimate(panel, panel.returns.shape[0],
-                                        batch_len=panel.returns.shape[0])
-        mu, sigma = est.mu_hat, estimate.regularize_covariance(est.sigma_hat)
+        returns = estimate.to_returns(series)
+        mu, sigma = estimate.rolling_estimates(returns, len(returns), len(returns))
+        mu, sigma = mu[0], estimate.regularize_covariance(sigma[0])
     else:
         if not args.mu or not args.sigma:
             raise DataError("provide either --input or both --mu and --sigma")
@@ -275,9 +282,11 @@ def cmd_report(args):
 # ------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mvlab")
+    # A prefix of a flag, or of a config key, is an error, not that flag.
+    no_prefixes = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = no_prefixes(prog="mvlab")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=no_prefixes)
 
     def common(p):
         p.add_argument("--out", default=None, help="output directory")

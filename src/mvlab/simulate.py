@@ -92,13 +92,6 @@ class PriceSeries:
     def n_steps(self) -> int:
         return self.times.size - 1
 
-    def uniform_dt(self, tol: float = 1e-9) -> float:
-        steps = np.diff(self.times)
-        dt = steps[0]
-        if np.max(np.abs(steps - dt)) > tol * dt:
-            raise ProtocolError("time grid is not uniform")
-        return float(dt)
-
 
 def _corr_factor(corr: Array) -> Array:
     """Loading matrix L with L @ L.T = corr; tolerates PSD-singular inputs."""
@@ -122,6 +115,14 @@ def correlated_normals(corr: Array, n_draws: int, seed: int) -> Array:
     return z @ L.T
 
 
+def _lognormal_steps(drift, var, shocks: Array, dt: float, axis: int) -> Array:
+    """Exact GBM stepping from S_0 = 1: the exponential of the cumulated
+    log-increments (drift - var/2) dt + shocks along the time `axis`, with
+    the starting 1 prepended."""
+    log_prices = np.cumsum((drift - 0.5 * var) * dt + shocks, axis=axis)
+    return np.exp(np.insert(log_prices, 0, 0.0, axis=axis))
+
+
 def gbm_paths(m: MarketParams, cfg: SimConfig) -> PriceSeries:
     """One panel of GBM prices via exact lognormal stepping.
 
@@ -131,17 +132,11 @@ def gbm_paths(m: MarketParams, cfg: SimConfig) -> PriceSeries:
     if cfg.n_assets != m.n_assets:
         raise ValueError("config and market disagree on asset count")
     drift = m.mu if cfg.measure == PHYSICAL else np.full(m.n_assets, m.r)
-    var = np.diag(m.cov)
     rng = np.random.default_rng(cfg.seed)
     z = rng.standard_normal((cfg.n_steps, m.n_assets))
     shocks = z @ m.sigma.T * np.sqrt(cfg.dt)
-    log_incr = (drift - 0.5 * var) * cfg.dt + shocks
-    log_prices = np.concatenate(
-        [np.zeros((1, m.n_assets)), np.cumsum(log_incr, axis=0)], axis=0
-    )
-    prices = cfg.s0 * np.exp(log_prices)
-    times = np.arange(cfg.n_steps + 1) * cfg.dt
-    return PriceSeries(times=times, prices=prices)
+    prices = cfg.s0 * _lognormal_steps(drift, np.diag(m.cov), shocks, cfg.dt, axis=0)
+    return PriceSeries(times=np.arange(cfg.n_steps + 1) * cfg.dt, prices=prices)
 
 
 def _cev_euler(s0, shape, drift, sigma_bar, alpha, dt: float, n_steps: int, draw):
@@ -202,20 +197,8 @@ def gbm_ensemble(mu: float, sigma: float, r: float, T: float, n_steps: int,
     drift = mu if measure == PHYSICAL else r
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_paths, n_steps))
-    log_incr = (drift - 0.5 * sigma * sigma) * dt + sigma * np.sqrt(dt) * z
-    log_prices = np.concatenate(
-        [np.zeros((n_paths, 1)), np.cumsum(log_incr, axis=1)], axis=1
-    )
-    times = np.arange(n_steps + 1) * dt
-    return times, np.exp(log_prices)
-
-
-def rn_weight(m: MarketParams, path: PriceSeries) -> float:
-    """dP*/dP along one physical-measure single-asset GBM path (rn_weights
-    of a one-path ensemble)."""
-    if m.n_assets != 1 or path.n_assets != 1:
-        raise ValueError("rn_weight requires a single-asset market and path")
-    return float(rn_weights(m, path.times, path.prices[:, 0]))
+    prices = _lognormal_steps(drift, sigma * sigma, sigma * np.sqrt(dt) * z, dt, axis=1)
+    return np.arange(n_steps + 1) * dt, prices
 
 
 def rn_weights(m: MarketParams, times: Array, prices: Array) -> Array:

@@ -27,14 +27,6 @@ class WealthStats:
     value_function: float
 
 
-@dataclass(frozen=True)
-class DensitySample:
-    """State-price density realisations (xi_0 = 1) with their driving draws."""
-
-    xi_T: float | Array
-    w_T: float | Array
-
-
 def tc_wealth_stats(m: MarketParams, W0: float) -> WealthStats:
     """Mean, variance and objective value of the time-consistent terminal wealth.
 
@@ -48,22 +40,21 @@ def tc_wealth_stats(m: MarketParams, W0: float) -> WealthStats:
                        value_function=float(mean - 0.5 * m.gamma * variance))
 
 
-def price_density_sample(m: MarketParams, w_T: float | Array) -> DensitySample:
-    """xi_T = exp(-rT - kappa^2 T / 2 - kappa w_T) for a Brownian draw or
-    an array of them."""
+def price_density_sample(m: MarketParams, w_T: float | Array) -> float | Array:
+    """State-price density xi_T = exp(-rT - kappa^2 T / 2 - kappa w_T)
+    (xi_0 = 1) for a Brownian draw or an array of them."""
     kappa = m.sharpe
-    xi = np.exp(-m.r * m.T - 0.5 * kappa**2 * m.T - kappa * w_T)
-    return DensitySample(xi_T=xi, w_T=w_T)
+    return np.exp(-m.r * m.T - 0.5 * kappa**2 * m.T - kappa * w_T)
 
 
-def precommitment_wealth(m: MarketParams, W0: float, s: DensitySample) -> float | Array:
+def precommitment_wealth(m: MarketParams, W0: float, xi_T: float | Array) -> float | Array:
     """Realised terminal wealth of the precommitment optimizer.
 
     W_hat = W0 e^{rT} + (1/gamma) e^{kappa^2 T} - (1/gamma) xi_T e^{rT}.
     """
     k2T = m.sharpe**2 * m.T
     erT = np.exp(m.r * m.T)
-    return W0 * erT + np.exp(k2T) / m.gamma - s.xi_T * erT / m.gamma
+    return W0 * erT + np.exp(k2T) / m.gamma - xi_T * erT / m.gamma
 
 
 def tc_terminal_wealth_sample(m: MarketParams, W0: float,

@@ -1,5 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+
+from mvlab import estimate, static_mvo
+from mvlab.dynamic_policy import CevParams, MarketParams, cev_policy_multi, multi_policy
+from mvlab.errors import DataError
 
 
 @pytest.fixture
@@ -24,3 +30,97 @@ def loop_cholesky(sigma):
         L[j, j] = np.sqrt(sigma[j, j] - L[j, :j] @ L[j, :j])
         L[j + 1:, j] = (sigma[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
     return L
+
+
+# ------------------------------------------------------- ledger oracle
+#
+# The weekly backtest one step at a time, written apart from
+# mvlab.backtest's batched stages and its ledger pass so that the tests
+# can compare the two.
+
+@dataclass
+class Ledger:
+    bond_cash: float
+    shares: np.ndarray
+    wealth: float
+
+    def check(self, prices, tol=1e-9):
+        """The self-financing identity bond + shares . prices = wealth."""
+        residual = abs(self.bond_cash + float(self.shares @ prices) - self.wealth)
+        assert residual <= tol * max(1.0, abs(self.wealth)), (
+            f"ledger identity violated: |bond + stock - wealth| = {residual:.3e}")
+
+
+def rebalance_step(ledger, prices_now, theta_money):
+    """Move to the target money allocation; wealth is unchanged."""
+    prices_now = np.asarray(prices_now, dtype=np.float64)
+    if np.any(prices_now <= 0):
+        raise DataError("prices must be positive at rebalancing")
+    theta_money = np.asarray(theta_money, dtype=np.float64)
+    return Ledger(bond_cash=ledger.wealth - float(np.sum(theta_money)),
+                  shares=theta_money / prices_now, wealth=ledger.wealth)
+
+
+def accrue_step(ledger, prices_next, dt, r):
+    """One period of bond interest and stock P&L at fixed shares."""
+    bond_cash = ledger.bond_cash * np.exp(r * dt)
+    wealth = bond_cash + float(ledger.shares @ np.asarray(prices_next, dtype=np.float64))
+    return Ledger(bond_cash=float(bond_cash), shares=ledger.shares, wealth=float(wealth))
+
+
+def oracle_theta(cfg, est, prices_now, t_years, horizon):
+    """One decision week through the single-instance policy functions:
+    (theta, the matrix the policy solves with, or None)."""
+    if callable(cfg.strategy):
+        return np.asarray(cfg.strategy(est, prices_now, t_years, horizon), float), None
+    sigma = estimate.regularize_covariance(est.sigma_hat)
+    n = sigma.shape[0]
+    if cfg.strategy == "static":
+        if n == 1:
+            return cfg.notional * np.ones(1), None
+        problem = static_mvo.StaticProblem(mu=est.mu_hat, sigma=sigma, target=cfg.target)
+        return cfg.notional * static_mvo.solve_static_mvo(problem).omega, sigma
+    if cfg.strategy in ("simple", "multi"):
+        m = MarketParams(mu=est.mu_hat, sigma=static_mvo.robust_cholesky(sigma),
+                         r=cfg.r, T=horizon, gamma=cfg.gamma)
+        return multi_policy(m, t_years).theta, sigma
+    vols = np.sqrt(np.diag(sigma))
+    corr = sigma / np.outer(vols, vols)
+    np.fill_diagonal(corr, 1.0)
+    corr = 0.5 * (corr + corr.T)
+    c = CevParams(mu=est.mu_hat, sigma_bar=vols / prices_now ** (cfg.alpha / 2.0),
+                  alpha=np.full(n, cfg.alpha), corr=corr, r=cfg.r, T=horizon,
+                  gamma=cfg.gamma)
+    omega = np.outer(c.sigma_bar, c.sigma_bar) * corr
+    return cev_policy_multi(c, prices_now, t_years).theta, omega
+
+
+def oracle_backtest(prices, cfg):
+    """The weekly loop one step at a time: the rolling estimate of each
+    week on its own, the single-instance policies and
+    rebalance_step/accrue_step, with the ledger identity checked after
+    each.  Returns the wealth, bond and stock columns and the tolerance
+    100 eps cond(Sigma_hat) x gross exposure, cond taken over the matrices
+    the policies solve with."""
+    returns = estimate.to_returns(prices)
+    n_rows = prices.prices.shape[0]
+    horizon = (n_rows - 1) * cfg.dt
+    ledger = Ledger(bond_cash=0.0, shares=np.zeros(prices.n_assets), wealth=0.0)
+    rows = [[0.0, 0.0, 0.0]]
+    cond = gross = 1.0
+    for t in range(cfg.batch_len + 1, n_rows - 1):
+        mu, sigma = estimate.rolling_estimates(returns, [t], cfg.batch_len)
+        est = estimate.ParamEstimate(mu_hat=mu[0], sigma_hat=sigma[0],
+                                     batch_start=t - cfg.batch_len, batch_end=t)
+        theta, solved = oracle_theta(cfg, est, prices.prices[t], t * cfg.dt, horizon)
+        if solved is not None:
+            cond = max(cond, np.linalg.cond(solved))
+        gross = max(gross, np.sum(np.abs(theta)))
+        ledger = rebalance_step(ledger, prices.prices[t], theta)
+        ledger.check(prices.prices[t])
+        ledger = accrue_step(ledger, prices.prices[t + 1], cfg.dt, cfg.r)
+        ledger.check(prices.prices[t + 1])
+        rows.append([ledger.wealth, ledger.bond_cash,
+                     float(ledger.shares @ prices.prices[t + 1])])
+        gross = max(gross, abs(ledger.bond_cash))
+    return np.array(rows), 100 * np.finfo(float).eps * cond * gross

@@ -302,32 +302,47 @@ class TestPlumbing:
 WEALTH_HEADER = "week_index,time_years,wealth,bond,stock_value\n"
 
 
-@pytest.mark.parametrize("files, argv, code", [
+@pytest.mark.parametrize("files, argv, code, said", [
     pytest.param({"c.cfg": "assets=3\nweeks\n"}, ["simulate", "--config", "c.cfg"], 2,
-                 id="config-line-without-equals"),
+                 "c.cfg:2: expected key=value", id="config-line-without-equals"),
     pytest.param({"c.cfg": "seeds=3\n"}, ["simulate", "--config", "c.cfg"], 2,
-                 id="config-unknown-key"),
+                 "unrecognized arguments: --seeds=3", id="config-unknown-key"),
+    pytest.param({"c.cfg": "see=4\n"}, ["simulate", "--config", "c.cfg"], 2,
+                 "unrecognized arguments: --see=4", id="config-key-prefix-of-a-flag"),
+    pytest.param({}, ["simulate", "--see", "4"], 2,
+                 "unrecognized arguments: --see 4", id="flag-prefix"),
     pytest.param({"c.cfg": "model=heston\n"}, ["simulate", "--config", "c.cfg"], 2,
-                 id="config-model-not-a-choice"),
+                 "invalid choice: 'heston'", id="config-model-not-a-choice"),
     pytest.param({"c.cfg": "strategy=bogus\n"},
                  ["backtest", "--input", "p.csv", "--config", "c.cfg"], 2,
-                 id="config-strategy-not-a-choice"),
+                 "invalid choice: 'bogus'", id="config-strategy-not-a-choice"),
     pytest.param({"w.csv": "date,A000\n2007-10-29,100\n"}, ["report", "--input", "w.csv"], 3,
-                 id="report-on-price-csv"),
-    pytest.param({"w.csv": ""}, ["report", "--input", "w.csv"], 3, id="report-empty-file"),
+                 "w.csv: expected the header", id="report-on-price-csv"),
+    pytest.param({"w.csv": ""}, ["report", "--input", "w.csv"], 3,
+                 "w.csv: expected the header", id="report-empty-file"),
     pytest.param({"w.csv": WEALTH_HEADER}, ["report", "--input", "w.csv"], 3,
-                 id="report-header-only"),
+                 "w.csv: no rows", id="report-header-only"),
     pytest.param({"w.csv": WEALTH_HEADER + "27,0.5,abc,0,0\n"}, ["report", "--input", "w.csv"],
-                 3, id="report-non-numeric-wealth"),
+                 3, "w.csv:2: could not convert", id="report-non-numeric-wealth"),
+    # line 2 is blank: the error names the file's line, not the data row
+    pytest.param({"w.csv": WEALTH_HEADER + "\n27,0.5,abc,0,0\n"},
+                 ["report", "--input", "w.csv"], 3, "w.csv:3: could not convert",
+                 id="report-bad-field-after-blank-line"),
+    pytest.param({"w.csv": WEALTH_HEADER + "27,0.5,0,0\n"}, ["report", "--input", "w.csv"],
+                 3, "w.csv:2: expected 5 fields", id="report-short-row"),
+    pytest.param({"p.csv": "date,A\n\n2007-10-29,1.0\n2007-11-05,x\n"},
+                 ["backtest", "--input", "p.csv"], 3, "p.csv:4: could not convert",
+                 id="backtest-bad-price-after-blank-line"),
     pytest.param({"w.csv": WEALTH_HEADER + "27,0.5,0,0,0\n28,0.52,nan,0,0\n"},
-                 ["report", "--input", "w.csv"], 4, id="report-nan-wealth"),
+                 ["report", "--input", "w.csv"], 4, "wealth nan", id="report-nan-wealth"),
     pytest.param({}, ["simulate", "--variance", "-0.1", "--assets", "2", "--weeks", "30"], 3,
-                 id="simulate-negative-variance"),
-    pytest.param({}, ["policy", "--mu", "0.1"], 3, id="policy-without-sigma"),
-    pytest.param({}, ["policy", "--type", "cev", "--mu", "0.1"], 3,
+                 "variance -0.1 is negative", id="simulate-negative-variance"),
+    pytest.param({}, ["policy", "--mu", "0.1"], 3, "needs --sigma", id="policy-without-sigma"),
+    pytest.param({}, ["policy", "--type", "cev", "--mu", "0.1"], 3, "needs --sigma-bar",
                  id="policy-cev-without-sigma-bar"),
 ])
-def test_bad_input_exits_with_one_error_line(tmp_path, monkeypatch, capsys, files, argv, code):
+def test_bad_input_exits_with_one_error_line(tmp_path, monkeypatch, capsys, files, argv, code,
+                                             said):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -340,5 +355,6 @@ def test_bad_input_exits_with_one_error_line(tmp_path, monkeypatch, capsys, file
     assert got == code
     assert "Traceback" not in err
     assert [ln for ln in lines if "error: " in ln] == lines[-1:]
+    assert said in lines[-1]
     assert len(lines) == 1 or code == 2  # argparse prints its usage first
     assert os.listdir(tmp_path) == sorted(files)

@@ -4,7 +4,7 @@ import pytest
 from mvlab.errors import DataError, WarmupError
 from mvlab.estimate import (
     regularize_covariance,
-    rolling_estimate,
+    rolling_estimates,
     to_returns,
 )
 from mvlab.simulate import PriceSeries
@@ -18,10 +18,9 @@ def series(prices):
 
 class TestToReturns:
     def test_simple_returns(self):
-        panel = to_returns(series([1.0, 1.1, 0.99]))
-        np.testing.assert_allclose(panel.returns[:, 0],
-                                   [0.1, 0.99 / 1.1 - 1.0], rtol=1e-12)
-        assert panel.times.size == 2
+        returns = to_returns(series([1.0, 1.1, 0.99]))
+        assert returns.shape == (2, 1)
+        np.testing.assert_allclose(returns[:, 0], [0.1, 0.99 / 1.1 - 1.0], rtol=1e-12)
 
     def test_nonpositive_price(self):
         with pytest.raises(DataError, match="row 2"):
@@ -41,49 +40,49 @@ class TestRollingEstimate:
     def test_annualisation(self, rng):
         # constant per-week return rho: mu_hat = 52 rho, sigma_hat = 0
         prices = np.cumprod(np.full(40, 1.003)) / 1.003
-        est = rolling_estimate(to_returns(series(prices)), 30)
-        assert est.mu_hat[0] == pytest.approx(52 * 0.003, rel=1e-10)
-        assert est.sigma_hat[0, 0] == pytest.approx(0.0, abs=1e-15)
-        assert (est.batch_start, est.batch_end) == (4, 30)
+        mu, sigma = rolling_estimates(to_returns(series(prices)), 30)
+        assert (mu.shape, sigma.shape) == ((1, 1), (1, 1, 1))
+        assert mu[0, 0] == pytest.approx(52 * 0.003, rel=1e-10)
+        assert sigma[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_numpy_directly(self, rng):
         prices = np.exp(np.cumsum(rng.normal(0.0, 0.03, size=(60, 3)), axis=0))
-        panel = to_returns(series(prices))
-        est = rolling_estimate(panel, 40)
-        batch = panel.returns[14:40]
-        np.testing.assert_allclose(est.mu_hat, 52 * batch.mean(axis=0), rtol=1e-12)
+        returns = to_returns(series(prices))
+        mu, sigma = rolling_estimates(returns, 40)
+        batch = returns[14:40]
+        np.testing.assert_allclose(mu[0], 52 * batch.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(
-            est.sigma_hat, 52 * np.cov(batch, rowvar=False, ddof=1), rtol=1e-12)
+            sigma[0], 52 * np.cov(batch, rowvar=False, ddof=1), rtol=1e-12)
 
     def test_no_lookahead(self, rng):
         # perturbing data at or after the decision index leaves the estimate unchanged
         prices = np.exp(np.cumsum(rng.normal(0.0, 0.03, size=50), axis=0))
-        panel_a = to_returns(series(prices))
         prices2 = prices.copy()
         prices2[35:] *= 5.0
-        panel_b = to_returns(series(prices2))
-        a = rolling_estimate(panel_a, 34)
-        b = rolling_estimate(panel_b, 34)
-        np.testing.assert_array_equal(a.mu_hat, b.mu_hat)
-        np.testing.assert_array_equal(a.sigma_hat, b.sigma_hat)
+        mu_a, sigma_a = rolling_estimates(to_returns(series(prices)), 34)
+        mu_b, sigma_b = rolling_estimates(to_returns(series(prices2)), 34)
+        np.testing.assert_array_equal(mu_a, mu_b)
+        np.testing.assert_array_equal(sigma_a, sigma_b)
 
     def test_overlap_between_consecutive_calls(self, rng):
         prices = np.exp(np.cumsum(rng.normal(0.0, 0.03, size=60), axis=0))
-        panel = to_returns(series(prices))
-        a = rolling_estimate(panel, 30)
-        b = rolling_estimate(panel, 31)
-        assert b.batch_start == a.batch_start + 1
-        assert b.batch_end == a.batch_end + 1
+        # the batches of indices 30 and 31 are return rows [4, 30) and [5, 31)
+        returns = to_returns(series(prices))
+        mu, sigma = rolling_estimates(returns, [30, 31])
+        for k, start in enumerate([4, 5]):
+            batch = returns[start:start + 26]
+            np.testing.assert_allclose(mu[k], 52 * batch.mean(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(sigma[k], 52 * np.var(batch, ddof=1), rtol=1e-12)
 
     def test_warmup(self, rng):
-        panel = to_returns(series(np.linspace(1.0, 2.0, 40)))
+        returns = to_returns(series(np.linspace(1.0, 2.0, 40)))
         with pytest.raises(WarmupError):
-            rolling_estimate(panel, 25)
+            rolling_estimates(returns, 25)
 
     def test_beyond_data(self):
-        panel = to_returns(series(np.linspace(1.0, 2.0, 40)))
+        returns = to_returns(series(np.linspace(1.0, 2.0, 40)))
         with pytest.raises(DataError):
-            rolling_estimate(panel, 45)
+            rolling_estimates(returns, 45)
 
     def test_consistency_on_gbm(self, rng):
         # long sample: annualised estimates approach the generator parameters
@@ -93,10 +92,10 @@ class TestRollingEstimate:
         z = rng.standard_normal(n)
         prices = np.exp(np.cumsum((mu - sigma**2 / 2) * dt
                                   + sigma * np.sqrt(dt) * z))
-        panel = to_returns(series(np.concatenate([[1.0], prices])))
-        est = rolling_estimate(panel, n, batch_len=n)
-        assert est.sigma_hat[0, 0] == pytest.approx(sigma**2, rel=0.05)
-        assert est.mu_hat[0] == pytest.approx(mu + 0.0, abs=0.1)
+        returns = to_returns(series(np.concatenate([[1.0], prices])))
+        mu_hat, sigma_hat = rolling_estimates(returns, n, batch_len=n)
+        assert sigma_hat[0, 0, 0] == pytest.approx(sigma**2, rel=0.05)
+        assert mu_hat[0, 0] == pytest.approx(mu + 0.0, abs=0.1)
 
 
 class TestRegularize:

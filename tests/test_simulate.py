@@ -13,7 +13,6 @@ from mvlab.simulate import (
     gbm_ensemble,
     gbm_paths,
     mc_anticipated_gain,
-    rn_weight,
     rn_weights,
 )
 
@@ -33,15 +32,6 @@ class TestPriceSeries:
     def test_nonmonotone_times_rejected(self):
         with pytest.raises(ValueError):
             PriceSeries(times=[0.0, 1.0, 1.0], prices=[1.0, 1.1, 1.2])
-
-    def test_uniform_dt(self):
-        ps = PriceSeries(times=[0.0, 0.5, 1.0], prices=[1.0, 1.0, 1.0])
-        assert ps.uniform_dt() == pytest.approx(0.5)
-
-    def test_nonuniform_grid_rejected(self):
-        ps = PriceSeries(times=[0.0, 0.5, 2.0], prices=[1.0, 1.0, 1.0])
-        with pytest.raises(ProtocolError):
-            ps.uniform_dt()
 
 
 class TestCorrelatedNormals:
@@ -186,7 +176,7 @@ class TestRnWeights:
     def test_zero_sharpe_unit_weight(self):
         m = MarketParams.single(0.025, 0.2, 0.025, 1.0, 1.0)
         ps = gbm_paths(m, cfg(seed=4))
-        assert rn_weight(m, ps) == pytest.approx(1.0, rel=1e-12)
+        assert rn_weights(m, ps.times, ps.prices[:, 0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_expectation_one(self):
         m = MarketParams.single(0.125, np.sqrt(0.2), 0.025, 1.0, 1.0)
@@ -212,17 +202,15 @@ class TestRnWeights:
         sigma = np.sqrt(0.2)
         incr = (0.125 - 0.1) * dt + sigma * np.sqrt(dt) * z
         prices = np.exp(np.concatenate([[0.0], np.cumsum(incr)]))
-        ps = PriceSeries(times=np.arange(53) * dt, prices=prices)
         w_T = np.sum(z) * np.sqrt(dt)
         kappa = m.sharpe
         expected = np.exp(-0.5 * kappa**2 - kappa * w_T)
-        assert rn_weight(m, ps) == pytest.approx(expected, rel=1e-10)
+        assert rn_weights(m, np.arange(53) * dt, prices) == pytest.approx(expected, rel=1e-10)
 
     def test_requires_uniform_grid(self):
         m = MarketParams.single(0.1, 0.2, 0.02, 1.0, 1.0)
-        ps = PriceSeries(times=[0.0, 0.4, 1.0], prices=[1.0, 1.1, 1.2])
         with pytest.raises(ProtocolError):
-            rn_weight(m, ps)
+            rn_weights(m, [0.0, 0.4, 1.0], [1.0, 1.1, 1.2])
 
 
 class TestMcAnticipatedGain:

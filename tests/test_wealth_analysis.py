@@ -58,13 +58,13 @@ class TestTcWealthStats:
 class TestDensity:
     def test_unit_at_zero_rate_zero_draw(self):
         m = market(mu=0.0, r=0.0, T=1.0)
-        assert price_density_sample(m, 0.0).xi_T == 1.0
+        assert price_density_sample(m, 0.0) == 1.0
 
     def test_martingale_property(self, rng):
         # E[xi_T] = e^{-rT}
         m = market(T=1.0)
         w = rng.standard_normal(400_000)
-        xi = np.array([price_density_sample(m, x).xi_T for x in w[:50]])
+        xi = np.array([price_density_sample(m, x) for x in w[:50]])
         kappa = m.sharpe
         ref = np.exp(-m.r - 0.5 * kappa**2 - kappa * w[:50])
         np.testing.assert_allclose(xi, ref, rtol=1e-14)
@@ -73,8 +73,7 @@ class TestDensity:
 
     def test_decreasing_in_draw(self):
         m = market(T=1.0)
-        assert (price_density_sample(m, 1.0).xi_T
-                < price_density_sample(m, 0.0).xi_T)
+        assert price_density_sample(m, 1.0) < price_density_sample(m, 0.0)
 
 
 class TestPrecommitment:
@@ -90,17 +89,17 @@ class TestPrecommitment:
 
     def test_affine_in_density(self):
         m = market()
-        s1 = price_density_sample(m, 0.0)
-        s2 = price_density_sample(m, 1.0)
-        w1 = precommitment_wealth(m, 1.0, s1)
-        w2 = precommitment_wealth(m, 1.0, s2)
-        slope = (w2 - w1) / (s2.xi_T - s1.xi_T)
+        xi1 = price_density_sample(m, 0.0)
+        xi2 = price_density_sample(m, 1.0)
+        w1 = precommitment_wealth(m, 1.0, xi1)
+        w2 = precommitment_wealth(m, 1.0, xi2)
+        slope = (w2 - w1) / (xi2 - xi1)
         assert slope == pytest.approx(-np.exp(m.r * m.T) / m.gamma, rel=1e-10)
 
     def test_zero_sharpe_equals_tc(self):
         m = market(mu=0.025)
-        s = price_density_sample(m, 0.7)
-        assert precommitment_wealth(m, 1.0, s) == pytest.approx(
+        xi = price_density_sample(m, 0.7)
+        assert precommitment_wealth(m, 1.0, xi) == pytest.approx(
             tc_terminal_wealth_sample(m, 1.0, 0.7), rel=1e-14)
 
 
