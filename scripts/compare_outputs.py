@@ -1,0 +1,97 @@
+"""Check that two source trees of mvlab write the same CLI outputs.
+
+    python scripts/compare_outputs.py OLD_SRC NEW_SRC
+
+Runs a fixed list of seeded `mvlab` commands once per tree, each tree in a
+fresh temporary directory, through `python -m mvlab.cli` with PYTHONPATH set
+to that tree's `src` directory and OPENBLAS_NUM_THREADS=1.  Compares the
+exit code of every command and every file written, manifests included,
+byte for byte.  Prints one line per command and per file, and exits 1 on
+any difference.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+
+GBM = "gbm/prices.csv"
+CEV = "cev/prices.csv"
+
+COMMANDS = [
+    ["simulate", "--assets", "50", "--weeks", "523", "--seed", "0", "--out", "gbm"],
+    ["simulate", "--model", "cev", "--assets", "10", "--weeks", "200", "--variance", "0.02",
+     "--alpha", "1", "--seed", "1", "--out", "cev"],
+    ["simulate", "--assets", "5", "--weeks", "100", "--measure", "hedge_neutral",
+     "--seed", "2", "--out", "hedge-neutral"],
+    ["backtest", "--input", GBM, "--strategy", "static", "--base", "10", "--out", "static"],
+    ["backtest", "--input", CEV, "--strategy", "cev", "--alpha", "1", "--base", "1000",
+     "--out", "bt-cev"],
+    ["backtest", "--input", CEV, "--strategy", "simple", "--base", "1000", "--out", "bt-simple"],
+    ["backtest", "--input", CEV, "--strategy", "multi", "--base", "1000", "--out", "bt-multi"],
+    ["backtest", "--input", GBM, "--strategy", "multi", "--base", "10", "--out", "readme-multi"],
+    ["report", "--input", "static/wealth.csv", "--base", "10", "--out", "report"],
+    ["mvo", "--mu", "0.1,0.2", "--sigma", "1,0;0,1", "--target", "0.15", "--out", "mvo-flags"],
+    ["mvo", "--input", CEV, "--target", "0.15", "--out", "mvo-input"],
+    ["policy", "--type", "cev", "--mu", "0.125", "--sigma-bar", "0.2", "--alpha", "1",
+     "--horizon", "1", "--out", "policy-cev"],
+    ["compare-precommit", "--horizon", "10", "--paths", "20000", "--seed", "3",
+     "--out", "compare"],
+]
+
+
+def run_all(src: str, work: str) -> list[tuple[int, str]]:
+    """(exit code, last stderr line) of each command, run in order in `work`."""
+    env = {k: v for k, v in os.environ.items() if k != "MVLAB_OUT"}
+    env.update(PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1")
+    results = []
+    for argv in COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "mvlab.cli", *argv], cwd=work, env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                              timeout=600)
+        results.append((proc.returncode, (proc.stderr.strip().splitlines() or [""])[-1]))
+    return results
+
+
+def files_under(root: str) -> dict[str, bytes]:
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    old_src, new_src = argv
+    with tempfile.TemporaryDirectory() as old_work, tempfile.TemporaryDirectory() as new_work:
+        old_codes, new_codes = run_all(old_src, old_work), run_all(new_src, new_work)
+        old_files, new_files = files_under(old_work), files_under(new_work)
+    differ = 0
+    for argv_, (old_code, old_err), (new_code, new_err) in zip(COMMANDS, old_codes, new_codes):
+        same = old_code == new_code
+        differ += not same
+        line = f"{'same' if same else 'DIFF'} exit {old_code} -> {new_code}: {' '.join(argv_)}"
+        if old_err != new_err:
+            line += f"\n    stderr {old_err!r} -> {new_err!r}"
+        print(line)
+    for name in sorted(old_files.keys() | new_files.keys()):
+        old, new = old_files.get(name), new_files.get(name)
+        if old == new:
+            print(f"same {name} ({len(old)} bytes)")
+        else:
+            differ += 1
+            what = "only in OLD" if new is None else "only in NEW" if old is None else "bytes differ"
+            print(f"DIFF {name}: {what}")
+    print(f"{differ} difference(s)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

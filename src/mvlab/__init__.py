@@ -25,7 +25,6 @@ from .simulate import (
     PriceSeries,
     SimConfig,
     cev_paths,
-    correlated_normals,
     gbm_ensemble,
     gbm_paths,
     hedging_covariance_check,

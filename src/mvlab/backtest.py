@@ -1,17 +1,18 @@
 """Weekly rolling-estimation backtest with a bond-balanced ledger.
 
-At each decision week the strategy sees mean/covariance estimates from the
-previous 26-week batch and names a money vector theta; the ledger converts
-it to shares at current prices (self-financing, the bond account absorbs
-the balance), then accrues bond interest and stock P&L to the next week.
-Initial wealth is zero and short selling is allowed.
+Price rows are weekly, DT = 1/WEEKS_PER_YEAR years apart.  At each decision
+week the strategy sees mean/covariance estimates from the previous 26-week
+batch and names a money vector theta; the ledger converts it to shares at
+current prices (self-financing, the bond account absorbs the balance), then
+accrues bond interest and stock P&L to the next week.  Initial wealth is
+zero and short selling is allowed.
 
 No strategy's theta depends on wealth, so `run_backtest` works in stages
 over blocks of BLOCK_WEEKS decision weeks: (i) the rolling estimates of the
 whole block as (k, N) and (k, N, N) stacks, (ii) the ridge and one pivot
 check of the stack, (iii) the block's theta rows; then, after the last
 block, (iv) one pass of the ledger recurrence
-    W_{k+1} = e^{r dt} (W_k - sum(theta_k)) + (theta_k / P_k) . P_{k+1}.
+    W_{k+1} = e^{r DT} (W_k - sum(theta_k)) + (theta_k / P_k) . P_{k+1}.
 The stages use numpy's batched LAPACK only, and fixed blocks bound the
 memory the stacks take.
 """
@@ -33,6 +34,7 @@ Array = NDArray[np.float64]
 STRATEGIES = ("static", "simple", "multi", "cev")
 BLOCK_WEEKS = 64
 LEDGER_TOL = 1e-9
+DT = 1.0 / estimate.WEEKS_PER_YEAR
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,6 @@ class BacktestConfig:
     gamma: float = 1.0
     r: float = 0.025
     batch_len: int = estimate.DEFAULT_BATCH_LEN
-    dt: float = 1.0 / 52.0
     notional: float = 1.0         # static strategy: money run through omega
 
     def __post_init__(self):
@@ -58,18 +59,20 @@ class BacktestConfig:
             raise ValueError("batch_len must be at least 2")
 
 
-def _check_identity(bond: Array, stock: Array, wealth: Array, tol: float = LEDGER_TOL):
+def _check_identity(bond: Array, stock: Array, wealth: Array, gross: Array):
     """Raise LedgerError at the first entry where bond + stock != wealth
-    beyond tol * max(1, |wealth|), or where either side is not finite (a
-    NaN residual compares False); its `index` is that entry."""
+    beyond LEDGER_TOL * max(1, gross), gross being the money the entry
+    moves, or where either side is not finite (a NaN residual compares
+    False); its `index` is that entry."""
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
         residual = np.abs(bond + stock - wealth)
-    bad = np.flatnonzero(~(residual <= tol * np.maximum(1.0, np.abs(wealth))))
+    bad = np.flatnonzero(~(residual <= LEDGER_TOL * np.maximum(1.0, gross)))
     if bad.size:
         i = int(bad[0])
         raise LedgerError(
             f"ledger identity violated: |bond + stock - wealth| = "
-            f"{residual[i]:.3e} at wealth {wealth[i]:.6g}", index=i)
+            f"{residual[i]:.3e} at wealth {wealth[i]:.6g}, gross {gross[i]:.6g}",
+            index=i)
 
 
 @dataclass(frozen=True)
@@ -91,13 +94,13 @@ def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
             np.asarray(cfg.strategy(
                 estimate.ParamEstimate(mu_hat=mu[i], sigma_hat=sigma[i],
                                        batch_start=t - cfg.batch_len, batch_end=t),
-                prices_now[i], t * cfg.dt, horizon), float)
+                prices_now[i], t * DT, horizon), float)
             for i, t in enumerate(rows.tolist())
         ])
     sigma = estimate.regularize_covariance(sigma)
     static_mvo.robust_cholesky(sigma)   # the pivot floor; the factor is not used
     n = sigma.shape[-1]
-    tau = horizon - rows * cfg.dt
+    tau = horizon - rows * DT
     if cfg.strategy == "static":
         if n == 1:
             # A single asset cannot generally hit the target; invest fully.
@@ -127,7 +130,7 @@ def run_backtest(prices: PriceSeries, cfg: BacktestConfig) -> WealthPath:
             f"need at least {cfg.batch_len + 3} price rows, got {n_rows}"
         )
     returns = estimate.to_returns(prices)
-    horizon = (n_rows - 1) * cfg.dt
+    horizon = (n_rows - 1) * DT
     rows = np.arange(cfg.batch_len + 1, n_rows - 1)
     theta = np.empty((rows.size, prices.n_assets))
     for start in range(0, rows.size, BLOCK_WEEKS):
@@ -160,7 +163,7 @@ def _ledger(prices: Array, rows: Array, theta: Array, cfg: BacktestConfig) -> We
     # Row-wise shares . prices as BLAS dot products.
     stock_now = (shares[:, None, :] @ prices_now[:, :, None])[:, 0, 0]
     stock = (shares[:, None, :] @ prices[rows + 1][:, :, None])[:, 0, 0]
-    growth = float(np.exp(cfg.r * cfg.dt))
+    growth = float(np.exp(cfg.r * DT))
     w, wealth, bond = 0.0, [0.0], [0.0]
     for cost, held in zip(spent.tolist(), stock.tolist()):
         b = (w - cost) * growth
@@ -170,10 +173,11 @@ def _ledger(prices: Array, rows: Array, theta: Array, cfg: BacktestConfig) -> We
     wealth, bond = np.array(wealth), np.array(bond)
     # Wealth after accrual is bond + stock by construction; at rebalancing
     # the cash left, W_k - sum(theta_k), plus the shares' value must be W_k.
-    _check_identity(wealth[:-1] - spent, stock_now, wealth[:-1])
+    cash = wealth[:-1] - spent
+    _check_identity(cash, stock_now, wealth[:-1], np.abs(cash) + np.abs(theta).sum(axis=1))
     weeks = np.concatenate([rows[:1], rows + 1])
     return WealthPath(
-        times=weeks * cfg.dt,
+        times=weeks * DT,
         wealth=wealth,
         bond=bond,
         stock_value=np.concatenate([[0.0], stock]),

@@ -31,20 +31,18 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 _FLOAT_FMT = "%.17g"
+_START_DATE = dt.date(2007, 10, 29)   # the date of a written price CSV's first row
 _WEALTH_HEADER = "week_index,time_years,wealth,bond,stock_value"
 
 
 # ---------------------------------------------------------------- CSV I/O
 
-def write_price_csv(path, series: simulate.PriceSeries, tickers=None,
-                    start_date: dt.date = dt.date(2007, 10, 29)):
-    n = series.n_assets
-    if tickers is None:
-        tickers = [f"A{i:03d}" for i in range(n)]
+def write_price_csv(path, series: simulate.PriceSeries):
+    """Write a 'date,A000,A001,...' price CSV, one row a week from _START_DATE."""
     with open(path, "w") as fh:
-        fh.write("date," + ",".join(tickers) + "\n")
+        fh.write("date," + ",".join(f"A{i:03d}" for i in range(series.n_assets)) + "\n")
         for k in range(series.prices.shape[0]):
-            day = start_date + dt.timedelta(weeks=k)
+            day = _START_DATE + dt.timedelta(weeks=k)
             row = ",".join(_FLOAT_FMT % v for v in series.prices[k])
             fh.write(f"{day.isoformat()},{row}\n")
 
@@ -69,13 +67,12 @@ def _floats(path, lineno: int, fields: list[str]) -> list[float]:
         raise DataError(f"{path}:{lineno}: {exc}") from None
 
 
-def read_price_csv(path) -> tuple[simulate.PriceSeries, list[str]]:
-    """Read a 'date,<tickers>' price CSV whose ISO dates are 7 days apart."""
+def read_price_csv(path) -> simulate.PriceSeries:
+    """Read a 'date,<asset>,...' price CSV whose ISO dates are 7 days apart."""
     header, lines = _csv_lines(path)
     if not header or not header[0].lower().startswith("date"):
         raise DataError(f"{path}: missing 'date,...' header")
-    tickers = header[1:]
-    if not tickers:
+    if len(header) < 2:
         raise DataError(f"{path}: no asset columns")
     rows = []
     prev = None
@@ -89,9 +86,7 @@ def read_price_csv(path) -> tuple[simulate.PriceSeries, list[str]]:
                                 f"after {prev}; rows must be weekly")
         prev = day
         rows.append(_floats(path, lineno, parts[1:]))
-    prices = np.array(rows)
-    times = np.arange(prices.shape[0]) / 52.0
-    return simulate.PriceSeries(times=times, prices=prices), tickers
+    return simulate.PriceSeries(prices=np.array(rows))
 
 
 def write_wealth_csv(path, wp: backtest.WealthPath):
@@ -167,10 +162,10 @@ def cmd_simulate(args):
     n, variance, mean, s0 = args.assets, args.variance, args.mean, args.s0
     if variance < 0:
         raise DataError(f"variance {variance} is negative")
-    T = args.weeks / 52.0
+    T = args.weeks / estimate.WEEKS_PER_YEAR
     corr = np.full((n, n), args.corr)
     np.fill_diagonal(corr, 1.0)
-    cfg = simulate.SimConfig(n_assets=n, n_steps=args.weeks, dt=1.0 / 52.0,
+    cfg = simulate.SimConfig(n_assets=n, n_steps=args.weeks, dt=backtest.DT,
                              s0=np.full(n, s0), seed=args.seed,
                              measure=args.measure)
     if args.model == "gbm":
@@ -191,7 +186,7 @@ def cmd_simulate(args):
 
 
 def cmd_backtest(args):
-    series, _ = read_price_csv(args.input)
+    series = read_price_csv(args.input)
     cfg = backtest.BacktestConfig(
         strategy=args.strategy,
         target=args.target,
@@ -209,7 +204,7 @@ def cmd_backtest(args):
 
 def cmd_mvo(args):
     if args.input:
-        series, _ = read_price_csv(args.input)
+        series = read_price_csv(args.input)
         returns = estimate.to_returns(series)
         mu, sigma = estimate.rolling_estimates(returns, len(returns), len(returns))
         mu, sigma = mu[0], estimate.regularize_covariance(sigma[0])

@@ -1,9 +1,10 @@
 """Returns computation and overlapping-batch rolling parameter estimation.
 
-Weekly simple returns; at each decision index the previous `batch_len`
-return rows (26 weeks by default, half a year) form the batch, whose sample
-mean and covariance are annualised by the factor 52 * dt-inverse convention
-(x52 for weekly data).  Estimation never looks at or past the decision time.
+Price rows are weekly by contract, WEEKS_PER_YEAR to the year.  At each
+decision index the previous `batch_len` return rows (26 weeks by default,
+half a year) form the batch, whose sample mean and covariance are
+annualised by WEEKS_PER_YEAR.  Estimation never looks at or past the
+decision time.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ def to_returns(p: PriceSeries) -> Array:
 
 
 def rolling_estimates(returns: Array, t_indices,
-                      batch_len: int = DEFAULT_BATCH_LEN,
-                      periods_per_year: int = WEEKS_PER_YEAR) -> tuple[Array, Array]:
+                      batch_len: int = DEFAULT_BATCH_LEN) -> tuple[Array, Array]:
     """Annualised sample means (k, N) and covariances (k, N, N) of the
     batches ending before each of the k decision indices in t_indices.
 
@@ -67,18 +67,19 @@ def rolling_estimates(returns: Array, t_indices,
     mean = centred.mean(axis=-1)
     centred -= mean[..., None]
     cov = centred @ np.swapaxes(centred, -1, -2)
-    cov *= periods_per_year / (batch_len - 1)
-    return periods_per_year * mean, cov
+    cov *= WEEKS_PER_YEAR / (batch_len - 1)
+    return WEEKS_PER_YEAR * mean, cov
 
 
-def regularize_covariance(sigma: Array, eps: float = RIDGE_EPS) -> Array:
-    """Ridge for rank-deficient batch covariances: add eps * trace/N on the
-    diagonal.  Needed whenever the asset count exceeds the batch length.
-    Works on one matrix or a stack of them (leading axes)."""
+def regularize_covariance(sigma: Array) -> Array:
+    """Ridge for rank-deficient batch covariances: add RIDGE_EPS * trace/N
+    (or RIDGE_EPS at a zero trace) on the diagonal.  Needed whenever the
+    asset count exceeds the batch length.  Works on one matrix or a stack
+    of them (leading axes)."""
     sigma = np.asarray(sigma, dtype=np.float64)
     n = sigma.shape[-1]
-    ridge = eps * np.trace(sigma, axis1=-2, axis2=-1) / n
-    ridge = np.where(ridge <= 0, eps, ridge)
+    ridge = RIDGE_EPS * np.trace(sigma, axis1=-2, axis2=-1) / n
+    ridge = np.where(ridge <= 0, RIDGE_EPS, ridge)
     out = sigma.copy()
     np.einsum("...ii->...i", out)[...] += ridge[..., None]
     return out

@@ -9,6 +9,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError
+from .estimate import WEEKS_PER_YEAR
 
 Array = NDArray[np.float64]
 
@@ -35,11 +36,12 @@ def max_drawdown(series) -> float:
     return float(np.min(series / peaks - 1.0))
 
 
-def perf_stats(path, base: float, periods_per_year: int = 52) -> PerfStats:
+def perf_stats(path, base: float) -> PerfStats:
     """Statistics of the equity curve E_k = base + wealth_k.
 
-    terminal_return is E_end/E_0 - 1; std_dev is the annualised sample
-    standard deviation of wealth increments divided by base.
+    terminal_return is E_end/E_0 - 1; std_dev is the sample standard
+    deviation of the weekly wealth increments, annualised by
+    sqrt(WEEKS_PER_YEAR), divided by base.
     """
     if base <= 0:
         raise DomainError("base must be positive")
@@ -55,7 +57,7 @@ def perf_stats(path, base: float, periods_per_year: int = 52) -> PerfStats:
     incr = np.diff(wealth)
     std = 0.0
     if incr.size >= 2:
-        std = float(np.sqrt(periods_per_year) * np.std(incr, ddof=1) / base)
+        std = float(np.sqrt(WEEKS_PER_YEAR) * np.std(incr, ddof=1) / base)
     return PerfStats(
         terminal_return=float(equity[-1] / equity[0] - 1.0),
         max_drawdown=max_drawdown(equity),

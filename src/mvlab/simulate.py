@@ -23,6 +23,7 @@ from numpy.typing import NDArray
 from .dynamic_policy import (
     CevParams,
     MarketParams,
+    _check_horizon,
     anticipated_gain_gbm,
     cev_anticipated_gain_exact,
     cev_policy,
@@ -66,53 +67,29 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Weekly (or other uniform-step) price panel: times in years, one
-    column per asset."""
+    """Price panel, one row per step and one column per asset."""
 
-    times: Array
     prices: Array
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
         prices = np.asarray(self.prices, dtype=np.float64)
         if prices.ndim == 1:
             prices = prices[:, None]
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "prices", prices)
-        if times.size != prices.shape[0]:
-            raise ValueError("times and prices disagree on length")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
 
     @property
     def n_assets(self) -> int:
         return self.prices.shape[1]
 
-    @property
-    def n_steps(self) -> int:
-        return self.times.size - 1
-
 
 def _corr_factor(corr: Array) -> Array:
-    """Loading matrix L with L @ L.T = corr; tolerates PSD-singular inputs."""
-    corr = np.asarray(corr, dtype=np.float64)
+    """Loading matrix L with L @ L.T = corr; tolerates PSD-singular inputs
+    (CevParams has rejected indefinite ones)."""
     try:
         return np.linalg.cholesky(corr)
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(corr)
-        if np.min(vals) < -1e-8:
-            raise DomainError(
-                f"correlation matrix not PSD: min eigenvalue {np.min(vals):.3e}"
-            ) from None
         return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-
-
-def correlated_normals(corr: Array, n_draws: int, seed: int) -> Array:
-    """(n_draws, N) standard normals with the requested cross-correlation."""
-    L = _corr_factor(corr)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_draws, L.shape[0]))
-    return z @ L.T
 
 
 def _lognormal_steps(drift, var, shocks: Array, dt: float, axis: int) -> Array:
@@ -136,7 +113,7 @@ def gbm_paths(m: MarketParams, cfg: SimConfig) -> PriceSeries:
     z = rng.standard_normal((cfg.n_steps, m.n_assets))
     shocks = z @ m.sigma.T * np.sqrt(cfg.dt)
     prices = cfg.s0 * _lognormal_steps(drift, np.diag(m.cov), shocks, cfg.dt, axis=0)
-    return PriceSeries(times=np.arange(cfg.n_steps + 1) * cfg.dt, prices=prices)
+    return PriceSeries(prices=prices)
 
 
 def _cev_euler(s0, shape, drift, sigma_bar, alpha, dt: float, n_steps: int, draw):
@@ -182,8 +159,7 @@ def cev_paths(c: CevParams, cfg: SimConfig) -> PriceSeries:
                        cfg.n_steps, lambda: rng.standard_normal(c.n_assets) @ L.T)
     for k, (s, _) in enumerate(steps, start=1):
         prices[k] = s
-    times = np.arange(cfg.n_steps + 1) * cfg.dt
-    return PriceSeries(times=times, prices=prices)
+    return PriceSeries(prices=prices)
 
 
 def gbm_ensemble(mu: float, sigma: float, r: float, T: float, n_steps: int,
@@ -240,9 +216,7 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
     """
     if paths < 100:
         raise ValueError("need at least 100 paths")
-    if t < 0 or t > model.T:
-        raise DomainError(f"time {t} outside horizon [0, {model.T}]")
-    tau = model.T - t
+    tau = _check_horizon(t, model.T)
     if isinstance(model, MarketParams):
         return McEstimate(value=anticipated_gain_gbm(model, t), stderr=0.0)
     c = model

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from mvlab import estimate, static_mvo
+from mvlab import backtest, estimate, static_mvo
 from mvlab.dynamic_policy import CevParams, MarketParams, cev_policy_multi, multi_policy
 from mvlab.errors import DataError
 
@@ -104,7 +104,7 @@ def oracle_backtest(prices, cfg):
     the policies solve with."""
     returns = estimate.to_returns(prices)
     n_rows = prices.prices.shape[0]
-    horizon = (n_rows - 1) * cfg.dt
+    horizon = (n_rows - 1) * backtest.DT
     ledger = Ledger(bond_cash=0.0, shares=np.zeros(prices.n_assets), wealth=0.0)
     rows = [[0.0, 0.0, 0.0]]
     cond = gross = 1.0
@@ -112,13 +112,13 @@ def oracle_backtest(prices, cfg):
         mu, sigma = estimate.rolling_estimates(returns, [t], cfg.batch_len)
         est = estimate.ParamEstimate(mu_hat=mu[0], sigma_hat=sigma[0],
                                      batch_start=t - cfg.batch_len, batch_end=t)
-        theta, solved = oracle_theta(cfg, est, prices.prices[t], t * cfg.dt, horizon)
+        theta, solved = oracle_theta(cfg, est, prices.prices[t], t * backtest.DT, horizon)
         if solved is not None:
             cond = max(cond, np.linalg.cond(solved))
         gross = max(gross, np.sum(np.abs(theta)))
         ledger = rebalance_step(ledger, prices.prices[t], theta)
         ledger.check(prices.prices[t])
-        ledger = accrue_step(ledger, prices.prices[t + 1], cfg.dt, cfg.r)
+        ledger = accrue_step(ledger, prices.prices[t + 1], backtest.DT, cfg.r)
         ledger.check(prices.prices[t + 1])
         rows.append([ledger.wealth, ledger.bond_cash,
                      float(ledger.shares @ prices.prices[t + 1])])

@@ -301,7 +301,7 @@ def test_criterion_09_cev_strategy_advantage():
 
 
 def test_criterion_10_ledger_integrity():
-    # invariants are asserted to 1e-9 inside run_backtest on every step;
+    # invariants are asserted to 1e-9 of gross money inside run_backtest;
     # run one GBM and one CEV backtest through them, then reproduce a
     # three-week single-asset ledger by hand.
     for series in (_recipe_gbm_panel(0, n=3, weeks=60), _cev_panel(1, n=3,
@@ -312,7 +312,7 @@ def test_criterion_10_ledger_integrity():
     cfg = BacktestConfig(strategy=lambda est, p, t, T: np.array([1.0]))
     path = run_backtest(prices, cfg)
     p = prices.prices[:, 0]
-    w, r, dt = 0.0, cfg.r, cfg.dt
+    w, r, dt = 0.0, cfg.r, M.backtest.DT
     exact = True
     for k, t in enumerate(range(27, 30)):
         w = (w - 1.0) * np.exp(r * dt) + p[t + 1] / p[t]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mvlab import backtest, estimate, static_mvo
-from mvlab.backtest import BacktestConfig, run_backtest
+from mvlab.backtest import LEDGER_TOL, BacktestConfig, run_backtest
+from mvlab.cli import main, read_price_csv
 from mvlab.dynamic_policy import MarketParams
 from mvlab.errors import DataError, DefinitenessError, LedgerError, WarmupError
 from mvlab.simulate import SimConfig, gbm_paths
@@ -98,19 +99,33 @@ class TestBatchedKernel:
         p = prices.prices.copy()
         p[81:121, 1] = p[80, 1] * 1.002 ** np.arange(1, 41)
         p[121:, 1] *= p[120, 1] / prices.prices[120, 1]
-        prices = type(prices)(times=prices.times, prices=p)
+        prices = type(prices)(prices=p)
         monkeypatch.setattr(estimate, "regularize_covariance", lambda s: s)
         with pytest.raises(DefinitenessError, match=r"^decision week 106: .*pivot 1 = "):
             run_backtest(prices, BacktestConfig(strategy="static"))
 
-    def test_ledger_violation_names_the_week(self):
-        # Money of 1e16 in and out of two assets: the value of the shares
-        # bought, (theta / P) . P, rounds away from sum(theta) = 0 by far
-        # more than 1e-9 of the (zero) wealth.
-        prices = gbm_series(n_weeks=60, n_assets=2, seed=0)
-        cfg = BacktestConfig(strategy=lambda est, p, t, T: np.array([1e16, -1e16]))
-        with pytest.raises(LedgerError, match=r"^decision week 27: ledger identity"):
-            run_backtest(prices, cfg)
+    def test_identity_tolerance_scales_with_gross_money(self):
+        # Entry 1 leaks a multiple of LEDGER_TOL x its gross money; entry 0
+        # moves less than 1 of money, where the floor of 1 holds.
+        gross = np.array([0.5, 7e7])
+        bond, wealth = np.array([-3.0, -7e7]), np.zeros(2)
+
+        def stock(leak):
+            return -bond + np.array([0.9, leak]) * LEDGER_TOL * np.maximum(1.0, gross)
+
+        backtest._check_identity(bond, stock(0.5), wealth, gross)
+        with pytest.raises(LedgerError, match="ledger identity violated") as info:
+            backtest._check_identity(bond, stock(2.0), wealth, gross)
+        assert info.value.index == 1
+
+    def test_readme_multi_panel_keeps_the_identity(self, tmp_path):
+        # The README panel: 50 assets on a 26-week batch hold about 7e7 of
+        # gross money at zero wealth, whose rounding noise the identity
+        # must absorb every week.
+        assert main(["simulate", "--assets", "50", "--seed", "0", "--out", str(tmp_path)]) == 0
+        prices = read_price_csv(tmp_path / "prices.csv")
+        path = run_backtest(prices, BacktestConfig(strategy="multi"))
+        assert np.array_equal(path.week_index, np.arange(27, 524))
 
     @pytest.mark.parametrize("money", [np.nan, np.inf, -np.inf])
     def test_non_finite_money_is_ledger_error(self, money):

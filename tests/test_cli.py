@@ -25,9 +25,8 @@ class TestSimulate:
         code = main(["simulate", "--assets", "3", "--weeks", "30",
                      "--seed", "7", "--out", str(out)])
         assert code == 0
-        series, tickers = read_price_csv(out / "prices.csv")
+        series = read_price_csv(out / "prices.csv")
         assert series.prices.shape == (31, 3)
-        assert len(tickers) == 3
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["parameters"]["seed"] == 7
@@ -50,7 +49,7 @@ class TestSimulate:
         out = tmp_path / "det"
         main(["simulate", "--assets", "1", "--weeks", "52", "--variance", "0",
               "--mean", "0.1", "--s0", "1.0", "--out", str(out)])
-        series, _ = read_price_csv(out / "prices.csv")
+        series = read_price_csv(out / "prices.csv")
         np.testing.assert_allclose(series.prices[:, 0],
                                    np.exp(0.1 * np.arange(53) / 52), rtol=1e-12)
 
@@ -59,7 +58,7 @@ class TestSimulate:
         code = main(["simulate", "--model", "cev", "--alpha", "1.0",
                      "--assets", "2", "--weeks", "30", "--out", str(out)])
         assert code == 0
-        series, _ = read_price_csv(out / "prices.csv")
+        series = read_price_csv(out / "prices.csv")
         assert np.all(series.prices > 0)
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
@@ -112,9 +111,10 @@ class TestBacktestReport:
         assert os.listdir(tmp_path) == []
 
     def test_readme_multi_at_50_exits_4_without_traceback(self, tmp_path):
-        # The README recipe: 50 assets exceed the 26-week batch, so the
-        # multi strategy inverts a ridged, ill-conditioned Sigma_hat and its
-        # backtest fails; the failure is a numerical error, not a crash.
+        # The multi-at-50 recipe: 50 assets exceed the 26-week batch, so the
+        # multi strategy inverts a ridged, ill-conditioned Sigma_hat, the
+        # bond account swings past the base and perf_stats rejects the
+        # equity curve; the failure is a numerical error, not a crash.
         env = {**os.environ,
                "PYTHONPATH": os.path.dirname(os.path.dirname(mvlab.__file__))}
         def mvlab_cli(*argv):
@@ -127,7 +127,7 @@ class TestBacktestReport:
         assert proc.returncode == 4
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines == ["error: equity curve crosses zero; increase the base"]
         assert not (tmp_path / "bt").exists()
 
     def test_short_input_is_data_error(self, tmp_path):
@@ -246,7 +246,7 @@ class TestPlumbing:
         code = main(["simulate", "--config", str(cfg), "--weeks", "30",
                      "--out", str(out)])
         assert code == 0
-        series, _ = read_price_csv(out / "prices.csv")
+        series = read_price_csv(out / "prices.csv")
         assert series.prices.shape == (31, 2)  # flag beat config for weeks
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["seed"] == 9
@@ -254,12 +254,10 @@ class TestPlumbing:
     def test_price_csv_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         prices = np.exp(rng.normal(0, 0.2, size=(20, 3)))
-        series = PriceSeries(times=np.arange(20) / 52, prices=prices)
         path = tmp_path / "p.csv"
-        write_price_csv(path, series, tickers=["X", "Y", "Z"])
-        back, tickers = read_price_csv(path)
-        assert tickers == ["X", "Y", "Z"]
-        np.testing.assert_array_equal(back.prices, prices)
+        write_price_csv(path, PriceSeries(prices=prices))
+        np.testing.assert_array_equal(read_price_csv(path).prices, prices)
+        assert path.read_text().splitlines()[0] == "date,A000,A001,A002"
 
     def test_malformed_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -285,7 +283,7 @@ class TestPlumbing:
         # the CSV reader parses 'nan'; the returns reject it naming the row
         path = tmp_path / "p.csv"
         prices = np.exp(np.random.default_rng(0).normal(0, 0.02, size=(60, 2)))
-        write_price_csv(path, PriceSeries(times=np.arange(60) / 52, prices=prices))
+        write_price_csv(path, PriceSeries(prices=prices))
         lines = path.read_text().splitlines()
         lines[31] = lines[31].split(",")[0] + ",nan,1.0"
         path.write_text("\n".join(lines) + "\n")

@@ -103,6 +103,14 @@ def cev_single(**over):
                             kw["T"], kw["gamma"])
 
 
+class TestCevParams:
+    def test_indefinite_corr_rejected(self):
+        corr = np.array([[1.0, 2.0], [2.0, 1.0]])   # eigenvalues 3 and -1
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            CevParams(mu=[0.1, 0.1], sigma_bar=[0.2, 0.2], alpha=1.0, corr=corr,
+                      r=0.025, T=1.0, gamma=1.0)
+
+
 class TestCevPolicy:
     def test_gbm_reduction_alpha_zero(self):
         c = cev_single(alpha=0.0)

@@ -3,6 +3,7 @@ import pytest
 
 from mvlab.errors import DataError, WarmupError
 from mvlab.estimate import (
+    RIDGE_EPS,
     regularize_covariance,
     rolling_estimates,
     to_returns,
@@ -11,9 +12,7 @@ from mvlab.simulate import PriceSeries
 
 
 def series(prices):
-    prices = np.asarray(prices, dtype=float)
-    n = prices.shape[0]
-    return PriceSeries(times=np.arange(n) / 52.0, prices=prices)
+    return PriceSeries(prices=prices)
 
 
 class TestToReturns:
@@ -108,10 +107,10 @@ class TestRegularize:
 
     def test_ridge_size(self):
         sigma = np.diag([1.0, 3.0])
-        fixed = regularize_covariance(sigma, eps=1e-3)
-        assert fixed[0, 0] == pytest.approx(1.0 + 1e-3 * 2.0, rel=1e-12)
+        fixed = regularize_covariance(sigma)
+        assert fixed[0, 0] == pytest.approx(1.0 + RIDGE_EPS * 2.0, rel=1e-12)
         assert fixed[0, 1] == 0.0
 
     def test_zero_trace_fallback(self):
-        fixed = regularize_covariance(np.zeros((2, 2)), eps=1e-4)
-        np.testing.assert_allclose(fixed, 1e-4 * np.eye(2))
+        fixed = regularize_covariance(np.zeros((2, 2)))
+        np.testing.assert_allclose(fixed, RIDGE_EPS * np.eye(2))

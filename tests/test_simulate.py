@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from mvlab.dynamic_policy import CevParams, MarketParams
-from mvlab.errors import DomainError, InstabilityError, ProtocolError
+from mvlab.errors import DomainError, HorizonError, InstabilityError, ProtocolError
 from mvlab.simulate import (
     HEDGE_NEUTRAL,
     PHYSICAL,
     PriceSeries,
     SimConfig,
     cev_paths,
-    correlated_normals,
     gbm_ensemble,
     gbm_paths,
     mc_anticipated_gain,
@@ -24,39 +23,16 @@ def cfg(n_assets=1, n_steps=52, dt=1 / 52, s0=1.0, seed=0, measure=PHYSICAL):
 
 class TestPriceSeries:
     def test_single_column_promotion(self):
-        ps = PriceSeries(times=[0.0, 1.0], prices=[1.0, 1.1])
+        ps = PriceSeries(prices=[1.0, 1.1])
         assert ps.prices.shape == (2, 1)
         assert ps.n_assets == 1
-        assert ps.n_steps == 1
-
-    def test_nonmonotone_times_rejected(self):
-        with pytest.raises(ValueError):
-            PriceSeries(times=[0.0, 1.0, 1.0], prices=[1.0, 1.1, 1.2])
-
-
-class TestCorrelatedNormals:
-    def test_sample_correlation(self):
-        corr = np.array([[1.0, 0.6], [0.6, 1.0]])
-        z = correlated_normals(corr, 200_000, seed=1)
-        got = np.corrcoef(z.T)
-        np.testing.assert_allclose(got, corr, atol=0.01)
-
-    def test_singular_correlation_allowed(self):
-        corr = np.ones((2, 2))  # rank one: perfectly correlated
-        z = correlated_normals(corr, 1000, seed=2)
-        np.testing.assert_allclose(z[:, 0], z[:, 1], atol=1e-10)
-
-    def test_indefinite_rejected(self):
-        corr = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(DomainError):
-            correlated_normals(corr, 100, seed=0)
 
 
 class TestGbmPaths:
     def test_deterministic_when_sigma_zero(self):
         m = MarketParams.single(0.1, 0.0, 0.02, 1.0, 1.0)
         ps = gbm_paths(m, cfg(n_steps=52))
-        np.testing.assert_allclose(ps.prices[:, 0], np.exp(0.1 * ps.times),
+        np.testing.assert_allclose(ps.prices[:, 0], np.exp(0.1 * np.arange(53) / 52),
                                    rtol=1e-12)
 
     def test_seed_reproducibility(self):
@@ -140,6 +116,13 @@ class TestCevPaths:
         assert np.array_equal(prices, euler_loop(c, config))
         assert prices[-1, 1] == 1e-8 and np.all(prices[-1, [0, 2]] > 0.5)
 
+    def test_singular_correlation_allowed(self):
+        # rank one: two equal assets driven by one shock move together
+        c = CevParams(mu=[0.1, 0.1], sigma_bar=[0.3, 0.3], alpha=1.0,
+                      corr=np.ones((2, 2)), r=0.025, T=1.0, gamma=1.0)
+        prices = cev_paths(c, cfg(n_assets=2, seed=2)).prices
+        np.testing.assert_allclose(prices[:, 0], prices[:, 1], rtol=1e-12)
+
     def test_alpha_zero_matches_gbm_weakly(self):
         # Euler CEV with alpha=0 is Euler GBM; drift matches to O(dt)
         c = cev1(alpha=0.0)
@@ -176,7 +159,7 @@ class TestRnWeights:
     def test_zero_sharpe_unit_weight(self):
         m = MarketParams.single(0.025, 0.2, 0.025, 1.0, 1.0)
         ps = gbm_paths(m, cfg(seed=4))
-        assert rn_weights(m, ps.times, ps.prices[:, 0]) == pytest.approx(1.0, rel=1e-12)
+        assert rn_weights(m, np.arange(53) / 52, ps.prices[:, 0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_expectation_one(self):
         m = MarketParams.single(0.125, np.sqrt(0.2), 0.025, 1.0, 1.0)
@@ -234,10 +217,15 @@ class TestMcAnticipatedGain:
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
             mc_anticipated_gain(cev1(), -1.0, 0.0, 1000, 0)
-        with pytest.raises(DomainError):
-            mc_anticipated_gain(cev1(), 1.0, 2.0, 1000, 0)
         with pytest.raises(ValueError):
             mc_anticipated_gain(cev1(), 1.0, 0.0, 50, 0)
+
+    @pytest.mark.parametrize("model", [cev1(), MarketParams.single(0.1, 0.2, 0.025, 1.0, 1.0)],
+                             ids=["cev", "gbm"])
+    @pytest.mark.parametrize("t", [-0.5, 2.0])
+    def test_time_outside_horizon_is_horizon_error(self, model, t):
+        with pytest.raises(HorizonError, match=r"outside horizon \[0, 1.0\]"):
+            mc_anticipated_gain(model, 1.0, t, 1000, 0)
 
 
 class TestSimConfig:
