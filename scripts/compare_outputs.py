@@ -35,6 +35,10 @@ COMMANDS = [
     ["report", "--input", "static/wealth.csv", "--base", "10", "--out", "report"],
     ["mvo", "--mu", "0.1,0.2", "--sigma", "1,0;0,1", "--target", "0.15", "--out", "mvo-flags"],
     ["mvo", "--input", CEV, "--target", "0.15", "--out", "mvo-input"],
+    ["policy", "--type", "simple", "--mu", "0.125", "--sigma", "0.4472135954999579",
+     "--horizon", "10", "--out", "policy-simple"],
+    ["policy", "--type", "multi", "--mu", "0.1,0.14", "--sigma", "0.3,0;0.1,0.25",
+     "--horizon", "2", "--time", "0.5", "--out", "policy-multi"],
     ["policy", "--type", "cev", "--mu", "0.125", "--sigma-bar", "0.2", "--alpha", "1",
      "--horizon", "1", "--out", "policy-cev"],
     ["compare-precommit", "--horizon", "10", "--paths", "20000", "--seed", "3",

@@ -14,9 +14,7 @@ from .dynamic_policy import (
     anticipated_gain_gbm,
     cev_anticipated_gain_exact,
     cev_policy,
-    cev_policy_multi,
     lattice_equilibrium_oracle,
-    multi_policy,
     simple_policy,
 )
 from .estimate import ParamEstimate, regularize_covariance, rolling_estimates, to_returns

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, backtest, dynamic_policy, estimate, metrics, simulate, static_mvo, wealth_analysis
-from .errors import DataError, MvlabError, ProtocolError, WarmupError
+from .errors import DataError, DomainError, MvlabError, ProtocolError, WarmupError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -162,6 +162,8 @@ def cmd_simulate(args):
     n, variance, mean, s0 = args.assets, args.variance, args.mean, args.s0
     if variance < 0:
         raise DataError(f"variance {variance} is negative")
+    if not np.isfinite(variance):   # inf would turn the loading's zeros into NaN
+        raise DomainError(f"variance {variance} is not finite")
     T = args.weeks / estimate.WEEKS_PER_YEAR
     corr = np.full((n, n), args.corr)
     np.fill_diagonal(corr, 1.0)
@@ -245,14 +247,13 @@ def cmd_policy(args):
         c = dynamic_policy.CevParams(
             mu=mu, sigma_bar=sigma_bar, alpha=np.full(n, args.alpha),
             corr=corr, r=args.rate, T=T, gamma=args.gamma)
-        pol = dynamic_policy.cev_policy_multi(c, prices, t)
+        pol = dynamic_policy.cev_policy(c, prices, t)
     else:
         sigma = _parse_matrix(args.sigma) if ";" in args.sigma \
             else np.diag(_parse_vector(args.sigma))
         m = dynamic_policy.MarketParams(mu=mu, sigma=sigma, r=args.rate,
                                         T=T, gamma=args.gamma)
-        pol = (dynamic_policy.simple_policy(m, t) if args.type == "simple"
-               else dynamic_policy.multi_policy(m, t))
+        pol = dynamic_policy.simple_policy(m, t)
     _emit_json(args, "policy", {
         "theta": list(pol.theta),
         "myopic": list(pol.myopic),

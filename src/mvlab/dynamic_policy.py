@@ -1,8 +1,8 @@
 """Time-consistent dynamic mean-variance policies.
 
-Closed forms for constant-parameter geometric Brownian motion (single and
-multi-asset) and for constant-elasticity-of-variance economies, each split
-into a myopic and a hedging component, plus:
+Closed forms for constant-parameter geometric Brownian motion and for
+constant-elasticity-of-variance economies of one or several assets, each
+split into a myopic and a hedging component, plus:
 
 * the deterministic anticipated-gain formula for GBM and its exact CEV
   counterpart (solved from the moment ODE of S^-alpha under the
@@ -14,7 +14,7 @@ into a myopic and a hedging component, plus:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -29,6 +29,22 @@ _MAX_LATTICE_STEPS = 1 << 15
 
 def _as_vector(x) -> Array:
     return np.atleast_1d(np.asarray(x, dtype=np.float64))
+
+
+def _check_market(p) -> None:
+    """The checks MarketParams and CevParams share: at least one asset,
+    every field finite, gamma > 0, T > 0 and r >= 0."""
+    if p.n_assets == 0:
+        raise ValueError("market has no assets")
+    for f in fields(p):
+        if not np.all(np.isfinite(getattr(p, f.name))):
+            raise ValueError(f"{f.name} must be finite")
+    if p.gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if p.T <= 0:
+        raise ValueError("horizon must be positive")
+    if p.r < 0:
+        raise ValueError("riskless rate must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -53,20 +69,11 @@ class MarketParams:
             sigma = sigma.reshape(1, 1)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.T <= 0:
-            raise ValueError("horizon must be positive")
-        if self.r < 0:
-            raise ValueError("riskless rate must be nonnegative")
+        _check_market(self)
         n = mu.size
+        # sigma @ sigma.T is PSD by construction; policies check definiteness.
         if sigma.shape != (n, n):
             raise ValueError(f"sigma must be {n}x{n}, got {sigma.shape}")
-        # PSD is enough to simulate (sigma = 0 is a legal degenerate market);
-        # policy evaluation demands strict definiteness and checks it itself.
-        cov = sigma @ sigma.T
-        if np.min(np.linalg.eigvalsh(cov)) < -1e-12:
-            raise DefinitenessError("sigma @ sigma.T is not positive semidefinite")
 
     @classmethod
     def single(cls, mu: float, sigma: float, r: float, T: float, gamma: float) -> "MarketParams":
@@ -86,6 +93,8 @@ class MarketParams:
         """Market price of risk (mu - r) / sigma; single-asset markets only."""
         if self.n_assets != 1:
             raise ValueError("scalar Sharpe ratio requires a single asset")
+        if self.sigma[0, 0] == 0:
+            raise DefinitenessError("zero-volatility market has no market price of risk")
         return float((self.mu[0] - self.r) / self.sigma[0, 0])
 
 
@@ -118,6 +127,7 @@ class CevParams:
         object.__setattr__(self, "sigma_bar", sigma_bar)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "corr", corr)
+        _check_market(self)
         # sigma_bar = 0 is allowed for simulation (deterministic growth);
         # policy formulas divide by it and guard separately.
         if np.any(sigma_bar < 0):
@@ -128,12 +138,6 @@ class CevParams:
             raise ValueError("corr must be symmetric with unit diagonal")
         if np.min(np.linalg.eigvalsh(corr)) < -1e-10:
             raise ValueError("corr must be positive semidefinite")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.T <= 0:
-            raise ValueError("horizon must be positive")
-        if self.r < 0:
-            raise ValueError("riskless rate must be nonnegative")
 
     @classmethod
     def single(cls, mu: float, sigma_bar: float, alpha: float, r: float, T: float,
@@ -153,37 +157,15 @@ class Policy:
     myopic: Array
     hedging: Array
 
-    def __post_init__(self):
-        object.__setattr__(self, "myopic", _as_vector(self.myopic))
-        object.__setattr__(self, "hedging", _as_vector(self.hedging))
-        if self.myopic.shape != self.hedging.shape:
-            raise ValueError("myopic and hedging must have the same shape")
-
     @property
     def theta(self) -> Array:
         return self.myopic + self.hedging
 
 
 def _check_horizon(t: float, T: float) -> float:
-    if t < 0 or t > T:
+    if not 0 <= t <= T:
         raise HorizonError(f"time {t} outside horizon [0, {T}]")
     return T - t
-
-
-def simple_policy(m: MarketParams, t: float) -> Policy:
-    """Equilibrium policy for a single GBM asset.
-
-    With constant parameters the anticipated gain is deterministic, so the
-    hedging demand vanishes and only the discounted myopic demand remains.
-    """
-    if m.n_assets != 1:
-        raise ValueError("simple_policy requires a single-asset market")
-    tau = _check_horizon(t, m.T)
-    var = float(m.cov[0, 0])
-    if var <= 0:
-        raise DefinitenessError("zero-volatility market has no mean-variance policy")
-    myopic = (m.mu[0] - m.r) / (m.gamma * var) * np.exp(-m.r * tau)
-    return Policy(myopic=np.array([myopic]), hedging=np.zeros(1))
 
 
 def gbm_demand(mu: Array, cov: Array, r: float, gamma: float, tau) -> Array:
@@ -201,47 +183,26 @@ def gbm_demand(mu: Array, cov: Array, r: float, gamma: float, tau) -> Array:
     return x / gamma * np.asarray(np.exp(-r * tau))[..., None]
 
 
-def multi_policy(m: MarketParams, t: float) -> Policy:
-    """Equilibrium policy for several GBM assets; hedging demand is zero."""
+def simple_policy(m: MarketParams, t: float) -> Policy:
+    """Equilibrium policy of a GBM market of one or several assets: the
+    discounted myopic demand (gbm_demand) alone, since with constant
+    parameters the anticipated gain is deterministic and hedges nothing."""
     myopic = gbm_demand(m.mu, m.cov, m.r, m.gamma, _check_horizon(t, m.T))
     return Policy(myopic=myopic, hedging=np.zeros_like(myopic))
 
 
-def _rate_factor(alpha: Array, r: float, tau: float) -> Array:
-    """(exp(-alpha*r*tau) - 1) / r, with the removable r -> 0 limit -alpha*tau."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if abs(r) <= _ZERO_RATE_TOL:
-        return -alpha * tau
-    return np.expm1(-alpha * r * tau) / r
-
-
-def cev_policy(c: CevParams, S: float, t: float) -> Policy:
-    """Single-asset CEV equilibrium policy with explicit hedging demand."""
-    if c.n_assets != 1:
-        raise ValueError("cev_policy requires a single-asset market")
-    if S <= 0:
-        raise DomainError(f"price must be positive, got {S}")
-    tau = _check_horizon(t, c.T)
-    mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
-    if sb <= 0:
-        raise DefinitenessError("zero scale volatility has no mean-variance policy")
-    disc = np.exp(-c.r * tau)
-    myopic = (mu - c.r) / (c.gamma * sb * sb * S**alpha) * disc
-    sharpe_sq = ((mu - c.r) / (sb * S ** (alpha / 2.0))) ** 2
-    hedging = -sharpe_sq / c.gamma * float(_rate_factor(np.array([alpha]), c.r, tau)[0]) * disc
-    return Policy(myopic=np.array([myopic]), hedging=np.array([hedging]))
-
-
 def cev_demand(mu: Array, sigma_bar: Array, corr: Array, alpha: Array, S: Array,
                r: float, gamma: float, tau) -> tuple[Array, Array]:
-    """Myopic and hedging money per asset of the multi-asset CEV policy:
+    """Myopic and hedging money per asset of the CEV equilibrium policy:
     the single-asset formula applied through the inverse scale covariance
     sigma_bar_i sigma_bar_j corr_ij, componentwise in the price powers.
+    Hedging carries (exp(-alpha r tau) - 1) / r, -alpha tau as r -> 0.
 
     Works over leading axes: mu, sigma_bar, alpha and S (..., N), corr
     (..., N, N), tau (...).
     """
-    disc = np.asarray(np.exp(-r * tau))[..., None]
+    tau = np.asarray(tau)[..., None]
+    disc = np.exp(-r * tau)
     omega = sigma_bar[..., :, None] * sigma_bar[..., None, :] * corr
     excess = mu - r
     s_pow = S**alpha
@@ -250,19 +211,20 @@ def cev_demand(mu: Array, sigma_bar: Array, corr: Array, alpha: Array, S: Array,
         hedged = np.linalg.solve(omega, (excess**2 / s_pow)[..., None])[..., 0] / gamma
     except np.linalg.LinAlgError as exc:
         raise DefinitenessError("singular scale covariance") from exc
-    hedging = -hedged * _rate_factor(alpha, r, np.asarray(tau)[..., None]) * disc
-    return myopic, hedging
+    rate = -alpha * tau if abs(r) <= _ZERO_RATE_TOL else np.expm1(-alpha * r * tau) / r
+    return myopic, -hedged * rate * disc
 
 
-def cev_policy_multi(c: CevParams, S: Array, t: float) -> Policy:
-    """Multi-asset CEV policy of one market at prices S (see cev_demand)."""
+def cev_policy(c: CevParams, S: float | Array, t: float) -> Policy:
+    """CEV equilibrium policy at the price S of each asset (a scalar for a
+    single asset), with explicit hedging demand (cev_demand)."""
     S = _as_vector(S)
     if S.size != c.n_assets:
         raise ValueError(f"expected {c.n_assets} prices, got {S.size}")
-    if np.any(S <= 0):
-        raise DomainError("prices must be positive componentwise")
-    tau = _check_horizon(t, c.T)
-    myopic, hedging = cev_demand(c.mu, c.sigma_bar, c.corr, c.alpha, S, c.r, c.gamma, tau)
+    if not np.all(np.isfinite(S) & (S > 0)):
+        raise DomainError(f"prices must be positive and finite, got {S}")
+    myopic, hedging = cev_demand(c.mu, c.sigma_bar, c.corr, c.alpha, S, c.r, c.gamma,
+                                 _check_horizon(t, c.T))
     return Policy(myopic=myopic, hedging=hedging)
 
 

@@ -59,8 +59,8 @@ class SimConfig:
             raise ValueError("need at least one step")
         if s0.size != self.n_assets:
             raise ValueError(f"s0 must have length {self.n_assets}")
-        if np.any(s0 <= 0):
-            raise ValueError("initial prices must be positive")
+        if not np.all(np.isfinite(s0) & (s0 > 0)):
+            raise ValueError("initial prices must be positive and finite")
         if self.measure not in (PHYSICAL, HEDGE_NEUTRAL):
             raise ValueError(f"unknown measure {self.measure!r}")
 
@@ -123,8 +123,10 @@ def _cev_euler(s0, shape, drift, sigma_bar, alpha, dt: float, n_steps: int, draw
 
     An entry that touches floor = ABSORPTION_REL_FLOOR * s0 is absorbed and
     stays there.  Yields (s, alive) after each step, alive marking the
-    entries not absorbed before it; after the last step, raises
-    InstabilityError if more than half of the entries are absorbed.
+    entries not absorbed before it.  After the last step, raises
+    InstabilityError if an entry is not finite (callers step under one
+    np.errstate, so a diverging run warns nothing), if more than half are
+    absorbed, or if any with alpha > 0 is: that process never reaches 0.
     """
     floor = ABSORPTION_REL_FLOOR * s0
     sqdt = np.sqrt(dt)
@@ -135,18 +137,18 @@ def _cev_euler(s0, shape, drift, sigma_bar, alpha, dt: float, n_steps: int, draw
         s_new = s + s * (drift * dt + sigma_bar * s ** (alpha / 2.0) * sqdt * z)
         s = np.where(alive, np.maximum(s_new, floor), s)
         yield s, alive
-    absorbed = np.mean(s <= floor)
-    if absorbed > ABSORPTION_MAX_FRACTION:
-        raise InstabilityError(
-            f"{absorbed:.0%} of paths absorbed; use a smaller dt or milder alpha"
-        )
+    if not np.all(np.isfinite(s)):
+        raise InstabilityError("Euler steps diverged; use a smaller dt or milder alpha")
+    absorbed = s <= floor
+    if np.any(absorbed & (alpha > 0)) or np.mean(absorbed) > ABSORPTION_MAX_FRACTION:
+        raise InstabilityError(f"{np.sum(absorbed)} of {absorbed.size} paths absorbed; "
+                               "use a smaller dt or milder alpha")
 
 
 def cev_paths(c: CevParams, cfg: SimConfig) -> PriceSeries:
     """One panel of CEV prices via Euler-Maruyama with an absorption floor.
 
-    Paths that touch floor = 1e-8 * s0 are absorbed there; if more than half
-    of the assets end up absorbed the run is rejected as unstable.
+    Paths that touch floor = 1e-8 * s0 are absorbed there (see _cev_euler).
     """
     if cfg.n_assets != c.n_assets:
         raise ValueError("config and market disagree on asset count")
@@ -157,8 +159,9 @@ def cev_paths(c: CevParams, cfg: SimConfig) -> PriceSeries:
     prices[0] = cfg.s0
     steps = _cev_euler(cfg.s0, c.n_assets, drift, c.sigma_bar, c.alpha, cfg.dt,
                        cfg.n_steps, lambda: rng.standard_normal(c.n_assets) @ L.T)
-    for k, (s, _) in enumerate(steps, start=1):
-        prices[k] = s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (s, _) in enumerate(steps, start=1):
+            prices[k] = s
     return PriceSeries(prices=prices)
 
 
@@ -238,11 +241,13 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
     coef = (mu - c.r) ** 2 / (c.gamma * sb * sb)
     integrand = coef * np.full(paths, float(S0)) ** (-alpha)
     acc = np.zeros(paths)
-    for s, _ in _cev_euler(float(S0), paths, c.r, sb, alpha, dt, n_steps,
-                           lambda: rng.standard_normal(paths)):
-        new_integrand = coef * s ** (-alpha)
-        acc += 0.5 * (integrand + new_integrand) * dt
-        integrand = new_integrand
+    steps = _cev_euler(float(S0), paths, c.r, sb, alpha, dt, n_steps,
+                       lambda: rng.standard_normal(paths))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, _ in steps:
+            new_integrand = coef * s ** (-alpha)
+            acc += 0.5 * (integrand + new_integrand) * dt
+            integrand = new_integrand
     return McEstimate(value=float(np.mean(acc)),
                       stderr=float(np.std(acc, ddof=1) / np.sqrt(paths)))
 
@@ -271,12 +276,13 @@ def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
     dfs = []
     steps = _cev_euler(float(S), paths, c.mu[0], c.sigma_bar[0], c.alpha[0], dt,
                        n_steps, lambda: rng.standard_normal(paths))
-    for k, (s, alive) in enumerate(steps, start=1):
-        # t + n_steps * dt may overshoot T by an ulp
-        f = cev_anticipated_gain_exact(c, s, min(t + k * dt, c.T))
-        rets.append(np.where(alive, s / s_prev - 1.0, 0.0))
-        dfs.append(f - f_prev)
-        s_prev, f_prev = s, f
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (s, alive) in enumerate(steps, start=1):
+            # t + n_steps * dt may overshoot T by an ulp
+            f = cev_anticipated_gain_exact(c, s, min(t + k * dt, c.T))
+            rets.append(np.where(alive, s / s_prev - 1.0, 0.0))
+            dfs.append(f - f_prev)
+            s_prev, f_prev = s, f
     rets = np.concatenate(rets)
     dfs = np.concatenate(dfs)
     if np.std(dfs) < 1e-15 or np.std(rets) < 1e-15:

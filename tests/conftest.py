@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvlab import backtest, estimate, static_mvo
-from mvlab.dynamic_policy import CevParams, MarketParams, cev_policy_multi, multi_policy
+from mvlab.dynamic_policy import CevParams, MarketParams, cev_policy, simple_policy
 from mvlab.errors import DataError
 
 
@@ -30,6 +30,32 @@ def loop_cholesky(sigma):
         L[j, j] = np.sqrt(sigma[j, j] - L[j, :j] @ L[j, :j])
         L[j + 1:, j] = (sigma[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
     return L
+
+
+# ------------------------------------------- single-asset closed forms
+#
+# The equilibrium policies of one asset written out as scalar formulas,
+# apart from mvlab.dynamic_policy's matrix solves, so that the tests can
+# check its single-asset reductions against them.
+
+def gbm_scalar_policy(mu, sigma, r, T, gamma, t):
+    """(myopic, hedging) money of one GBM asset: the discounted myopic
+    demand (mu - r) / (gamma sigma^2) e^{-r (T - t)}, no hedging."""
+    return (mu - r) / (gamma * sigma * sigma) * np.exp(-r * (T - t)), 0.0
+
+
+def cev_scalar_policy(mu, sigma_bar, alpha, r, T, gamma, S, t):
+    """(myopic, hedging) money of one CEV asset at price S: the myopic
+    demand (mu - r) / (gamma sigma_bar^2 S^alpha) e^{-r tau} and the hedging
+    demand -(kappa^2 / gamma) (e^{-alpha r tau} - 1) / r e^{-r tau}, with
+    kappa = (mu - r) / (sigma_bar S^(alpha/2)) and the r -> 0 limit
+    -alpha tau of the rate factor."""
+    tau = T - t
+    disc = np.exp(-r * tau)
+    myopic = (mu - r) / (gamma * sigma_bar * sigma_bar * S**alpha) * disc
+    kappa_sq = ((mu - r) / (sigma_bar * S ** (alpha / 2.0))) ** 2
+    rate = -alpha * tau if r == 0 else np.expm1(-alpha * r * tau) / r
+    return myopic, -kappa_sq / gamma * rate * disc
 
 
 # ------------------------------------------------------- ledger oracle
@@ -83,7 +109,7 @@ def oracle_theta(cfg, est, prices_now, t_years, horizon):
     if cfg.strategy in ("simple", "multi"):
         m = MarketParams(mu=est.mu_hat, sigma=static_mvo.robust_cholesky(sigma),
                          r=cfg.r, T=horizon, gamma=cfg.gamma)
-        return multi_policy(m, t_years).theta, sigma
+        return simple_policy(m, t_years).theta, sigma
     vols = np.sqrt(np.diag(sigma))
     corr = sigma / np.outer(vols, vols)
     np.fill_diagonal(corr, 1.0)
@@ -92,7 +118,7 @@ def oracle_theta(cfg, est, prices_now, t_years, horizon):
                   alpha=np.full(n, cfg.alpha), corr=corr, r=cfg.r, T=horizon,
                   gamma=cfg.gamma)
     omega = np.outer(c.sigma_bar, c.sigma_bar) * corr
-    return cev_policy_multi(c, prices_now, t_years).theta, omega
+    return cev_policy(c, prices_now, t_years).theta, omega
 
 
 def oracle_backtest(prices, cfg):

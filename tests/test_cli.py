@@ -181,6 +181,14 @@ class TestPolicy:
             result["myopic"][0] + result["hedging"][0], rel=1e-12)
         assert result["hedging"][0] > 0
 
+    def test_simple_and_multi_print_the_same(self, capsys):
+        argv = ["--mu", "0.1,0.14", "--sigma", "0.3,0;0.1,0.25", "--gamma", "3"]
+        assert main(["policy", "--type", "simple", *argv]) == 0
+        simple = capsys.readouterr().out
+        assert main(["policy", "--type", "multi", *argv]) == 0
+        assert capsys.readouterr().out == simple
+        assert len(json.loads(simple)["theta"]) == 2
+
     def test_time_beyond_horizon_is_numerical_error(self):
         assert main(["policy", "--mu", "0.1", "--sigma", "0.2",
                      "--horizon", "1", "--time", "2"]) == 4
@@ -338,6 +346,31 @@ WEALTH_HEADER = "week_index,time_years,wealth,bond,stock_value\n"
     pytest.param({}, ["policy", "--mu", "0.1"], 3, "needs --sigma", id="policy-without-sigma"),
     pytest.param({}, ["policy", "--type", "cev", "--mu", "0.1"], 3, "needs --sigma-bar",
                  id="policy-cev-without-sigma-bar"),
+    pytest.param({}, ["policy", "--mu", "nan", "--sigma", "0.4", "--out", "o"], 4,
+                 "mu must be finite", id="policy-nan-mu"),
+    pytest.param({}, ["policy", "--mu", "0.1", "--sigma", "nan", "--out", "o"], 4,
+                 "sigma must be finite", id="policy-nan-sigma"),
+    pytest.param({}, ["policy", "--type", "cev", "--mu", "0.1", "--sigma-bar", "0.2",
+                      "--corr", "nan", "--out", "o"], 4, "corr must be finite",
+                 id="policy-cev-nan-corr"),
+    pytest.param({}, ["policy", "--mu", "0.1", "--sigma", "0.4", "--time", "nan",
+                      "--out", "o"], 4, "time nan outside horizon", id="policy-nan-time"),
+    pytest.param({}, ["simulate", "--mean", "nan", "--assets", "2", "--weeks", "5"], 4,
+                 "mu must be finite", id="simulate-nan-mean"),
+    pytest.param({}, ["simulate", "--variance", "inf", "--assets", "2", "--weeks", "5"], 4,
+                 "variance inf is not finite", id="simulate-gbm-inf-variance"),
+    pytest.param({}, ["simulate", "--model", "cev", "--variance", "inf", "--assets", "2",
+                      "--weeks", "5"], 4, "variance inf is not finite",
+                 id="simulate-cev-inf-variance"),
+    pytest.param({}, ["simulate", "--model", "cev", "--variance", "nan", "--assets", "2",
+                      "--weeks", "5"], 4, "variance nan is not finite",
+                 id="simulate-cev-nan-variance"),
+    pytest.param({}, ["simulate", "--s0", "inf", "--assets", "2", "--weeks", "5"], 4,
+                 "initial prices must be positive and finite", id="simulate-inf-s0"),
+    pytest.param({}, ["simulate", "--assets", "0", "--weeks", "5"], 4, "market has no assets",
+                 id="simulate-no-assets"),
+    pytest.param({}, ["compare-precommit", "--sigma", "0", "--paths", "10000", "--out", "o"],
+                 4, "zero-volatility market", id="compare-precommit-zero-sigma"),
 ])
 def test_bad_input_exits_with_one_error_line(tmp_path, monkeypatch, capsys, files, argv, code,
                                              said):

@@ -7,9 +7,7 @@ from mvlab.dynamic_policy import (
     anticipated_gain_gbm,
     cev_anticipated_gain_exact,
     cev_policy,
-    cev_policy_multi,
     lattice_equilibrium_oracle,
-    multi_policy,
     simple_policy,
 )
 from mvlab.errors import (
@@ -20,6 +18,8 @@ from mvlab.errors import (
     ResourceError,
 )
 from mvlab.simulate import hedging_covariance_check, mc_anticipated_gain
+
+from conftest import cev_scalar_policy, gbm_scalar_policy
 
 MKT = dict(mu=0.125, sigma=np.sqrt(0.2), r=0.025, T=10.0, gamma=1.0)
 
@@ -71,26 +71,29 @@ class TestSimplePolicy:
 class TestMultiPolicy:
     def test_identity_covariance(self):
         m = MarketParams(mu=[0.125, 0.125], sigma=np.eye(2), r=0.025, T=1.0, gamma=2.0)
-        pol = multi_policy(m, t=1.0)
+        pol = simple_policy(m, t=1.0)
         np.testing.assert_allclose(pol.theta, [0.05, 0.05], rtol=1e-12)
 
     def test_single_asset_reduction(self):
-        m = single()
-        for t in (0.0, 5.0):
-            assert multi_policy(m, t).theta[0] == simple_policy(m, t).theta[0]
+        for gamma, t in ((1.0, 0.0), (1.0, 5.0), (7.0, 0.0), (7.0, 5.0)):
+            m = single(gamma=gamma)
+            myopic, hedging = gbm_scalar_policy(m.mu[0], m.sigma[0, 0], m.r, m.T, gamma, t)
+            pol = simple_policy(m, t)
+            assert pol.myopic[0] == pytest.approx(myopic, rel=1e-15)
+            assert pol.hedging[0] == hedging
 
     def test_residual(self, rng):
         a = rng.normal(size=(5, 5))
         m = MarketParams(mu=rng.normal(0.1, 0.05, 5), sigma=a + 2 * np.eye(5),
                          r=0.02, T=3.0, gamma=1.5)
         t = 1.0
-        pol = multi_policy(m, t)
+        pol = simple_policy(m, t)
         rhs = (m.mu - m.r) / m.gamma * np.exp(-m.r * (m.T - t))
         assert np.max(np.abs(m.cov @ pol.theta - rhs)) <= 1e-10
 
     def test_decomposition_exact(self, rng):
         m = MarketParams(mu=[0.1, 0.15], sigma=np.eye(2), r=0.02, T=2.0, gamma=1.0)
-        pol = multi_policy(m, 0.5)
+        pol = simple_policy(m, 0.5)
         np.testing.assert_array_equal(pol.theta, pol.myopic + pol.hedging)
 
 
@@ -167,32 +170,37 @@ class TestCevPolicyMulti:
                       corr=corr, r=0.02, T=2.0, gamma=1.0)
         loading = np.linalg.cholesky(np.outer([0.2, 0.25], [0.2, 0.25]) * corr)
         m = MarketParams(mu=[0.1, 0.12], sigma=loading, r=0.02, T=2.0, gamma=1.0)
-        pol = cev_policy_multi(c, S=[1.0, 3.0], t=0.5)
-        ref = multi_policy(m, 0.5)
+        pol = cev_policy(c, S=[1.0, 3.0], t=0.5)
+        ref = simple_policy(m, 0.5)
         np.testing.assert_allclose(pol.theta, ref.theta, rtol=1e-12)
 
     def test_single_asset_reduction(self):
-        c = cev_single()
-        pol = cev_policy_multi(c, S=[1.4], t=0.25)
-        ref = cev_policy(c, S=1.4, t=0.25)
-        assert pol.myopic[0] == ref.myopic[0]
-        assert pol.hedging[0] == ref.hedging[0]
+        for r in (0.0, 0.025):
+            c = cev_single(r=r, gamma=3.0)
+            pol = cev_policy(c, S=[1.4], t=0.25)
+            myopic, hedging = cev_scalar_policy(0.125, 0.2, 1.0, r, 1.0, 3.0, S=1.4, t=0.25)
+            assert pol.myopic[0] == pytest.approx(myopic, rel=1e-14)
+            assert pol.hedging[0] == pytest.approx(hedging, rel=1e-14)
 
     def test_diagonal_separability(self):
         c = CevParams(mu=[0.1, 0.14], sigma_bar=[0.2, 0.3], alpha=[1.0, -0.5],
                       corr=np.eye(2), r=0.03, T=2.0, gamma=2.0)
         S = np.array([1.2, 0.8])
-        pol = cev_policy_multi(c, S, t=0.5)
+        pol = cev_policy(c, S, t=0.5)
         for i in range(2):
-            ci = CevParams.single(c.mu[i], c.sigma_bar[i], c.alpha[i],
-                                  c.r, c.T, c.gamma)
-            ref = cev_policy(ci, S[i], 0.5)
-            assert pol.myopic[i] == pytest.approx(ref.myopic[0], abs=1e-12)
-            assert pol.hedging[i] == pytest.approx(ref.hedging[0], abs=1e-12)
+            myopic, hedging = cev_scalar_policy(c.mu[i], c.sigma_bar[i], c.alpha[i],
+                                                c.r, c.T, c.gamma, S[i], 0.5)
+            assert pol.myopic[i] == pytest.approx(myopic, abs=1e-12)
+            assert pol.hedging[i] == pytest.approx(hedging, abs=1e-12)
 
     def test_nonpositive_price(self):
-        with pytest.raises(DomainError):
-            cev_policy_multi(cev_single(), S=[0.0], t=0.0)
+        for S in (0.0, [-1.0], [np.nan], [np.inf]):
+            with pytest.raises(DomainError):
+                cev_policy(cev_single(), S=S, t=0.0)
+
+    def test_price_count_must_match(self):
+        with pytest.raises(ValueError, match="expected 1 prices"):
+            cev_policy(cev_single(), S=[1.0, 2.0], t=0.0)
 
 
 class TestAnticipatedGain:
@@ -306,6 +314,12 @@ class TestHedgingCovariance:
         rep = hedging_covariance_check(c, S, t, paths, seed=4, n_steps=n_steps)
         assert rep.correlation == expected
 
+    def test_diverging_run_is_unstable(self):
+        # alpha = 2.5 overflows the Euler step; the correlation read NaN
+        with pytest.raises(InstabilityError, match="diverged"):
+            hedging_covariance_check(CevParams.single(0.125, 0.3, 2.5, 0.025, 10.0, 1.0),
+                                     S=1.0, t=0.0, paths=4000, seed=4)
+
     def test_mass_absorption_is_unstable(self):
         # the CEV step shared with cev_paths and mc_anticipated_gain rejects
         # a run that absorbs more than half of its paths
@@ -360,3 +374,57 @@ class TestValidation:
         m = MarketParams.single(0.1, 0.0, 0.02, 1.0, 1.0)
         with pytest.raises(DefinitenessError):
             simple_policy(m, 0.0)
+
+    def test_zero_volatility_sharpe_rejected(self):
+        m = MarketParams.single(0.1, 0.0, 0.02, 1.0, 1.0)
+        with pytest.raises(DefinitenessError):
+            m.sharpe
+
+    def test_rank_deficient_loading_accepted(self):
+        # sigma @ sigma.T is PSD by construction; at this scale its smallest
+        # computed eigenvalues are rounding noise near -1e-10
+        rng = np.random.default_rng(0)
+        sigma = 100.0 * rng.normal(size=(10, 3)) @ rng.normal(size=(3, 10))
+        m = MarketParams(mu=np.full(10, 0.1), sigma=sigma, r=0.02, T=1.0, gamma=1.0)
+        assert np.min(np.linalg.eigvalsh(m.cov)) < -1e-12
+        assert np.linalg.matrix_rank(m.sigma) == 3
+
+    @pytest.mark.parametrize("field", ["mu", "sigma", "r", "T", "gamma"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gbm_market_rejected(self, field, bad):
+        kw = dict(mu=[0.1, 0.1], sigma=np.eye(2), r=0.02, T=1.0, gamma=1.0)
+        kw[field] = np.full(np.shape(kw[field]), bad)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MarketParams(**kw)
+
+    @pytest.mark.parametrize("field", ["mu", "sigma_bar", "alpha", "corr", "r", "T", "gamma"])
+    def test_non_finite_cev_market_rejected(self, field):
+        kw = dict(mu=[0.1, 0.1], sigma_bar=[0.2, 0.2], alpha=[1.0, 1.0], corr=np.eye(2),
+                  r=0.02, T=1.0, gamma=1.0)
+        kw[field] = np.full(np.shape(kw[field]), np.nan)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CevParams(**kw)
+
+    def test_empty_market_rejected(self):
+        with pytest.raises(ValueError, match="no assets"):
+            MarketParams(mu=np.zeros(0), sigma=np.zeros((0, 0)), r=0.02, T=1.0, gamma=1.0)
+        with pytest.raises(ValueError, match="no assets"):
+            CevParams(mu=np.zeros(0), sigma_bar=np.zeros(0), alpha=np.zeros(0),
+                      corr=np.zeros((0, 0)), r=0.02, T=1.0, gamma=1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda **kw: MarketParams.single(0.1, 0.2, **kw),
+        lambda **kw: CevParams.single(0.1, 0.2, 1.0, **kw),
+    ], ids=["gbm", "cev"])
+    @pytest.mark.parametrize("over, said", [
+        ({"gamma": 0.0}, "gamma must be positive"),
+        ({"T": 0.0}, "horizon must be positive"),
+        ({"r": -0.01}, "riskless rate must be nonnegative"),
+    ])
+    def test_shared_scalar_checks(self, make, over, said):
+        with pytest.raises(ValueError, match=said):
+            make(**{"r": 0.02, "T": 1.0, "gamma": 1.0, **over})
+
+    def test_nan_time_is_horizon_error(self):
+        with pytest.raises(HorizonError):
+            simple_policy(single(), np.nan)

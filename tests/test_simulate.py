@@ -145,6 +145,15 @@ class TestCevPaths:
             cev_paths(c, SimConfig(n_assets=1, n_steps=260, dt=1 / 52,
                                    s0=0.01, seed=1))
 
+    def test_absorbed_asset_at_positive_alpha_is_unstable(self):
+        # the panel of test_absorbing_panel_matches_step_by_step_euler at
+        # alpha = 1: the true process cannot reach the floor, so one absorbed
+        # asset of three is a discretisation failure
+        c = CevParams(mu=[0.1, 0.1, 0.1], sigma_bar=[0.2, 6.0, 0.2], alpha=1.0,
+                      corr=np.eye(3), r=0.025, T=2.0, gamma=1.0)
+        with pytest.raises(InstabilityError, match="1 of 3 paths absorbed"):
+            cev_paths(c, SimConfig(n_assets=3, n_steps=100, dt=1 / 52, s0=1.0, seed=1))
+
     def test_hedge_neutral_drift(self):
         c = cev1()
         terminal = []
@@ -219,6 +228,13 @@ class TestMcAnticipatedGain:
             mc_anticipated_gain(cev1(), -1.0, 0.0, 1000, 0)
         with pytest.raises(ValueError):
             mc_anticipated_gain(cev1(), 1.0, 0.0, 50, 0)
+
+    def test_absorption_at_positive_alpha_is_unstable(self):
+        # at alpha = 2.5 an absorbed path adds S^-alpha ~ 1e20 to the
+        # integrand; the estimate read 1.83e16 against the exact 0.195
+        c = CevParams.single(0.125, 0.3, 2.5, 0.025, 2.0, 1.5)
+        with pytest.raises(InstabilityError, match="85 of 20000 paths absorbed"):
+            mc_anticipated_gain(c, 1.0, 0.0, 20_000, 5, n_steps=100)
 
     @pytest.mark.parametrize("model", [cev1(), MarketParams.single(0.1, 0.2, 0.025, 1.0, 1.0)],
                              ids=["cev", "gbm"])
