@@ -4,10 +4,12 @@
 
 Runs a fixed list of seeded `mvlab` commands once per tree, each tree in a
 fresh temporary directory, through `python -m mvlab.cli` with PYTHONPATH set
-to that tree's `src` directory and OPENBLAS_NUM_THREADS=1.  Compares the
-exit code of every command and every file written, manifests included,
-byte for byte.  Prints one line per command and per file, and exits 1 on
-any difference.  Standard library only.
+to that tree's `src` directory and OPENBLAS_NUM_THREADS=1.  Then runs each
+probe, a Python snippet that prints seeded library results no command
+writes, with its stdout going to a file of that directory.  Compares the
+exit code of every command and probe and every file written, manifests
+included, byte for byte.  Prints one line per command, probe and file, and
+exits 1 on any difference.  Standard library only.
 """
 
 from __future__ import annotations
@@ -45,17 +47,38 @@ COMMANDS = [
      "--out", "compare"],
 ]
 
+# Criterion 07's three Monte Carlo gains (the CEV Monte Carlo kernel at
+# 150k paths x 500 steps, which no command reaches).  Each line is the repr
+# of an McEstimate's value and stderr, the fields every tree's has.
+PROBES = {
+    "criterion07-mc.txt": (
+        "import mvlab\n"
+        "c = mvlab.CevParams.single(0.125, 0.2, 1.0, 0.025, 1.0, 1.0)\n"
+        "for s0 in (1.01, 0.99, 1.0):\n"
+        "    e = mvlab.mc_anticipated_gain(c, s0, 0.0, 150_000, 7, n_steps=500)\n"
+        "    print(repr(e.value), repr(e.stderr))\n"),
+}
+
+RUNS = [" ".join(argv) for argv in COMMANDS] + [f"probe {name}" for name in PROBES]
+
 
 def run_all(src: str, work: str) -> list[tuple[int, str]]:
-    """(exit code, last stderr line) of each command, run in order in `work`."""
+    """(exit code, last stderr line) of each command, then of each probe,
+    run in order in `work`."""
     env = {k: v for k, v in os.environ.items() if k != "MVLAB_OUT"}
     env.update(PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1")
     results = []
-    for argv in COMMANDS:
-        proc = subprocess.run([sys.executable, "-m", "mvlab.cli", *argv], cwd=work, env=env,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                              timeout=600)
+
+    def run(cmd, stdout):
+        proc = subprocess.run(cmd, cwd=work, env=env, stdout=stdout, stderr=subprocess.PIPE,
+                              text=True, timeout=600)
         results.append((proc.returncode, (proc.stderr.strip().splitlines() or [""])[-1]))
+
+    for argv in COMMANDS:
+        run([sys.executable, "-m", "mvlab.cli", *argv], subprocess.DEVNULL)
+    for name, code in PROBES.items():
+        with open(os.path.join(work, name), "w") as out:
+            run([sys.executable, "-c", code], out)
     return results
 
 
@@ -78,10 +101,10 @@ def main(argv: list[str]) -> int:
         old_codes, new_codes = run_all(old_src, old_work), run_all(new_src, new_work)
         old_files, new_files = files_under(old_work), files_under(new_work)
     differ = 0
-    for argv_, (old_code, old_err), (new_code, new_err) in zip(COMMANDS, old_codes, new_codes):
+    for label, (old_code, old_err), (new_code, new_err) in zip(RUNS, old_codes, new_codes):
         same = old_code == new_code
         differ += not same
-        line = f"{'same' if same else 'DIFF'} exit {old_code} -> {new_code}: {' '.join(argv_)}"
+        line = f"{'same' if same else 'DIFF'} exit {old_code} -> {new_code}: {label}"
         if old_err != new_err:
             line += f"\n    stderr {old_err!r} -> {new_err!r}"
         print(line)

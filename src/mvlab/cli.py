@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, backtest, dynamic_policy, estimate, metrics, simulate, static_mvo, wealth_analysis
-from .errors import DataError, DomainError, MvlabError, ProtocolError, WarmupError
+from .errors import DataError, MvlabError, ProtocolError, WarmupError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -162,8 +162,6 @@ def cmd_simulate(args):
     n, variance, mean, s0 = args.assets, args.variance, args.mean, args.s0
     if variance < 0:
         raise DataError(f"variance {variance} is negative")
-    if not np.isfinite(variance):   # inf would turn the loading's zeros into NaN
-        raise DomainError(f"variance {variance} is not finite")
     T = args.weeks / estimate.WEEKS_PER_YEAR
     corr = np.full((n, n), args.corr)
     np.fill_diagonal(corr, 1.0)
@@ -277,6 +275,18 @@ def cmd_report(args):
 
 # ------------------------------------------------------------- parser
 
+def _finite_float(text: str) -> float:
+    """The type of every float flag: a NaN or infinite value is a usage
+    error that names the flag, like a non-numeric one."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # A prefix of a flag, or of a config key, is an error, not that flag.
     no_prefixes = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
@@ -293,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["gbm", "cev"], default="gbm")
     p.add_argument("--assets", default=50, type=int)
     p.add_argument("--weeks", default=523, type=int)
-    p.add_argument("--mean", default=0.125, type=float)
-    p.add_argument("--variance", default=0.2, type=float)
-    p.add_argument("--corr", default=0.05, type=float)
-    p.add_argument("--alpha", default=0.0, type=float)
-    p.add_argument("--rate", default=0.025, type=float)
-    p.add_argument("--s0", default=100.0, type=float)
+    p.add_argument("--mean", default=0.125, type=_finite_float)
+    p.add_argument("--variance", default=0.2, type=_finite_float)
+    p.add_argument("--corr", default=0.05, type=_finite_float)
+    p.add_argument("--alpha", default=0.0, type=_finite_float)
+    p.add_argument("--rate", default=0.025, type=_finite_float)
+    p.add_argument("--s0", default=100.0, type=_finite_float)
     p.add_argument("--seed", default=0, type=int)
     p.add_argument("--measure", choices=[simulate.PHYSICAL, simulate.HEDGE_NEUTRAL],
                    default=simulate.PHYSICAL)
@@ -308,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backtest", help="run a weekly rolling backtest")
     p.add_argument("--input", required=True)
     p.add_argument("--strategy", choices=list(backtest.STRATEGIES), default="simple")
-    p.add_argument("--target", default=0.15, type=float)
-    p.add_argument("--alpha", default=0.0, type=float)
-    p.add_argument("--gamma", default=1.0, type=float)
-    p.add_argument("--rate", default=0.025, type=float)
+    p.add_argument("--target", default=0.15, type=_finite_float)
+    p.add_argument("--alpha", default=0.0, type=_finite_float)
+    p.add_argument("--gamma", default=1.0, type=_finite_float)
+    p.add_argument("--rate", default=0.025, type=_finite_float)
     p.add_argument("--batch-len", dest="batch_len", default=26, type=int)
-    p.add_argument("--notional", default=1.0, type=float)
-    p.add_argument("--base", default=1.0, type=float)
+    p.add_argument("--notional", default=1.0, type=_finite_float)
+    p.add_argument("--base", default=1.0, type=_finite_float)
     common(p)
     p.set_defaults(func=cmd_backtest)
 
@@ -322,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", default=None, help="comma-separated returns")
     p.add_argument("--sigma", default=None, help="semicolon-separated rows")
     p.add_argument("--input", default=None, help="price CSV to estimate from")
-    p.add_argument("--target", default=0.15, type=float)
+    p.add_argument("--target", default=0.15, type=_finite_float)
     common(p)
     p.set_defaults(func=cmd_mvo)
 
@@ -331,24 +341,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True)
     p.add_argument("--sigma", default=None, help="loading matrix (GBM)")
     p.add_argument("--sigma-bar", dest="sigma_bar", default=None)
-    p.add_argument("--alpha", default=0.0, type=float)
+    p.add_argument("--alpha", default=0.0, type=_finite_float)
     p.add_argument("--corr", default=None)
     p.add_argument("--price", default="1.0")
-    p.add_argument("--rate", default=0.025, type=float)
-    p.add_argument("--horizon", default=10.0, type=float)
-    p.add_argument("--time", default=0.0, type=float)
-    p.add_argument("--gamma", default=1.0, type=float)
+    p.add_argument("--rate", default=0.025, type=_finite_float)
+    p.add_argument("--horizon", default=10.0, type=_finite_float)
+    p.add_argument("--time", default=0.0, type=_finite_float)
+    p.add_argument("--gamma", default=1.0, type=_finite_float)
     common(p)
     p.set_defaults(func=cmd_policy)
 
     p = sub.add_parser("compare-precommit",
                        help="Monte Carlo precommitment vs time-consistent")
-    p.add_argument("--mu", default=0.125, type=float)
-    p.add_argument("--sigma", default=float(np.sqrt(0.2)), type=float)
-    p.add_argument("--rate", default=0.025, type=float)
-    p.add_argument("--horizon", default=10.0, type=float)
-    p.add_argument("--gamma", default=1.0, type=float)
-    p.add_argument("--w0", default=0.0, type=float)
+    p.add_argument("--mu", default=0.125, type=_finite_float)
+    p.add_argument("--sigma", default=float(np.sqrt(0.2)), type=_finite_float)
+    p.add_argument("--rate", default=0.025, type=_finite_float)
+    p.add_argument("--horizon", default=10.0, type=_finite_float)
+    p.add_argument("--gamma", default=1.0, type=_finite_float)
+    p.add_argument("--w0", default=0.0, type=_finite_float)
     p.add_argument("--paths", default=100_000, type=int)
     p.add_argument("--seed", default=0, type=int)
     common(p)
@@ -356,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="performance statistics of a wealth CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--base", default=1.0, type=float)
+    p.add_argument("--base", default=1.0, type=_finite_float)
     common(p)
     p.set_defaults(func=cmd_report)
 

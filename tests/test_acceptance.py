@@ -250,6 +250,7 @@ def test_criterion_07_cev_policy_verification():
     exact = cev_anticipated_gain_exact(BENCH, 1.0, 0.0)
     est = mc_anticipated_gain(BENCH, 1.0, 0.0, 150_000, 7, n_steps=500)
     ok_c = abs(est.value - exact) <= 3 * est.stderr + 1e-4
+    assert all(e.n_steps == 500 and e.absorbed == 0.0 for e in (up, dn, est))
     report(7, "CEV policy: reduction, hedging sensitivity, MC oracle",
            ok_a and ok_b and ok_c,
            f"a={abs(pa-pb)/abs(pb):.1e} b={rel_b:.1e} "

@@ -353,20 +353,38 @@ WEALTH_HEADER = "week_index,time_years,wealth,bond,stock_value\n"
     pytest.param({}, ["policy", "--type", "cev", "--mu", "0.1", "--sigma-bar", "0.2",
                       "--corr", "nan", "--out", "o"], 4, "corr must be finite",
                  id="policy-cev-nan-corr"),
+    # every float flag, on the command line or as a config key, is a finite float
     pytest.param({}, ["policy", "--mu", "0.1", "--sigma", "0.4", "--time", "nan",
-                      "--out", "o"], 4, "time nan outside horizon", id="policy-nan-time"),
-    pytest.param({}, ["simulate", "--mean", "nan", "--assets", "2", "--weeks", "5"], 4,
-                 "mu must be finite", id="simulate-nan-mean"),
-    pytest.param({}, ["simulate", "--variance", "inf", "--assets", "2", "--weeks", "5"], 4,
-                 "variance inf is not finite", id="simulate-gbm-inf-variance"),
+                      "--out", "o"], 2, "argument --time: 'nan' is not a finite number",
+                 id="policy-nan-time"),
+    pytest.param({}, ["simulate", "--mean", "nan", "--assets", "2", "--weeks", "5"], 2,
+                 "argument --mean: 'nan' is not a finite number", id="simulate-nan-mean"),
+    pytest.param({}, ["simulate", "--variance", "inf", "--assets", "2", "--weeks", "5"], 2,
+                 "argument --variance: 'inf' is not a finite number",
+                 id="simulate-gbm-inf-variance"),
     pytest.param({}, ["simulate", "--model", "cev", "--variance", "inf", "--assets", "2",
-                      "--weeks", "5"], 4, "variance inf is not finite",
+                      "--weeks", "5"], 2, "argument --variance: 'inf' is not a finite number",
                  id="simulate-cev-inf-variance"),
     pytest.param({}, ["simulate", "--model", "cev", "--variance", "nan", "--assets", "2",
-                      "--weeks", "5"], 4, "variance nan is not finite",
+                      "--weeks", "5"], 2, "argument --variance: 'nan' is not a finite number",
                  id="simulate-cev-nan-variance"),
-    pytest.param({}, ["simulate", "--s0", "inf", "--assets", "2", "--weeks", "5"], 4,
-                 "initial prices must be positive and finite", id="simulate-inf-s0"),
+    pytest.param({}, ["simulate", "--s0", "inf", "--assets", "2", "--weeks", "5"], 2,
+                 "argument --s0: 'inf' is not a finite number", id="simulate-inf-s0"),
+    pytest.param({}, ["mvo", "--mu", "0.1,0.2", "--sigma", "1,0;0,1", "--target", "nan"], 2,
+                 "argument --target: 'nan' is not a finite number", id="mvo-nan-target"),
+    pytest.param({}, ["compare-precommit", "--w0", "nan", "--paths", "1000"], 2,
+                 "argument --w0: 'nan' is not a finite number", id="compare-precommit-nan-w0"),
+    *[pytest.param({"p.csv": "date,A\n2007-10-29,1.0\n"},
+                   ["backtest", "--input", "p.csv", f"--{flag}={value}"], 2,
+                   f"argument --{flag}: '{value}' is not a finite number",
+                   id=f"backtest-{value}-{flag}")
+      for flag, value in [("rate", "nan"), ("gamma", "nan"), ("target", "nan"),
+                          ("alpha", "nan"), ("notional", "inf"), ("base", "-inf")]],
+    pytest.param({"p.csv": "date,A\n2007-10-29,1.0\n", "c.cfg": "target=nan\n"},
+                 ["backtest", "--input", "p.csv", "--config", "c.cfg"], 2,
+                 "argument --target: 'nan' is not a finite number", id="config-nan-target"),
+    pytest.param({"c.cfg": "s0=inf\n"}, ["simulate", "--config", "c.cfg"], 2,
+                 "argument --s0: 'inf' is not a finite number", id="config-inf-s0"),
     pytest.param({}, ["simulate", "--assets", "0", "--weeks", "5"], 4, "market has no assets",
                  id="simulate-no-assets"),
     pytest.param({}, ["compare-precommit", "--sigma", "0", "--paths", "10000", "--out", "o"],

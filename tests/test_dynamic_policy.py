@@ -17,7 +17,7 @@ from mvlab.errors import (
     InstabilityError,
     ResourceError,
 )
-from mvlab.simulate import hedging_covariance_check, mc_anticipated_gain
+from mvlab.simulate import PREFETCH_MIN_ENTRIES, hedging_covariance_check, mc_anticipated_gain
 
 from conftest import cev_scalar_policy, gbm_scalar_policy
 
@@ -267,6 +267,29 @@ class TestAnticipatedGain:
             mc_anticipated_gain(cev_single(), 1.0, 0.0, paths=10, seed=0)
 
 
+def hedging_loop(c, S, t, paths, seed, n_steps):
+    """Reference correlation of hedging_covariance_check: physical-measure
+    Euler steps absorbed at 1e-8 S, each step's normals drawn in turn, the
+    exact gain at each step's end time, one-step returns and gain changes
+    pooled over paths and steps."""
+    alpha = c.alpha[0]
+    dt = (c.T - t) / n_steps
+    rng = np.random.default_rng(seed)
+    s = np.full(paths, S)
+    f = cev_anticipated_gain_exact(c, S, t)
+    rets, dfs = [], []
+    for k in range(1, n_steps + 1):
+        z = rng.standard_normal(paths)
+        alive = s > 1e-8 * S
+        step = s + s * (c.mu[0] * dt + c.sigma_bar[0] * s ** (alpha / 2.0) * np.sqrt(dt) * z)
+        s_new = np.where(alive, np.maximum(step, 1e-8 * S), s)
+        f_new = cev_anticipated_gain_exact(c, s_new, t + k * dt)
+        rets.append(np.where(alive, s_new / s - 1.0, 0.0))
+        dfs.append(f_new - f)
+        s, f = s_new, f_new
+    return np.corrcoef(np.concatenate(rets), np.concatenate(dfs))[0, 1]
+
+
 class TestHedgingCovariance:
     def test_alpha_zero_uncorrelated(self):
         rep = hedging_covariance_check(cev_single(alpha=0.0), S=1.0, t=0.0,
@@ -291,28 +314,17 @@ class TestHedgingCovariance:
 
     @pytest.mark.parametrize("alpha", [-1.0, 1.0])
     def test_correlation_matches_step_by_step_loop(self, alpha):
-        # reference: physical-measure Euler steps absorbed at 1e-8 S, the
-        # exact gain at each step's end time, one-step returns and gain
-        # changes pooled over paths and steps
         c = cev_single(alpha=alpha, T=2.0)
-        S, t, paths, n_steps = 1.3, 0.2, 2000, 16
-        dt = (c.T - t) / n_steps
-        rng = np.random.default_rng(4)
-        s = np.full(paths, S)
-        f = cev_anticipated_gain_exact(c, S, t)
-        rets, dfs = [], []
-        for k in range(1, n_steps + 1):
-            z = rng.standard_normal(paths)
-            alive = s > 1e-8 * S
-            step = s + s * (c.mu[0] * dt + c.sigma_bar[0] * s ** (alpha / 2.0) * np.sqrt(dt) * z)
-            s_new = np.where(alive, np.maximum(step, 1e-8 * S), s)
-            f_new = cev_anticipated_gain_exact(c, s_new, t + k * dt)
-            rets.append(np.where(alive, s_new / s - 1.0, 0.0))
-            dfs.append(f_new - f)
-            s, f = s_new, f_new
-        expected = np.corrcoef(np.concatenate(rets), np.concatenate(dfs))[0, 1]
-        rep = hedging_covariance_check(c, S, t, paths, seed=4, n_steps=n_steps)
-        assert rep.correlation == expected
+        rep = hedging_covariance_check(c, 1.3, 0.2, 2000, seed=4, n_steps=16)
+        assert rep.correlation == hedging_loop(c, 1.3, 0.2, 2000, 4, 16)
+
+    def test_helper_thread_run_matches_step_by_step_loop(self):
+        # 2^17 paths draw their normals on the helper thread
+        paths = 2**17
+        assert paths >= PREFETCH_MIN_ENTRIES
+        c = cev_single(alpha=1.0, T=2.0)
+        rep = hedging_covariance_check(c, 1.3, 0.2, paths, seed=4, n_steps=16)
+        assert rep.correlation == hedging_loop(c, 1.3, 0.2, paths, 4, 16)
 
     def test_diverging_run_is_unstable(self):
         # alpha = 2.5 overflows the Euler step; the correlation read NaN

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from mvlab import simulate
 from mvlab.dynamic_policy import CevParams, MarketParams
 from mvlab.errors import DomainError, HorizonError, InstabilityError, ProtocolError
 from mvlab.simulate import (
@@ -244,6 +250,128 @@ class TestMcAnticipatedGain:
             mc_anticipated_gain(model, 1.0, t, 1000, 0)
 
 
+def mc_gain_loop(c, S0, paths, seed, n_steps):
+    """Reference (value, stderr) of mc_anticipated_gain from t = 0:
+    hedge-neutral Euler steps absorbed at 1e-8 S0, each step's normals
+    drawn in turn, and the trapezoid rule over the steps of
+    (mu - r)^2 / (gamma sigma_bar^2) S^-alpha."""
+    mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
+    dt = c.T / n_steps
+    rng = np.random.default_rng(seed)
+    coef = (mu - c.r) ** 2 / (c.gamma * sb * sb)
+    s = np.full(paths, S0)
+    f = coef * s ** (-alpha)
+    acc = np.zeros(paths)
+    for _ in range(n_steps):
+        z = rng.standard_normal(paths)
+        step = s + s * (c.r * dt + sb * s ** (alpha / 2.0) * np.sqrt(dt) * z)
+        s = np.where(s > 1e-8 * S0, np.maximum(step, 1e-8 * S0), s)
+        f_new = coef * s ** (-alpha)
+        acc += 0.5 * (f + f_new) * dt
+        f = f_new
+    return np.mean(acc), np.std(acc, ddof=1) / np.sqrt(paths)
+
+
+HELPER_PATHS = 2**17   # a state this large draws on the helper thread
+
+
+def normals(seed):
+    rng = np.random.default_rng(seed)
+    return lambda out: rng.standard_normal(out=out)
+
+
+class TestDrawsAhead:
+    def test_mc_gain_matches_step_by_step_loop(self):
+        assert HELPER_PATHS >= simulate.PREFETCH_MIN_ENTRIES
+        est = mc_anticipated_gain(cev1(), 1.0, 0.0, HELPER_PATHS, 7, n_steps=16)
+        assert (est.value, est.stderr) == mc_gain_loop(cev1(), 1.0, HELPER_PATHS, 7, 16)
+        assert est.n_steps == 16 and est.absorbed == 0.0
+
+    def test_one_thread_per_run_stopped_after_the_last_step(self):
+        baseline = threading.active_count()
+        steps = simulate._cev_euler(1.0, HELPER_PATHS, 0.025, 0.2, 1.0, 1e-3, 10, normals(0))
+        next(steps)
+        assert threading.active_count() == baseline + 1
+        for _ in steps:
+            pass
+        assert threading.active_count() == baseline
+
+    def test_small_state_draws_in_the_loop(self):
+        baseline = threading.active_count()
+        for _ in simulate._cev_euler(1.0, 1000, 0.025, 0.2, 1.0, 1e-3, 4, normals(0)):
+            assert threading.active_count() == baseline
+
+    def test_abandoned_run_stops_its_thread(self):
+        baseline = threading.active_count()
+        steps = simulate._cev_euler(1.0, HELPER_PATHS, 0.025, 0.2, 1.0, 1e-3, 50, normals(0))
+        next(steps)
+        next(steps)
+        assert threading.active_count() == baseline + 1
+        del steps
+        assert threading.active_count() == baseline
+
+    def test_instability_stops_the_thread(self):
+        # the alpha = 2.5 inputs of test_absorption_at_positive_alpha_is_unstable
+        baseline = threading.active_count()
+        c = CevParams.single(0.125, 0.3, 2.5, 0.025, 2.0, 1.5)
+        with pytest.raises(InstabilityError):
+            mc_anticipated_gain(c, 1.0, 0.0, HELPER_PATHS, 5, n_steps=100)
+        assert threading.active_count() == baseline
+
+    def test_error_in_the_callers_loop_stops_the_thread(self, monkeypatch):
+        calls = []
+
+        def failing_gain(c, S, t):
+            calls.append(t)
+            if len(calls) == 4:
+                raise KeyError("caller failed")
+            return np.zeros_like(S)
+
+        baseline = threading.active_count()
+        monkeypatch.setattr(simulate, "cev_anticipated_gain_exact", failing_gain)
+        with pytest.raises(KeyError, match="caller failed") as caught:
+            simulate.hedging_covariance_check(cev1(), 1.0, 0.0, HELPER_PATHS, 4, n_steps=16)
+        # the traceback, still held, keeps the caller's frame and its locals
+        assert caught.tb is not None
+        assert threading.active_count() == baseline
+
+    def test_error_in_draw_reaches_the_caller(self):
+        calls = []
+
+        def draw(out):
+            calls.append(out)
+            if len(calls) == 3:
+                raise RuntimeError("draw failed")
+            out.fill(0.0)
+
+        baseline = threading.active_count()
+        steps = simulate._cev_euler(1.0, HELPER_PATHS, 0.025, 0.2, 1.0, 1e-3, 10, draw)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            for _ in steps:
+                pass
+        assert threading.active_count() == baseline
+        assert len(calls) == 3
+
+    def test_draws_stop_at_the_last_step(self):
+        calls = []
+
+        def draw(out):
+            calls.append(out)
+            out.fill(0.0)
+
+        list(simulate._cev_euler(1.0, HELPER_PATHS, 0.025, 0.2, 1.0, 1e-3, 5, draw))
+        assert len(calls) == 5
+        # two buffers, filled in turn
+        assert [id(b) for b in calls[:2]] == [id(b) for b in calls[2:4]]
+
+    def test_cli_import_leaves_concurrent_futures_out(self):
+        code = "import sys, mvlab.cli; print('concurrent.futures' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(simulate.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out == "False\n"
+
+
 class TestSimConfig:
     def test_scalar_s0_broadcast(self):
         c = cfg(n_assets=3, s0=2.0)
@@ -256,3 +384,8 @@ class TestSimConfig:
     def test_nonpositive_s0(self):
         with pytest.raises(ValueError):
             cfg(s0=0.0)
+
+    @pytest.mark.parametrize("s0", [np.inf, np.nan])
+    def test_non_finite_s0(self, s0):
+        with pytest.raises(ValueError, match="initial prices must be positive and finite"):
+            cfg(s0=s0)
