@@ -47,9 +47,10 @@ COMMANDS = [
      "--out", "compare"],
 ]
 
-# Criterion 07's three Monte Carlo gains (the CEV Monte Carlo kernel at
-# 150k paths x 500 steps, which no command reaches).  Each line is the repr
-# of an McEstimate's value and stderr, the fields every tree's has.
+# The two callers of the CEV Euler kernel at Monte Carlo sizes, which no
+# command reaches: criterion 07's three gains at 150k paths x 500 steps,
+# each line the repr of an McEstimate's value and stderr (the fields every
+# tree's has), and the covariance sign check at 2^17 paths x 16 steps.
 PROBES = {
     "criterion07-mc.txt": (
         "import mvlab\n"
@@ -57,6 +58,11 @@ PROBES = {
         "for s0 in (1.01, 0.99, 1.0):\n"
         "    e = mvlab.mc_anticipated_gain(c, s0, 0.0, 150_000, 7, n_steps=500)\n"
         "    print(repr(e.value), repr(e.stderr))\n"),
+    "covariance-sign.txt": (
+        "import mvlab\n"
+        "c = mvlab.CevParams.single(0.125, 0.2, 1.0, 0.025, 1.0, 1.0)\n"
+        "r = mvlab.hedging_covariance_check(c, 1.0, 0.0, 2**17, 4, n_steps=16)\n"
+        "print(repr(r.correlation), repr(r.covariance_sign), repr(r.hedging_sign))\n"),
 }
 
 RUNS = [" ".join(argv) for argv in COMMANDS] + [f"probe {name}" for name in PROBES]

@@ -400,11 +400,12 @@ def main(argv=None) -> int:
         # Config flags come first, so the explicit flags after them win.
         args = parser.parse_args(argv[:1] + _config_flags(parser, args.config) + argv[1:])
     try:
-        args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            args.func(args)
     except (DataError, WarmupError, ProtocolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (MvlabError, ValueError, np.linalg.LinAlgError) as exc:
+    except (MvlabError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

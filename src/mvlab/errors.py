@@ -42,7 +42,7 @@ class WarmupError(MvlabError):
 
 
 class ProtocolError(MvlabError):
-    """An input violates a structural protocol (e.g. non-uniform time grid)."""
+    """An input violates a structural protocol (e.g. price rows not a week apart)."""
 
 
 class LedgerError(MvlabError):

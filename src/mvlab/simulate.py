@@ -23,7 +23,6 @@ the second core busy, the hand-offs cost a few percent at most.
 
 from __future__ import annotations
 
-import threading
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -38,7 +37,7 @@ from .dynamic_policy import (
     cev_anticipated_gain_exact,
     cev_policy,
 )
-from .errors import DomainError, InstabilityError, ProtocolError
+from .errors import DomainError, InstabilityError
 
 Array = NDArray[np.float64]
 
@@ -141,46 +140,23 @@ def _drawn_here(draw, shape, n_steps: int):
 
 
 def _drawn_ahead(draw, shape, n_steps: int):
-    """_drawn_here with draw(out) run on a helper thread one step ahead.
+    """_drawn_here with draw(out) run a step ahead by a one-worker pool.
 
-    The thread fills two preallocated buffers in turn: the next step's
-    while the caller computes with the current one, which it hands back by
-    asking for the next.  It makes exactly n_steps draws, in order, and is
-    stopped and joined however the generator ends; an exception raised by
-    draw is re-raised here.
+    The worker fills two preallocated buffers in turn: the next step's
+    while the caller computes with the current one.  It makes exactly
+    n_steps draws, in order, and is joined however the generator ends; an
+    exception raised by draw is re-raised here.  The import is local so
+    that only a process that makes a run this large loads the module.
     """
+    from concurrent.futures import ThreadPoolExecutor
     bufs = (np.empty(shape), np.empty(shape))
-    free = (threading.Semaphore(1), threading.Semaphore(1))
-    ready = (threading.Semaphore(0), threading.Semaphore(0))
-    stop = False
-    failed = []
-
-    def work():
-        try:
-            for k in range(n_steps):
-                free[k % 2].acquire()
-                if stop:
-                    return
-                draw(bufs[k % 2])
-                ready[k % 2].release()
-        except BaseException as exc:
-            failed.append(exc)
-            ready[k % 2].release()
-
-    worker = threading.Thread(target=work, name="mvlab-normals", daemon=True)
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="mvlab-normals") as pool:
+        pending = pool.submit(draw, bufs[0])
         for k in range(n_steps):
-            ready[k % 2].acquire()
-            if failed:
-                raise failed[0]
+            pending.result()
+            if k + 1 < n_steps:
+                pending = pool.submit(draw, bufs[(k + 1) % 2])
             yield bufs[k % 2]
-            free[k % 2].release()
-    finally:
-        stop = True
-        free[0].release()
-        free[1].release()
-        worker.join()
 
 
 def _cev_euler(s0, shape, drift, sigma_bar, alpha, dt: float, n_steps: int, draw):
@@ -257,22 +233,15 @@ def gbm_ensemble(mu: float, sigma: float, r: float, T: float, n_steps: int,
 
 def rn_weights(m: MarketParams, times: Array, prices: Array) -> Array:
     """dP*/dP along each physical-measure single-asset GBM path of an
-    ensemble, prices shape (n_paths, n_steps+1) on a uniform time grid.
-
-    The Brownian terminal value is reconstructed from the log-price
-    increments; weight = exp(-kappa^2 T / 2 - kappa w_T).
+    ensemble, prices shape (n_paths, n_steps+1) at any increasing `times`:
+    exp(-kappa^2 T / 2 - kappa w_T), where the log-price increments
+    telescope to w_T = (log(S_T / S_0) - (mu - sigma^2/2) T) / sigma.
     """
-    times = np.asarray(times, float)
-    steps = np.diff(times)
-    dt = steps[0]
-    if np.max(np.abs(steps - dt)) > 1e-9 * dt:
-        raise ProtocolError("Radon-Nikodym weights require a uniform time grid")
+    prices = np.asarray(prices, float)
     sigma = float(m.sigma[0, 0])
     kappa = m.sharpe
-    T = times[-1] - times[0]
-    incr = np.diff(np.log(np.asarray(prices, float)), axis=-1)
-    dw = (incr - (m.mu[0] - 0.5 * sigma * sigma) * dt) / sigma
-    w_T = np.sum(dw, axis=-1)
+    T = float(times[-1] - times[0])
+    w_T = (np.log(prices[..., -1] / prices[..., 0]) - (m.mu[0] - 0.5 * sigma * sigma) * T) / sigma
     return np.exp(-0.5 * kappa * kappa * T - kappa * w_T)
 
 

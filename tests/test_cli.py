@@ -308,6 +308,16 @@ class TestPlumbing:
 WEALTH_HEADER = "week_index,time_years,wealth,bond,stock_value\n"
 
 
+def panel_csv(weeks=60, n_assets=3, seed=0):
+    """The text of a price CSV of a seeded random walk, one row a week."""
+    days = np.datetime64("2007-10-29") + 7 * np.arange(weeks)
+    steps = np.random.default_rng(seed).normal(0.002, 0.03, (weeks, n_assets))
+    rows = [f"{day}," + ",".join(map(repr, p))
+            for day, p in zip(days, np.exp(np.cumsum(steps, axis=0)).tolist())]
+    header = "date," + ",".join(f"A{i}" for i in range(n_assets))
+    return "\n".join([header, *rows]) + "\n"
+
+
 @pytest.mark.parametrize("files, argv, code, said", [
     pytest.param({"c.cfg": "assets=3\nweeks\n"}, ["simulate", "--config", "c.cfg"], 2,
                  "c.cfg:2: expected key=value", id="config-line-without-equals"),
@@ -389,6 +399,15 @@ WEALTH_HEADER = "week_index,time_years,wealth,bond,stock_value\n"
                  id="simulate-no-assets"),
     pytest.param({}, ["compare-precommit", "--sigma", "0", "--paths", "10000", "--out", "o"],
                  4, "zero-volatility market", id="compare-precommit-zero-sigma"),
+    # a finite flag whose arithmetic overflows or divides by zero
+    pytest.param({"p.csv": panel_csv()}, ["backtest", "--input", "p.csv", "--notional", "1e308",
+                                          "--strategy", "static", "--out", "o"],
+                 4, "overflow encountered", id="backtest-overflowing-notional"),
+    pytest.param({}, ["mvo", "--mu", "0.1,0.2", "--sigma", "1,0;0,1", "--target", "1e308"], 4,
+                 "overflow encountered", id="mvo-overflowing-target"),
+    pytest.param({}, ["simulate", "--model", "cev", "--s0", "1e-300", "--alpha", "5",
+                      "--assets", "2", "--weeks", "5"], 4, "divide by zero encountered",
+                 id="simulate-cev-underflowing-s0"),
 ])
 def test_bad_input_exits_with_one_error_line(tmp_path, monkeypatch, capsys, files, argv, code,
                                              said):

@@ -8,7 +8,7 @@ import pytest
 
 from mvlab import simulate
 from mvlab.dynamic_policy import CevParams, MarketParams
-from mvlab.errors import DomainError, HorizonError, InstabilityError, ProtocolError
+from mvlab.errors import DomainError, HorizonError, InstabilityError
 from mvlab.simulate import (
     HEDGE_NEUTRAL,
     PHYSICAL,
@@ -192,23 +192,20 @@ class TestRnWeights:
         assert np.mean(w * s[:, -1]) == pytest.approx(np.exp(0.025), rel=0.01)
 
     def test_exact_closed_form(self):
-        # reconstructed w_T must invert the lognormal stepping exactly
+        # reconstructed w_T must invert the lognormal stepping exactly, on a
+        # uniform grid and on a non-uniform one of the same horizon
         m = MarketParams.single(0.125, np.sqrt(0.2), 0.025, 1.0, 1.0)
         rng = np.random.default_rng(0)
         z = rng.standard_normal(52)
-        dt = 1 / 52
         sigma = np.sqrt(0.2)
-        incr = (0.125 - 0.1) * dt + sigma * np.sqrt(dt) * z
-        prices = np.exp(np.concatenate([[0.0], np.cumsum(incr)]))
-        w_T = np.sum(z) * np.sqrt(dt)
         kappa = m.sharpe
-        expected = np.exp(-0.5 * kappa**2 - kappa * w_T)
-        assert rn_weights(m, np.arange(53) * dt, prices) == pytest.approx(expected, rel=1e-10)
-
-    def test_requires_uniform_grid(self):
-        m = MarketParams.single(0.1, 0.2, 0.02, 1.0, 1.0)
-        with pytest.raises(ProtocolError):
-            rn_weights(m, [0.0, 0.4, 1.0], [1.0, 1.1, 1.2])
+        for times in (np.arange(53) / 52, (np.arange(53) / 52) ** 2):
+            dt = np.diff(times)
+            incr = (0.125 - 0.1) * dt + sigma * np.sqrt(dt) * z
+            prices = np.exp(np.concatenate([[0.0], np.cumsum(incr)]))
+            w_T = np.sum(np.sqrt(dt) * z)
+            expected = np.exp(-0.5 * kappa**2 - kappa * w_T)
+            assert rn_weights(m, times, prices) == pytest.approx(expected, rel=1e-10)
 
 
 class TestMcAnticipatedGain:
@@ -365,11 +362,19 @@ class TestDrawsAhead:
         assert [id(b) for b in calls[:2]] == [id(b) for b in calls[2:4]]
 
     def test_cli_import_leaves_concurrent_futures_out(self):
-        code = "import sys, mvlab.cli; print('concurrent.futures' in sys.modules)"
+        # scipy is a test dependency only; concurrent.futures is loaded by a
+        # helper-sized run, not by the import or by a serial-sized run
+        code = ("import sys, mvlab.cli\n"
+                "print([m in sys.modules for m in ('concurrent.futures', 'scipy')])\n"
+                "c = mvlab.CevParams.single(0.125, 0.2, 1.0, 0.025, 1.0, 1.0)\n"
+                "mvlab.mc_anticipated_gain(c, 1.0, 0.0, 1000, 0)\n"
+                "print('concurrent.futures' in sys.modules)\n"
+                "mvlab.mc_anticipated_gain(c, 1.0, 0.0, 2**16, 0, n_steps=2)\n"
+                "print('concurrent.futures' in sys.modules)\n")
         src = os.path.dirname(os.path.dirname(simulate.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-        assert out == "False\n"
+        assert out == "[False, False]\nFalse\nTrue\n"
 
 
 class TestSimConfig:
