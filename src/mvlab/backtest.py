@@ -9,9 +9,10 @@ zero and short selling is allowed.
 
 No strategy's theta depends on wealth, so `run_backtest` works in stages
 over blocks of BLOCK_WEEKS decision weeks: (i) the rolling estimates of the
-whole block as (k, N) and (k, N, N) stacks, (ii) the ridge and one pivot
-check of the stack, (iii) the block's theta rows; then, after the last
-block, (iv) one pass of the ledger recurrence
+whole block as (k, N) and (k, N, N) stacks, (ii) a finiteness check of the
+stacks and the ridge, which keeps every Sigma_hat definite, (iii) the
+block's theta rows; then, after the last block, (iv) one pass of the
+ledger recurrence
     W_{k+1} = e^{r DT} (W_k - sum(theta_k)) + (theta_k / P_k) . P_{k+1}.
 The stages use numpy's batched LAPACK only, and fixed blocks bound the
 memory the stacks take.
@@ -26,7 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import dynamic_policy, estimate, static_mvo
-from .errors import LedgerError, MvlabError, WarmupError
+from .errors import DomainError, LedgerError, MvlabError, WarmupError
 from .simulate import PriceSeries
 
 Array = NDArray[np.float64]
@@ -97,8 +98,11 @@ def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
                 prices_now[i], t * DT, horizon), float)
             for i, t in enumerate(rows.tolist())
         ])
+    # The ridge makes a finite estimate definite (see estimate.RIDGE_EPS).
+    bad = np.flatnonzero(~(np.isfinite(mu).all(axis=1) & np.isfinite(sigma).all(axis=(1, 2))))
+    if bad.size:
+        raise DomainError("non-finite estimate", index=int(bad[0]))
     sigma = estimate.regularize_covariance(sigma)
-    static_mvo.robust_cholesky(sigma)   # the pivot floor; the factor is not used
     n = sigma.shape[-1]
     tau = horizon - rows * DT
     if cfg.strategy == "static":

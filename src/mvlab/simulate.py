@@ -216,6 +216,12 @@ def cev_paths(c: CevParams, cfg: SimConfig) -> PriceSeries:
     return PriceSeries(prices=prices)
 
 
+def _check_counts(**counts: int) -> None:
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
+
+
 def gbm_ensemble(mu: float, sigma: float, r: float, T: float, n_steps: int,
                  n_paths: int, seed: int, measure: str = PHYSICAL) -> tuple[Array, Array]:
     """(times, prices) for n_paths independent single-asset GBM paths.
@@ -223,6 +229,7 @@ def gbm_ensemble(mu: float, sigma: float, r: float, T: float, n_steps: int,
     prices has shape (n_paths, n_steps + 1) with S_0 = 1; exact lognormal
     stepping as in gbm_paths.
     """
+    _check_counts(n_steps=n_steps, n_paths=n_paths)
     dt = T / n_steps
     drift = mu if measure == PHYSICAL else r
     rng = np.random.default_rng(seed)
@@ -269,6 +276,8 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
     """
     if paths < 100:
         raise ValueError("need at least 100 paths")
+    if n_steps is not None:
+        _check_counts(n_steps=n_steps)
     tau = _check_horizon(t, model.T)
     if isinstance(model, MarketParams):
         return McEstimate(value=anticipated_gain_gbm(model, t), stderr=0.0)
@@ -319,6 +328,7 @@ def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
     gain f along them, and pools one-step covariances.  A negative
     covariance should pair with a positive hedging demand and vice versa.
     """
+    _check_counts(paths=paths, n_steps=n_steps)
     f_prev = np.full(paths, cev_anticipated_gain_exact(c, S, t))
     dt = (c.T - t) / n_steps
     rng = np.random.default_rng(seed)

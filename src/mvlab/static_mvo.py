@@ -34,46 +34,19 @@ def _as_vector(x) -> Array:
 
 
 def robust_cholesky(sigma: Array) -> Array:
-    """Lower Cholesky factor with an explicit pivot check.
-
-    Takes one matrix or a stack of them (leading axes).  LAPACK dpotrf
-    (through numpy) factorises the lower triangles; the pivots are
-    diag(L)^2.  Rejects the input if any pivot falls below 1e-12 times the
-    largest diagonal entry of its matrix, naming the first failing pivot of
-    the first failing matrix; a stack's error carries that matrix's
-    position in the flattened stack as its `index`.
-    """
+    """Lower Cholesky factor of one matrix by LAPACK dpotrf, whose pivots
+    diag(L)^2 must clear a floor of 1e-12 times the largest diagonal entry.
+    Otherwise an unblocked Cholesky names the first pivot not above the
+    floor in a DefinitenessError, or the last if all clear it (LAPACK
+    rounded one within eps of zero the other way)."""
     sigma = np.asarray(sigma, dtype=np.float64)
+    # fmax skips NaNs, so a NaN diagonal entry is named as its own pivot.
+    floor = _PIVOT_REL_TOL * float(np.fmax.reduce(np.diag(sigma), initial=0.0))
     try:
         L = np.linalg.cholesky(sigma)
-        pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
-        # `not >` rather than `<=`, so a NaN pivot is rejected too.
-        ok = not np.any(~(pivots > _pivot_floor(sigma)[..., None]))
-    except np.linalg.LinAlgError:
-        ok = False
-    if not ok:
-        # Rare path: one matrix at a time, in stack order, to name the first.
-        stack = sigma.reshape(-1, *sigma.shape[-2:])
-        for i, matrix in enumerate(stack):
-            _check_pivots(matrix, i if sigma.ndim > 2 else None)
-    return L
-
-
-def _pivot_floor(sigma: Array) -> Array:
-    # fmax skips NaNs, so a NaN diagonal entry is named as its own pivot.
-    diag = np.diagonal(sigma, axis1=-2, axis2=-1)
-    return _PIVOT_REL_TOL * np.fmax.reduce(diag, axis=-1, initial=0.0)
-
-
-def _check_pivots(sigma: Array, index: int | None) -> None:
-    """Raise DefinitenessError if one matrix fails the pivot floor.  Where
-    LAPACK stops or a pivot is low, an unblocked Cholesky of the lower
-    triangle names the first pivot not above the floor, or the last pivot if
-    all clear it (LAPACK rounded one within eps of zero the other way)."""
-    floor = float(_pivot_floor(sigma))
-    try:
-        if np.all(np.diag(np.linalg.cholesky(sigma)) ** 2 > floor):
-            return
+        # `>` rather than `not <=`, so a NaN pivot fails too.
+        if np.all(np.diag(L) ** 2 > floor):
+            return L
     except np.linalg.LinAlgError:
         pass
     L = np.zeros_like(sigma)
@@ -84,10 +57,7 @@ def _check_pivots(sigma: Array, index: int | None) -> None:
         L[j, j] = np.sqrt(pivot)
         L[j + 1:, j] = (sigma[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
     raise DefinitenessError(
-        f"covariance not positive definite: pivot {j} = {pivot:.3e} "
-        f"(floor {floor:.3e})",
-        index=index,
-    )
+        f"covariance not positive definite: pivot {j} = {pivot:.3e} (floor {floor:.3e})")
 
 
 def _frontier_solve(sigma: Array, mu: Array) -> tuple[Array, Array, Array, Array]:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from mvlab import backtest, estimate, static_mvo
+from mvlab import backtest, static_mvo
 from mvlab.backtest import LEDGER_TOL, BacktestConfig, run_backtest
 from mvlab.cli import main, read_price_csv
 from mvlab.dynamic_policy import MarketParams
-from mvlab.errors import DataError, DefinitenessError, LedgerError, WarmupError
+from mvlab.errors import DataError, DomainError, LedgerError, WarmupError
 from mvlab.simulate import SimConfig, gbm_paths
 
 from conftest import Ledger, accrue_step, loop_cholesky, oracle_backtest, rebalance_step
@@ -90,19 +90,18 @@ class TestBatchedKernel:
         cfg = BacktestConfig(strategy="static", notional=2.0)
         assert_matches_oracle(run_backtest(prices, cfg), prices, cfg)
 
-    def test_pivot_failure_names_the_week(self, monkeypatch):
-        # Without the ridge, an asset whose returns are constant over a
-        # whole batch has a zero pivot.  Asset 1 grows at a fixed rate over
-        # return rows 80..119, so the first batch inside that stretch ends
-        # at decision week 106: decision 79, in the second block.
-        prices = gbm_series(n_weeks=156, n_assets=2, seed=8)
+    @pytest.mark.parametrize("strategy", ["static", "simple", "cev"])
+    def test_non_finite_estimate_names_the_week(self, strategy):
+        # A price of 1e-300 at row 70 makes return row 70 about 1e300, whose
+        # square overflows the covariance of every batch that holds it; the
+        # first such batch ends at decision week 71.
+        prices = gbm_series(n_weeks=100, n_assets=3, seed=1)
         p = prices.prices.copy()
-        p[81:121, 1] = p[80, 1] * 1.002 ** np.arange(1, 41)
-        p[121:, 1] *= p[120, 1] / prices.prices[120, 1]
+        p[70, 1] = 1e-300
         prices = type(prices)(prices=p)
-        monkeypatch.setattr(estimate, "regularize_covariance", lambda s: s)
-        with pytest.raises(DefinitenessError, match=r"^decision week 106: .*pivot 1 = "):
-            run_backtest(prices, BacktestConfig(strategy="static"))
+        with np.errstate(all="ignore"), \
+                pytest.raises(DomainError, match=r"^decision week 71: non-finite"):
+            run_backtest(prices, BacktestConfig(strategy=strategy))
 
     def test_identity_tolerance_scales_with_gross_money(self):
         # Entry 1 leaks a multiple of LEDGER_TOL x its gross money; entry 0
@@ -203,9 +202,9 @@ class TestRunBacktest:
 
     def test_static_wealth_matches_column_loop_cholesky(self, monkeypatch):
         # 50 assets > the 26-week batch: only the ridge keeps Sigma_hat
-        # definite, so the pivot check works at cond(Sigma_hat) ~ 1e6.  The
-        # batched kernel factorises with LAPACK; the oracle's per-week path
-        # (each StaticProblem) with the textbook column loop.
+        # definite, at cond(Sigma_hat) ~ 1e6.  The batched kernel does not
+        # factorise; the oracle's per-week path does, in each StaticProblem,
+        # here with the textbook column loop in place of LAPACK.
         prices = gbm_series(n_weeks=70, n_assets=50, seed=4)
         cfg = BacktestConfig(strategy="static", target=0.15)
         path = run_backtest(prices, cfg)

@@ -114,3 +114,25 @@ class TestRegularize:
     def test_zero_trace_fallback(self):
         fixed = regularize_covariance(np.zeros((2, 2)))
         np.testing.assert_allclose(fixed, RIDGE_EPS * np.eye(2))
+
+    def test_ridge_clears_the_pivot_floor(self, rng):
+        # 50 assets on a 26-week batch, so each Sigma_hat has rank 25 or
+        # less; asset 7's return is constant outside the flat stretch, and
+        # over return rows 60..85 every price is flat (a zero trace).  Each
+        # Cholesky pivot of Sigma_hat + rho I is at least rho, up to
+        # rounding of N * eps * trace, and above static_mvo's pivot floor.
+        n, batch_len = 50, 26
+        returns = rng.normal(0.002, 0.03, size=(130, n))
+        returns[:, 7] = 0.0015
+        returns[60:60 + batch_len] = 0.0
+        t = np.arange(batch_len, returns.shape[0] + 1)
+        _, sigma = rolling_estimates(returns, t, batch_len)
+        trace = np.trace(sigma, axis1=1, axis2=2)
+        assert trace[60] == 0.0
+        rho = np.where(trace > 0, RIDGE_EPS * trace / n, RIDGE_EPS)
+        fixed = regularize_covariance(sigma)
+        pivots = np.diagonal(np.linalg.cholesky(fixed), axis1=1, axis2=2) ** 2
+        rounding = n * np.finfo(float).eps * np.trace(fixed, axis1=1, axis2=2)
+        assert np.all(pivots >= (rho - rounding)[:, None])
+        floor = 1e-12 * np.diagonal(fixed, axis1=1, axis2=2).max(axis=1)
+        assert np.all(pivots > floor[:, None])

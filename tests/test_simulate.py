@@ -394,3 +394,29 @@ class TestSimConfig:
     def test_non_finite_s0(self, s0):
         with pytest.raises(ValueError, match="initial prices must be positive and finite"):
             cfg(s0=s0)
+
+
+class TestCountArguments:
+    """A step or path count below 1 is a ValueError naming it, raised
+    before any random number is drawn."""
+
+    @pytest.mark.parametrize("n_steps", [0, -2])
+    @pytest.mark.parametrize("call", [mc_anticipated_gain, simulate.hedging_covariance_check],
+                             ids=["mc_anticipated_gain", "hedging_covariance_check"])
+    def test_cev_monte_carlo_steps(self, monkeypatch, call, n_steps):
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError, match=rf"^n_steps must be at least 1, got {n_steps}$"):
+            call(cev1(), 1.0, 0.0, 1000, 0, n_steps=n_steps)
+
+    def test_covariance_check_paths(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError, match=r"^paths must be at least 1, got 0$"):
+            simulate.hedging_covariance_check(cev1(), 1.0, 0.0, 0, 0)
+
+    @pytest.mark.parametrize("n_steps, n_paths, name", [
+        (0, 10, "n_steps"), (-2, 10, "n_steps"), (52, 0, "n_paths"),
+    ])
+    def test_gbm_ensemble(self, monkeypatch, n_steps, n_paths, name):
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError, match=rf"^{name} must be at least 1"):
+            gbm_ensemble(0.125, 0.2, 0.025, 1.0, n_steps, n_paths, 0)
