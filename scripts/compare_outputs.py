@@ -43,6 +43,9 @@ COMMANDS = [
      "--horizon", "2", "--time", "0.5", "--out", "policy-multi"],
     ["policy", "--type", "cev", "--mu", "0.125", "--sigma-bar", "0.2", "--alpha", "1",
      "--horizon", "1", "--out", "policy-cev"],
+    ["policy", "--type", "cev", "--mu", "0.1,0.14", "--sigma-bar", "0.2,0.3", "--alpha", "1",
+     "--corr", "1,0.3;0.3,1", "--price", "1.2,0.8", "--horizon", "2", "--time", "0.5",
+     "--out", "policy-cev-multi"],
     ["compare-precommit", "--horizon", "10", "--paths", "20000", "--seed", "3",
      "--out", "compare"],
 ]

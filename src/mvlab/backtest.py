@@ -52,6 +52,9 @@ class BacktestConfig:
     def __post_init__(self):
         if not callable(self.strategy) and self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        for name in ("target", "alpha", "gamma", "r", "notional"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.r < 0:
             raise ValueError("riskless rate must be nonnegative")
         if self.gamma <= 0:
@@ -111,16 +114,12 @@ def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
             return np.full((rows.size, 1), cfg.notional)
         return cfg.notional * static_mvo.frontier_weights(sigma, mu, cfg.target)[0]
     if cfg.strategy in ("simple", "multi"):
-        return dynamic_policy.gbm_demand(mu, sigma, cfg.r, cfg.gamma, tau)
+        return dynamic_policy.gbm_demand(mu - cfg.r, sigma, cfg.r, cfg.gamma, tau)
     # cev: read the estimated covariance as the instantaneous covariance of
-    # dS/S at current prices, so sigma_bar_i = sqrt(Sigma_ii) / S_i^(alpha/2).
-    vols = np.sqrt(np.diagonal(sigma, axis1=-2, axis2=-1))
-    corr = sigma / (vols[:, :, None] * vols[:, None, :])
-    corr[:, np.arange(n), np.arange(n)] = 1.0
-    corr = 0.5 * (corr + np.swapaxes(corr, -1, -2))
-    sigma_bar = vols / prices_now ** (cfg.alpha / 2.0)
-    alpha = np.full(n, cfg.alpha)
-    myopic, hedging = dynamic_policy.cev_demand(mu, sigma_bar, corr, alpha, prices_now,
+    # dS/S at current prices, Sigma_ij = q_i q_j omega_ij with q = S^(alpha/2).
+    q = prices_now ** (cfg.alpha / 2.0)
+    omega = sigma / (q[:, :, None] * q[:, None, :])
+    myopic, hedging = dynamic_policy.cev_demand(mu, omega, cfg.alpha, prices_now,
                                                 cfg.r, cfg.gamma, tau)
     return myopic + hedging
 

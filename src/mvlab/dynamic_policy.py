@@ -168,18 +168,17 @@ def _check_horizon(t: float, T: float) -> float:
     return T - t
 
 
-def gbm_demand(mu: Array, cov: Array, r: float, gamma: float, tau) -> Array:
+def gbm_demand(excess: Array, cov: Array, r: float, gamma: float, tau) -> Array:
     """Money per asset of the GBM equilibrium policy,
-    exp(-r tau) cov^-1 (mu - r) / gamma.
+    exp(-r tau) cov^-1 excess / gamma with excess = mu - r: the one policy solve.
 
-    Works over leading axes: mu (..., N), cov (..., N, N), tau (...), so a
-    backtest evaluates a block of decision weeks in one call.
+    Works over leading axes: excess (..., N), cov (..., N, N), tau (...), so
+    a backtest evaluates a block of decision weeks in one call.
     """
-    excess = np.asarray(mu, dtype=np.float64) - r
     try:
         x = np.linalg.solve(cov, excess[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise DefinitenessError("singular instantaneous covariance") from exc
+        raise DefinitenessError("singular covariance") from exc
     return x / gamma * np.asarray(np.exp(-r * tau))[..., None]
 
 
@@ -187,32 +186,33 @@ def simple_policy(m: MarketParams, t: float) -> Policy:
     """Equilibrium policy of a GBM market of one or several assets: the
     discounted myopic demand (gbm_demand) alone, since with constant
     parameters the anticipated gain is deterministic and hedges nothing."""
-    myopic = gbm_demand(m.mu, m.cov, m.r, m.gamma, _check_horizon(t, m.T))
+    myopic = gbm_demand(m.mu - m.r, m.cov, m.r, m.gamma, _check_horizon(t, m.T))
     return Policy(myopic=myopic, hedging=np.zeros_like(myopic))
 
 
-def cev_demand(mu: Array, sigma_bar: Array, corr: Array, alpha: Array, S: Array,
-               r: float, gamma: float, tau) -> tuple[Array, Array]:
-    """Myopic and hedging money per asset of the CEV equilibrium policy:
-    the single-asset formula applied through the inverse scale covariance
-    sigma_bar_i sigma_bar_j corr_ij, componentwise in the price powers.
-    Hedging carries (exp(-alpha r tau) - 1) / r, -alpha tau as r -> 0.
+def _check_prices(S) -> None:
+    if not np.all(np.isfinite(S) & (S > 0)):
+        raise DomainError(f"prices must be positive and finite, got {S}")
 
-    Works over leading axes: mu, sigma_bar, alpha and S (..., N), corr
-    (..., N, N), tau (...).
+
+def cev_demand(mu: Array, omega: Array, alpha: float | Array, S: Array, r: float,
+               gamma: float, tau) -> tuple[Array, Array]:
+    """Myopic and hedging money per asset of the CEV equilibrium policy over
+    the scale covariance omega = sigma_bar sigma_bar^T * corr: gbm_demand of
+    (mu - r) / S^alpha, and that of (mu - r)^2 / S^alpha at tau = 0 times
+    exp(-r tau) (exp(-alpha r tau) - 1) / r (-alpha tau as r -> 0), which
+    is zero at alpha = 0.
+
+    Works over leading axes: mu and S (..., N), omega (..., N, N), tau
+    (...); alpha is a scalar or (..., N).
     """
-    tau = np.asarray(tau)[..., None]
-    disc = np.exp(-r * tau)
-    omega = sigma_bar[..., :, None] * sigma_bar[..., None, :] * corr
     excess = mu - r
     s_pow = S**alpha
-    try:
-        myopic = np.linalg.solve(omega, (excess / s_pow)[..., None])[..., 0] / gamma * disc
-        hedged = np.linalg.solve(omega, (excess**2 / s_pow)[..., None])[..., 0] / gamma
-    except np.linalg.LinAlgError as exc:
-        raise DefinitenessError("singular scale covariance") from exc
+    myopic = gbm_demand(excess / s_pow, omega, r, gamma, tau)
+    hedged = gbm_demand(excess**2 / s_pow, omega, r, gamma, 0.0)
+    tau = np.asarray(tau)[..., None]
     rate = -alpha * tau if abs(r) <= _ZERO_RATE_TOL else np.expm1(-alpha * r * tau) / r
-    return myopic, -hedged * rate * disc
+    return myopic, -hedged * rate * np.exp(-r * tau)
 
 
 def cev_policy(c: CevParams, S: float | Array, t: float) -> Policy:
@@ -221,10 +221,9 @@ def cev_policy(c: CevParams, S: float | Array, t: float) -> Policy:
     S = _as_vector(S)
     if S.size != c.n_assets:
         raise ValueError(f"expected {c.n_assets} prices, got {S.size}")
-    if not np.all(np.isfinite(S) & (S > 0)):
-        raise DomainError(f"prices must be positive and finite, got {S}")
-    myopic, hedging = cev_demand(c.mu, c.sigma_bar, c.corr, c.alpha, S, c.r, c.gamma,
-                                 _check_horizon(t, c.T))
+    _check_prices(S)
+    omega = c.sigma_bar[:, None] * c.sigma_bar[None, :] * c.corr
+    myopic, hedging = cev_demand(c.mu, omega, c.alpha, S, c.r, c.gamma, _check_horizon(t, c.T))
     return Policy(myopic=myopic, hedging=hedging)
 
 

@@ -33,6 +33,7 @@ from .dynamic_policy import (
     CevParams,
     MarketParams,
     _check_horizon,
+    _check_prices,
     anticipated_gain_gbm,
     cev_anticipated_gain_exact,
     cev_policy,
@@ -47,9 +48,9 @@ HEDGE_NEUTRAL = "hedge_neutral"
 ABSORPTION_REL_FLOOR = 1e-8
 ABSORPTION_MAX_FRACTION = 0.5
 # Entries of a CEV state from which _cev_euler draws on a helper thread.  On a
-# 2-core host, 500-step Monte Carlo runs took (helper / serial time) 0.60-0.85
-# from 4k paths up with the second core free; with it busy, 1.03-1.19 below
-# 64k paths and 0.97-1.06 from 64k up.
+# 2-core host, the median helper / serial time of 500-step criterion-07 runs
+# (7-11 alternating pairs) with the second core free read 0.78-0.99 at 2^16
+# paths, 0.63-0.79 at 3 * 2^15 and 0.66-0.79 at 2^17; with it busy, 1.02-1.04.
 PREFETCH_MIN_ENTRIES = 2**16
 
 
@@ -169,8 +170,8 @@ def _cev_euler(s0, shape, drift, sigma_bar, alpha, dt: float, n_steps: int, draw
     the loop.  Both make the same draws in the same order.
 
     An entry that touches floor = ABSORPTION_REL_FLOOR * s0 is absorbed and
-    stays there.  Yields (s, alive) after each step, alive marking the
-    entries not absorbed before it.  After the last step, raises
+    stays there, so its return over any later step is exactly 0.  Yields
+    the state s, a new array, after each step.  After the last step, raises
     InstabilityError if an entry is not finite (callers step under one
     np.errstate, so a diverging run warns nothing), if more than half are
     absorbed, or if any with alpha > 0 is: that process never reaches 0.
@@ -185,7 +186,7 @@ def _cev_euler(s0, shape, drift, sigma_bar, alpha, dt: float, n_steps: int, draw
             alive = s > floor
             s_new = s + s * (drift * dt + sigma_bar * s ** (alpha / 2.0) * sqdt * z)
             s = np.where(alive, np.maximum(s_new, floor), s)
-            yield s, alive
+            yield s
     finally:
         normals.close()
     if not np.all(np.isfinite(s)):
@@ -211,7 +212,7 @@ def cev_paths(c: CevParams, cfg: SimConfig) -> PriceSeries:
     steps = _cev_euler(cfg.s0, c.n_assets, drift, c.sigma_bar, c.alpha, cfg.dt, cfg.n_steps,
                        lambda out: np.matmul(rng.standard_normal(c.n_assets), L.T, out=out))
     with np.errstate(over="ignore", invalid="ignore"), closing(steps):
-        for k, (s, _) in enumerate(steps, start=1):
+        for k, s in enumerate(steps, start=1):
             prices[k] = s
     return PriceSeries(prices=prices)
 
@@ -284,8 +285,7 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
     c = model
     if c.n_assets != 1:
         raise ValueError("MC anticipated gain requires a single-asset market")
-    if S0 <= 0:
-        raise DomainError(f"price must be positive, got {S0}")
+    _check_prices(S0)
     if tau == 0.0:
         return McEstimate(value=0.0, stderr=0.0)
     mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
@@ -303,7 +303,7 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
     steps = _cev_euler(float(S0), paths, c.r, sb, alpha, dt, n_steps,
                        lambda out: rng.standard_normal(out=out))
     with np.errstate(over="ignore", invalid="ignore"), closing(steps):
-        for s, _ in steps:
+        for s in steps:
             new_integrand = coef * s ** (-alpha)
             acc += 0.5 * (integrand + new_integrand) * dt
             integrand = new_integrand
@@ -329,6 +329,7 @@ def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
     covariance should pair with a positive hedging demand and vice versa.
     """
     _check_counts(paths=paths, n_steps=n_steps)
+    _check_prices(S)
     f_prev = np.full(paths, cev_anticipated_gain_exact(c, S, t))
     dt = (c.T - t) / n_steps
     rng = np.random.default_rng(seed)
@@ -338,10 +339,10 @@ def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
     steps = _cev_euler(float(S), paths, c.mu[0], c.sigma_bar[0], c.alpha[0], dt,
                        n_steps, lambda out: rng.standard_normal(out=out))
     with np.errstate(over="ignore", invalid="ignore"), closing(steps):
-        for k, (s, alive) in enumerate(steps, start=1):
+        for k, s in enumerate(steps, start=1):
             # t + n_steps * dt may overshoot T by an ulp
             f = cev_anticipated_gain_exact(c, s, min(t + k * dt, c.T))
-            rets.append(np.where(alive, s / s_prev - 1.0, 0.0))
+            rets.append(s / s_prev - 1.0)
             dfs.append(f - f_prev)
             s_prev, f_prev = s, f
     rets = np.concatenate(rets)

@@ -147,6 +147,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             BacktestConfig(gamma=-1.0)
 
+    @pytest.mark.parametrize("field", ["target", "alpha", "gamma", "r", "notional"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_field_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            BacktestConfig(strategy="cev", **{field: bad})
+
 
 class TestRunBacktest:
     def test_zero_strategy_keeps_zero_wealth(self):
@@ -193,7 +199,7 @@ class TestRunBacktest:
         prices = gbm_series(n_weeks=90, n_assets=3, seed=11)
         a = run_backtest(prices, BacktestConfig(strategy="multi"))
         b = run_backtest(prices, BacktestConfig(strategy="cev", alpha=0.0))
-        np.testing.assert_allclose(a.wealth, b.wealth, rtol=1e-9, atol=1e-12)
+        np.testing.assert_array_equal(a.wealth, b.wealth)
 
     def test_static_runs_multi_asset(self):
         prices = gbm_series(n_weeks=90, n_assets=3, seed=2)

@@ -326,6 +326,14 @@ class TestHedgingCovariance:
         rep = hedging_covariance_check(c, 1.3, 0.2, paths, seed=4, n_steps=16)
         assert rep.correlation == hedging_loop(c, 1.3, 0.2, paths, 4, 16)
 
+    @pytest.mark.parametrize("sigma_bar", [1.0, 1.5])
+    def test_absorbed_paths_match_step_by_step_loop(self, sigma_bar):
+        # 19% and 43% of paths end at the floor; an absorbed path's return,
+        # floor / floor - 1, is the loop's masked 0
+        c = cev_single(alpha=-1.0, sigma_bar=sigma_bar, T=2.0)
+        rep = hedging_covariance_check(c, 1.3, 0.2, 2000, seed=4, n_steps=16)
+        assert rep.correlation == hedging_loop(c, 1.3, 0.2, 2000, 4, 16)
+
     def test_diverging_run_is_unstable(self):
         # alpha = 2.5 overflows the Euler step; the correlation read NaN
         with pytest.raises(InstabilityError, match="diverged"):

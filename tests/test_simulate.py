@@ -232,6 +232,16 @@ class TestMcAnticipatedGain:
         with pytest.raises(ValueError):
             mc_anticipated_gain(cev1(), 1.0, 0.0, 50, 0)
 
+    @pytest.mark.parametrize("check", ["mc_anticipated_gain", "hedging_covariance_check"])
+    @pytest.mark.parametrize("S", [np.nan, np.inf, 0.0])
+    def test_bad_start_price_rejected_before_any_step(self, check, S, monkeypatch):
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(simulate, "_cev_euler", no_steps)
+        with pytest.raises(DomainError, match="prices must be positive and finite"):
+            getattr(simulate, check)(cev1(), S, 0.0, 1000, 0)
+
     def test_absorption_at_positive_alpha_is_unstable(self):
         # at alpha = 2.5 an absorbed path adds S^-alpha ~ 1e20 to the
         # integrand; the estimate read 1.83e16 against the exact 0.195
@@ -369,7 +379,8 @@ class TestDrawsAhead:
                 "c = mvlab.CevParams.single(0.125, 0.2, 1.0, 0.025, 1.0, 1.0)\n"
                 "mvlab.mc_anticipated_gain(c, 1.0, 0.0, 1000, 0)\n"
                 "print('concurrent.futures' in sys.modules)\n"
-                "mvlab.mc_anticipated_gain(c, 1.0, 0.0, 2**16, 0, n_steps=2)\n"
+                f"mvlab.mc_anticipated_gain(c, 1.0, 0.0, {simulate.PREFETCH_MIN_ENTRIES}, 0, "
+                "n_steps=2)\n"
                 "print('concurrent.futures' in sys.modules)\n")
         src = os.path.dirname(os.path.dirname(simulate.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
