@@ -59,8 +59,8 @@ class BacktestConfig:
             raise ValueError("riskless rate must be nonnegative")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.batch_len < 2:
-            raise ValueError("batch_len must be at least 2")
+        if not isinstance(self.batch_len, (int, np.integer)) or self.batch_len < 2:
+            raise ValueError(f"batch_len must be an integer of at least 2, got {self.batch_len!r}")
 
 
 def _check_identity(bond: Array, stock: Array, wealth: Array, gross: Array):
@@ -117,8 +117,15 @@ def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
         return dynamic_policy.gbm_demand(mu - cfg.r, sigma, cfg.r, cfg.gamma, tau)
     # cev: read the estimated covariance as the instantaneous covariance of
     # dS/S at current prices, Sigma_ij = q_i q_j omega_ij with q = S^(alpha/2).
-    q = prices_now ** (cfg.alpha / 2.0)
-    omega = sigma / (q[:, :, None] * q[:, None, :])
+    # A large |alpha| over- or underflows q; such a week is rejected below.
+    with np.errstate(all="ignore"):
+        q = prices_now ** (cfg.alpha / 2.0)
+        omega = sigma / (q[:, :, None] * q[:, None, :])
+    bad = np.flatnonzero(~np.isfinite(omega).all(axis=(1, 2))
+                         | (np.diagonal(omega, axis1=1, axis2=2) <= 0).any(axis=1))
+    if bad.size:
+        raise DomainError(f"price power S^alpha out of range at alpha = {cfg.alpha}",
+                          index=int(bad[0]))
     myopic, hedging = dynamic_policy.cev_demand(mu, omega, cfg.alpha, prices_now,
                                                 cfg.r, cfg.gamma, tau)
     return myopic + hedging

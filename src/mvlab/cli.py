@@ -177,7 +177,7 @@ def cmd_simulate(args):
     else:
         sigma_bar = np.sqrt(variance) / s0 ** (args.alpha / 2.0)
         c = dynamic_policy.CevParams(
-            mu=np.full(n, mean), sigma_bar=np.full(n, max(sigma_bar, 1e-12)),
+            mu=np.full(n, mean), sigma_bar=np.full(n, sigma_bar),
             alpha=np.full(n, args.alpha), corr=corr,
             r=args.rate, T=T, gamma=1.0,
         )

@@ -24,21 +24,40 @@ from .errors import DefinitenessError, DomainError, HorizonError, ResourceError
 Array = NDArray[np.float64]
 
 _ZERO_RATE_TOL = 1e-12
-_MAX_LATTICE_STEPS = 1 << 15
+_MAX_LATTICE_STEPS = 1 << 12  # the thetas take S(S+1)/2 floats: 67 MB
 
 
-def _as_vector(x) -> Array:
-    return np.atleast_1d(np.asarray(x, dtype=np.float64))
+def _as_vector(x, name: str) -> Array:
+    """x as a float vector; a 0-d value reads as one entry."""
+    v = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d vector, got shape {v.shape}")
+    return v
 
 
-def _check_market(p) -> None:
-    """The checks MarketParams and CevParams share: at least one asset,
-    every field finite, gamma > 0, T > 0 and r >= 0."""
+def _as_square(x, n: int, name: str) -> Array:
+    """x as an n x n float matrix; a 0-d value reads as 1 x 1."""
+    m = np.asarray(x, dtype=np.float64)
+    if m.ndim == 0:
+        m = m.reshape(1, 1)
+    if m.shape != (n, n):
+        raise ValueError(f"{name} must be {n}x{n}, got {m.shape}")
+    return m
+
+
+def _check_fields(p) -> None:
+    """The input rule of StaticProblem, MarketParams and CevParams: at
+    least one asset and every field finite."""
     if p.n_assets == 0:
         raise ValueError("market has no assets")
     for f in fields(p):
-        if not np.all(np.isfinite(getattr(p, f.name))):
+        if not np.isfinite(getattr(p, f.name)).all():
             raise ValueError(f"{f.name} must be finite")
+
+
+def _check_market(p) -> None:
+    """_check_fields, then gamma > 0, T > 0 and r >= 0."""
+    _check_fields(p)
     if p.gamma <= 0:
         raise ValueError("gamma must be positive")
     if p.T <= 0:
@@ -63,17 +82,10 @@ class MarketParams:
     gamma: float
 
     def __post_init__(self):
-        mu = _as_vector(self.mu)
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        if sigma.ndim == 0:
-            sigma = sigma.reshape(1, 1)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        _check_market(self)
-        n = mu.size
+        object.__setattr__(self, "mu", _as_vector(self.mu, "mu"))
         # sigma @ sigma.T is PSD by construction; policies check definiteness.
-        if sigma.shape != (n, n):
-            raise ValueError(f"sigma must be {n}x{n}, got {sigma.shape}")
+        object.__setattr__(self, "sigma", _as_square(self.sigma, self.n_assets, "sigma"))
+        _check_market(self)
 
     @classmethod
     def single(cls, mu: float, sigma: float, r: float, T: float, gamma: float) -> "MarketParams":
@@ -111,15 +123,13 @@ class CevParams:
     gamma: float
 
     def __post_init__(self):
-        mu = _as_vector(self.mu)
-        sigma_bar = _as_vector(self.sigma_bar)
-        alpha = _as_vector(self.alpha)
+        mu = _as_vector(self.mu, "mu")
+        sigma_bar = _as_vector(self.sigma_bar, "sigma_bar")
+        alpha = _as_vector(self.alpha, "alpha")
         n = mu.size
         if alpha.size == 1 and n > 1:
             alpha = np.full(n, alpha[0])
-        corr = np.asarray(self.corr, dtype=np.float64)
-        if corr.ndim == 0:
-            corr = corr.reshape(1, 1)
+        corr = _as_square(self.corr, n, "corr")
         for name, v in (("sigma_bar", sigma_bar), ("alpha", alpha)):
             if v.size != n:
                 raise ValueError(f"{name} must have length {n}")
@@ -132,8 +142,6 @@ class CevParams:
         # policy formulas divide by it and guard separately.
         if np.any(sigma_bar < 0):
             raise ValueError("sigma_bar must be nonnegative componentwise")
-        if corr.shape != (n, n):
-            raise ValueError(f"corr must be {n}x{n}")
         if np.max(np.abs(corr - corr.T)) > 1e-12 or np.max(np.abs(np.diag(corr) - 1.0)) > 1e-12:
             raise ValueError("corr must be symmetric with unit diagonal")
         if np.min(np.linalg.eigvalsh(corr)) < -1e-10:
@@ -218,7 +226,7 @@ def cev_demand(mu: Array, omega: Array, alpha: float | Array, S: Array, r: float
 def cev_policy(c: CevParams, S: float | Array, t: float) -> Policy:
     """CEV equilibrium policy at the price S of each asset (a scalar for a
     single asset), with explicit hedging demand (cev_demand)."""
-    S = _as_vector(S)
+    S = _as_vector(S, "S")
     if S.size != c.n_assets:
         raise ValueError(f"expected {c.n_assets} prices, got {S.size}")
     _check_prices(S)

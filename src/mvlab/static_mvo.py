@@ -17,20 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .dynamic_policy import _as_square, _as_vector, _check_fields
 from .errors import DefinitenessError, SingularFrontierError
 
 Array = NDArray[np.float64]
 
-_SYM_TOL = 1e-12
-_PIVOT_REL_TOL = 1e-12
-_FRONTIER_TOL = 1e-12
-
-
-def _as_vector(x) -> Array:
-    v = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if v.ndim != 1:
-        raise ValueError("expected a 1-d vector")
-    return v
+# Symmetry and pivots are judged against 1e-12 of max |Sigma_ij| (the largest
+# diagonal entry of a PSD matrix), a*c - b^2 against 1e-12 of max(1, |a*c|).
+_REL_TOL = 1e-12
 
 
 def robust_cholesky(sigma: Array) -> Array:
@@ -41,7 +35,7 @@ def robust_cholesky(sigma: Array) -> Array:
     rounded one within eps of zero the other way)."""
     sigma = np.asarray(sigma, dtype=np.float64)
     # fmax skips NaNs, so a NaN diagonal entry is named as its own pivot.
-    floor = _PIVOT_REL_TOL * float(np.fmax.reduce(np.diag(sigma), initial=0.0))
+    floor = _REL_TOL * float(np.fmax.reduce(np.diag(sigma), initial=0.0))
     try:
         L = np.linalg.cholesky(sigma)
         # `>` rather than `not <=`, so a NaN pivot fails too.
@@ -69,8 +63,17 @@ def _frontier_solve(sigma: Array, mu: Array) -> tuple[Array, Array, Array, Array
             np.einsum("...i,...i->...", mu, inv[..., 1]))
 
 
-def _frontier_tol(a, c):
-    return _FRONTIER_TOL * np.maximum(1.0, np.abs(a * c))
+def _discriminant(a, b, c):
+    """a*c - b^2, or SingularFrontierError naming the first degenerate entry:
+    its position in the flattened stack as `index` (None for a scalar)."""
+    disc = a * c - b * b
+    bad = np.flatnonzero(disc <= _REL_TOL * np.maximum(1.0, np.abs(a * c)))
+    if bad.size:
+        raise SingularFrontierError(
+            f"degenerate frontier: a*c - b^2 = {np.ravel(disc)[bad[0]]:.3e}",
+            index=int(bad[0]) if np.ndim(disc) else None,
+        )
+    return disc
 
 
 def frontier_weights(sigma: Array, mu: Array, target: float) -> tuple[Array, Array, Array]:
@@ -84,13 +87,7 @@ def frontier_weights(sigma: Array, mu: Array, target: float) -> tuple[Array, Arr
     flattened stack as its `index`.
     """
     inv, a, b, c = _frontier_solve(sigma, mu)
-    disc = a * c - b * b
-    bad = np.flatnonzero(disc <= _frontier_tol(a, c))
-    if bad.size:
-        raise SingularFrontierError(
-            f"degenerate frontier: a*c - b^2 = {disc.flat[bad[0]]:.3e}",
-            index=int(bad[0]) if disc.ndim else None,
-        )
+    disc = _discriminant(a, b, c)
     lam1 = (c - b * target) / disc
     lam2 = (a * target - b) / disc
     omega = lam1[..., None] * inv[..., 0] + lam2[..., None] * inv[..., 1]
@@ -109,25 +106,14 @@ class StaticProblem:
     target: float
 
     def __post_init__(self):
-        mu = _as_vector(self.mu)
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        if sigma.ndim == 0:
-            sigma = sigma.reshape(1, 1)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "target", float(self.target))
-        n = mu.size
-        if n < 1:
-            raise ValueError("need at least one asset")
-        if sigma.shape != (n, n):
-            raise ValueError(f"sigma must be {n}x{n}, got {sigma.shape}")
-        if not np.all(np.isfinite(mu)):
-            raise ValueError("mu must be finite")
-        asym = np.max(np.abs(sigma - sigma.T)) if n > 1 else 0.0
-        if asym > _SYM_TOL:
+        object.__setattr__(self, "mu", _as_vector(self.mu, "mu"))
+        object.__setattr__(self, "sigma", _as_square(self.sigma, self.n_assets, "sigma"))
+        _check_fields(self)
+        asym = np.max(np.abs(self.sigma - self.sigma.T))
+        if asym > _REL_TOL * np.abs(self.sigma).max():
             raise ValueError(f"sigma not symmetric: max |S_ij - S_ji| = {asym:.3e}")
         # Positive definiteness is enforced eagerly so every instance is usable.
-        robust_cholesky(sigma)
+        robust_cholesky(self.sigma)
 
     @property
     def n_assets(self) -> int:
@@ -152,9 +138,6 @@ class Weights:
     lambda1: float
     lambda2: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", _as_vector(self.omega))
-
 
 def frontier_constants(p: StaticProblem) -> FrontierConstants:
     """Quadratic forms of Sigma^-1 against the ones vector and mu."""
@@ -178,9 +161,7 @@ def solve_static_mvo(p: StaticProblem) -> Weights:
 
 def frontier_variance(fc: FrontierConstants, target: float) -> float:
     """Minimal portfolio variance achievable at the given target return."""
-    disc = fc.discriminant
-    if disc <= _frontier_tol(fc.a, fc.c):
-        raise SingularFrontierError(f"degenerate frontier: a*c - b^2 = {disc:.3e}")
+    disc = _discriminant(fc.a, fc.b, fc.c)
     return (fc.a * target * target - 2.0 * fc.b * target + fc.c) / disc
 
 

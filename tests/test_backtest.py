@@ -103,6 +103,23 @@ class TestBatchedKernel:
                 pytest.raises(DomainError, match=r"^decision week 71: non-finite"):
             run_backtest(prices, BacktestConfig(strategy=strategy))
 
+    @pytest.mark.parametrize("alpha", [160.0, 400.0, -400.0])
+    def test_cev_price_power_out_of_range_names_the_week(self, alpha):
+        # At prices near 1e2, S^alpha over- or underflows, so the scale
+        # covariance Sigma / S^alpha is 0 or inf at the first decision week.
+        prices = gbm_series(n_weeks=80, n_assets=3, seed=0)
+        prices = type(prices)(prices=100.0 * prices.prices)
+        with np.errstate(all="raise"), \
+                pytest.raises(DomainError, match=r"^decision week 27: price power"):
+            run_backtest(prices, BacktestConfig(strategy="cev", alpha=alpha))
+
+    @pytest.mark.parametrize("alpha", [100.0, -100.0, 1.0])
+    def test_cev_large_finite_price_power_runs(self, alpha):
+        prices = gbm_series(n_weeks=80, n_assets=3, seed=0)
+        prices = type(prices)(prices=100.0 * prices.prices)
+        path = run_backtest(prices, BacktestConfig(strategy="cev", alpha=alpha))
+        assert np.all(np.isfinite(path.wealth))
+
     def test_identity_tolerance_scales_with_gross_money(self):
         # Entry 1 leaks a multiple of LEDGER_TOL x its gross money; entry 0
         # moves less than 1 of money, where the floor of 1 holds.
@@ -152,6 +169,11 @@ class TestConfig:
     def test_non_finite_field_rejected(self, field, bad):
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             BacktestConfig(strategy="cev", **{field: bad})
+
+    @pytest.mark.parametrize("batch_len", [26.5, 26.0, "26"])
+    def test_non_integer_batch_len_rejected(self, batch_len):
+        with pytest.raises(ValueError, match="^batch_len must be an integer of at least 2, got "):
+            BacktestConfig(batch_len=batch_len)
 
 
 class TestRunBacktest:

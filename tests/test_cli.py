@@ -52,6 +52,14 @@ class TestSimulate:
         series = read_price_csv(out / "prices.csv")
         np.testing.assert_allclose(series.prices[:, 0],
                                    np.exp(0.1 * np.arange(53) / 52), rtol=1e-12)
+        # CEV at zero variance is the Euler drift alone, whatever the seed
+        for seed in ("1", "2"):
+            main(["simulate", "--model", "cev", "--assets", "2", "--weeks", "52",
+                  "--variance", "0", "--mean", "0.1", "--s0", "1.0", "--seed", seed,
+                  "--out", str(out / seed)])
+        cev = read_price_csv(out / "1" / "prices.csv").prices
+        assert np.array_equal(cev, read_price_csv(out / "2" / "prices.csv").prices)
+        np.testing.assert_allclose(cev[:, 1], (1 + 0.1 / 52) ** np.arange(53), rtol=1e-12)
 
     def test_cev_model_runs(self, tmp_path):
         out = tmp_path / "cev"

@@ -373,6 +373,8 @@ class TestLattice:
     def test_step_limit(self):
         with pytest.raises(ResourceError):
             lattice_equilibrium_oracle(single(), steps=1 << 16)
+        with pytest.raises(ResourceError, match="exceeds limit 4096"):
+            lattice_equilibrium_oracle(single(), steps=(1 << 12) + 1)
 
     def test_too_few_steps(self):
         with pytest.raises(ValueError):
@@ -380,6 +382,27 @@ class TestLattice:
 
 
 class TestValidation:
+    def test_two_dimensional_vector_rejected(self):
+        # a (1, 2) or (2, 1) mu would broadcast into a (1, 2) or (2, 2) theta
+        with pytest.raises(ValueError, match=r"^mu must be a 1-d vector, got shape \(1, 2\)$"):
+            MarketParams(mu=[[0.1, 0.2]], sigma=np.eye(2), r=0.02, T=1.0, gamma=1.0)
+        with pytest.raises(ValueError, match=r"^mu must be a 1-d vector, got shape \(2, 1\)$"):
+            CevParams(mu=[[0.1], [0.2]], sigma_bar=[0.2, 0.2], alpha=1.0, corr=np.eye(2),
+                      r=0.02, T=1.0, gamma=1.0)
+        c = CevParams(mu=[0.1, 0.2], sigma_bar=[0.2, 0.2], alpha=1.0, corr=np.eye(2),
+                      r=0.02, T=1.0, gamma=1.0)
+        with pytest.raises(ValueError, match="^S must be a 1-d vector"):
+            cev_policy(c, [[1.0, 1.2]], 0.0)
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda m: MarketParams(mu=[0.1, 0.2], sigma=m, r=0.02, T=1.0, gamma=1.0), "sigma"),
+        (lambda m: CevParams(mu=[0.1, 0.2], sigma_bar=[0.2, 0.2], alpha=1.0, corr=m,
+                             r=0.02, T=1.0, gamma=1.0), "corr"),
+    ], ids=["gbm", "cev"])
+    def test_wrong_matrix_shape_named(self, make, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be 2x2, got \(3, 3\)$"):
+            make(np.eye(3))
+
     def test_bad_gamma(self):
         with pytest.raises(ValueError):
             MarketParams.single(0.1, 0.2, 0.02, 1.0, gamma=0.0)

@@ -7,6 +7,7 @@ from mvlab.static_mvo import (
     StaticProblem,
     frontier_constants,
     frontier_variance,
+    frontier_weights,
     kkt_oracle,
     robust_cholesky,
     solve_static_mvo,
@@ -37,6 +38,30 @@ class TestInvariants:
     def test_rejects_nonfinite_mu(self):
         with pytest.raises(ValueError):
             StaticProblem(mu=[np.nan, 0.2], sigma=np.eye(2), target=0.15)
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_target(self, target):
+        with pytest.raises(ValueError, match="^target must be finite$"):
+            StaticProblem(mu=[0.1, 0.2], sigma=np.eye(2), target=target)
+
+    def test_rejects_two_dimensional_mu(self):
+        with pytest.raises(ValueError, match="^mu must be a 1-d vector"):
+            StaticProblem(mu=[[0.1, 0.2]], sigma=np.eye(2), target=0.15)
+
+    def test_symmetry_tolerance_scales_with_sigma(self, rng):
+        # D C D at vols 50-500 is symmetric only to rounding of its entries,
+        # up to 2.5e5, which is far above an absolute 1e-12.
+        for _ in range(20):
+            a = random_pd_matrix(rng, 5)
+            corr = a / np.sqrt(np.outer(np.diag(a), np.diag(a)))
+            d = np.diag(rng.uniform(50.0, 500.0, size=5))
+            sigma = d @ corr @ d
+            StaticProblem(mu=rng.normal(0.1, 0.1, size=5), sigma=sigma, target=0.1)
+        # ... while an asymmetry above 1e-12 of the scale is still rejected
+        sigma = np.diag([4.0, 1.0])
+        sigma[0, 1] = 1e-11
+        with pytest.raises(ValueError, match="symmetric"):
+            StaticProblem(mu=[0.1, 0.2], sigma=sigma, target=0.15)
 
 
 class TestRobustCholesky:
@@ -213,6 +238,17 @@ class TestFrontierVariance:
         fc = FrontierConstants(a=2.0, b=1.0, c=0.5)  # a*c == b^2
         with pytest.raises(SingularFrontierError):
             frontier_variance(fc, 0.1)
+
+    def test_degenerate_message_matches_frontier_weights(self):
+        # identical assets: a*c - b^2 is rounding noise in both functions
+        p = StaticProblem(mu=[0.1, 0.1], sigma=np.eye(2), target=0.1)
+        with pytest.raises(SingularFrontierError) as weights:
+            frontier_weights(p.sigma, p.mu, p.target)
+        with pytest.raises(SingularFrontierError) as variance:
+            frontier_variance(frontier_constants(p), p.target)
+        assert str(weights.value) == str(variance.value)
+        assert str(weights.value).startswith("degenerate frontier: a*c - b^2 = ")
+        assert weights.value.index is variance.value.index is None
 
 
 class TestOptimality:
