@@ -9,11 +9,17 @@ probe, a Python snippet that prints seeded library results no command
 writes, with its stdout going to a file of that directory.  Compares the
 exit code of every command and probe and every file written, manifests
 included, byte for byte.  Prints one line per command, probe and file, and
-exits 1 on any difference.  Standard library only.
+exits 1 on any difference.  For a CSV or JSON file whose bytes differ but
+whose text and numbers line up one to one, the line also gives the largest
+absolute and relative difference of the numbers.  Standard library only.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -122,6 +128,68 @@ def files_under(root: str) -> dict[str, bytes]:
     return out
 
 
+def _fields(name: str, data: bytes) -> list | None:
+    """The values of a CSV or JSON file in order, each number as a float
+    and everything else (headers, keys, strings) as it stands; None for
+    any other file or one that does not parse."""
+    try:
+        text = data.decode()
+        if name.endswith(".csv"):
+            values = [field for row in csv.reader(io.StringIO(text)) for field in row]
+        elif name.endswith(".json"):
+            values = list(_flatten(json.loads(text)))
+        else:
+            return None
+    except (UnicodeDecodeError, ValueError, csv.Error):
+        return None
+    out = []
+    for v in values:
+        try:
+            out.append(float(v) if not isinstance(v, bool) else v)
+        except (TypeError, ValueError):
+            out.append(v)
+    return out
+
+
+def _flatten(obj):
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield key
+            yield from _flatten(obj[key])
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from _flatten(item)
+    else:
+        yield obj
+
+
+def numeric_diff(name: str, old: bytes, new: bytes) -> str | None:
+    """'max abs diff A, max rel diff R over K numbers' for two CSV or JSON
+    files whose non-numeric values agree and whose numbers pair up; the
+    relative difference of a pair is |a - b| / max(|a|, |b|).  None when
+    the files do not line up that way."""
+    a, b = _fields(name, old), _fields(name, new)
+    if a is None or b is None or len(a) != len(b):
+        return None
+    abs_max = rel_max = 0.0
+    count = 0
+    for x, y in zip(a, b):
+        if not (isinstance(x, float) and isinstance(y, float)):
+            if x != y:
+                return None
+            continue
+        count += 1
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        d = abs(x - y)
+        if not math.isfinite(d):  # a NaN or an infinity against another value
+            abs_max = rel_max = math.inf
+            continue
+        abs_max = max(abs_max, d)
+        rel_max = max(rel_max, d / max(abs(x), abs(y)))
+    return f"max abs diff {abs_max:.3e}, max rel diff {rel_max:.3e} over {count} numbers"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC", file=sys.stderr)
@@ -145,7 +213,8 @@ def main(argv: list[str]) -> int:
         else:
             differ += 1
             what = "only in OLD" if new is None else "only in NEW" if old is None else "bytes differ"
-            print(f"DIFF {name}: {what}")
+            numbers = what == "bytes differ" and numeric_diff(name, old, new)
+            print(f"DIFF {name}: {what}" + (f"; {numbers}" if numbers else ""))
     print(f"{differ} difference(s)")
     return 1 if differ else 0
 

@@ -8,26 +8,31 @@ accrues bond interest and stock P&L to the next week.  Initial wealth is
 zero and short selling is allowed.
 
 No strategy's theta depends on wealth, so `run_backtest` works in stages
-over blocks of BLOCK_WEEKS decision weeks: (i) the rolling estimates of the
-whole block as (k, N) and (k, N, N) stacks, (ii) a finiteness check of the
-stacks and the ridge, which keeps every Sigma_hat definite, (iii) the
-block's theta rows; then, after the last block, (iv) one pass of the
-ledger recurrence
+over blocks of BLOCK_WEEKS decision weeks: (i) the block's (k, N) means and
+a solve b -> (Sigma_hat + rho I)^-1 b (estimate.ridge_solver), whose
+finiteness check and ridge keep every Sigma_hat definite, (ii) the block's
+theta rows, each strategy's closed form called with that solve; then,
+after the last block, (iii) one pass of the ledger recurrence
     W_{k+1} = e^{r DT} (W_k - sum(theta_k)) + (theta_k / P_k) . P_{k+1}.
-The stages use numpy's batched LAPACK only, and fixed blocks bound the
-memory the stacks take.
+With N assets and batch length L, the solve works on (k, N, N) stacks when
+N < L; when N >= L it solves the (k, L, L) system of the Woodbury
+identity and never forms a (k, N, N) stack.  Only a callable strategy,
+which receives each week's ParamEstimate, gets the covariance stack.  The
+stages use numpy's batched LAPACK only, and fixed blocks bound the memory
+the stacks take.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import dynamic_policy, estimate, static_mvo
-from .errors import DomainError, LedgerError, MvlabError, WarmupError
+from .errors import LedgerError, MvlabError, WarmupError
 from .simulate import PriceSeries
 
 Array = NDArray[np.float64]
@@ -91,9 +96,9 @@ class WealthPath:
 def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
                  rows: Array, horizon: float) -> Array:
     """Money vectors (k, N) of the strategy at decision rows `rows`."""
-    mu, sigma = estimate.rolling_estimates(returns, rows, cfg.batch_len)
     prices_now = prices[rows]
     if callable(cfg.strategy):
+        mu, sigma = estimate.rolling_estimates(returns, rows, cfg.batch_len)
         return np.array([
             np.asarray(cfg.strategy(
                 estimate.ParamEstimate(mu_hat=mu[i], sigma_hat=sigma[i],
@@ -102,32 +107,23 @@ def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
             for i, t in enumerate(rows.tolist())
         ])
     # The ridge makes a finite estimate definite (see estimate.RIDGE_EPS).
-    bad = np.flatnonzero(~(np.isfinite(mu).all(axis=1) & np.isfinite(sigma).all(axis=(1, 2))))
-    if bad.size:
-        raise DomainError("non-finite estimate", index=int(bad[0]))
-    sigma = estimate.regularize_covariance(sigma)
-    n = sigma.shape[-1]
+    mu, solve = estimate.ridge_solver(returns, rows, cfg.batch_len)
     tau = horizon - rows * DT
     if cfg.strategy == "static":
-        if n == 1:
+        if mu.shape[1] == 1:
             # A single asset cannot generally hit the target; invest fully.
             return np.full((rows.size, 1), cfg.notional)
-        return cfg.notional * static_mvo.frontier_weights(sigma, mu, cfg.target)[0]
+        return cfg.notional * static_mvo.frontier_weights(solve, mu, cfg.target)[0]
     if cfg.strategy in ("simple", "multi"):
-        return dynamic_policy.gbm_demand(mu - cfg.r, sigma, cfg.r, cfg.gamma, tau)
+        return dynamic_policy.gbm_demand(mu - cfg.r, solve, cfg.r, cfg.gamma, tau)
     # cev: read the estimated covariance as the instantaneous covariance of
-    # dS/S at current prices, Sigma_ij = q_i q_j omega_ij with q = S^(alpha/2).
-    # A large |alpha| over- or underflows q; such a week is rejected below.
-    with np.errstate(all="ignore"):
+    # dS/S at current prices, Sigma_ij = q_i q_j omega_ij with q = S^(alpha/2),
+    # so omega^-1 b = q * Sigma^-1 (q * b).  cev_demand rejects a week whose
+    # S^alpha leaves the float range before it solves.
+    with np.errstate(over="ignore", under="ignore"):
         q = prices_now ** (cfg.alpha / 2.0)
-        omega = sigma / (q[:, :, None] * q[:, None, :])
-    bad = np.flatnonzero(~np.isfinite(omega).all(axis=(1, 2))
-                         | (np.diagonal(omega, axis1=1, axis2=2) <= 0).any(axis=1))
-    if bad.size:
-        raise DomainError(f"price power S^alpha out of range at alpha = {cfg.alpha}",
-                          index=int(bad[0]))
-    myopic, hedging = dynamic_policy.cev_demand(mu, omega, cfg.alpha, prices_now,
-                                                cfg.r, cfg.gamma, tau)
+    myopic, hedging = dynamic_policy.cev_demand(mu, partial(solve, scale=q), cfg.alpha,
+                                                prices_now, cfg.r, cfg.gamma, tau)
     return myopic + hedging
 
 

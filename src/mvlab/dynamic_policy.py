@@ -14,7 +14,9 @@ split into a myopic and a hedging component, plus:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,8 +24,10 @@ from numpy.typing import NDArray
 from .errors import DefinitenessError, DomainError, HorizonError, ResourceError
 
 Array = NDArray[np.float64]
+Solve = Callable[[Array], Array]  # b (..., N, m) -> A^-1 b for the matrix A in question
 
 _ZERO_RATE_TOL = 1e-12
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float
 _MAX_LATTICE_STEPS = 1 << 12  # the thetas take S(S+1)/2 floats: 67 MB
 
 
@@ -176,15 +180,16 @@ def _check_horizon(t: float, T: float) -> float:
     return T - t
 
 
-def gbm_demand(excess: Array, cov: Array, r: float, gamma: float, tau) -> Array:
+def gbm_demand(excess: Array, solve: Solve, r: float, gamma: float, tau) -> Array:
     """Money per asset of the GBM equilibrium policy,
-    exp(-r tau) cov^-1 excess / gamma with excess = mu - r: the one policy solve.
+    exp(-r tau) cov^-1 excess / gamma with excess = mu - r, where
+    solve(b) returns cov^-1 b for b (..., N, m): the one policy solve.
 
-    Works over leading axes: excess (..., N), cov (..., N, N), tau (...), so
-    a backtest evaluates a block of decision weeks in one call.
+    Works over leading axes: excess (..., N), tau (...), so a backtest
+    evaluates a block of decision weeks in one call.
     """
     try:
-        x = np.linalg.solve(cov, excess[..., None])[..., 0]
+        x = solve(excess[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise DefinitenessError("singular covariance") from exc
     return x / gamma * np.asarray(np.exp(-r * tau))[..., None]
@@ -194,7 +199,8 @@ def simple_policy(m: MarketParams, t: float) -> Policy:
     """Equilibrium policy of a GBM market of one or several assets: the
     discounted myopic demand (gbm_demand) alone, since with constant
     parameters the anticipated gain is deterministic and hedges nothing."""
-    myopic = gbm_demand(m.mu - m.r, m.cov, m.r, m.gamma, _check_horizon(t, m.T))
+    myopic = gbm_demand(m.mu - m.r, partial(np.linalg.solve, m.cov), m.r, m.gamma,
+                        _check_horizon(t, m.T))
     return Policy(myopic=myopic, hedging=np.zeros_like(myopic))
 
 
@@ -203,21 +209,30 @@ def _check_prices(S) -> None:
         raise DomainError(f"prices must be positive and finite, got {S}")
 
 
-def cev_demand(mu: Array, omega: Array, alpha: float | Array, S: Array, r: float,
+def cev_demand(mu: Array, solve: Solve, alpha: float | Array, S: Array, r: float,
                gamma: float, tau) -> tuple[Array, Array]:
-    """Myopic and hedging money per asset of the CEV equilibrium policy over
-    the scale covariance omega = sigma_bar sigma_bar^T * corr: gbm_demand of
-    (mu - r) / S^alpha, and that of (mu - r)^2 / S^alpha at tau = 0 times
+    """Myopic and hedging money per asset of the CEV equilibrium policy,
+    where solve(b) returns omega^-1 b for the scale covariance
+    omega = sigma_bar sigma_bar^T * corr: gbm_demand of (mu - r) / S^alpha,
+    and that of (mu - r)^2 / S^alpha at tau = 0 times
     exp(-r tau) (exp(-alpha r tau) - 1) / r (-alpha tau as r -> 0), which
-    is zero at alpha = 0.
+    is zero at alpha = 0.  A price power S^alpha outside the normal float
+    range is a DomainError whose `index` is the first row holding one.
 
-    Works over leading axes: mu and S (..., N), omega (..., N, N), tau
-    (...); alpha is a scalar or (..., N).
+    Works over leading axes: mu and S (..., N), tau (...); alpha is a
+    scalar or (..., N).
     """
+    with np.errstate(over="ignore", under="ignore"):
+        s_pow = S**alpha
+    ok = np.isfinite(s_pow) & (s_pow >= _TINY)
+    if not ok.all():
+        first = tuple(np.argwhere(~ok)[0])
+        raise DomainError(f"price power S^alpha out of range at alpha = "
+                          f"{np.broadcast_to(alpha, s_pow.shape)[first]:g}",
+                          index=int(first[0]) if s_pow.ndim > 1 else None)
     excess = mu - r
-    s_pow = S**alpha
-    myopic = gbm_demand(excess / s_pow, omega, r, gamma, tau)
-    hedged = gbm_demand(excess**2 / s_pow, omega, r, gamma, 0.0)
+    myopic = gbm_demand(excess / s_pow, solve, r, gamma, tau)
+    hedged = gbm_demand(excess**2 / s_pow, solve, r, gamma, 0.0)
     tau = np.asarray(tau)[..., None]
     rate = -alpha * tau if abs(r) <= _ZERO_RATE_TOL else np.expm1(-alpha * r * tau) / r
     return myopic, -hedged * rate * np.exp(-r * tau)
@@ -231,7 +246,8 @@ def cev_policy(c: CevParams, S: float | Array, t: float) -> Policy:
         raise ValueError(f"expected {c.n_assets} prices, got {S.size}")
     _check_prices(S)
     omega = c.sigma_bar[:, None] * c.sigma_bar[None, :] * c.corr
-    myopic, hedging = cev_demand(c.mu, omega, c.alpha, S, c.r, c.gamma, _check_horizon(t, c.T))
+    myopic, hedging = cev_demand(c.mu, partial(np.linalg.solve, omega), c.alpha, S, c.r,
+                                 c.gamma, _check_horizon(t, c.T))
     return Policy(myopic=myopic, hedging=hedging)
 
 
@@ -257,8 +273,7 @@ def cev_anticipated_gain_exact(c: CevParams, S: float | Array, t: float) -> floa
     """
     if c.n_assets != 1:
         raise ValueError("requires a single-asset market")
-    if np.any(S <= 0):
-        raise DomainError(f"price must be positive, got {np.min(S)}")
+    _check_prices(S)
     tau = _check_horizon(t, c.T)
     mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
     h0 = S ** (-alpha)

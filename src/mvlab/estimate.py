@@ -4,17 +4,19 @@ Price rows are weekly by contract, WEEKS_PER_YEAR to the year.  At each
 decision index the previous `batch_len` return rows (26 weeks by default,
 half a year) form the batch, whose sample mean and covariance are
 annualised by WEEKS_PER_YEAR.  Estimation never looks at or past the
-decision time.
+decision time.  ridge_solver solves with the regularised covariance of
+each batch without forming it when the assets outnumber the batch weeks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DataError, WarmupError
+from .errors import DataError, DomainError, WarmupError
 from .simulate import PriceSeries
 
 Array = NDArray[np.float64]
@@ -50,10 +52,9 @@ def to_returns(p: PriceSeries) -> Array:
     return prices[1:] / prices[:-1] - 1.0
 
 
-def rolling_estimates(returns: Array, t_indices,
-                      batch_len: int = DEFAULT_BATCH_LEN) -> tuple[Array, Array]:
-    """Annualised sample means (k, N) and covariances (k, N, N) of the
-    batches ending before each of the k decision indices in t_indices.
+def _centred_windows(returns: Array, t_indices, batch_len: int) -> tuple[Array, Array]:
+    """Weekly means (k, N) and centred return windows (k, N, batch_len) of
+    the batches ending before each of the k decision indices in t_indices.
 
     The batch for index t is return rows [t - batch_len, t), so the
     batches of t and t + 1 share batch_len - 1 rows; all batches are read
@@ -72,9 +73,74 @@ def rolling_estimates(returns: Array, t_indices,
     centred = windows[t - batch_len]                      # (k, N, batch_len), a copy
     mean = centred.mean(axis=-1)
     centred -= mean[..., None]
+    return mean, centred
+
+
+def rolling_estimates(returns: Array, t_indices,
+                      batch_len: int = DEFAULT_BATCH_LEN) -> tuple[Array, Array]:
+    """Annualised sample means (k, N) and covariances (k, N, N) of the
+    batches ending before each of the k decision indices in t_indices."""
+    mean, centred = _centred_windows(returns, t_indices, batch_len)
     cov = centred @ np.swapaxes(centred, -1, -2)
     cov *= WEEKS_PER_YEAR / (batch_len - 1)
     return WEEKS_PER_YEAR * mean, cov
+
+
+def _check_finite(mu: Array, matrix: Array) -> None:
+    """DomainError naming the first batch whose means or regularised
+    matrix hold a non-finite entry."""
+    bad = np.flatnonzero(~(np.isfinite(mu).all(axis=1) & np.isfinite(matrix).all(axis=(1, 2))))
+    if bad.size:
+        raise DomainError("non-finite estimate", index=int(bad[0]))
+
+
+def ridge_solver(returns: Array, t_indices,
+                 batch_len: int = DEFAULT_BATCH_LEN) -> tuple[Array, Callable]:
+    """Annualised sample means (k, N) of the batches ending before each of
+    the k decision indices in t_indices, and solve(b, scale=None), which
+    returns (Sigma_hat + rho I)^-1 b for b (k, N, m): Sigma_hat and rho as
+    in rolling_estimates and regularize_covariance.  With scale s (k, N) it
+    solves with (Sigma_hat + rho I)_ij / (s_i s_j) instead.  A non-finite
+    estimate is a DomainError whose `index` is its batch.
+
+    With X a batch's centred (N, L) window and c = WEEKS_PER_YEAR/(L - 1),
+    Sigma_hat + rho I = rho I + c X X^T.  When N < L the N x N matrices are
+    built and solved.  Otherwise the Woodbury identity
+        (rho I + c X X^T)^-1 b = (b - c X (rho I_L + c X^T X)^-1 X^T b) / rho
+    solves an L x L system, and the N x N matrices are never formed.
+    """
+    if returns.shape[1] < batch_len:
+        mu, sigma = rolling_estimates(returns, t_indices, batch_len)
+        sigma = regularize_covariance(sigma)
+        _check_finite(mu, sigma)
+
+        last = [None, sigma]  # the last scale and its scaled matrices
+
+        def solve(b: Array, scale: Array | None = None) -> Array:
+            if scale is None:
+                return np.linalg.solve(sigma, b)
+            if last[0] is not scale:
+                with np.errstate(over="ignore"):
+                    scaled = sigma / (scale[:, :, None] * scale[:, None, :])
+                _check_finite(mu, scaled)  # LAPACK would read an overflow as a zero demand
+                last[:] = scale, scaled
+            return np.linalg.solve(last[1], b)
+        return mu, solve
+
+    mean, x = _centred_windows(returns, t_indices, batch_len)
+    c = WEEKS_PER_YEAR / (batch_len - 1)
+    gram = np.swapaxes(x, -1, -2) @ x
+    gram *= c
+    ridge = _add_ridge(gram, x.shape[1])
+    mu = WEEKS_PER_YEAR * mean
+    _check_finite(mu, gram)
+
+    def solve(b: Array, scale: Array | None = None) -> Array:
+        s = 1.0 if scale is None else scale[..., None]
+        b = s * b
+        y = np.linalg.solve(gram, np.swapaxes(x, -1, -2) @ b)
+        return s * (b - c * (x @ y)) / ridge[:, None, None]
+    return mu, solve
 
 
 def regularize_covariance(sigma: Array) -> Array:
@@ -82,10 +148,16 @@ def regularize_covariance(sigma: Array) -> Array:
     (or RIDGE_EPS at a zero trace) on the diagonal.  Needed whenever the
     asset count exceeds the batch length.  Works on one matrix or a stack
     of them (leading axes)."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    n = sigma.shape[-1]
-    ridge = RIDGE_EPS * np.trace(sigma, axis1=-2, axis2=-1) / n
-    ridge = np.where(ridge <= 0, RIDGE_EPS, ridge)
-    out = sigma.copy()
-    np.einsum("...ii->...i", out)[...] += ridge[..., None]
+    out = np.array(sigma, dtype=np.float64)
+    _add_ridge(out, out.shape[-1])
     return out
+
+
+def _add_ridge(m: Array, n: int) -> Array:
+    """Add the ridge rho = RIDGE_EPS * trace/n (RIDGE_EPS at a zero trace)
+    to the diagonal of m in place, over leading axes; returns rho.  n is
+    the order of the covariance whose trace m shares."""
+    ridge = RIDGE_EPS * np.trace(m, axis1=-2, axis2=-1) / n
+    ridge = np.where(ridge <= 0, RIDGE_EPS, ridge)
+    np.einsum("...ii->...i", m)[...] += ridge[..., None]
+    return ridge

@@ -340,8 +340,10 @@ def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
                        n_steps, lambda out: rng.standard_normal(out=out))
     with np.errstate(over="ignore", invalid="ignore"), closing(steps):
         for k, s in enumerate(steps, start=1):
-            # t + n_steps * dt may overshoot T by an ulp
-            f = cev_anticipated_gain_exact(c, s, min(t + k * dt, c.T))
+            # t + n_steps * dt may overshoot T by an ulp; a diverged path
+            # reads the start price here and fails the run after the last step
+            f = cev_anticipated_gain_exact(c, np.where(np.isfinite(s), s, S),
+                                           min(t + k * dt, c.T))
             rets.append(s / s_prev - 1.0)
             dfs.append(f - f_prev)
             s_prev, f_prev = s, f

@@ -13,11 +13,12 @@ generic dense solver, independently of the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamic_policy import _as_square, _as_vector, _check_fields
+from .dynamic_policy import Solve, _as_square, _as_vector, _check_fields
 from .errors import DefinitenessError, SingularFrontierError
 
 Array = NDArray[np.float64]
@@ -54,11 +55,11 @@ def robust_cholesky(sigma: Array) -> Array:
         f"covariance not positive definite: pivot {j} = {pivot:.3e} (floor {floor:.3e})")
 
 
-def _frontier_solve(sigma: Array, mu: Array) -> tuple[Array, Array, Array, Array]:
-    """Sigma^-1 [1, mu] as an (..., N, 2) array, over any leading axes, and
-    the frontier constants a, b, c it gives."""
+def _frontier_solve(solve: Solve, mu: Array) -> tuple[Array, Array, Array, Array]:
+    """Sigma^-1 [1, mu] as an (..., N, 2) array, over any leading axes, with
+    solve(b) = Sigma^-1 b, and the frontier constants a, b, c it gives."""
     mu = np.asarray(mu, dtype=np.float64)
-    inv = np.linalg.solve(sigma, np.stack([np.ones_like(mu), mu], axis=-1))
+    inv = solve(np.stack([np.ones_like(mu), mu], axis=-1))
     return (inv, inv[..., 0].sum(axis=-1), inv[..., 1].sum(axis=-1),
             np.einsum("...i,...i->...", mu, inv[..., 1]))
 
@@ -76,17 +77,17 @@ def _discriminant(a, b, c):
     return disc
 
 
-def frontier_weights(sigma: Array, mu: Array, target: float) -> tuple[Array, Array, Array]:
+def frontier_weights(solve: Solve, mu: Array, target: float) -> tuple[Array, Array, Array]:
     """Closed-form minimum-variance weights hitting the target return.
 
     omega = ((c - b*m)/(ac - b^2)) Sigma^-1 1 + ((a*m - b)/(ac - b^2)) Sigma^-1 mu
     with m the target; the Lagrange multipliers are the two scalar
-    prefactors.  Works over leading axes of sigma (..., N, N) and mu
-    (..., N); returns (omega, lambda1, lambda2).  A degenerate frontier
-    raises SingularFrontierError with the first one's position in the
-    flattened stack as its `index`.
+    prefactors.  solve(b) returns Sigma^-1 b for b (..., N, 2).  Works over
+    leading axes of mu (..., N); returns (omega, lambda1, lambda2).  A
+    degenerate frontier raises SingularFrontierError with the first one's
+    position in the flattened stack as its `index`.
     """
-    inv, a, b, c = _frontier_solve(sigma, mu)
+    inv, a, b, c = _frontier_solve(solve, mu)
     disc = _discriminant(a, b, c)
     lam1 = (c - b * target) / disc
     lam2 = (a * target - b) / disc
@@ -141,7 +142,7 @@ class Weights:
 
 def frontier_constants(p: StaticProblem) -> FrontierConstants:
     """Quadratic forms of Sigma^-1 against the ones vector and mu."""
-    _, a, b, c = _frontier_solve(p.sigma, p.mu)
+    _, a, b, c = _frontier_solve(partial(np.linalg.solve, p.sigma), p.mu)
     return FrontierConstants(a=float(a), b=float(b), c=float(c))
 
 
@@ -155,7 +156,7 @@ def solve_static_mvo(p: StaticProblem) -> Weights:
                 f"single asset cannot reach target {p.target} (mu = {p.mu[0]})"
             )
         return Weights(omega=np.array([1.0]), lambda1=float(p.sigma[0, 0]), lambda2=0.0)
-    omega, lam1, lam2 = frontier_weights(p.sigma, p.mu, p.target)
+    omega, lam1, lam2 = frontier_weights(partial(np.linalg.solve, p.sigma), p.mu, p.target)
     return Weights(omega=omega, lambda1=float(lam1), lambda2=float(lam2))
 
 

@@ -1,7 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from mvlab import backtest, static_mvo
+from mvlab import backtest, dynamic_policy, estimate, static_mvo
 from mvlab.backtest import LEDGER_TOL, BacktestConfig, run_backtest
 from mvlab.cli import main, read_price_csv
 from mvlab.dynamic_policy import MarketParams
@@ -102,6 +104,65 @@ class TestBatchedKernel:
         with np.errstate(all="ignore"), \
                 pytest.raises(DomainError, match=r"^decision week 71: non-finite"):
             run_backtest(prices, BacktestConfig(strategy=strategy))
+
+    @pytest.mark.parametrize("strategy", ["static", "simple", "cev"])
+    def test_non_finite_estimate_at_or_above_batch_len_names_the_week(self, strategy):
+        # as above, with 30 assets on the 26-week batch: the Woodbury solve
+        prices = gbm_series(n_weeks=100, n_assets=30, seed=1)
+        p = prices.prices.copy()
+        p[70, 1] = 1e-300
+        prices = type(prices)(prices=p)
+        with np.errstate(all="ignore"), \
+                pytest.raises(DomainError, match=r"^decision week 71: non-finite"):
+            run_backtest(prices, BacktestConfig(strategy=strategy))
+
+    @pytest.mark.parametrize("n_assets", [26, 40])
+    @pytest.mark.parametrize("kwargs", [
+        {"strategy": "static", "target": 0.15},
+        {"strategy": "simple", "gamma": 1e4},
+        {"strategy": "cev", "alpha": 1.0, "gamma": 1e4},
+    ], ids=["static", "simple", "cev"])
+    def test_matches_oracle_at_or_above_batch_len(self, n_assets, kwargs):
+        # Sigma_hat has rank below the 26-week batch: the kernel solves in
+        # the batch dimension, the oracle with each N x N matrix.  The ridge
+        # alone bounds the demand along Sigma_hat's null space, so at
+        # gamma = 1 the money reaches 1e8 at zero wealth, where rounding
+        # alone breaks the oracle ledger's check of 1e-9 x max(1, |W|);
+        # gamma = 1e4 scales the money down, and the tolerance with it.
+        cfg = BacktestConfig(**kwargs)
+        prices = gbm_series(n_weeks=80, n_assets=n_assets, seed=n_assets)
+        assert_matches_oracle(run_backtest(prices, cfg), prices, cfg)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"strategy": "static", "target": 0.15},
+        {"strategy": "simple"},
+        {"strategy": "cev", "alpha": 1.0},
+    ], ids=["static", "simple", "cev"])
+    def test_theta_below_batch_len_solves_each_matrix(self, kwargs):
+        # With fewer assets than batch weeks the kernel solves each
+        # regularised N x N estimate (over q q^T under cev) as it stands
+        cfg = BacktestConfig(**kwargs)
+        prices = gbm_series(n_weeks=120, n_assets=10, seed=6)
+        returns = estimate.to_returns(prices)
+        rows = np.arange(27, 27 + backtest.BLOCK_WEEKS)
+        horizon = 120 * backtest.DT
+        mu, sigma = estimate.rolling_estimates(returns, rows)
+        sigma = estimate.regularize_covariance(sigma)
+        tau = horizon - rows * backtest.DT
+        if cfg.strategy == "static":
+            want = static_mvo.frontier_weights(partial(np.linalg.solve, sigma), mu, cfg.target)[0]
+        elif cfg.strategy == "simple":
+            want = dynamic_policy.gbm_demand(mu - cfg.r, partial(np.linalg.solve, sigma),
+                                             cfg.r, cfg.gamma, tau)
+        else:
+            S = prices.prices[rows]
+            q = S ** (cfg.alpha / 2.0)
+            omega = sigma / (q[:, :, None] * q[:, None, :])
+            myopic, hedging = dynamic_policy.cev_demand(
+                mu, partial(np.linalg.solve, omega), cfg.alpha, S, cfg.r, cfg.gamma, tau)
+            want = myopic + hedging
+        got = backtest._block_theta(cfg, returns, prices.prices, rows, horizon)
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("alpha", [160.0, 400.0, -400.0])
     def test_cev_price_power_out_of_range_names_the_week(self, alpha):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mvlab.dynamic_policy import (
     MarketParams,
     anticipated_gain_gbm,
     cev_anticipated_gain_exact,
+    cev_demand,
     cev_policy,
     lattice_equilibrium_oracle,
     simple_policy,
@@ -202,6 +205,23 @@ class TestCevPolicyMulti:
         with pytest.raises(ValueError, match="expected 1 prices"):
             cev_policy(cev_single(), S=[1.0, 2.0], t=0.0)
 
+    @pytest.mark.parametrize("alpha", [400.0, -400.0])
+    def test_price_power_out_of_range_is_domain_error(self, alpha):
+        # 100^400 overflows and 100^-400 underflows; neither may read as theta = 0
+        c = CevParams.single(0.125, 0.2, alpha, 0.025, 1.0, 1.0)
+        message = rf"^price power S\^alpha out of range at alpha = {alpha:g}$"
+        with np.errstate(all="raise"), pytest.raises(DomainError, match=message) as info:
+            cev_policy(c, 100.0, 0.0)
+        assert info.value.index is None
+
+    def test_price_power_error_names_the_first_bad_row(self):
+        # rows of a batched call: row 1 holds 1e3^200 = inf, row 2 1e-3^200 = 0
+        S = np.array([[1.0, 2.0], [1.0, 1e3], [1e-3, 1.0]])
+        with pytest.raises(DomainError, match="alpha = 200$") as info:
+            cev_demand(np.full(2, 0.1), partial(np.linalg.solve, np.eye(2)), 200.0, S,
+                       0.025, 1.0, np.ones(3))
+        assert info.value.index == 1
+
 
 class TestAnticipatedGain:
     def test_gbm_zero_sharpe(self):
@@ -261,6 +281,13 @@ class TestAnticipatedGain:
     def test_exact_gain_rejects_a_nonpositive_price_in_an_array(self):
         with pytest.raises(DomainError):
             cev_anticipated_gain_exact(cev_single(), np.array([1.0, 0.0]), 0.0)
+
+    @pytest.mark.parametrize("price", [np.nan, np.inf])
+    def test_exact_gain_rejects_a_non_finite_price(self, price):
+        with pytest.raises(DomainError, match="positive and finite"):
+            cev_anticipated_gain_exact(cev_single(), price, 0.0)
+        with pytest.raises(DomainError, match="positive and finite"):
+            cev_anticipated_gain_exact(cev_single(), np.array([1.0, price]), 0.0)
 
     def test_requires_minimum_paths(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from mvlab.errors import DataError, WarmupError
+from mvlab.errors import DataError, DomainError, WarmupError
 from mvlab.estimate import (
     RIDGE_EPS,
     regularize_covariance,
+    ridge_solver,
     rolling_estimates,
     to_returns,
 )
@@ -136,3 +137,66 @@ class TestRegularize:
         assert np.all(pivots >= (rho - rounding)[:, None])
         floor = 1e-12 * np.diagonal(fixed, axis1=1, axis2=2).max(axis=1)
         assert np.all(pivots > floor[:, None])
+
+
+class TestRidgeSolver:
+    """ridge_solver's (Sigma_hat + rho I)^-1 b against the matrices of
+    rolling_estimates and regularize_covariance; the batch is 26 weeks."""
+
+    @staticmethod
+    def batches(rng, n, weeks=60):
+        returns = rng.normal(0.002, 0.03, size=(weeks, n))
+        returns[20:46] = 0.0                     # the batch of t = 46 has a zero trace
+        t = np.arange(26, weeks + 1)
+        mu, sigma = rolling_estimates(returns, t)
+        return returns, t, mu, regularize_covariance(sigma)
+
+    @pytest.mark.parametrize("n", [25, 26, 27, 50])
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+    def test_backward_error(self, rng, n, scaled):
+        # |A x - b| / (|A| |x|) at the level of a backward-stable solve, on
+        # either side of n = batch_len, where the Woodbury form takes over
+        returns, t, mu, matrix = self.batches(rng, n)
+        b = rng.normal(size=(t.size, n, 3))
+        got_mu, solve = ridge_solver(returns, t)
+        if scaled:
+            scale = rng.uniform(0.5, 2.0, size=(t.size, n))
+            matrix = matrix / (scale[:, :, None] * scale[:, None, :])
+            x = solve(b, scale=scale)
+        else:
+            x = solve(b)
+        np.testing.assert_allclose(got_mu, mu, rtol=1e-12)
+        residual = np.linalg.norm(matrix @ x - b, 2, axis=(1, 2))
+        error = residual / (np.linalg.norm(matrix, 2, axis=(1, 2))
+                            * np.linalg.norm(x, 2, axis=(1, 2)))
+        assert error.max() <= 1e-14
+
+    def test_below_batch_len_solves_the_matrix_itself(self, rng):
+        returns, t, _, matrix = self.batches(rng, 10)
+        b = rng.normal(size=(t.size, 10, 2))
+        scale = rng.uniform(0.5, 2.0, size=(t.size, 10))
+        _, solve = ridge_solver(returns, t)
+        np.testing.assert_array_equal(solve(b), np.linalg.solve(matrix, b))
+        for s in (scale, 2.0 * scale, scale):   # each scale gets its own matrices
+            np.testing.assert_array_equal(
+                solve(b, scale=s), np.linalg.solve(matrix / (s[:, :, None] * s[:, None, :]), b))
+
+    @pytest.mark.parametrize("n", [3, 30])
+    def test_non_finite_estimate_names_the_batch(self, rng, n):
+        # return row 40 = 1e300 overflows the covariance of every batch that
+        # holds it; the first ends at index 41, entry 15 of t = 26..60
+        returns = rng.normal(0.002, 0.03, size=(60, n))
+        returns[40, 1] = 1e300
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="^non-finite") as info:
+            ridge_solver(returns, np.arange(26, 61))
+        assert info.value.index == 15
+
+    def test_scaled_matrix_that_overflows_names_the_batch(self, rng):
+        # below batch_len the scaled matrix is built: Sigma_ij / 1e-308
+        # overflows, which LAPACK would read as a zero demand
+        returns = rng.normal(0.0, 0.5, size=(40, 3))
+        _, solve = ridge_solver(returns, [29, 30])
+        scale = np.array([[1.0, 1.0, 1.0], [1e-154, 1e-154, 1.0]])
+        with pytest.raises(DomainError, match="^non-finite") as info:
+            solve(np.ones((2, 3, 1)), scale=scale)
+        assert info.value.index == 1

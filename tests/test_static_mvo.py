@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -243,7 +245,7 @@ class TestFrontierVariance:
         # identical assets: a*c - b^2 is rounding noise in both functions
         p = StaticProblem(mu=[0.1, 0.1], sigma=np.eye(2), target=0.1)
         with pytest.raises(SingularFrontierError) as weights:
-            frontier_weights(p.sigma, p.mu, p.target)
+            frontier_weights(partial(np.linalg.solve, p.sigma), p.mu, p.target)
         with pytest.raises(SingularFrontierError) as variance:
             frontier_variance(frontier_constants(p), p.target)
         assert str(weights.value) == str(variance.value)
