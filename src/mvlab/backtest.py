@@ -8,9 +8,9 @@ accrues bond interest and stock P&L to the next week.  Initial wealth is
 zero and short selling is allowed.
 
 No strategy's theta depends on wealth, so `run_backtest` works in stages
-over blocks of BLOCK_WEEKS decision weeks: (i) the block's (k, N) means and
-a solve b -> (Sigma_hat + rho I)^-1 b (estimate.ridge_solver), whose
-finiteness check and ridge keep every Sigma_hat definite, (ii) the block's
+over blocks of k decision weeks: (i) the block's (k, N) means and a solve
+b -> (Sigma_hat + rho I)^-1 b (estimate.ridge_solver), whose finiteness
+check and ridge keep every Sigma_hat definite, (ii) the block's
 theta rows, each strategy's closed form called with that solve; then,
 after the last block, (iii) one pass of the ledger recurrence
     W_{k+1} = e^{r DT} (W_k - sum(theta_k)) + (theta_k / P_k) . P_{k+1}.
@@ -18,8 +18,10 @@ With N assets and batch length L, the solve works on (k, N, N) stacks when
 N < L; when N >= L it solves the (k, L, L) system of the Woodbury
 identity and never forms a (k, N, N) stack.  Only a callable strategy,
 which receives each week's ParamEstimate, gets the covariance stack.  The
-stages use numpy's batched LAPACK only, and fixed blocks bound the memory
-the stacks take.
+stages use numpy's batched LAPACK only.  A block takes as many weeks as
+fit BLOCK_ENTRIES stack entries at N max(N, L) a week, which bounds every
+stack it forms: a small panel runs in one block, a very wide one a week
+at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from .simulate import PriceSeries
 Array = NDArray[np.float64]
 
 STRATEGIES = ("static", "simple", "multi", "cev")
-BLOCK_WEEKS = 64
+# float64 entries (4 MiB) a block's stacks may hold
+BLOCK_ENTRIES = 2**19
 LEDGER_TOL = 1e-9
 DT = 1.0 / estimate.WEEKS_PER_YEAR
 
@@ -139,13 +142,25 @@ def run_backtest(prices: PriceSeries, cfg: BacktestConfig) -> WealthPath:
     horizon = (n_rows - 1) * DT
     rows = np.arange(cfg.batch_len + 1, n_rows - 1)
     theta = np.empty((rows.size, prices.n_assets))
-    for start in range(0, rows.size, BLOCK_WEEKS):
-        block = rows[start:start + BLOCK_WEEKS]
+    step = _block_weeks(rows.size, prices.n_assets, cfg.batch_len)
+    for start in range(0, rows.size, step):
+        block = rows[start:start + step]
         with _naming_week(block):
             theta[start:start + block.size] = _block_theta(cfg, returns, prices.prices,
                                                            block, horizon)
     with _naming_week(rows):
         return _ledger(prices.prices, rows, theta, cfg)
+
+
+def _block_weeks(n_weeks: int, n_assets: int, batch_len: int) -> int:
+    """Decision weeks per block.  A week's stacks hold n_assets x
+    max(n_assets, batch_len) entries (its (N, N) covariance or (N, L)
+    return window), so a block takes as many weeks as fit BLOCK_ENTRIES,
+    at least one.  The n_weeks are then spread evenly over the fewest
+    blocks that hold them, which keeps the count and shrinks the largest."""
+    most = max(1, BLOCK_ENTRIES // (n_assets * max(n_assets, batch_len)))
+    blocks = -(-n_weeks // most)
+    return -(-n_weeks // blocks)
 
 
 @contextmanager

@@ -315,8 +315,8 @@ def lattice_equilibrium_oracle(m: MarketParams, steps: int) -> LatticePolicy:
     """
     if m.n_assets != 1:
         raise ValueError("lattice oracle requires a single-asset market")
-    if steps < 2:
-        raise ValueError("need at least 2 steps")
+    if not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise ValueError(f"steps must be an integer of at least 2, got {steps!r}")
     if steps > _MAX_LATTICE_STEPS:
         raise ResourceError(f"steps {steps} exceeds limit {_MAX_LATTICE_STEPS}")
     dt = m.T / steps

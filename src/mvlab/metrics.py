@@ -25,13 +25,14 @@ def max_drawdown(series) -> float:
     """Largest peak-to-trough fractional decline, single running-peak pass.
 
     Returns a nonpositive number; 0 iff the series never falls below a
-    running peak.  Entries must be positive (shift wealth by a base first).
+    running peak.  Entries must be positive and finite (shift wealth by a
+    base first).
     """
     series = np.asarray(series, dtype=np.float64)
     if series.size == 0:
         raise DomainError("empty series")
-    if np.any(~(series > 0)):  # `not > 0`, so NaN is rejected too
-        raise DomainError("max_drawdown requires positive entries")
+    if not np.all(np.isfinite(series) & (series > 0)):
+        raise DomainError("max_drawdown requires positive, finite entries")
     peaks = np.maximum.accumulate(series)
     return float(np.min(series / peaks - 1.0))
 
@@ -43,8 +44,8 @@ def perf_stats(path, base: float) -> PerfStats:
     deviation of the weekly wealth increments, annualised by
     sqrt(WEEKS_PER_YEAR), divided by base.
     """
-    if base <= 0:
-        raise DomainError("base must be positive")
+    if not (np.isfinite(base) and base > 0):
+        raise DomainError(f"base must be positive and finite, got {base}")
     wealth = np.asarray(getattr(path, "wealth", path), dtype=np.float64)
     if wealth.size == 0:
         raise DomainError("empty wealth path")

@@ -68,8 +68,8 @@ class SimConfig:
         if s0.size == 1 and self.n_assets > 1:
             s0 = np.full(self.n_assets, s0[0])
         object.__setattr__(self, "s0", s0)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 1:
             raise ValueError("need at least one step")
         if s0.size != self.n_assets:

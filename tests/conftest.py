@@ -71,10 +71,14 @@ class Ledger:
     wealth: float
 
     def check(self, prices, tol=1e-9):
-        """The self-financing identity bond + shares . prices = wealth."""
+        """The self-financing identity bond + shares . prices = wealth, to
+        tol x max(1, gross), gross being the money the step moves:
+        |bond| + sum |shares x prices|, as in backtest._check_identity."""
         residual = abs(self.bond_cash + float(self.shares @ prices) - self.wealth)
-        assert residual <= tol * max(1.0, abs(self.wealth)), (
-            f"ledger identity violated: |bond + stock - wealth| = {residual:.3e}")
+        gross = abs(self.bond_cash) + float(np.abs(self.shares * prices).sum())
+        assert residual <= tol * max(1.0, gross), (
+            f"ledger identity violated: |bond + stock - wealth| = {residual:.3e}, "
+            f"gross {gross:.6g}")
 
 
 def rebalance_step(ledger, prices_now, theta_money):

@@ -79,8 +79,10 @@ class TestBatchedKernel:
         {"strategy": "cev", "alpha": 1.0},
         {"strategy": scaled_edge},
     ], ids=["static", "simple", "multi", "cev", "callable"])
-    def test_matches_step_by_step_oracle(self, weeks, kwargs):
-        assert backtest.BLOCK_WEEKS == 64
+    def test_matches_step_by_step_oracle(self, monkeypatch, weeks, kwargs):
+        # a budget of 64 weeks of a 4-asset panel's (4, 26) windows, so
+        # 63 and 64 weeks run in one block, 65 in two, 129 in three
+        monkeypatch.setattr(backtest, "BLOCK_ENTRIES", 64 * 4 * 26)
         cfg = BacktestConfig(**kwargs)
         prices = gbm_series(n_weeks=weeks + cfg.batch_len + 1, n_assets=4, seed=weeks)
         path = run_backtest(prices, cfg)
@@ -121,14 +123,16 @@ class TestBatchedKernel:
         {"strategy": "static", "target": 0.15},
         {"strategy": "simple", "gamma": 1e4},
         {"strategy": "cev", "alpha": 1.0, "gamma": 1e4},
-    ], ids=["static", "simple", "cev"])
+        {"strategy": "simple"},
+        {"strategy": "cev", "alpha": 1.0},
+    ], ids=["static", "simple", "cev", "simple-gamma-1", "cev-gamma-1"])
     def test_matches_oracle_at_or_above_batch_len(self, n_assets, kwargs):
         # Sigma_hat has rank below the 26-week batch: the kernel solves in
         # the batch dimension, the oracle with each N x N matrix.  The ridge
         # alone bounds the demand along Sigma_hat's null space, so at
-        # gamma = 1 the money reaches 1e8 at zero wealth, where rounding
-        # alone breaks the oracle ledger's check of 1e-9 x max(1, |W|);
-        # gamma = 1e4 scales the money down, and the tolerance with it.
+        # gamma = 1 the money reaches 1e8 at zero wealth and the oracle
+        # ledger's check must scale with the gross money, as the kernel's
+        # does; gamma = 1e4 scales the money down, and the tolerance with it.
         cfg = BacktestConfig(**kwargs)
         prices = gbm_series(n_weeks=80, n_assets=n_assets, seed=n_assets)
         assert_matches_oracle(run_backtest(prices, cfg), prices, cfg)
@@ -144,7 +148,7 @@ class TestBatchedKernel:
         cfg = BacktestConfig(**kwargs)
         prices = gbm_series(n_weeks=120, n_assets=10, seed=6)
         returns = estimate.to_returns(prices)
-        rows = np.arange(27, 27 + backtest.BLOCK_WEEKS)
+        rows = np.arange(27, 27 + 64)
         horizon = 120 * backtest.DT
         mu, sigma = estimate.rolling_estimates(returns, rows)
         sigma = estimate.regularize_covariance(sigma)
@@ -211,6 +215,42 @@ class TestBatchedKernel:
         cfg = BacktestConfig(strategy=lambda est, p, t, T: np.array([money]))
         with pytest.raises(LedgerError, match=r"^decision week 27: ledger identity"):
             run_backtest(prices, cfg)
+
+
+class TestBlockWeeks:
+    """Blocks sized by the stack entries a decision week takes."""
+
+    def block_sizes(self, monkeypatch, n_assets, n_weeks):
+        sizes = []
+
+        def counting(cfg, returns, prices, rows, horizon):
+            sizes.append(rows.size)
+            return np.zeros((rows.size, n_assets))
+
+        monkeypatch.setattr(backtest, "_block_theta", counting)
+        run_backtest(gbm_series(n_weeks=n_weeks, n_assets=n_assets), BacktestConfig())
+        return sizes
+
+    def test_small_panel_runs_in_one_block(self, monkeypatch):
+        # criterion 09's shape: 10 assets, 200 price rows, 172 decision weeks
+        assert self.block_sizes(monkeypatch, 10, 199) == [172]
+
+    def test_fifty_assets_split_evenly(self, monkeypatch):
+        # the README panel's 496 decision weeks: 2**19 // (50 x 50) = 209
+        # weeks fit a block, so they take three
+        assert backtest._block_weeks(496, 50, 26) == 166
+        assert self.block_sizes(monkeypatch, 50, 523) == [166, 166, 164]
+
+    @pytest.mark.parametrize("n_assets", [1, 10, 26, 50, 144, 145, 724, 725, 2000])
+    @pytest.mark.parametrize("n_weeks", [1, 172, 496, 5000])
+    def test_blocks_fit_the_budget(self, n_assets, n_weeks):
+        k = backtest._block_weeks(n_weeks, n_assets, 26)
+        week = n_assets * max(n_assets, 26)
+        assert 1 <= k <= n_weeks
+        assert k * week <= backtest.BLOCK_ENTRIES or k == 1
+        # no fewer blocks would fit the budget
+        blocks = -(-n_weeks // k)
+        assert blocks == 1 or -(-n_weeks // (blocks - 1)) * week > backtest.BLOCK_ENTRIES
 
 
 class TestConfig:

@@ -407,6 +407,14 @@ class TestLattice:
         with pytest.raises(ValueError):
             lattice_equilibrium_oracle(single(), steps=1)
 
+    def test_non_integer_steps(self):
+        with pytest.raises(ValueError, match=r"^steps must be an integer of at least 2, got 2.5$"):
+            lattice_equilibrium_oracle(single(), steps=2.5)
+
+    def test_numpy_integer_steps(self):
+        got = lattice_equilibrium_oracle(single(), steps=np.int64(32))
+        assert got.root == lattice_equilibrium_oracle(single(), steps=32).root
+
 
 class TestValidation:
     def test_two_dimensional_vector_rejected(self):

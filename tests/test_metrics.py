@@ -34,6 +34,11 @@ class TestMaxDrawdown:
         with pytest.raises(DomainError):
             max_drawdown([1.0, np.nan, 2.0])
 
+    def test_inf_rejected(self):
+        # inf > 0, so a positivity check alone lets it through to inf / inf
+        with pytest.raises(DomainError, match="requires positive, finite entries"):
+            max_drawdown([1.0, np.inf, 2.0])
+
     @given(st.lists(st.floats(min_value=0.01, max_value=100.0,
                               allow_nan=False), min_size=1, max_size=60))
     def test_matches_brute_force(self, values):
@@ -79,6 +84,16 @@ class TestPerfStats:
     def test_bad_base(self):
         with pytest.raises(DomainError):
             perf_stats([0.0, 0.1], base=0.0)
+
+    def test_infinite_base_rejected(self):
+        # base + wealth is inf everywhere: inf / inf would be a NaN return
+        with pytest.raises(DomainError, match="^base must be positive and finite, got inf$"):
+            perf_stats([0.0, 0.1], base=np.inf)
+
+    def test_nan_base_rejected(self):
+        # blamed on the base, not on the drawdown's positive entries
+        with pytest.raises(DomainError, match="^base must be positive and finite, got nan$"):
+            perf_stats([0.0, 0.1], base=np.nan)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_wealth_names_the_row(self, bad):

@@ -401,6 +401,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             cfg(s0=0.0)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt(self, dt):
+        # nan and inf both pass dt <= 0; gbm_paths would write NaN prices
+        with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {dt}$"):
+            cfg(dt=dt)
+
     @pytest.mark.parametrize("s0", [np.inf, np.nan])
     def test_non_finite_s0(self, s0):
         with pytest.raises(ValueError, match="initial prices must be positive and finite"):
