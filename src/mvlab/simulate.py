@@ -8,23 +8,20 @@ hedge-neutral measure, the Monte Carlo anticipated-gain estimator and the
 covariance sign diagnostic of the CEV hedging demand.  Every CEV simulation
 here steps through the one Euler kernel, `_cev_euler`.
 
-Determinism: each operation draws from a single numpy Generator seeded by the
-caller and consumes randomness in a fixed order, so identical (config, seed)
-yields bit-identical output.  A CEV run whose state has PREFETCH_MIN_ENTRIES
-entries or more (a Monte Carlo of 2^16 paths or more; never a price panel)
-makes its draws on one helper thread, a step ahead of the Euler arithmetic.
-Generator.standard_normal and numpy's large ufuncs release the GIL, so with a
-second core free a step costs about the longer of its draw and its
-arithmetic instead of their sum.  The thread is the Generator's only user
-during the run and makes the same draws in the same order, so the output is
-the serial loop's to the bit.  A one-core host gains nothing; there, or with
-the second core busy, the hand-offs cost a few percent at most.
+Determinism: identical (config, seed) yields bit-identical output.  A panel
+or an ensemble draws from one numpy Generator seeded by the caller.  The two
+Monte Carlo runs split their paths into halves of paths // 2 and the rest,
+each on a Generator of its own from SeedSequence(seed).spawn(2), and merge
+them half 0 first.  Half 0 draws and steps on a worker thread while half 1
+does on the caller's (standard_normal and large ufuncs release the GIL).
+There are always two streams, so a one-core host computes the same bits.
 """
 
 from __future__ import annotations
 
-from contextlib import closing
+import threading
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 from numpy.typing import NDArray
@@ -47,11 +44,16 @@ HEDGE_NEUTRAL = "hedge_neutral"
 
 ABSORPTION_REL_FLOOR = 1e-8
 ABSORPTION_MAX_FRACTION = 0.5
-# Entries of a CEV state from which _cev_euler draws on a helper thread.  On a
-# 2-core host, the median helper / serial time of 500-step criterion-07 runs
-# (7-11 alternating pairs) with the second core free read 0.78-0.99 at 2^16
-# paths, 0.63-0.79 at 3 * 2^15 and 0.66-0.79 at 2^17; with it busy, 1.02-1.04.
-PREFETCH_MIN_ENTRIES = 2**16
+
+
+def _check_count(name: str, value, minimum: int) -> int:
+    """A count argument as a Python int: an integer (numpy integers too) of
+    at least `minimum`, else a ValueError naming it."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -64,14 +66,15 @@ class SimConfig:
     measure: str = PHYSICAL
 
     def __post_init__(self):
+        # an empty market is for MarketParams and CevParams to reject
+        object.__setattr__(self, "n_assets", _check_count("n_assets", self.n_assets, 0))
+        object.__setattr__(self, "n_steps", _check_count("n_steps", self.n_steps, 1))
         s0 = np.atleast_1d(np.asarray(self.s0, dtype=np.float64))
         if s0.size == 1 and self.n_assets > 1:
             s0 = np.full(self.n_assets, s0[0])
         object.__setattr__(self, "s0", s0)
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.n_steps < 1:
-            raise ValueError("need at least one step")
         if s0.size != self.n_assets:
             raise ValueError(f"s0 must have length {self.n_assets}")
         if not np.all(np.isfinite(s0) & (s0 > 0)):
@@ -131,64 +134,39 @@ def gbm_paths(m: MarketParams, cfg: SimConfig) -> PriceSeries:
     return PriceSeries(prices=prices)
 
 
-def _drawn_here(draw, shape, n_steps: int):
-    """Yields one (shape) buffer n_steps times, draw(out) having just
-    filled it with the next step's normals."""
-    z = np.empty(shape)
+def _cev_euler(s, floor, drift, sigma_bar, alpha, dt: float, n_steps: int, draw):
+    """Euler-Maruyama steps of dS/S = drift dt + sigma_bar S^(alpha/2) dw
+    for the state s (one price per path or asset), draw(out) filling `out`
+    with each step's standard normals.  Yields s, stepped in place, after
+    each step; the caller checks the final state with _check_stable.
+
+    An entry that touches `floor` (ABSORPTION_REL_FLOOR times its start
+    price) is absorbed and stays there, so its return over any later step
+    is exactly 0.  The step reuses its buffers but takes the operations of
+    s + s * (drift dt + sigma_bar s^(alpha/2) sqrt(dt) z) in their order,
+    so its bits are that expression's.
+    """
+    z, step, alive = np.empty(s.shape), np.empty(s.shape), np.empty(s.shape, dtype=bool)
+    half_alpha, sqdt, drift_dt = alpha / 2.0, np.sqrt(dt), drift * dt
     for _ in range(n_steps):
         draw(z)
-        yield z
+        np.power(s, half_alpha, out=step)
+        step *= sigma_bar
+        step *= sqdt
+        step *= z
+        step += drift_dt
+        step *= s
+        step += s
+        np.maximum(step, floor, out=step)
+        np.copyto(s, step, where=np.greater(s, floor, out=alive))
+        yield s
 
 
-def _drawn_ahead(draw, shape, n_steps: int):
-    """_drawn_here with draw(out) run a step ahead by a one-worker pool.
-
-    The worker fills two preallocated buffers in turn: the next step's
-    while the caller computes with the current one.  It makes exactly
-    n_steps draws, in order, and is joined however the generator ends; an
-    exception raised by draw is re-raised here.  The import is local so
-    that only a process that makes a run this large loads the module.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-    bufs = (np.empty(shape), np.empty(shape))
-    with ThreadPoolExecutor(1, thread_name_prefix="mvlab-normals") as pool:
-        pending = pool.submit(draw, bufs[0])
-        for k in range(n_steps):
-            pending.result()
-            if k + 1 < n_steps:
-                pending = pool.submit(draw, bufs[(k + 1) % 2])
-            yield bufs[k % 2]
-
-
-def _cev_euler(s0, shape, drift, sigma_bar, alpha, dt: float, n_steps: int, draw):
-    """Euler-Maruyama steps of dS/S = drift dt + sigma_bar S^(alpha/2) dw
-    for a state of `shape` that starts at s0 (a scalar, or one price per
-    asset), draw(out) filling `out` with each step's standard normals.
-
-    A state of at least PREFETCH_MIN_ENTRIES entries has its draws made on
-    a helper thread a step ahead (_drawn_ahead); a smaller one draws in
-    the loop.  Both make the same draws in the same order.
-
-    An entry that touches floor = ABSORPTION_REL_FLOOR * s0 is absorbed and
-    stays there, so its return over any later step is exactly 0.  Yields
-    the state s, a new array, after each step.  After the last step, raises
-    InstabilityError if an entry is not finite (callers step under one
-    np.errstate, so a diverging run warns nothing), if more than half are
-    absorbed, or if any with alpha > 0 is: that process never reaches 0.
-    """
-    floor = ABSORPTION_REL_FLOOR * s0
-    sqdt = np.sqrt(dt)
-    s = np.full(shape, s0, dtype=np.float64)
-    drawn = _drawn_ahead if s.size >= PREFETCH_MIN_ENTRIES else _drawn_here
-    normals = drawn(draw, shape, n_steps)
-    try:
-        for z in normals:
-            alive = s > floor
-            s_new = s + s * (drift * dt + sigma_bar * s ** (alpha / 2.0) * sqdt * z)
-            s = np.where(alive, np.maximum(s_new, floor), s)
-            yield s
-    finally:
-        normals.close()
+def _check_stable(s, floor, alpha) -> None:
+    """Raises InstabilityError if an entry of the final state s is not
+    finite (callers step under np.errstate, so a diverging run warns
+    nothing), if more than half are absorbed at `floor`, or if any with
+    alpha > 0 is: that process never reaches 0."""
     if not np.all(np.isfinite(s)):
         raise InstabilityError("Euler steps diverged; use a smaller dt or milder alpha")
     absorbed = s <= floor
@@ -197,10 +175,53 @@ def _cev_euler(s0, shape, drift, sigma_bar, alpha, dt: float, n_steps: int, draw
                                "use a smaller dt or milder alpha")
 
 
+def _euler_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alpha,
+                  dt: float, n_steps: int) -> list:
+    """Steps `paths` CEV paths from s0 (_cev_euler) in two halves at once and
+    returns [final state, *consume's arrays], each merged half 0 first, once
+    _check_stable has passed the merged state.
+
+    Half k, of (paths // 2, paths - paths // 2)[k] paths, draws from a
+    Generator on child k of SeedSequence(seed).spawn(2); consume(steps, n)
+    reads its state after each step and returns a tuple of arrays.  Half 0
+    runs on a pool's one worker (imported here, so that `import mvlab` loads
+    no concurrent.futures), half 1 on this thread.  If a half raises, the
+    other stops at its next step; the worker is joined either way.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+    children = np.random.SeedSequence(seed).spawn(2)
+    sizes = (paths // 2, paths - paths // 2)
+    floor = ABSORPTION_REL_FLOOR * s0
+    stop = threading.Event()
+
+    def half(k):
+        rng = np.random.default_rng(children[k])
+        s = np.full(sizes[k], s0)
+        steps = _cev_euler(s, floor, drift, sigma_bar, alpha, dt, n_steps,
+                           lambda out: rng.standard_normal(out=out))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return (s, *consume(takewhile(lambda _: not stop.is_set(), steps), sizes[k]))
+        except BaseException:
+            stop.set()
+            raise
+
+    with ThreadPoolExecutor(1, thread_name_prefix="mvlab-half") as pool:
+        future = pool.submit(half, 0)
+        try:
+            second = half(1)
+        finally:
+            first = future.result()
+    merged = [np.concatenate(parts) for parts in zip(first, second)]
+    _check_stable(merged[0], floor, alpha)
+    return merged
+
+
 def cev_paths(c: CevParams, cfg: SimConfig) -> PriceSeries:
     """One panel of CEV prices via Euler-Maruyama with an absorption floor.
 
     Paths that touch floor = 1e-8 * s0 are absorbed there (see _cev_euler).
+    Draws from one Generator seeded with cfg.seed, one row of normals a step.
     """
     if cfg.n_assets != c.n_assets:
         raise ValueError("config and market disagree on asset count")
@@ -208,19 +229,15 @@ def cev_paths(c: CevParams, cfg: SimConfig) -> PriceSeries:
     L = _corr_factor(c.corr)
     rng = np.random.default_rng(cfg.seed)
     prices = np.empty((cfg.n_steps + 1, c.n_assets))
-    prices[0] = cfg.s0
-    steps = _cev_euler(cfg.s0, c.n_assets, drift, c.sigma_bar, c.alpha, cfg.dt, cfg.n_steps,
+    prices[0] = s = cfg.s0.copy()
+    floor = ABSORPTION_REL_FLOOR * cfg.s0
+    steps = _cev_euler(s, floor, drift, c.sigma_bar, c.alpha, cfg.dt, cfg.n_steps,
                        lambda out: np.matmul(rng.standard_normal(c.n_assets), L.T, out=out))
-    with np.errstate(over="ignore", invalid="ignore"), closing(steps):
+    with np.errstate(over="ignore", invalid="ignore"):
         for k, s in enumerate(steps, start=1):
             prices[k] = s
+    _check_stable(s, floor, c.alpha)
     return PriceSeries(prices=prices)
-
-
-def _check_counts(**counts: int) -> None:
-    for name, count in counts.items():
-        if count < 1:
-            raise ValueError(f"{name} must be at least 1, got {count}")
 
 
 def gbm_ensemble(mu: float, sigma: float, r: float, T: float, n_steps: int,
@@ -230,7 +247,8 @@ def gbm_ensemble(mu: float, sigma: float, r: float, T: float, n_steps: int,
     prices has shape (n_paths, n_steps + 1) with S_0 = 1; exact lognormal
     stepping as in gbm_paths.
     """
-    _check_counts(n_steps=n_steps, n_paths=n_paths)
+    n_steps = _check_count("n_steps", n_steps, 1)
+    n_paths = _check_count("n_paths", n_paths, 1)
     dt = T / n_steps
     drift = mu if measure == PHYSICAL else r
     rng = np.random.default_rng(seed)
@@ -273,12 +291,11 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
     Averages the trapezoid-rule time integral of the squared instantaneous
     Sharpe ratio over gamma.  For constant-parameter GBM the integrand is
     deterministic, so the estimator collapses to the closed form with zero
-    standard error.
+    standard error.  A CEV run steps on two streams (_euler_halves).
     """
-    if paths < 100:
-        raise ValueError("need at least 100 paths")
+    paths = _check_count("paths", paths, 100)
     if n_steps is not None:
-        _check_counts(n_steps=n_steps)
+        n_steps = _check_count("n_steps", n_steps, 1)
     tau = _check_horizon(t, model.T)
     if isinstance(model, MarketParams):
         return McEstimate(value=anticipated_gain_gbm(model, t), stderr=0.0)
@@ -296,17 +313,22 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
     if n_steps is None:
         n_steps = max(64, int(np.ceil(tau * 512)))
     dt = tau / n_steps
-    rng = np.random.default_rng(seed)
     coef = (mu - c.r) ** 2 / (c.gamma * sb * sb)
-    integrand = coef * np.full(paths, float(S0)) ** (-alpha)
-    acc = np.zeros(paths)
-    steps = _cev_euler(float(S0), paths, c.r, sb, alpha, dt, n_steps,
-                       lambda out: rng.standard_normal(out=out))
-    with np.errstate(over="ignore", invalid="ignore"), closing(steps):
+
+    def gain(steps, n):
+        # acc += 0.5 * (f + f_new) * dt with f = coef * s^-alpha, in reused buffers
+        f, f_new, acc = coef * np.full(n, float(S0)) ** (-alpha), np.empty(n), np.zeros(n)
         for s in steps:
-            new_integrand = coef * s ** (-alpha)
-            acc += 0.5 * (integrand + new_integrand) * dt
-            integrand = new_integrand
+            np.power(s, -alpha, out=f_new)
+            f_new *= coef
+            f += f_new
+            f *= 0.5
+            f *= dt
+            acc += f
+            f, f_new = f_new, f
+        return (acc,)
+
+    s, acc = _euler_halves(seed, paths, gain, float(S0), c.r, sb, alpha, dt, n_steps)
     return McEstimate(value=float(np.mean(acc)),
                       stderr=float(np.std(acc, ddof=1) / np.sqrt(paths)), n_steps=n_steps,
                       absorbed=float(np.mean(s <= ABSORPTION_REL_FLOOR * float(S0))))
@@ -327,28 +349,32 @@ def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
     Simulates physical-measure CEV paths, evaluates the exact anticipated
     gain f along them, and pools one-step covariances.  A negative
     covariance should pair with a positive hedging demand and vice versa.
+    The paths step on two streams (_euler_halves); the pooled pairs are
+    half 0's, step by step, then half 1's.
     """
-    _check_counts(paths=paths, n_steps=n_steps)
+    paths = _check_count("paths", paths, 1)
+    n_steps = _check_count("n_steps", n_steps, 1)
     _check_prices(S)
-    f_prev = np.full(paths, cev_anticipated_gain_exact(c, S, t))
+    f0 = cev_anticipated_gain_exact(c, S, t)
     dt = (c.T - t) / n_steps
-    rng = np.random.default_rng(seed)
-    s_prev = np.full(paths, float(S))
-    rets = []
-    dfs = []
-    steps = _cev_euler(float(S), paths, c.mu[0], c.sigma_bar[0], c.alpha[0], dt,
-                       n_steps, lambda out: rng.standard_normal(out=out))
-    with np.errstate(over="ignore", invalid="ignore"), closing(steps):
+
+    def changes(steps, n):
+        # row k - 1 holds step k's returns and gain changes of the n paths
+        rets, dfs = np.empty((n_steps, n)), np.empty((n_steps, n))
+        s_prev, f_prev = np.full(n, float(S)), np.full(n, f0)
         for k, s in enumerate(steps, start=1):
             # t + n_steps * dt may overshoot T by an ulp; a diverged path
             # reads the start price here and fails the run after the last step
             f = cev_anticipated_gain_exact(c, np.where(np.isfinite(s), s, S),
                                            min(t + k * dt, c.T))
-            rets.append(s / s_prev - 1.0)
-            dfs.append(f - f_prev)
-            s_prev, f_prev = s, f
-    rets = np.concatenate(rets)
-    dfs = np.concatenate(dfs)
+            rets[k - 1] = s / s_prev - 1.0
+            dfs[k - 1] = f - f_prev
+            np.copyto(s_prev, s)
+            f_prev = f
+        return rets.ravel(), dfs.ravel()
+
+    _, rets, dfs = _euler_halves(seed, paths, changes, float(S), c.mu[0], c.sigma_bar[0],
+                                 c.alpha[0], dt, n_steps)
     if np.std(dfs) < 1e-15 or np.std(rets) < 1e-15:
         corr = 0.0
     else:

@@ -13,6 +13,15 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def two_streams(seed, paths):
+    """(Generator, path count) of each half of a two-stream Monte Carlo,
+    half 0 first: the children of SeedSequence(seed).spawn(2) over
+    paths // 2 and paths - paths // 2 paths."""
+    children = np.random.SeedSequence(seed).spawn(2)
+    return [(np.random.default_rng(child), n)
+            for child, n in zip(children, (paths // 2, paths - paths // 2))]
+
+
 def random_pd_matrix(rng, n, jitter=0.1):
     """Random symmetric positive definite matrix."""
     a = rng.normal(size=(n, n))

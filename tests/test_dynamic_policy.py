@@ -20,9 +20,9 @@ from mvlab.errors import (
     InstabilityError,
     ResourceError,
 )
-from mvlab.simulate import PREFETCH_MIN_ENTRIES, hedging_covariance_check, mc_anticipated_gain
+from mvlab.simulate import hedging_covariance_check, mc_anticipated_gain
 
-from conftest import cev_scalar_policy, gbm_scalar_policy
+from conftest import cev_scalar_policy, gbm_scalar_policy, two_streams
 
 MKT = dict(mu=0.125, sigma=np.sqrt(0.2), r=0.025, T=10.0, gamma=1.0)
 
@@ -296,24 +296,25 @@ class TestAnticipatedGain:
 
 def hedging_loop(c, S, t, paths, seed, n_steps):
     """Reference correlation of hedging_covariance_check: physical-measure
-    Euler steps absorbed at 1e-8 S, each step's normals drawn in turn, the
-    exact gain at each step's end time, one-step returns and gain changes
-    pooled over paths and steps."""
+    Euler steps absorbed at 1e-8 S of each half of two_streams(seed, paths)
+    in turn, each step's normals drawn in turn, the exact gain at each
+    step's end time, one-step returns and gain changes pooled over steps
+    and paths, half 0's first."""
     alpha = c.alpha[0]
     dt = (c.T - t) / n_steps
-    rng = np.random.default_rng(seed)
-    s = np.full(paths, S)
-    f = cev_anticipated_gain_exact(c, S, t)
     rets, dfs = [], []
-    for k in range(1, n_steps + 1):
-        z = rng.standard_normal(paths)
-        alive = s > 1e-8 * S
-        step = s + s * (c.mu[0] * dt + c.sigma_bar[0] * s ** (alpha / 2.0) * np.sqrt(dt) * z)
-        s_new = np.where(alive, np.maximum(step, 1e-8 * S), s)
-        f_new = cev_anticipated_gain_exact(c, s_new, t + k * dt)
-        rets.append(np.where(alive, s_new / s - 1.0, 0.0))
-        dfs.append(f_new - f)
-        s, f = s_new, f_new
+    for rng, n in two_streams(seed, paths):
+        s = np.full(n, S)
+        f = cev_anticipated_gain_exact(c, S, t)
+        for k in range(1, n_steps + 1):
+            z = rng.standard_normal(n)
+            alive = s > 1e-8 * S
+            step = s + s * (c.mu[0] * dt + c.sigma_bar[0] * s ** (alpha / 2.0) * np.sqrt(dt) * z)
+            s_new = np.where(alive, np.maximum(step, 1e-8 * S), s)
+            f_new = cev_anticipated_gain_exact(c, s_new, t + k * dt)
+            rets.append(np.where(alive, s_new / s - 1.0, 0.0))
+            dfs.append(f_new - f)
+            s, f = s_new, f_new
     return np.corrcoef(np.concatenate(rets), np.concatenate(dfs))[0, 1]
 
 
@@ -346,12 +347,25 @@ class TestHedgingCovariance:
         assert rep.correlation == hedging_loop(c, 1.3, 0.2, 2000, 4, 16)
 
     def test_helper_thread_run_matches_step_by_step_loop(self):
-        # 2^17 paths draw their normals on the helper thread
+        # 2^16 of the 2^17 paths step on the worker thread
         paths = 2**17
-        assert paths >= PREFETCH_MIN_ENTRIES
         c = cev_single(alpha=1.0, T=2.0)
         rep = hedging_covariance_check(c, 1.3, 0.2, paths, seed=4, n_steps=16)
         assert rep.correlation == hedging_loop(c, 1.3, 0.2, paths, 4, 16)
+
+    @pytest.mark.parametrize("paths", [2001, 3])
+    def test_odd_path_count_matches_step_by_step_loop(self, paths):
+        # half 1 steps one path more than half 0
+        c = cev_single(alpha=1.0, T=2.0)
+        rep = hedging_covariance_check(c, 1.3, 0.2, paths, seed=4, n_steps=16)
+        assert rep.correlation == hedging_loop(c, 1.3, 0.2, paths, 4, 16)
+
+    def test_one_path(self):
+        # half 0 is empty; the pairs are the one path's 64 steps
+        c = cev_single(alpha=1.0, T=2.0)
+        rep = hedging_covariance_check(c, 1.3, 0.2, 1, seed=4)
+        assert rep.correlation == hedging_loop(c, 1.3, 0.2, 1, 4, 64)
+        assert rep.consistent
 
     @pytest.mark.parametrize("sigma_bar", [1.0, 1.5])
     def test_absorbed_paths_match_step_by_step_loop(self, sigma_bar):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -20,6 +21,8 @@ from mvlab.simulate import (
     mc_anticipated_gain,
     rn_weights,
 )
+
+from conftest import two_streams
 
 
 def cfg(n_assets=1, n_steps=52, dt=1 / 52, s0=1.0, seed=0, measure=PHYSICAL):
@@ -246,7 +249,7 @@ class TestMcAnticipatedGain:
         # at alpha = 2.5 an absorbed path adds S^-alpha ~ 1e20 to the
         # integrand; the estimate read 1.83e16 against the exact 0.195
         c = CevParams.single(0.125, 0.3, 2.5, 0.025, 2.0, 1.5)
-        with pytest.raises(InstabilityError, match="85 of 20000 paths absorbed"):
+        with pytest.raises(InstabilityError, match="82 of 20000 paths absorbed"):
             mc_anticipated_gain(c, 1.0, 0.0, 20_000, 5, n_steps=100)
 
     @pytest.mark.parametrize("model", [cev1(), MarketParams.single(0.1, 0.2, 0.025, 1.0, 1.0)],
@@ -259,70 +262,135 @@ class TestMcAnticipatedGain:
 
 def mc_gain_loop(c, S0, paths, seed, n_steps):
     """Reference (value, stderr) of mc_anticipated_gain from t = 0:
-    hedge-neutral Euler steps absorbed at 1e-8 S0, each step's normals
-    drawn in turn, and the trapezoid rule over the steps of
-    (mu - r)^2 / (gamma sigma_bar^2) S^-alpha."""
+    hedge-neutral Euler steps absorbed at 1e-8 S0 of each half of
+    two_streams(seed, paths) in turn, each step's normals drawn in turn, and
+    the trapezoid rule over the steps of (mu - r)^2 / (gamma sigma_bar^2)
+    S^-alpha, half 0's paths first."""
     mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
     dt = c.T / n_steps
-    rng = np.random.default_rng(seed)
     coef = (mu - c.r) ** 2 / (c.gamma * sb * sb)
-    s = np.full(paths, S0)
-    f = coef * s ** (-alpha)
-    acc = np.zeros(paths)
-    for _ in range(n_steps):
-        z = rng.standard_normal(paths)
-        step = s + s * (c.r * dt + sb * s ** (alpha / 2.0) * np.sqrt(dt) * z)
-        s = np.where(s > 1e-8 * S0, np.maximum(step, 1e-8 * S0), s)
-        f_new = coef * s ** (-alpha)
-        acc += 0.5 * (f + f_new) * dt
-        f = f_new
+    accs = []
+    for rng, n in two_streams(seed, paths):
+        s = np.full(n, S0)
+        f = coef * s ** (-alpha)
+        acc = np.zeros(n)
+        for _ in range(n_steps):
+            z = rng.standard_normal(n)
+            step = s + s * (c.r * dt + sb * s ** (alpha / 2.0) * np.sqrt(dt) * z)
+            s = np.where(s > 1e-8 * S0, np.maximum(step, 1e-8 * S0), s)
+            f_new = coef * s ** (-alpha)
+            acc += 0.5 * (f + f_new) * dt
+            f = f_new
+        accs.append(acc)
+    acc = np.concatenate(accs)
     return np.mean(acc), np.std(acc, ddof=1) / np.sqrt(paths)
 
 
-HELPER_PATHS = 2**17   # a state this large draws on the helper thread
+def stepping_threads(monkeypatch):
+    """Patches simulate._cev_euler to record, at each step, the stepping
+    thread's name and the number of live threads."""
+    seen = []
+    euler = simulate._cev_euler
+
+    def recorded(*args):
+        for s in euler(*args):
+            seen.append((threading.current_thread().name, threading.active_count()))
+            yield s
+
+    monkeypatch.setattr(simulate, "_cev_euler", recorded)
+    return seen
 
 
-def normals(seed):
-    rng = np.random.default_rng(seed)
-    return lambda out: rng.standard_normal(out=out)
+class InlineExecutor:
+    """A ThreadPoolExecutor stand-in that runs each task at submit, as a
+    one-core host in effect does."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
 
 
 class TestDrawsAhead:
+    """The two-stream Monte Carlo: half 0 of the paths draws and steps on a
+    worker thread while half 1 does on the calling thread."""
+
     def test_mc_gain_matches_step_by_step_loop(self):
-        assert HELPER_PATHS >= simulate.PREFETCH_MIN_ENTRIES
-        est = mc_anticipated_gain(cev1(), 1.0, 0.0, HELPER_PATHS, 7, n_steps=16)
-        assert (est.value, est.stderr) == mc_gain_loop(cev1(), 1.0, HELPER_PATHS, 7, 16)
-        assert est.n_steps == 16 and est.absorbed == 0.0
+        # an odd count gives half 1 the extra path
+        for paths in (4000, 4001):
+            est = mc_anticipated_gain(cev1(), 1.0, 0.0, paths, 7, n_steps=16)
+            assert (est.value, est.stderr) == mc_gain_loop(cev1(), 1.0, paths, 7, 16)
+            assert est.n_steps == 16 and est.absorbed == 0.0
 
-    def test_one_thread_per_run_stopped_after_the_last_step(self):
+    def test_half_zero_inline_gives_the_same_bits(self, monkeypatch):
+        import concurrent.futures
+        c = cev1()
+        runs = [lambda: mc_anticipated_gain(c, 1.0, 0.0, 4001, 7, n_steps=16),
+                lambda: simulate.hedging_covariance_check(c, 1.3, 0.2, 4001, 4, n_steps=16)]
+        threaded = [run() for run in runs]
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
+        seen = stepping_threads(monkeypatch)
+        assert [run() for run in runs] == threaded
+        assert {name for name, _ in seen} == {threading.current_thread().name}
+
+    def test_one_thread_per_run_stopped_after_the_last_step(self, monkeypatch):
         baseline = threading.active_count()
-        steps = simulate._cev_euler(1.0, HELPER_PATHS, 0.025, 0.2, 1.0, 1e-3, 10, normals(0))
-        next(steps)
-        assert threading.active_count() == baseline + 1
-        for _ in steps:
-            pass
+        seen = stepping_threads(monkeypatch)
+        mc_anticipated_gain(cev1(), 1.0, 0.0, 4000, 0, n_steps=10)
         assert threading.active_count() == baseline
+        names = [name for name, _ in seen]
+        worker = {name for name in names if name.startswith("mvlab-half")}
+        assert len(worker) == 1 and len(names) == 20
+        assert names.count(threading.current_thread().name) == 10
+        assert {count for _, count in seen} == {baseline + 1}
 
-    def test_small_state_draws_in_the_loop(self):
+    def test_small_state_draws_in_the_loop(self, monkeypatch):
+        # a price panel steps on the calling thread from one Generator
         baseline = threading.active_count()
-        for _ in simulate._cev_euler(1.0, 1000, 0.025, 0.2, 1.0, 1e-3, 4, normals(0)):
-            assert threading.active_count() == baseline
+        seen = stepping_threads(monkeypatch)
+        cev_paths(cev1(), cfg(n_steps=4))
+        assert seen == [(threading.current_thread().name, baseline)] * 4
 
-    def test_abandoned_run_stops_its_thread(self):
+    def test_abandoned_run_stops_its_thread(self, monkeypatch):
+        # an interrupt on the calling thread stops the worker's half at its
+        # next step rather than after its last
+        n_steps = 10_000
         baseline = threading.active_count()
-        steps = simulate._cev_euler(1.0, HELPER_PATHS, 0.025, 0.2, 1.0, 1e-3, 50, normals(0))
-        next(steps)
-        next(steps)
-        assert threading.active_count() == baseline + 1
-        del steps
+        seen = stepping_threads(monkeypatch)
+        euler = simulate._cev_euler
+
+        def interrupted(*args):
+            for k, s in enumerate(euler(*args), start=1):
+                if k == 3 and threading.current_thread() is threading.main_thread():
+                    raise KeyboardInterrupt
+                yield s
+
+        monkeypatch.setattr(simulate, "_cev_euler", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            mc_anticipated_gain(cev1(), 1.0, 0.0, 2000, 0, n_steps=n_steps)
         assert threading.active_count() == baseline
+        worker_steps = sum(name.startswith("mvlab-half") for name, _ in seen)
+        assert 0 < worker_steps < n_steps
 
     def test_instability_stops_the_thread(self):
-        # the alpha = 2.5 inputs of test_absorption_at_positive_alpha_is_unstable
+        # the inputs of test_absorption_at_positive_alpha_is_unstable
         baseline = threading.active_count()
         c = CevParams.single(0.125, 0.3, 2.5, 0.025, 2.0, 1.5)
         with pytest.raises(InstabilityError):
-            mc_anticipated_gain(c, 1.0, 0.0, HELPER_PATHS, 5, n_steps=100)
+            mc_anticipated_gain(c, 1.0, 0.0, 20_000, 5, n_steps=100)
         assert threading.active_count() == baseline
 
     def test_error_in_the_callers_loop_stops_the_thread(self, monkeypatch):
@@ -337,55 +405,82 @@ class TestDrawsAhead:
         baseline = threading.active_count()
         monkeypatch.setattr(simulate, "cev_anticipated_gain_exact", failing_gain)
         with pytest.raises(KeyError, match="caller failed") as caught:
-            simulate.hedging_covariance_check(cev1(), 1.0, 0.0, HELPER_PATHS, 4, n_steps=16)
+            simulate.hedging_covariance_check(cev1(), 1.0, 0.0, 4000, 4, n_steps=16)
         # the traceback, still held, keeps the caller's frame and its locals
         assert caught.tb is not None
         assert threading.active_count() == baseline
 
-    def test_error_in_draw_reaches_the_caller(self):
-        calls = []
-
-        def draw(out):
-            calls.append(out)
-            if len(calls) == 3:
-                raise RuntimeError("draw failed")
-            out.fill(0.0)
-
+    def test_error_in_draw_reaches_the_caller(self, monkeypatch):
+        # whichever half fails, the other stops at its next step, well
+        # before its 1000th
+        n_steps = 1000
         baseline = threading.active_count()
-        steps = simulate._cev_euler(1.0, HELPER_PATHS, 0.025, 0.2, 1.0, 1e-3, 10, draw)
-        with pytest.raises(RuntimeError, match="draw failed"):
-            for _ in steps:
-                pass
-        assert threading.active_count() == baseline
-        assert len(calls) == 3
+        for failing_half in (0, 1):
+            draws = []
 
-    def test_draws_stop_at_the_last_step(self):
+            class Normals:
+                def __init__(self, seed):
+                    self.half = len(draws)
+                    draws.append(0)
+
+                def standard_normal(self, out):
+                    draws[self.half] += 1
+                    if self.half == failing_half and draws[self.half] == 3:
+                        raise RuntimeError("draw failed")
+                    out.fill(0.0)
+
+            monkeypatch.setattr(np.random, "default_rng", Normals)
+            with pytest.raises(RuntimeError, match="draw failed"):
+                mc_anticipated_gain(cev1(), 1.0, 0.0, 2000, 0, n_steps=n_steps)
+            assert threading.active_count() == baseline
+            assert draws[failing_half] == 3 and draws[1 - failing_half] < n_steps
+
+    def test_draws_stop_at_the_last_step(self, monkeypatch):
+        # each half fills one buffer of its own size, once a step
         calls = []
 
-        def draw(out):
-            calls.append(out)
-            out.fill(0.0)
+        class Normals:
+            def __init__(self, seed):
+                pass
 
-        list(simulate._cev_euler(1.0, HELPER_PATHS, 0.025, 0.2, 1.0, 1e-3, 5, draw))
-        assert len(calls) == 5
-        # two buffers, filled in turn
-        assert [id(b) for b in calls[:2]] == [id(b) for b in calls[2:4]]
+            def standard_normal(self, out):
+                calls.append(out)
+                out.fill(0.0)
+
+        monkeypatch.setattr(np.random, "default_rng", Normals)
+        mc_anticipated_gain(cev1(), 1.0, 0.0, 1001, 0, n_steps=5)
+        assert len(calls) == 10
+        for size in (500, 501):
+            bufs = [out for out in calls if out.size == size]
+            assert len(bufs) == 5 and all(out is bufs[0] for out in bufs)
 
     def test_cli_import_leaves_concurrent_futures_out(self):
         # scipy is a test dependency only; concurrent.futures is loaded by a
-        # helper-sized run, not by the import or by a serial-sized run
+        # two-stream Monte Carlo, not by the import or by a price panel
         code = ("import sys, mvlab.cli\n"
                 "print([m in sys.modules for m in ('concurrent.futures', 'scipy')])\n"
                 "c = mvlab.CevParams.single(0.125, 0.2, 1.0, 0.025, 1.0, 1.0)\n"
-                "mvlab.mc_anticipated_gain(c, 1.0, 0.0, 1000, 0)\n"
+                "mvlab.simulate.cev_paths(c, mvlab.simulate.SimConfig(1, 52, 1 / 52, 1.0, 0))\n"
                 "print('concurrent.futures' in sys.modules)\n"
-                f"mvlab.mc_anticipated_gain(c, 1.0, 0.0, {simulate.PREFETCH_MIN_ENTRIES}, 0, "
-                "n_steps=2)\n"
+                "mvlab.mc_anticipated_gain(c, 1.0, 0.0, 1000, 0, n_steps=2)\n"
                 "print('concurrent.futures' in sys.modules)\n")
         src = os.path.dirname(os.path.dirname(simulate.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True).stdout
         assert out == "[False, False]\nFalse\nTrue\n"
+
+
+class TestStabilityCheck:
+    def test_absorption_counts_the_merged_state(self):
+        # half 0 has 6 of its 10 paths absorbed, the run 6 of 20
+        floor = simulate.ABSORPTION_REL_FLOOR
+        half0 = np.array([floor] * 6 + [1.0] * 4)
+        half1 = np.ones(10)
+        with pytest.raises(InstabilityError, match="6 of 10 paths absorbed"):
+            simulate._check_stable(half0, floor, 0.0)
+        simulate._check_stable(np.concatenate([half0, half1]), floor, 0.0)
+        with pytest.raises(InstabilityError, match="6 of 20 paths absorbed"):
+            simulate._check_stable(np.concatenate([half0, half1]), floor, 0.5)
 
 
 class TestSimConfig:
@@ -413,9 +508,57 @@ class TestSimConfig:
             cfg(s0=s0)
 
 
+# (argument, its minimum, a call with the count set to the value given)
+COUNTS = {
+    "SimConfig-n_assets": ("n_assets", 0, lambda v: SimConfig(v, 4, 0.1, 1.0, 0)),
+    "SimConfig-n_steps": ("n_steps", 1, lambda v: SimConfig(1, v, 0.1, 1.0, 0)),
+    "gbm_ensemble-n_steps": ("n_steps", 1, lambda v: gbm_ensemble(0.1, 0.2, 0.0, 1.0, v, 10, 0)),
+    "gbm_ensemble-n_paths": ("n_paths", 1, lambda v: gbm_ensemble(0.1, 0.2, 0.0, 1.0, 4, v, 0)),
+    "mc_anticipated_gain-paths": (
+        "paths", 100, lambda v: mc_anticipated_gain(cev1(), 1.0, 0.0, v, 0, n_steps=4)),
+    "mc_anticipated_gain-n_steps": (
+        "n_steps", 1, lambda v: mc_anticipated_gain(cev1(), 1.0, 0.0, 100, 0, n_steps=v)),
+    "hedging_covariance_check-paths": (
+        "paths", 1, lambda v: simulate.hedging_covariance_check(cev1(), 1.0, 0.0, v, 0, 4)),
+    "hedging_covariance_check-n_steps": (
+        "n_steps", 1, lambda v: simulate.hedging_covariance_check(cev1(), 1.0, 0.0, 100, 0, v)),
+}
+
+
 class TestCountArguments:
-    """A step or path count below 1 is a ValueError naming it, raised
-    before any random number is drawn."""
+    """A step, path or asset count that is not an integer, or is below its
+    minimum, is a ValueError naming it, raised before any random number is
+    drawn."""
+
+    @pytest.mark.parametrize("key", COUNTS)
+    @pytest.mark.parametrize("kind", ["fraction", "integral float", "text"])
+    def test_non_integer(self, monkeypatch, key, kind):
+        name, minimum, call = COUNTS[key]
+        value = {"fraction": minimum + 1.5, "integral float": minimum + 1.0, "text": "3"}[kind]
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            call(value)
+
+    @pytest.mark.parametrize("key", COUNTS)
+    def test_below_minimum(self, monkeypatch, key):
+        name, minimum, call = COUNTS[key]
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be at least {minimum}, got {minimum - 1}$"):
+            call(minimum - 1)
+
+    @pytest.mark.parametrize("key", COUNTS)
+    @pytest.mark.parametrize("numpy_int", [np.int64, np.int32, np.uint16])
+    def test_numpy_integer(self, key, numpy_int):
+        # the same run as with the Python int; a uint16 path count once
+        # took the standard error's square root in float32
+        name, minimum, call = COUNTS[key]
+        runs = [call(n) for n in (numpy_int(minimum + 1), minimum + 1)]
+        if isinstance(runs[0], SimConfig):
+            assert type(getattr(runs[0], name)) is int
+        if dataclasses.is_dataclass(runs[0]):
+            runs = [dataclasses.asdict(run) for run in runs]
+        np.testing.assert_equal(*runs)
 
     @pytest.mark.parametrize("n_steps", [0, -2])
     @pytest.mark.parametrize("call", [mc_anticipated_gain, simulate.hedging_covariance_check],
