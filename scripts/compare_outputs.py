@@ -60,10 +60,10 @@ COMMANDS = [
 # command reaches: criterion 07's three gains at 150k paths x 500 steps,
 # each line the repr of an McEstimate's value and stderr (the fields every
 # tree's has), and the covariance sign check at 2^17 paths x 16 steps.
-# Then the sha256 of each strategy's backtest wealth on the seeded 50 x 523
-# GBM panel of the `simulate` defaults, built through the library: at 50
-# assets the CLI's simple, multi and cev backtests exit 4 before writing
-# wealth.csv, so no command compares their money vectors.
+# Then each strategy's backtest wealth path, one CSV column each, on the
+# seeded 50 x 523 GBM panel of the `simulate` defaults, built through the
+# library: at 50 assets the CLI's simple, multi and cev backtests exit 4
+# before writing wealth.csv, so no command compares their money vectors.
 PROBES = {
     "criterion07-mc.txt": (
         "import mvlab\n"
@@ -76,8 +76,8 @@ PROBES = {
         "c = mvlab.CevParams.single(0.125, 0.2, 1.0, 0.025, 1.0, 1.0)\n"
         "r = mvlab.hedging_covariance_check(c, 1.0, 0.0, 2**17, 4, n_steps=16)\n"
         "print(repr(r.correlation), repr(r.covariance_sign), repr(r.hedging_sign))\n"),
-    "backtest-wealth.txt": (
-        "import hashlib\n"
+    "backtest-wealth.csv": (
+        "import sys\n"
         "import numpy as np\n"
         "import mvlab\n"
         "n, weeks = 50, 523\n"
@@ -89,10 +89,11 @@ PROBES = {
         "cfg = mvlab.SimConfig(n_assets=n, n_steps=weeks, dt=1 / 52,\n"
         "                      s0=np.full(n, 100.0), seed=0)\n"
         "panel = mvlab.gbm_paths(m, cfg)\n"
-        "for strategy in ('static', 'simple', 'multi', 'cev'):\n"
-        "    bt = mvlab.BacktestConfig(strategy=strategy, alpha=1.0)\n"
-        "    path = mvlab.run_backtest(panel, bt)\n"
-        "    print(strategy, hashlib.sha256(path.wealth.tobytes()).hexdigest())\n"),
+        "strategies = ('static', 'simple', 'multi', 'cev')\n"
+        "wealth = [mvlab.run_backtest(panel, mvlab.BacktestConfig(strategy=s, alpha=1.0)).wealth\n"
+        "          for s in strategies]\n"
+        "np.savetxt(sys.stdout, np.column_stack(wealth), fmt='%.17g', delimiter=',',\n"
+        "           header=','.join(strategies), comments='')\n"),
 }
 
 RUNS = [" ".join(argv) for argv in COMMANDS] + [f"probe {name}" for name in PROBES]

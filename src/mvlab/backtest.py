@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -67,8 +66,8 @@ class BacktestConfig:
             raise ValueError("riskless rate must be nonnegative")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if not isinstance(self.batch_len, (int, np.integer)) or self.batch_len < 2:
-            raise ValueError(f"batch_len must be an integer of at least 2, got {self.batch_len!r}")
+        object.__setattr__(self, "batch_len",
+                           dynamic_policy._check_count("batch_len", self.batch_len, 2))
 
 
 def _check_identity(bond: Array, stock: Array, wealth: Array, gross: Array):
@@ -124,8 +123,8 @@ def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
     # so omega^-1 b = q * Sigma^-1 (q * b).  cev_demand rejects a week whose
     # S^alpha leaves the float range before it solves.
     with np.errstate(over="ignore", under="ignore"):
-        q = prices_now ** (cfg.alpha / 2.0)
-    myopic, hedging = dynamic_policy.cev_demand(mu, partial(solve, scale=q), cfg.alpha,
+        q = (prices_now ** (cfg.alpha / 2.0))[..., None]
+    myopic, hedging = dynamic_policy.cev_demand(mu, lambda b: q * solve(q * b), cfg.alpha,
                                                 prices_now, cfg.r, cfg.gamma, tau)
     return myopic + hedging
 

@@ -162,6 +162,8 @@ def cmd_simulate(args):
     n, variance, mean, s0 = args.assets, args.variance, args.mean, args.s0
     if variance < 0:
         raise DataError(f"variance {variance} is negative")
+    if n > 1 and not -1.0 / (n - 1) <= args.corr <= 1.0:  # where corr below is PSD
+        raise DataError(f"--corr {args.corr} is outside [{-1.0 / (n - 1):g}, 1] for {n} assets")
     T = args.weeks / estimate.WEEKS_PER_YEAR
     corr = np.full((n, n), args.corr)
     np.fill_diagonal(corr, 1.0)
@@ -170,7 +172,7 @@ def cmd_simulate(args):
                              measure=args.measure)
     if args.model == "gbm":
         m = dynamic_policy.MarketParams(
-            mu=np.full(n, mean), sigma=np.sqrt(variance) * np.linalg.cholesky(corr),
+            mu=np.full(n, mean), sigma=np.sqrt(variance) * simulate._corr_factor(corr),
             r=args.rate, T=T, gamma=1.0,
         )
         series = simulate.gbm_paths(m, cfg)
@@ -275,16 +277,23 @@ def cmd_report(args):
 
 # ------------------------------------------------------------- parser
 
-def _finite_float(text: str) -> float:
-    """The type of every float flag: a NaN or infinite value is a usage
-    error that names the flag, like a non-numeric one."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
+def _flag_type(parse, valid, rule: str):
+    """An argparse type: parse(text) when that succeeds and valid() holds
+    for the value, else a usage error that names the flag."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{text!r} {rule}")
+        return value
+    return convert
+
+
+# every float flag is finite, and every count flag at least 1
+_finite_float = _flag_type(float, np.isfinite, "is not a finite number")
+_count = _flag_type(int, lambda value: value >= 1, "is below 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a simulated price panel")
     p.add_argument("--model", choices=["gbm", "cev"], default="gbm")
-    p.add_argument("--assets", default=50, type=int)
-    p.add_argument("--weeks", default=523, type=int)
+    p.add_argument("--assets", default=50, type=_count)
+    p.add_argument("--weeks", default=523, type=_count)
     p.add_argument("--mean", default=0.125, type=_finite_float)
     p.add_argument("--variance", default=0.2, type=_finite_float)
     p.add_argument("--corr", default=0.05, type=_finite_float)
@@ -359,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", default=10.0, type=_finite_float)
     p.add_argument("--gamma", default=1.0, type=_finite_float)
     p.add_argument("--w0", default=0.0, type=_finite_float)
-    p.add_argument("--paths", default=100_000, type=int)
+    p.add_argument("--paths", default=100_000, type=_count)
     p.add_argument("--seed", default=0, type=int)
     common(p)
     p.set_defaults(func=cmd_compare_precommit)

@@ -49,6 +49,16 @@ def _as_square(x, n: int, name: str) -> Array:
     return m
 
 
+def _check_count(name: str, value, minimum: int) -> int:
+    """A count argument as a Python int: an integer (numpy integers too) of
+    at least `minimum`, else a ValueError naming it."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
+
 def _check_fields(p) -> None:
     """The input rule of StaticProblem, MarketParams and CevParams: at
     least one asset and every field finite."""
@@ -315,8 +325,7 @@ def lattice_equilibrium_oracle(m: MarketParams, steps: int) -> LatticePolicy:
     """
     if m.n_assets != 1:
         raise ValueError("lattice oracle requires a single-asset market")
-    if not isinstance(steps, (int, np.integer)) or steps < 2:
-        raise ValueError(f"steps must be an integer of at least 2, got {steps!r}")
+    steps = _check_count("steps", steps, 2)
     if steps > _MAX_LATTICE_STEPS:
         raise ResourceError(f"steps {steps} exceeds limit {_MAX_LATTICE_STEPS}")
     dt = m.T / steps

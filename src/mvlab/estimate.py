@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -97,11 +98,10 @@ def _check_finite(mu: Array, matrix: Array) -> None:
 def ridge_solver(returns: Array, t_indices,
                  batch_len: int = DEFAULT_BATCH_LEN) -> tuple[Array, Callable]:
     """Annualised sample means (k, N) of the batches ending before each of
-    the k decision indices in t_indices, and solve(b, scale=None), which
-    returns (Sigma_hat + rho I)^-1 b for b (k, N, m): Sigma_hat and rho as
-    in rolling_estimates and regularize_covariance.  With scale s (k, N) it
-    solves with (Sigma_hat + rho I)_ij / (s_i s_j) instead.  A non-finite
-    estimate is a DomainError whose `index` is its batch.
+    the k decision indices in t_indices, and solve(b), which returns
+    (Sigma_hat + rho I)^-1 b for b (k, N, m): Sigma_hat and rho as in
+    rolling_estimates and regularize_covariance.  A non-finite estimate is
+    a DomainError whose `index` is its batch.
 
     With X a batch's centred (N, L) window and c = WEEKS_PER_YEAR/(L - 1),
     Sigma_hat + rho I = rho I + c X X^T.  When N < L the N x N matrices are
@@ -111,21 +111,9 @@ def ridge_solver(returns: Array, t_indices,
     """
     if returns.shape[1] < batch_len:
         mu, sigma = rolling_estimates(returns, t_indices, batch_len)
-        sigma = regularize_covariance(sigma)
+        _add_ridge(sigma, sigma.shape[-1])
         _check_finite(mu, sigma)
-
-        last = [None, sigma]  # the last scale and its scaled matrices
-
-        def solve(b: Array, scale: Array | None = None) -> Array:
-            if scale is None:
-                return np.linalg.solve(sigma, b)
-            if last[0] is not scale:
-                with np.errstate(over="ignore"):
-                    scaled = sigma / (scale[:, :, None] * scale[:, None, :])
-                _check_finite(mu, scaled)  # LAPACK would read an overflow as a zero demand
-                last[:] = scale, scaled
-            return np.linalg.solve(last[1], b)
-        return mu, solve
+        return mu, partial(np.linalg.solve, sigma)
 
     mean, x = _centred_windows(returns, t_indices, batch_len)
     c = WEEKS_PER_YEAR / (batch_len - 1)
@@ -135,11 +123,9 @@ def ridge_solver(returns: Array, t_indices,
     mu = WEEKS_PER_YEAR * mean
     _check_finite(mu, gram)
 
-    def solve(b: Array, scale: Array | None = None) -> Array:
-        s = 1.0 if scale is None else scale[..., None]
-        b = s * b
+    def solve(b: Array) -> Array:
         y = np.linalg.solve(gram, np.swapaxes(x, -1, -2) @ b)
-        return s * (b - c * (x @ y)) / ridge[:, None, None]
+        return (b - c * (x @ y)) / ridge[:, None, None]
     return mu, solve
 
 

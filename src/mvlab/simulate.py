@@ -29,6 +29,7 @@ from numpy.typing import NDArray
 from .dynamic_policy import (
     CevParams,
     MarketParams,
+    _check_count,
     _check_horizon,
     _check_prices,
     anticipated_gain_gbm,
@@ -46,14 +47,11 @@ ABSORPTION_REL_FLOOR = 1e-8
 ABSORPTION_MAX_FRACTION = 0.5
 
 
-def _check_count(name: str, value, minimum: int) -> int:
-    """A count argument as a Python int: an integer (numpy integers too) of
-    at least `minimum`, else a ValueError naming it."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
-    return int(value)
+def _check_measure(measure: str) -> str:
+    """measure if it names one of the two measures, else a ValueError."""
+    if measure not in (PHYSICAL, HEDGE_NEUTRAL):
+        raise ValueError(f"unknown measure {measure!r}")
+    return measure
 
 
 @dataclass(frozen=True)
@@ -79,8 +77,7 @@ class SimConfig:
             raise ValueError(f"s0 must have length {self.n_assets}")
         if not np.all(np.isfinite(s0) & (s0 > 0)):
             raise ValueError("initial prices must be positive and finite")
-        if self.measure not in (PHYSICAL, HEDGE_NEUTRAL):
-            raise ValueError(f"unknown measure {self.measure!r}")
+        _check_measure(self.measure)
 
 
 @dataclass(frozen=True)
@@ -250,7 +247,7 @@ def gbm_ensemble(mu: float, sigma: float, r: float, T: float, n_steps: int,
     n_steps = _check_count("n_steps", n_steps, 1)
     n_paths = _check_count("n_paths", n_paths, 1)
     dt = T / n_steps
-    drift = mu if measure == PHYSICAL else r
+    drift = mu if _check_measure(measure) == PHYSICAL else r
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_paths, n_steps))
     prices = _lognormal_steps(drift, sigma * sigma, sigma * np.sqrt(dt) * z, dt, axis=1)

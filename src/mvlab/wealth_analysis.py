@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamic_policy import MarketParams
+from .dynamic_policy import MarketParams, _check_count
 
 Array = NDArray[np.float64]
 
@@ -86,8 +86,7 @@ def analytic_gap(m: MarketParams) -> float:
 def compare_strategies_mc(m: MarketParams, W0: float, paths: int,
                           seed: int) -> StrategyComparison:
     """Shared-draw Monte Carlo comparison of the two strategies."""
-    if paths < 10_000:
-        raise ValueError("need at least 10^4 paths")
+    paths = _check_count("paths", paths, 10_000)
     rng = np.random.default_rng(seed)
     w_T = rng.standard_normal(paths) * np.sqrt(m.T)
     pre = precommitment_wealth(m, W0, price_density_sample(m, w_T))

@@ -144,7 +144,8 @@ class TestBatchedKernel:
     ], ids=["static", "simple", "cev"])
     def test_theta_below_batch_len_solves_each_matrix(self, kwargs):
         # With fewer assets than batch weeks the kernel solves each
-        # regularised N x N estimate (over q q^T under cev) as it stands
+        # regularised N x N estimate as it stands; cev scales its right-hand
+        # sides and solutions by q = S^(alpha/2)
         cfg = BacktestConfig(**kwargs)
         prices = gbm_series(n_weeks=120, n_assets=10, seed=6)
         returns = estimate.to_returns(prices)
@@ -160,13 +161,29 @@ class TestBatchedKernel:
                                              cfg.r, cfg.gamma, tau)
         else:
             S = prices.prices[rows]
-            q = S ** (cfg.alpha / 2.0)
-            omega = sigma / (q[:, :, None] * q[:, None, :])
+            q = (S ** (cfg.alpha / 2.0))[..., None]
             myopic, hedging = dynamic_policy.cev_demand(
-                mu, partial(np.linalg.solve, omega), cfg.alpha, S, cfg.r, cfg.gamma, tau)
+                mu, lambda b: q * np.linalg.solve(sigma, q * b), cfg.alpha, S, cfg.r,
+                cfg.gamma, tau)
             want = myopic + hedging
         got = backtest._block_theta(cfg, returns, prices.prices, rows, horizon)
         np.testing.assert_array_equal(got, want)
+
+    def test_cev_theta_at_or_above_batch_len_scales_the_woodbury_solve(self):
+        # the same q-scaling around the batch-dimension solve
+        cfg = BacktestConfig(strategy="cev", alpha=1.0)
+        prices = gbm_series(n_weeks=120, n_assets=30, seed=6)
+        returns = estimate.to_returns(prices)
+        rows = np.arange(27, 27 + 64)
+        horizon = 120 * backtest.DT
+        mu, solve = estimate.ridge_solver(returns, rows)
+        S = prices.prices[rows]
+        q = (S ** (cfg.alpha / 2.0))[..., None]
+        myopic, hedging = dynamic_policy.cev_demand(
+            mu, lambda b: q * solve(q * b), cfg.alpha, S, cfg.r, cfg.gamma,
+            horizon - rows * backtest.DT)
+        got = backtest._block_theta(cfg, returns, prices.prices, rows, horizon)
+        np.testing.assert_array_equal(got, myopic + hedging)
 
     @pytest.mark.parametrize("alpha", [160.0, 400.0, -400.0])
     def test_cev_price_power_out_of_range_names_the_week(self, alpha):
@@ -273,7 +290,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("batch_len", [26.5, 26.0, "26"])
     def test_non_integer_batch_len_rejected(self, batch_len):
-        with pytest.raises(ValueError, match="^batch_len must be an integer of at least 2, got "):
+        with pytest.raises(ValueError, match="^batch_len must be an integer, got "):
             BacktestConfig(batch_len=batch_len)
 
 
@@ -319,10 +336,12 @@ class TestRunBacktest:
         np.testing.assert_allclose(a.wealth, b.wealth, rtol=1e-12)
 
     def test_cev_alpha_zero_equals_multi(self):
-        prices = gbm_series(n_weeks=90, n_assets=3, seed=11)
-        a = run_backtest(prices, BacktestConfig(strategy="multi"))
-        b = run_backtest(prices, BacktestConfig(strategy="cev", alpha=0.0))
-        np.testing.assert_array_equal(a.wealth, b.wealth)
+        # q = S^0 = 1 scales nothing, below batch_len and at or above it
+        for n_assets in (3, 30):
+            prices = gbm_series(n_weeks=90, n_assets=n_assets, seed=11)
+            a = run_backtest(prices, BacktestConfig(strategy="multi"))
+            b = run_backtest(prices, BacktestConfig(strategy="cev", alpha=0.0))
+            np.testing.assert_array_equal(a.wealth, b.wealth)
 
     def test_static_runs_multi_asset(self):
         prices = gbm_series(n_weeks=90, n_assets=3, seed=2)

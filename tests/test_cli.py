@@ -61,6 +61,16 @@ class TestSimulate:
         assert np.array_equal(cev, read_price_csv(out / "2" / "prices.csv").prices)
         np.testing.assert_allclose(cev[:, 1], (1 + 0.1 / 52) ** np.arange(53), rtol=1e-12)
 
+    @pytest.mark.parametrize("corr", ["1", "-0.5"])
+    def test_correlation_at_its_bounds_runs(self, tmp_path, corr):
+        # the equicorrelation matrix of 3 assets is singular at 1 and -1/2,
+        # where the GBM loading comes from its eigendecomposition
+        for model in ("gbm", "cev"):
+            out = tmp_path / model
+            assert main(["simulate", "--model", model, "--corr", corr, "--assets", "3",
+                         "--weeks", "30", "--out", str(out)]) == 0
+            assert np.all(read_price_csv(out / "prices.csv").prices > 0)
+
     def test_cev_model_runs(self, tmp_path):
         out = tmp_path / "cev"
         code = main(["simulate", "--model", "cev", "--alpha", "1.0",
@@ -115,7 +125,7 @@ class TestBacktestReport:
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("MVLAB_OUT", raising=False)
         assert main(["backtest", "--input", str(tmp_path / "nonexistent.csv")]) == 3
-        assert main(["simulate", "--assets", "2", "--corr", "2.0"]) == 4
+        assert main(["simulate", "--assets", "2", "--corr", "2.0"]) == 3
         assert os.listdir(tmp_path) == []
 
     def test_readme_multi_at_50_exits_4_without_traceback(self, tmp_path):
@@ -403,8 +413,19 @@ def panel_csv(weeks=60, n_assets=3, seed=0):
                  "argument --target: 'nan' is not a finite number", id="config-nan-target"),
     pytest.param({"c.cfg": "s0=inf\n"}, ["simulate", "--config", "c.cfg"], 2,
                  "argument --s0: 'inf' is not a finite number", id="config-inf-s0"),
-    pytest.param({}, ["simulate", "--assets", "0", "--weeks", "5"], 4, "market has no assets",
-                 id="simulate-no-assets"),
+    pytest.param({}, ["simulate", "--assets", "0", "--weeks", "5"], 2,
+                 "argument --assets: '0' is below 1", id="simulate-no-assets"),
+    pytest.param({}, ["simulate", "--assets", "-1", "--weeks", "5"], 2,
+                 "argument --assets: '-1' is below 1", id="simulate-negative-assets"),
+    pytest.param({}, ["simulate", "--assets", "2", "--weeks", "0"], 2,
+                 "argument --weeks: '0' is below 1", id="simulate-no-weeks"),
+    pytest.param({}, ["compare-precommit", "--paths", "0"], 2,
+                 "argument --paths: '0' is below 1", id="compare-precommit-no-paths"),
+    *[pytest.param({}, ["simulate", "--model", model, "--corr", "2", "--assets", "3",
+                        "--weeks", "5"], 3, "--corr 2.0 is outside [-0.5, 1] for 3 assets",
+                   id=f"simulate-{model}-corr-above-1") for model in ("gbm", "cev")],
+    pytest.param({}, ["simulate", "--corr", "-0.6", "--assets", "3", "--weeks", "5"], 3,
+                 "--corr -0.6 is outside [-0.5, 1]", id="simulate-corr-below-bound"),
     pytest.param({}, ["compare-precommit", "--sigma", "0", "--paths", "10000", "--out", "o"],
                  4, "zero-volatility market", id="compare-precommit-zero-sigma"),
     # a finite flag whose arithmetic overflows or divides by zero

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from mvlab import simulate
-from mvlab.dynamic_policy import CevParams, MarketParams
+from mvlab.backtest import BacktestConfig
+from mvlab.dynamic_policy import CevParams, MarketParams, lattice_equilibrium_oracle
 from mvlab.errors import DomainError, HorizonError, InstabilityError
 from mvlab.simulate import (
     HEDGE_NEUTRAL,
@@ -21,6 +22,7 @@ from mvlab.simulate import (
     mc_anticipated_gain,
     rn_weights,
 )
+from mvlab.wealth_analysis import compare_strategies_mc
 
 from conftest import two_streams
 
@@ -65,6 +67,12 @@ class TestGbmPaths:
         _, s = gbm_ensemble(0.125, np.sqrt(0.2), 0.025, 1.0, 52, 100_000, 5,
                             measure=HEDGE_NEUTRAL)
         assert np.mean(s[:, -1]) == pytest.approx(np.exp(0.025), rel=0.01)
+
+    def test_unknown_measure(self, monkeypatch):
+        # a misspelt measure once ran silently with drift r
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError, match="^unknown measure 'hedge-neutral'$"):
+            gbm_ensemble(0.125, 0.2, 0.025, 1.0, 52, 10, 5, measure="hedge-neutral")
 
     def test_cross_correlation(self):
         L = np.linalg.cholesky(np.array([[0.04, 0.012], [0.012, 0.09]]))
@@ -522,13 +530,19 @@ COUNTS = {
         "paths", 1, lambda v: simulate.hedging_covariance_check(cev1(), 1.0, 0.0, v, 0, 4)),
     "hedging_covariance_check-n_steps": (
         "n_steps", 1, lambda v: simulate.hedging_covariance_check(cev1(), 1.0, 0.0, 100, 0, v)),
+    "compare_strategies_mc-paths": (
+        "paths", 10_000, lambda v: compare_strategies_mc(MarketParams.single(
+            0.125, 0.2, 0.025, 1.0, 1.0), 0.0, v, 0)),
+    "BacktestConfig-batch_len": ("batch_len", 2, lambda v: BacktestConfig(batch_len=v)),
+    "lattice_equilibrium_oracle-steps": ("steps", 2, lambda v: lattice_equilibrium_oracle(
+        MarketParams.single(0.125, 0.2, 0.025, 1.0, 1.0), v)),
 }
 
 
 class TestCountArguments:
-    """A step, path or asset count that is not an integer, or is below its
-    minimum, is a ValueError naming it, raised before any random number is
-    drawn."""
+    """A step, path, asset or batch count that is not an integer, or is
+    below its minimum, is a ValueError naming it, raised before any random
+    number is drawn: one rule in every layer."""
 
     @pytest.mark.parametrize("key", COUNTS)
     @pytest.mark.parametrize("kind", ["fraction", "integral float", "text"])
