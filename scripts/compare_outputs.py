@@ -56,11 +56,13 @@ COMMANDS = [
      "--out", "compare"],
 ]
 
-# The two callers of the CEV Euler kernel at Monte Carlo sizes, which no
-# command reaches: criterion 07's three gains at 150k paths x 500 steps,
-# each line the repr of an McEstimate's value and stderr (the fields every
-# tree's has), and the covariance sign check at 2^17 paths x 16 steps.
-# Then each strategy's backtest wealth path, one CSV column each, on the
+# The two CEV Monte Carlo runs at sizes no command reaches: criterion 07's
+# three gains at 150k paths x 500 steps, each line the repr of an
+# McEstimate's value and stderr (the fields every tree's has), and the
+# covariance sign check at 2^17 paths x 16 steps, both at alpha = 1; a gain
+# at alpha = -1, which steps Euler with its floor; and a gain at alpha = 2.5
+# on inputs where Euler absorbs paths, printing the error a tree raises in
+# place of the value.  Then each strategy's backtest wealth path, one CSV column each, on the
 # seeded 50 x 523 GBM panel of the `simulate` defaults, built through the
 # library: at 50 assets the CLI's simple, multi and cev backtests exit 4
 # before writing wealth.csv, so no command compares their money vectors.
@@ -76,6 +78,18 @@ PROBES = {
         "c = mvlab.CevParams.single(0.125, 0.2, 1.0, 0.025, 1.0, 1.0)\n"
         "r = mvlab.hedging_covariance_check(c, 1.0, 0.0, 2**17, 4, n_steps=16)\n"
         "print(repr(r.correlation), repr(r.covariance_sign), repr(r.hedging_sign))\n"),
+    "gain-alpha-minus-one.txt": (
+        "import mvlab\n"
+        "c = mvlab.CevParams.single(0.125, 0.2, -1.0, 0.025, 1.0, 1.0)\n"
+        "print(repr(mvlab.mc_anticipated_gain(c, 1.0, 0.0, 40_000, 12)))\n"),
+    "gain-alpha-2.5.txt": (
+        "import mvlab, mvlab.errors\n"
+        "c = mvlab.CevParams.single(0.125, 0.3, 2.5, 0.025, 2.0, 1.5)\n"
+        "try:\n"
+        "    e = mvlab.mc_anticipated_gain(c, 1.0, 0.0, 20_000, 5, n_steps=100)\n"
+        "    print(repr(e.value), repr(e.stderr))\n"
+        "except mvlab.errors.MvlabError as exc:\n"
+        "    print(f'{type(exc).__name__}: {exc}')\n"),
     "backtest-wealth.csv": (
         "import sys\n"
         "import numpy as np\n"

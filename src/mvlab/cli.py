@@ -165,11 +165,12 @@ def cmd_simulate(args):
     if n > 1 and not -1.0 / (n - 1) <= args.corr <= 1.0:  # where corr below is PSD
         raise DataError(f"--corr {args.corr} is outside [{-1.0 / (n - 1):g}, 1] for {n} assets")
     T = args.weeks / estimate.WEEKS_PER_YEAR
-    corr = np.full((n, n), args.corr)
-    np.fill_diagonal(corr, 1.0)
     cfg = simulate.SimConfig(n_assets=n, n_steps=args.weeks, dt=backtest.DT,
                              s0=np.full(n, s0), seed=args.seed,
                              measure=args.measure)
+    dynamic_policy._check_entries("correlation matrix", n * n)
+    corr = np.full((n, n), args.corr)
+    np.fill_diagonal(corr, 1.0)
     if args.model == "gbm":
         m = dynamic_policy.MarketParams(
             mu=np.full(n, mean), sigma=np.sqrt(variance) * simulate._corr_factor(corr),
@@ -291,9 +292,15 @@ def _flag_type(parse, valid, rule: str):
     return convert
 
 
-# every float flag is finite, and every count flag at least 1
+def _at_least(minimum: int):
+    """An argparse type for an integer flag of at least `minimum`."""
+    return _flag_type(int, lambda value: value >= minimum, f"is below {minimum}")
+
+
+# every float flag is finite, and every count flag at least 1 or the
+# library's own minimum
 _finite_float = _flag_type(float, np.isfinite, "is not a finite number")
-_count = _flag_type(int, lambda value: value >= 1, "is below 1")
+_count = _at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", default=10.0, type=_finite_float)
     p.add_argument("--gamma", default=1.0, type=_finite_float)
     p.add_argument("--w0", default=0.0, type=_finite_float)
-    p.add_argument("--paths", default=100_000, type=_count)
+    p.add_argument("--paths", default=100_000, type=_at_least(wealth_analysis.MIN_PATHS))
     p.add_argument("--seed", default=0, type=int)
     common(p)
     p.set_defaults(func=cmd_compare_precommit)

@@ -29,6 +29,7 @@ Solve = Callable[[Array], Array]  # b (..., N, m) -> A^-1 b for the matrix A in 
 _ZERO_RATE_TOL = 1e-12
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float
 _MAX_LATTICE_STEPS = 1 << 12  # the thetas take S(S+1)/2 floats: 67 MB
+_MAX_ENTRIES = 1 << 27  # floats in one array a caller sizes: 1 GiB
 
 
 def _as_vector(x, name: str) -> Array:
@@ -57,6 +58,13 @@ def _check_count(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
+
+
+def _check_entries(what: str, entries: int) -> None:
+    """A ResourceError if `what`, an array of `entries` floats, is above
+    _MAX_ENTRIES; called before it, or any random draw, is made."""
+    if entries > _MAX_ENTRIES:
+        raise ResourceError(f"{what} of {entries} entries exceeds limit {_MAX_ENTRIES}")
 
 
 def _check_fields(p) -> None:

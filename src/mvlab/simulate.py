@@ -30,8 +30,10 @@ from .dynamic_policy import (
     CevParams,
     MarketParams,
     _check_count,
+    _check_entries,
     _check_horizon,
     _check_prices,
+    _TINY,
     anticipated_gain_gbm,
     cev_anticipated_gain_exact,
     cev_policy,
@@ -67,6 +69,7 @@ class SimConfig:
         # an empty market is for MarketParams and CevParams to reject
         object.__setattr__(self, "n_assets", _check_count("n_assets", self.n_assets, 0))
         object.__setattr__(self, "n_steps", _check_count("n_steps", self.n_steps, 1))
+        _check_entries("price panel", (self.n_steps + 1) * self.n_assets)
         s0 = np.atleast_1d(np.asarray(self.s0, dtype=np.float64))
         if s0.size == 1 and self.n_assets > 1:
             s0 = np.full(self.n_assets, s0[0])
@@ -159,24 +162,81 @@ def _cev_euler(s, floor, drift, sigma_bar, alpha, dt: float, n_steps: int, draw)
         yield s
 
 
-def _check_stable(s, floor, alpha) -> None:
+def _cev_implicit(x, drift, sigma_bar, alpha, dt: float, n_steps: int, draw):
+    """Drift-implicit steps (Alfonsi 2005) of x = S^(-alpha/2), alpha > 0,
+    for the price of _cev_euler; yields x, stepped in place, after each step.
+
+    By Ito y = x^2 = S^-alpha is a CIR process, and dx = (alpha (alpha+2)
+    sigma_bar^2 / (8x) - alpha drift x / 2) dt - alpha sigma_bar dw / 2.
+    With both drift terms taken at the step's end, x' is the positive root
+        x' = (beta + sqrt(beta^2 + 2k alpha (alpha+2) sigma_bar^2 dt / 4)) * (1 / (2k)),
+    k = 1 + alpha drift dt / 2 > 0, beta = x - alpha sigma_bar sqrt(dt) z / 2,
+    taken in that order of operations; no path needs a floor.
+    """
+    z, root = np.empty(x.shape), np.empty(x.shape)
+    k = 1.0 + 0.5 * alpha * drift * dt
+    half_vol, inv_two_k = 0.5 * alpha * sigma_bar * np.sqrt(dt), 1.0 / (2.0 * k)
+    four_kc = 2.0 * k * (0.25 * alpha * (alpha + 2.0) * sigma_bar * sigma_bar * dt)
+    for _ in range(n_steps):
+        draw(z)
+        z *= half_vol
+        np.subtract(x, z, out=z)  # beta
+        np.multiply(z, z, out=root)
+        root += four_kc
+        np.sqrt(root, out=root)
+        np.add(z, root, out=x)
+        x *= inv_two_k
+        yield x
+
+
+def _check_finite(s) -> None:
     """Raises InstabilityError if an entry of the final state s is not
     finite (callers step under np.errstate, so a diverging run warns
-    nothing), if more than half are absorbed at `floor`, or if any with
-    alpha > 0 is: that process never reaches 0."""
+    nothing)."""
     if not np.all(np.isfinite(s)):
-        raise InstabilityError("Euler steps diverged; use a smaller dt or milder alpha")
+        raise InstabilityError("CEV steps diverged; use a smaller dt or milder alpha")
+
+
+def _check_stable(s, floor, alpha) -> None:
+    """_check_finite, then an InstabilityError if more than half the
+    entries of the Euler state s are absorbed at `floor`, or if any with
+    alpha > 0 is: that process never reaches 0."""
+    _check_finite(s)
     absorbed = s <= floor
     if np.any(absorbed & (alpha > 0)) or np.mean(absorbed) > ABSORPTION_MAX_FRACTION:
         raise InstabilityError(f"{np.sum(absorbed)} of {absorbed.size} paths absorbed; "
                                "use a smaller dt or milder alpha")
 
 
-def _euler_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alpha,
-                  dt: float, n_steps: int) -> list:
-    """Steps `paths` CEV paths from s0 (_cev_euler) in two halves at once and
-    returns [final state, *consume's arrays], each merged half 0 first, once
-    _check_stable has passed the merged state.
+def _mc_stepper(s0: float, drift, sigma_bar, alpha, dt: float, n_steps: int):
+    """(start, kernel, check) of a Monte Carlo run from the price s0.  For
+    alpha > 0 the state is x = S^(-alpha/2), stepped by _cev_implicit and
+    checked by _check_finite; a DomainError if s0^-alpha is outside the
+    normal float range or if k <= 0.  Otherwise it is the price, stepped by
+    _cev_euler with its floor at ABSORPTION_REL_FLOOR * s0 and checked by
+    _check_stable."""
+    if alpha <= 0:
+        floor = ABSORPTION_REL_FLOOR * s0
+        return (s0, lambda s, draw: _cev_euler(s, floor, drift, sigma_bar, alpha, dt, n_steps,
+                                               draw), lambda s: _check_stable(s, floor, alpha))
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        x0 = np.power(s0, -alpha / 2.0)
+        y0 = x0 * x0
+    if not (np.isfinite(y0) and y0 >= _TINY):
+        raise DomainError(f"price power S^-alpha out of range at alpha = {alpha:g}")
+    if 1.0 + 0.5 * alpha * drift * dt <= 0:
+        raise DomainError(f"alpha * drift * dt = {alpha * drift * dt:g} is at or below -2; "
+                          "the implicit CEV step needs a smaller dt")
+    return (float(x0), lambda x, draw: _cev_implicit(x, drift, sigma_bar, alpha, dt, n_steps,
+                                                     draw), _check_finite)
+
+
+def _run_halves(seed: int, paths: int, consume, start: float, kernel, check) -> list:
+    """Steps `paths` CEV paths, each from the state `start`, in two halves
+    at once and returns [final state, *consume's arrays], each merged half 0
+    first, once check(final state) has passed.  kernel(state, draw), one of
+    _mc_stepper's, steps a state array in place and yields it after each
+    step, draw(out) filling `out` with the step's standard normals.
 
     Half k, of (paths // 2, paths - paths // 2)[k] paths, draws from a
     Generator on child k of SeedSequence(seed).spawn(2); consume(steps, n)
@@ -188,17 +248,15 @@ def _euler_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, a
     from concurrent.futures import ThreadPoolExecutor
     children = np.random.SeedSequence(seed).spawn(2)
     sizes = (paths // 2, paths - paths // 2)
-    floor = ABSORPTION_REL_FLOOR * s0
     stop = threading.Event()
 
     def half(k):
         rng = np.random.default_rng(children[k])
-        s = np.full(sizes[k], s0)
-        steps = _cev_euler(s, floor, drift, sigma_bar, alpha, dt, n_steps,
-                           lambda out: rng.standard_normal(out=out))
+        state = np.full(sizes[k], start)
+        steps = kernel(state, lambda out: rng.standard_normal(out=out))
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return (s, *consume(takewhile(lambda _: not stop.is_set(), steps), sizes[k]))
+                return (state, *consume(takewhile(lambda _: not stop.is_set(), steps), sizes[k]))
         except BaseException:
             stop.set()
             raise
@@ -210,7 +268,7 @@ def _euler_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, a
         finally:
             first = future.result()
     merged = [np.concatenate(parts) for parts in zip(first, second)]
-    _check_stable(merged[0], floor, alpha)
+    check(merged[0])
     return merged
 
 
@@ -246,6 +304,7 @@ def gbm_ensemble(mu: float, sigma: float, r: float, T: float, n_steps: int,
     """
     n_steps = _check_count("n_steps", n_steps, 1)
     n_paths = _check_count("n_paths", n_paths, 1)
+    _check_entries("ensemble", n_paths * (n_steps + 1))
     dt = T / n_steps
     drift = mu if _check_measure(measure) == PHYSICAL else r
     rng = np.random.default_rng(seed)
@@ -270,9 +329,10 @@ def rn_weights(m: MarketParams, times: Array, prices: Array) -> Array:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """A Monte Carlo mean with its standard error, the Euler steps taken and
-    the fraction of paths that ended at the absorption floor (0 for the
-    closed forms, which take no step)."""
+    """A Monte Carlo mean with its standard error, the steps taken and the
+    fraction of paths that ended at the Euler absorption floor: 0 for the
+    closed forms, which take no step, and for alpha > 0, whose implicit
+    step has no floor."""
 
     value: float
     stderr: float
@@ -288,9 +348,12 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
     Averages the trapezoid-rule time integral of the squared instantaneous
     Sharpe ratio over gamma.  For constant-parameter GBM the integrand is
     deterministic, so the estimator collapses to the closed form with zero
-    standard error.  A CEV run steps on two streams (_euler_halves).
+    standard error.  A CEV run steps on two streams (_run_halves), for
+    alpha > 0 through _cev_implicit, whose state x gives the integrand
+    coef * S^-alpha as coef * x^2.
     """
     paths = _check_count("paths", paths, 100)
+    _check_entries("paths", paths)
     if n_steps is not None:
         n_steps = _check_count("n_steps", n_steps, 1)
     tau = _check_horizon(t, model.T)
@@ -312,9 +375,11 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
     dt = tau / n_steps
     coef = (mu - c.r) ** 2 / (c.gamma * sb * sb)
 
-    def gain(steps, n):
+    start, kernel, check = _mc_stepper(float(S0), c.r, sb, alpha, dt, n_steps)
+
+    def euler_gain(steps, n):
         # acc += 0.5 * (f + f_new) * dt with f = coef * s^-alpha, in reused buffers
-        f, f_new, acc = coef * np.full(n, float(S0)) ** (-alpha), np.empty(n), np.zeros(n)
+        f, f_new, acc = coef * np.full(n, start) ** (-alpha), np.empty(n), np.zeros(n)
         for s in steps:
             np.power(s, -alpha, out=f_new)
             f_new *= coef
@@ -325,10 +390,23 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
             f, f_new = f_new, f
         return (acc,)
 
-    s, acc = _euler_halves(seed, paths, gain, float(S0), c.r, sb, alpha, dt, n_steps)
+    def implicit_gain(steps, n):
+        # the trapezoid rule's sum of y = x^2 = S^-alpha, its two ends
+        # halved once after the last step
+        y, acc = np.empty(n), np.zeros(n)
+        for x in steps:
+            np.multiply(x, x, out=y)
+            acc += y
+        acc += 0.5 * (start * start - y)
+        acc *= coef * dt
+        return (acc,)
+
+    s, acc = _run_halves(seed, paths, implicit_gain if alpha > 0 else euler_gain, start,
+                         kernel, check)
+    absorbed = 0.0 if alpha > 0 else float(np.mean(s <= ABSORPTION_REL_FLOOR * start))
     return McEstimate(value=float(np.mean(acc)),
                       stderr=float(np.std(acc, ddof=1) / np.sqrt(paths)), n_steps=n_steps,
-                      absorbed=float(np.mean(s <= ABSORPTION_REL_FLOOR * float(S0))))
+                      absorbed=absorbed)
 
 
 @dataclass(frozen=True)
@@ -346,20 +424,26 @@ def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
     Simulates physical-measure CEV paths, evaluates the exact anticipated
     gain f along them, and pools one-step covariances.  A negative
     covariance should pair with a positive hedging demand and vice versa.
-    The paths step on two streams (_euler_halves); the pooled pairs are
-    half 0's, step by step, then half 1's.
+    The paths step on two streams (_run_halves), for alpha > 0 through
+    _cev_implicit; the pooled pairs are half 0's, step by step, then half
+    1's.
     """
     paths = _check_count("paths", paths, 1)
     n_steps = _check_count("n_steps", n_steps, 1)
+    _check_entries("pair store", paths * n_steps)
     _check_prices(S)
-    f0 = cev_anticipated_gain_exact(c, S, t)
     dt = (c.T - t) / n_steps
+    alpha = c.alpha[0]
+    start, kernel, check = _mc_stepper(float(S), c.mu[0], c.sigma_bar[0], alpha, dt, n_steps)
+    f0 = cev_anticipated_gain_exact(c, S, t)
 
     def changes(steps, n):
         # row k - 1 holds step k's returns and gain changes of the n paths
         rets, dfs = np.empty((n_steps, n)), np.empty((n_steps, n))
         s_prev, f_prev = np.full(n, float(S)), np.full(n, f0)
         for k, s in enumerate(steps, start=1):
+            if alpha > 0:
+                s = s ** (-2.0 / alpha)  # the price of the implicit state x
             # t + n_steps * dt may overshoot T by an ulp; a diverged path
             # reads the start price here and fails the run after the last step
             f = cev_anticipated_gain_exact(c, np.where(np.isfinite(s), s, S),
@@ -370,8 +454,7 @@ def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
             f_prev = f
         return rets.ravel(), dfs.ravel()
 
-    _, rets, dfs = _euler_halves(seed, paths, changes, float(S), c.mu[0], c.sigma_bar[0],
-                                 c.alpha[0], dt, n_steps)
+    _, rets, dfs = _run_halves(seed, paths, changes, start, kernel, check)
     if np.std(dfs) < 1e-15 or np.std(rets) < 1e-15:
         corr = 0.0
     else:

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamic_policy import MarketParams, _check_count
+from .dynamic_policy import MarketParams, _check_count, _check_entries
 
 Array = NDArray[np.float64]
+
+MIN_PATHS = 10_000  # compare_strategies_mc's fewest paths
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,8 @@ def analytic_gap(m: MarketParams) -> float:
 def compare_strategies_mc(m: MarketParams, W0: float, paths: int,
                           seed: int) -> StrategyComparison:
     """Shared-draw Monte Carlo comparison of the two strategies."""
-    paths = _check_count("paths", paths, 10_000)
+    paths = _check_count("paths", paths, MIN_PATHS)
+    _check_entries("paths", paths)
     rng = np.random.default_rng(seed)
     w_T = rng.standard_normal(paths) * np.sqrt(m.T)
     pre = precommitment_wealth(m, W0, price_density_sample(m, w_T))

@@ -22,6 +22,19 @@ def two_streams(seed, paths):
             for child, n in zip(children, (paths // 2, paths - paths // 2))]
 
 
+def implicit_step(x, z, drift, sigma_bar, alpha, dt):
+    """One drift-implicit step of x = S^(-alpha/2) for the CEV price
+    dS/S = drift dt + sigma_bar S^(alpha/2) dw, alpha > 0, on the normals z:
+    the positive root x' of k x'^2 - beta x' - alpha (alpha+2) sigma_bar^2
+    dt / 8 = 0, k = 1 + alpha drift dt / 2, beta = x - alpha sigma_bar
+    sqrt(dt) z / 2."""
+    k = 1.0 + 0.5 * alpha * drift * dt
+    beta = x - 0.5 * alpha * sigma_bar * np.sqrt(dt) * z
+    c_dt = 0.25 * alpha * (alpha + 2.0) * sigma_bar * sigma_bar * dt
+    root = np.sqrt(beta * beta + 2.0 * k * c_dt)
+    return (beta + root) * (1.0 / (2.0 * k))
+
+
 def random_pd_matrix(rng, n, jitter=0.1):
     """Random symmetric positive definite matrix."""
     a = rng.normal(size=(n, n))

@@ -420,7 +420,20 @@ def panel_csv(weeks=60, n_assets=3, seed=0):
     pytest.param({}, ["simulate", "--assets", "2", "--weeks", "0"], 2,
                  "argument --weeks: '0' is below 1", id="simulate-no-weeks"),
     pytest.param({}, ["compare-precommit", "--paths", "0"], 2,
-                 "argument --paths: '0' is below 1", id="compare-precommit-no-paths"),
+                 "argument --paths: '0' is below 10000", id="compare-precommit-no-paths"),
+    # a count below the library's own minimum is a usage error naming the flag
+    pytest.param({}, ["compare-precommit", "--paths", "50"], 2,
+                 "argument --paths: '50' is below 10000", id="compare-precommit-few-paths"),
+    # a size above the entry cap is refused before anything is allocated
+    pytest.param({}, ["simulate", "--weeks", "100000000", "--assets", "1000"], 4,
+                 "price panel of 100000001000 entries exceeds limit 134217728",
+                 id="simulate-panel-above-cap"),
+    pytest.param({}, ["simulate", "--weeks", "1", "--assets", "1000000"], 4,
+                 "correlation matrix of 1000000000000 entries exceeds limit 134217728",
+                 id="simulate-correlation-above-cap"),
+    pytest.param({}, ["compare-precommit", "--paths", "1000000000000", "--out", "o"], 4,
+                 "paths of 1000000000000 entries exceeds limit 134217728",
+                 id="compare-precommit-paths-above-cap"),
     *[pytest.param({}, ["simulate", "--model", model, "--corr", "2", "--assets", "3",
                         "--weeks", "5"], 3, "--corr 2.0 is outside [-0.5, 1] for 3 assets",
                    id=f"simulate-{model}-corr-above-1") for model in ("gbm", "cev")],

@@ -22,7 +22,7 @@ from mvlab.errors import (
 )
 from mvlab.simulate import hedging_covariance_check, mc_anticipated_gain
 
-from conftest import cev_scalar_policy, gbm_scalar_policy, two_streams
+from conftest import cev_scalar_policy, gbm_scalar_policy, implicit_step, two_streams
 
 MKT = dict(mu=0.125, sigma=np.sqrt(0.2), r=0.025, T=10.0, gamma=1.0)
 
@@ -295,11 +295,11 @@ class TestAnticipatedGain:
 
 
 def hedging_loop(c, S, t, paths, seed, n_steps):
-    """Reference correlation of hedging_covariance_check: physical-measure
-    Euler steps absorbed at 1e-8 S of each half of two_streams(seed, paths)
-    in turn, each step's normals drawn in turn, the exact gain at each
-    step's end time, one-step returns and gain changes pooled over steps
-    and paths, half 0's first."""
+    """Reference correlation of hedging_covariance_check at alpha <= 0:
+    physical-measure Euler steps absorbed at 1e-8 S of each half of
+    two_streams(seed, paths) in turn, each step's normals drawn in turn,
+    the exact gain at each step's end time, one-step returns and gain
+    changes pooled over steps and paths, half 0's first."""
     alpha = c.alpha[0]
     dt = (c.T - t) / n_steps
     rets, dfs = [], []
@@ -313,6 +313,30 @@ def hedging_loop(c, S, t, paths, seed, n_steps):
             s_new = np.where(alive, np.maximum(step, 1e-8 * S), s)
             f_new = cev_anticipated_gain_exact(c, s_new, t + k * dt)
             rets.append(np.where(alive, s_new / s - 1.0, 0.0))
+            dfs.append(f_new - f)
+            s, f = s_new, f_new
+    return np.corrcoef(np.concatenate(rets), np.concatenate(dfs))[0, 1]
+
+
+def hedging_implicit_loop(c, S, t, paths, seed, n_steps):
+    """Reference correlation of hedging_covariance_check at alpha > 0:
+    physical-measure implicit steps of x = S^(-alpha/2) (implicit_step) of
+    each half of two_streams(seed, paths) in turn, each step's normals drawn
+    in turn, the price x^(-2/alpha) and its exact gain at each step's end
+    time, one-step returns and gain changes pooled over steps and paths,
+    half 0's first."""
+    mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
+    dt = (c.T - t) / n_steps
+    rets, dfs = [], []
+    for rng, n in two_streams(seed, paths):
+        x = np.full(n, float(np.power(S, -alpha / 2.0)))
+        s = np.full(n, S)
+        f = cev_anticipated_gain_exact(c, S, t)
+        for k in range(1, n_steps + 1):
+            x = implicit_step(x, rng.standard_normal(n), mu, sb, alpha, dt)
+            s_new = x ** (-2.0 / alpha)
+            f_new = cev_anticipated_gain_exact(c, s_new, min(t + k * dt, c.T))
+            rets.append(s_new / s - 1.0)
             dfs.append(f_new - f)
             s, f = s_new, f_new
     return np.corrcoef(np.concatenate(rets), np.concatenate(dfs))[0, 1]
@@ -342,29 +366,31 @@ class TestHedgingCovariance:
 
     @pytest.mark.parametrize("alpha", [-1.0, 1.0])
     def test_correlation_matches_step_by_step_loop(self, alpha):
+        # alpha <= 0 steps Euler, alpha > 0 the implicit x = S^(-alpha/2)
         c = cev_single(alpha=alpha, T=2.0)
+        loop = hedging_implicit_loop if alpha > 0 else hedging_loop
         rep = hedging_covariance_check(c, 1.3, 0.2, 2000, seed=4, n_steps=16)
-        assert rep.correlation == hedging_loop(c, 1.3, 0.2, 2000, 4, 16)
+        assert rep.correlation == loop(c, 1.3, 0.2, 2000, 4, 16)
 
     def test_helper_thread_run_matches_step_by_step_loop(self):
         # 2^16 of the 2^17 paths step on the worker thread
         paths = 2**17
         c = cev_single(alpha=1.0, T=2.0)
         rep = hedging_covariance_check(c, 1.3, 0.2, paths, seed=4, n_steps=16)
-        assert rep.correlation == hedging_loop(c, 1.3, 0.2, paths, 4, 16)
+        assert rep.correlation == hedging_implicit_loop(c, 1.3, 0.2, paths, 4, 16)
 
     @pytest.mark.parametrize("paths", [2001, 3])
     def test_odd_path_count_matches_step_by_step_loop(self, paths):
         # half 1 steps one path more than half 0
         c = cev_single(alpha=1.0, T=2.0)
         rep = hedging_covariance_check(c, 1.3, 0.2, paths, seed=4, n_steps=16)
-        assert rep.correlation == hedging_loop(c, 1.3, 0.2, paths, 4, 16)
+        assert rep.correlation == hedging_implicit_loop(c, 1.3, 0.2, paths, 4, 16)
 
     def test_one_path(self):
         # half 0 is empty; the pairs are the one path's 64 steps
         c = cev_single(alpha=1.0, T=2.0)
         rep = hedging_covariance_check(c, 1.3, 0.2, 1, seed=4)
-        assert rep.correlation == hedging_loop(c, 1.3, 0.2, 1, 4, 64)
+        assert rep.correlation == hedging_implicit_loop(c, 1.3, 0.2, 1, 4, 64)
         assert rep.consistent
 
     @pytest.mark.parametrize("sigma_bar", [1.0, 1.5])
@@ -375,11 +401,14 @@ class TestHedgingCovariance:
         rep = hedging_covariance_check(c, 1.3, 0.2, 2000, seed=4, n_steps=16)
         assert rep.correlation == hedging_loop(c, 1.3, 0.2, 2000, 4, 16)
 
-    def test_diverging_run_is_unstable(self):
-        # alpha = 2.5 overflows the Euler step; the correlation read NaN
-        with pytest.raises(InstabilityError, match="diverged"):
-            hedging_covariance_check(CevParams.single(0.125, 0.3, 2.5, 0.025, 10.0, 1.0),
-                                     S=1.0, t=0.0, paths=4000, seed=4)
+    def test_alpha_above_two_gives_a_consistent_report(self):
+        # alpha = 2.5 overflowed the Euler step, and the correlation read
+        # NaN; the implicit step stays finite (cev_paths still diverges on
+        # such inputs: TestCevPaths.test_diverging_panel_is_unstable)
+        rep = hedging_covariance_check(CevParams.single(0.125, 0.3, 2.5, 0.025, 10.0, 1.0),
+                                       S=1.0, t=0.0, paths=4000, seed=4)
+        assert np.isfinite(rep.correlation)
+        assert rep.covariance_sign == -1 and rep.hedging_sign == 1 and rep.consistent
 
     def test_mass_absorption_is_unstable(self):
         # the CEV step shared with cev_paths and mc_anticipated_gain rejects

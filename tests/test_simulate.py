@@ -9,8 +9,15 @@ import pytest
 
 from mvlab import simulate
 from mvlab.backtest import BacktestConfig
-from mvlab.dynamic_policy import CevParams, MarketParams, lattice_equilibrium_oracle
-from mvlab.errors import DomainError, HorizonError, InstabilityError
+from mvlab.dynamic_policy import (
+    CevParams,
+    MarketParams,
+    _check_entries,
+    _MAX_ENTRIES,
+    cev_anticipated_gain_exact,
+    lattice_equilibrium_oracle,
+)
+from mvlab.errors import DomainError, HorizonError, InstabilityError, ResourceError
 from mvlab.simulate import (
     HEDGE_NEUTRAL,
     PHYSICAL,
@@ -24,7 +31,7 @@ from mvlab.simulate import (
 )
 from mvlab.wealth_analysis import compare_strategies_mc
 
-from conftest import two_streams
+from conftest import implicit_step, two_streams
 
 
 def cfg(n_assets=1, n_steps=52, dt=1 / 52, s0=1.0, seed=0, measure=PHYSICAL):
@@ -171,6 +178,13 @@ class TestCevPaths:
         with pytest.raises(InstabilityError, match="1 of 3 paths absorbed"):
             cev_paths(c, SimConfig(n_assets=3, n_steps=100, dt=1 / 52, s0=1.0, seed=1))
 
+    def test_diverging_panel_is_unstable(self):
+        # alpha = 2.5 at dt = 10/64: this seed's Euler path overflows before
+        # it steps below zero (the Monte Carlo runs step alpha > 0 implicitly)
+        c = CevParams.single(0.125, 0.3, 2.5, 0.025, 10.0, 1.0)
+        with pytest.raises(InstabilityError, match="diverged"):
+            cev_paths(c, SimConfig(n_assets=1, n_steps=64, dt=10 / 64, s0=1.0, seed=78))
+
     def test_hedge_neutral_drift(self):
         c = cev1()
         terminal = []
@@ -227,7 +241,6 @@ class TestMcAnticipatedGain:
         assert est.stderr == 0.0
 
     def test_cev_against_exact(self):
-        from mvlab.dynamic_policy import cev_anticipated_gain_exact
         c = cev1()
         exact = cev_anticipated_gain_exact(c, 1.0, 0.0)
         est = mc_anticipated_gain(c, 1.0, 0.0, 40_000, 12)
@@ -246,19 +259,36 @@ class TestMcAnticipatedGain:
     @pytest.mark.parametrize("check", ["mc_anticipated_gain", "hedging_covariance_check"])
     @pytest.mark.parametrize("S", [np.nan, np.inf, 0.0])
     def test_bad_start_price_rejected_before_any_step(self, check, S, monkeypatch):
-        def no_steps(*args):
-            raise AssertionError("stepped")
-
-        monkeypatch.setattr(simulate, "_cev_euler", no_steps)
+        no_steps(monkeypatch)
         with pytest.raises(DomainError, match="prices must be positive and finite"):
             getattr(simulate, check)(cev1(), S, 0.0, 1000, 0)
 
-    def test_absorption_at_positive_alpha_is_unstable(self):
-        # at alpha = 2.5 an absorbed path adds S^-alpha ~ 1e20 to the
-        # integrand; the estimate read 1.83e16 against the exact 0.195
+    @pytest.mark.parametrize("check", ["mc_anticipated_gain", "hedging_covariance_check"])
+    @pytest.mark.parametrize("S", [1e200, 1e-200, 1e100, 1e-100])
+    def test_start_power_out_of_range_rejected_before_any_step(self, check, S, monkeypatch):
+        # at alpha = 4 the implicit state S^-2 is 0 or infinite, or its
+        # square S^-4, the gain's integrand, is
+        no_steps(monkeypatch)
+        with pytest.raises(DomainError, match="price power S\\^-alpha out of range at alpha = 4"):
+            getattr(simulate, check)(cev1(alpha=4.0), S, 0.0, 1000, 0)
+
+    @pytest.mark.parametrize("mu", [-4.0, -10.0])
+    def test_implicit_step_without_positive_root_rejected(self, mu, monkeypatch):
+        # alpha mu dt = -2 and -5 under the physical measure: k = 1 + alpha
+        # mu dt / 2 <= 0 leaves the implicit step no positive root
+        no_steps(monkeypatch)
+        with pytest.raises(DomainError, match="is at or below -2"):
+            simulate.hedging_covariance_check(cev1(mu=mu, T=1.0), 1.0, 0.0, 1000, 0, n_steps=2)
+
+    def test_positive_alpha_needs_no_floor(self):
+        # the implicit step keeps every path positive: Euler absorbed 82 of
+        # these 20000 paths, and the estimate read 1.83e16
         c = CevParams.single(0.125, 0.3, 2.5, 0.025, 2.0, 1.5)
-        with pytest.raises(InstabilityError, match="82 of 20000 paths absorbed"):
-            mc_anticipated_gain(c, 1.0, 0.0, 20_000, 5, n_steps=100)
+        est = mc_anticipated_gain(c, 1.0, 0.0, 20_000, 5, n_steps=100)
+        exact = cev_anticipated_gain_exact(c, 1.0, 0.0)
+        assert exact == pytest.approx(0.19524, abs=1e-5)
+        assert abs(est.value - exact) <= 3 * est.stderr
+        assert est.absorbed == 0.0
 
     @pytest.mark.parametrize("model", [cev1(), MarketParams.single(0.1, 0.2, 0.025, 1.0, 1.0)],
                              ids=["cev", "gbm"])
@@ -269,11 +299,11 @@ class TestMcAnticipatedGain:
 
 
 def mc_gain_loop(c, S0, paths, seed, n_steps):
-    """Reference (value, stderr) of mc_anticipated_gain from t = 0:
-    hedge-neutral Euler steps absorbed at 1e-8 S0 of each half of
-    two_streams(seed, paths) in turn, each step's normals drawn in turn, and
-    the trapezoid rule over the steps of (mu - r)^2 / (gamma sigma_bar^2)
-    S^-alpha, half 0's paths first."""
+    """Reference (value, stderr) of mc_anticipated_gain from t = 0 at
+    alpha <= 0: hedge-neutral Euler steps absorbed at 1e-8 S0 of each half
+    of two_streams(seed, paths) in turn, each step's normals drawn in turn,
+    and the trapezoid rule over the steps of (mu - r)^2 / (gamma
+    sigma_bar^2) S^-alpha, half 0's paths first."""
     mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
     dt = c.T / n_steps
     coef = (mu - c.r) ** 2 / (c.gamma * sb * sb)
@@ -294,18 +324,55 @@ def mc_gain_loop(c, S0, paths, seed, n_steps):
     return np.mean(acc), np.std(acc, ddof=1) / np.sqrt(paths)
 
 
+def mc_gain_implicit_loop(c, S0, paths, seed, n_steps):
+    """Reference (value, stderr) of mc_anticipated_gain from t = 0 at
+    alpha > 0: hedge-neutral implicit steps of x = S^(-alpha/2)
+    (implicit_step) of each half of two_streams(seed, paths) in turn, each
+    step's normals drawn in turn, and the trapezoid rule over the steps of
+    (mu - r)^2 / (gamma sigma_bar^2) x^2, summed over the steps' ends and
+    corrected at the two ends, half 0's paths first."""
+    mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
+    dt = c.T / n_steps
+    coef = (mu - c.r) ** 2 / (c.gamma * sb * sb)
+    x0 = float(np.power(S0, -alpha / 2.0))
+    accs = []
+    for rng, n in two_streams(seed, paths):
+        x = np.full(n, x0)
+        acc = np.zeros(n)
+        for _ in range(n_steps):
+            x = implicit_step(x, rng.standard_normal(n), c.r, sb, alpha, dt)
+            acc = acc + x * x
+        accs.append((acc + 0.5 * (x0 * x0 - x * x)) * (coef * dt))
+    acc = np.concatenate(accs)
+    return np.mean(acc), np.std(acc, ddof=1) / np.sqrt(paths)
+
+
+KERNELS = ("_cev_euler", "_cev_implicit")
+
+
+def no_steps(monkeypatch):
+    """Patches both CEV kernels to fail at their first step."""
+    def fail(*args):
+        raise AssertionError("stepped")
+
+    for name in KERNELS:
+        monkeypatch.setattr(simulate, name, fail)
+
+
 def stepping_threads(monkeypatch):
-    """Patches simulate._cev_euler to record, at each step, the stepping
+    """Patches both CEV kernels to record, at each step, the stepping
     thread's name and the number of live threads."""
     seen = []
-    euler = simulate._cev_euler
 
-    def recorded(*args):
-        for s in euler(*args):
-            seen.append((threading.current_thread().name, threading.active_count()))
-            yield s
+    def recording(kernel):
+        def recorded(*args):
+            for s in kernel(*args):
+                seen.append((threading.current_thread().name, threading.active_count()))
+                yield s
+        return recorded
 
-    monkeypatch.setattr(simulate, "_cev_euler", recorded)
+    for name in KERNELS:
+        monkeypatch.setattr(simulate, name, recording(getattr(simulate, name)))
     return seen
 
 
@@ -337,11 +404,12 @@ class TestDrawsAhead:
     worker thread while half 1 does on the calling thread."""
 
     def test_mc_gain_matches_step_by_step_loop(self):
-        # an odd count gives half 1 the extra path
-        for paths in (4000, 4001):
-            est = mc_anticipated_gain(cev1(), 1.0, 0.0, paths, 7, n_steps=16)
-            assert (est.value, est.stderr) == mc_gain_loop(cev1(), 1.0, paths, 7, 16)
-            assert est.n_steps == 16 and est.absorbed == 0.0
+        # an odd count gives half 1 the extra path; alpha <= 0 steps Euler
+        for alpha, loop in ((1.0, mc_gain_implicit_loop), (-1.0, mc_gain_loop)):
+            for paths in (4000, 4001):
+                est = mc_anticipated_gain(cev1(alpha=alpha), 1.0, 0.0, paths, 7, n_steps=16)
+                assert (est.value, est.stderr) == loop(cev1(alpha=alpha), 1.0, paths, 7, 16)
+                assert est.n_steps == 16 and est.absorbed == 0.0
 
     def test_half_zero_inline_gives_the_same_bits(self, monkeypatch):
         import concurrent.futures
@@ -378,15 +446,15 @@ class TestDrawsAhead:
         n_steps = 10_000
         baseline = threading.active_count()
         seen = stepping_threads(monkeypatch)
-        euler = simulate._cev_euler
+        implicit = simulate._cev_implicit
 
         def interrupted(*args):
-            for k, s in enumerate(euler(*args), start=1):
+            for k, s in enumerate(implicit(*args), start=1):
                 if k == 3 and threading.current_thread() is threading.main_thread():
                     raise KeyboardInterrupt
                 yield s
 
-        monkeypatch.setattr(simulate, "_cev_euler", interrupted)
+        monkeypatch.setattr(simulate, "_cev_implicit", interrupted)
         with pytest.raises(KeyboardInterrupt):
             mc_anticipated_gain(cev1(), 1.0, 0.0, 2000, 0, n_steps=n_steps)
         assert threading.active_count() == baseline
@@ -394,11 +462,10 @@ class TestDrawsAhead:
         assert 0 < worker_steps < n_steps
 
     def test_instability_stops_the_thread(self):
-        # the inputs of test_absorption_at_positive_alpha_is_unstable
+        # alpha = 0 at sigma_bar = 8 absorbs most Euler paths
         baseline = threading.active_count()
-        c = CevParams.single(0.125, 0.3, 2.5, 0.025, 2.0, 1.5)
-        with pytest.raises(InstabilityError):
-            mc_anticipated_gain(c, 1.0, 0.0, 20_000, 5, n_steps=100)
+        with pytest.raises(InstabilityError, match="paths absorbed"):
+            mc_anticipated_gain(cev1(sigma_bar=8.0, alpha=0.0), 1.0, 0.0, 2000, 5)
         assert threading.active_count() == baseline
 
     def test_error_in_the_callers_loop_stops_the_thread(self, monkeypatch):
@@ -476,6 +543,88 @@ class TestDrawsAhead:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True).stdout
         assert out == "[False, False]\nFalse\nTrue\n"
+
+
+def exact_cir_step(rng, y, drift, sigma_bar, alpha, dt):
+    """Draws y = S^-alpha a time dt on from its exact law, independently of
+    any stepping scheme: the CIR process dy = (a - b y) dt - sigma_y sqrt(y)
+    dw, a = alpha (alpha+1) sigma_bar^2 / 2, b = alpha drift, sigma_y =
+    alpha sigma_bar, moves to c X with X noncentral chi-square of
+    d = 4a / sigma_y^2 = 2 (alpha+1) / alpha degrees of freedom and
+    noncentrality y e^(-b dt) / c, c = sigma_y^2 (1 - e^(-b dt)) / (4b)
+    (sigma_y^2 dt / 4 at b = 0); Glasserman 2004, section 3.4."""
+    b = alpha * drift
+    c = (alpha * sigma_bar) ** 2 * (-np.expm1(-b * dt) / b if b else dt) / 4.0
+    return c * rng.noncentral_chisquare(2.0 * (alpha + 1.0) / alpha, y * np.exp(-b * dt) / c)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.025])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5, 4.0])
+class TestImplicitStepAgainstExactLaw:
+    """The drift-implicit kernel against the exact noncentral chi-square
+    transitions of y = S^-alpha, at 20000 paths and within 3 standard
+    errors."""
+
+    paths = 20_000
+
+    def test_terminal_law(self, alpha, r):
+        # the mean, and the kernel's fractions below the exact quartiles
+        n = self.paths
+        rng = np.random.default_rng(3)
+        x = np.full(n, 1.0)
+        for _ in simulate._cev_implicit(x, r, 0.2, alpha, 1 / 64, 64,
+                                        lambda out: rng.standard_normal(out=out)):
+            pass
+        stepped = x * x
+        exact = exact_cir_step(np.random.default_rng(4), np.ones(n), r, 0.2, alpha, 1.0)
+        se = np.sqrt((np.var(stepped, ddof=1) + np.var(exact, ddof=1)) / n)
+        assert abs(np.mean(stepped) - np.mean(exact)) <= 3 * se
+        for p in (0.25, 0.5, 0.75):
+            below = np.mean(stepped <= np.quantile(exact, p))
+            assert abs(below - p) <= 3 * np.sqrt(2 * p * (1 - p) / n)
+
+    def test_gain(self, alpha, r):
+        # the trapezoid rule over 16 exact transitions, the Monte Carlo
+        # gain and the closed form agree pairwise
+        n, k = self.paths, 16
+        c = CevParams.single(0.125, 0.2, alpha, r, 1.0, 1.0)
+        rng = np.random.default_rng(6)
+        y, acc = np.ones(n), np.full(n, 0.5)
+        for j in range(1, k + 1):
+            y = exact_cir_step(rng, y, r, 0.2, alpha, 1.0 / k)
+            acc += y if j < k else 0.5 * y
+        acc *= (0.125 - r) ** 2 / 0.04 / k
+        chi, chi_se = np.mean(acc), np.std(acc, ddof=1) / np.sqrt(n)
+        est = mc_anticipated_gain(c, 1.0, 0.0, n, 5, n_steps=64)
+        exact = cev_anticipated_gain_exact(c, 1.0, 0.0)
+        assert abs(est.value - chi) <= 3 * np.hypot(est.stderr, chi_se)
+        assert abs(chi - exact) <= 3 * chi_se
+        assert abs(est.value - exact) <= 3 * est.stderr
+
+
+class TestEntryCap:
+    """An array a caller sizes above _MAX_ENTRIES floats is a ResourceError
+    raised before any random number is drawn."""
+
+    def test_limit(self):
+        _check_entries("x", _MAX_ENTRIES)
+        with pytest.raises(ResourceError, match=f"^x of {_MAX_ENTRIES + 1} entries exceeds limit"):
+            _check_entries("x", _MAX_ENTRIES + 1)
+
+    @pytest.mark.parametrize("what, call", [
+        ("price panel of 100000001000", lambda: SimConfig(1000, 10**8, 0.1, 1.0, 0)),
+        ("ensemble of 200000000", lambda: gbm_ensemble(0.1, 0.2, 0.0, 1.0, 1, 10**8, 0)),
+        ("paths of 134217729", lambda: mc_anticipated_gain(cev1(), 1.0, 0.0, _MAX_ENTRIES + 1, 0)),
+        ("pair store of 134217792", lambda: simulate.hedging_covariance_check(
+            cev1(), 1.0, 0.0, 2**21 + 1, 0, n_steps=64)),
+        ("paths of 134217729", lambda: compare_strategies_mc(MarketParams.single(
+            0.125, 0.2, 0.025, 1.0, 1.0), 0.0, _MAX_ENTRIES + 1, 0)),
+    ], ids=["SimConfig", "gbm_ensemble", "mc_anticipated_gain", "hedging_covariance_check",
+            "compare_strategies_mc"])
+    def test_rejected_before_any_draw(self, monkeypatch, what, call):
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ResourceError, match=f"^{what} entries exceeds limit {_MAX_ENTRIES}$"):
+            call()
 
 
 class TestStabilityCheck:
