@@ -54,13 +54,16 @@ COMMANDS = [
      "--out", "policy-cev-multi"],
     ["compare-precommit", "--horizon", "10", "--paths", "20000", "--seed", "3",
      "--out", "compare"],
+    # S0^alpha overflows Python's float power: exit 4, and nothing written
+    ["simulate", "--model", "cev", "--alpha", "400", "--out", "cev-alpha-400"],
 ]
 
 # The two CEV Monte Carlo runs at sizes no command reaches: criterion 07's
 # three gains at 150k paths x 500 steps, each line the repr of an
 # McEstimate's value and stderr (the fields every tree's has), and the
-# covariance sign check at 2^17 paths x 16 steps, both at alpha = 1; a gain
-# at alpha = -1, which steps Euler with its floor; and a gain at alpha = 2.5
+# covariance sign check at 2^17 paths x 16 steps, both at alpha = 1; two
+# gains at alpha = -1, which step Euler with its floor, the second on inputs
+# where over a quarter of the paths end absorbed; and a gain at alpha = 2.5
 # on inputs where Euler absorbs paths, printing the error a tree raises in
 # place of the value.  Then each strategy's backtest wealth path, one CSV column each, on the
 # seeded 50 x 523 GBM panel of the `simulate` defaults, built through the
@@ -82,6 +85,10 @@ PROBES = {
         "import mvlab\n"
         "c = mvlab.CevParams.single(0.125, 0.2, -1.0, 0.025, 1.0, 1.0)\n"
         "print(repr(mvlab.mc_anticipated_gain(c, 1.0, 0.0, 40_000, 12)))\n"),
+    "gain-alpha-minus-one-absorbed.txt": (
+        "import mvlab\n"
+        "c = mvlab.CevParams.single(0.125, 1.0, -1.0, 0.025, 2.0, 1.0)\n"
+        "print(repr(mvlab.mc_anticipated_gain(c, 1.3, 0.0, 2000, 4, n_steps=16)))\n"),
     "gain-alpha-2.5.txt": (
         "import mvlab, mvlab.errors\n"
         "c = mvlab.CevParams.single(0.125, 0.3, 2.5, 0.025, 2.0, 1.5)\n"

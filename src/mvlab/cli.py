@@ -166,7 +166,7 @@ def cmd_simulate(args):
         raise DataError(f"--corr {args.corr} is outside [{-1.0 / (n - 1):g}, 1] for {n} assets")
     T = args.weeks / estimate.WEEKS_PER_YEAR
     cfg = simulate.SimConfig(n_assets=n, n_steps=args.weeks, dt=backtest.DT,
-                             s0=np.full(n, s0), seed=args.seed,
+                             s0=s0, seed=args.seed,
                              measure=args.measure)
     dynamic_policy._check_entries("correlation matrix", n * n)
     corr = np.full((n, n), args.corr)
@@ -421,7 +421,7 @@ def main(argv=None) -> int:
     except (DataError, WarmupError, ProtocolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (MvlabError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (MvlabError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

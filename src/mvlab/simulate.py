@@ -5,8 +5,9 @@ use Euler-Maruyama with an absorption floor.  Both can be generated under the
 physical measure (drift mu) or the hedge-neutral measure (drift r).  The
 module also provides Radon-Nikodym reweighting from the physical to the
 hedge-neutral measure, the Monte Carlo anticipated-gain estimator and the
-covariance sign diagnostic of the CEV hedging demand.  Every CEV simulation
-here steps through the one Euler kernel, `_cev_euler`.
+covariance sign diagnostic of the CEV hedging demand.  A CEV panel steps
+through the Euler kernel `_cev_euler`.  The Monte Carlo runner `_run_halves`
+steps alpha <= 0 through it too, and alpha > 0 through `_cev_implicit`.
 
 Determinism: identical (config, seed) yields bit-identical output.  A panel
 or an ensemble draws from one numpy Generator seeded by the caller.  The two
@@ -208,43 +209,39 @@ def _check_stable(s, floor, alpha) -> None:
                                "use a smaller dt or milder alpha")
 
 
-def _mc_stepper(s0: float, drift, sigma_bar, alpha, dt: float, n_steps: int):
-    """(start, kernel, check) of a Monte Carlo run from the price s0.  For
-    alpha > 0 the state is x = S^(-alpha/2), stepped by _cev_implicit and
-    checked by _check_finite; a DomainError if s0^-alpha is outside the
-    normal float range or if k <= 0.  Otherwise it is the price, stepped by
-    _cev_euler with its floor at ABSORPTION_REL_FLOOR * s0 and checked by
-    _check_stable."""
-    if alpha <= 0:
-        floor = ABSORPTION_REL_FLOOR * s0
-        return (s0, lambda s, draw: _cev_euler(s, floor, drift, sigma_bar, alpha, dt, n_steps,
-                                               draw), lambda s: _check_stable(s, floor, alpha))
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        x0 = np.power(s0, -alpha / 2.0)
-        y0 = x0 * x0
-    if not (np.isfinite(y0) and y0 >= _TINY):
-        raise DomainError(f"price power S^-alpha out of range at alpha = {alpha:g}")
-    if 1.0 + 0.5 * alpha * drift * dt <= 0:
-        raise DomainError(f"alpha * drift * dt = {alpha * drift * dt:g} is at or below -2; "
-                          "the implicit CEV step needs a smaller dt")
-    return (float(x0), lambda x, draw: _cev_implicit(x, drift, sigma_bar, alpha, dt, n_steps,
-                                                     draw), _check_finite)
+def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alpha,
+                dt: float, n_steps: int) -> list:
+    """Steps `paths` CEV paths from the price s0 in two halves at once and
+    returns [final state, *consume's arrays], each merged half 0 first,
+    once the final state has passed its check.
 
-
-def _run_halves(seed: int, paths: int, consume, start: float, kernel, check) -> list:
-    """Steps `paths` CEV paths, each from the state `start`, in two halves
-    at once and returns [final state, *consume's arrays], each merged half 0
-    first, once check(final state) has passed.  kernel(state, draw), one of
-    _mc_stepper's, steps a state array in place and yields it after each
-    step, draw(out) filling `out` with the step's standard normals.
+    For alpha > 0 the state is x = S^(-alpha/2), stepped by _cev_implicit
+    and checked by _check_finite; a DomainError before any step if
+    s0^-alpha is outside the normal float range or if k <= 0.  Otherwise
+    it is the price, stepped by _cev_euler with its floor at
+    ABSORPTION_REL_FLOOR * s0 and checked by _check_stable.
 
     Half k, of (paths // 2, paths - paths // 2)[k] paths, draws from a
-    Generator on child k of SeedSequence(seed).spawn(2); consume(steps, n)
-    reads its state after each step and returns a tuple of arrays.  Half 0
-    runs on a pool's one worker (imported here, so that `import mvlab` loads
-    no concurrent.futures), half 1 on this thread.  If a half raises, the
-    other stops at its next step; the worker is joined either way.
+    Generator on child k of SeedSequence(seed).spawn(2); consume(steps, n,
+    start) reads its state, which starts at the value `start`, after each
+    step and returns a tuple of arrays.  Half 0 runs on a pool's one worker
+    (imported here, so that `import mvlab` loads no concurrent.futures),
+    half 1 on this thread.  If a half raises, the other stops at its next
+    step; the worker is joined either way.
     """
+    if alpha > 0:
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            x0 = np.power(s0, -alpha / 2.0)
+            y0 = x0 * x0
+        if not (np.isfinite(y0) and y0 >= _TINY):
+            raise DomainError(f"price power S^-alpha out of range at alpha = {alpha:g}")
+        if 1.0 + 0.5 * alpha * drift * dt <= 0:
+            raise DomainError(f"alpha * drift * dt = {alpha * drift * dt:g} is at or below -2; "
+                              "the implicit CEV step needs a smaller dt")
+        start, kernel, check, floor = float(x0), _cev_implicit, _check_finite, ()
+    else:
+        floor = (ABSORPTION_REL_FLOOR * s0,)  # _cev_euler's argument after the state
+        start, kernel, check = s0, _cev_euler, lambda s: _check_stable(s, *floor, alpha)
     from concurrent.futures import ThreadPoolExecutor
     children = np.random.SeedSequence(seed).spawn(2)
     sizes = (paths // 2, paths - paths // 2)
@@ -253,10 +250,12 @@ def _run_halves(seed: int, paths: int, consume, start: float, kernel, check) -> 
     def half(k):
         rng = np.random.default_rng(children[k])
         state = np.full(sizes[k], start)
-        steps = kernel(state, lambda out: rng.standard_normal(out=out))
+        steps = kernel(state, *floor, drift, sigma_bar, alpha, dt, n_steps,
+                       lambda out: rng.standard_normal(out=out))
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return (state, *consume(takewhile(lambda _: not stop.is_set(), steps), sizes[k]))
+                return (state, *consume(takewhile(lambda _: not stop.is_set(), steps), sizes[k],
+                                        start))
         except BaseException:
             stop.set()
             raise
@@ -350,7 +349,8 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
     deterministic, so the estimator collapses to the closed form with zero
     standard error.  A CEV run steps on two streams (_run_halves), for
     alpha > 0 through _cev_implicit, whose state x gives the integrand
-    coef * S^-alpha as coef * x^2.
+    coef * S^-alpha as coef * x^2.  The rule sums S^-alpha over the step
+    ends and halves the two end terms once, after the last step.
     """
     paths = _check_count("paths", paths, 100)
     _check_entries("paths", paths)
@@ -375,35 +375,18 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
     dt = tau / n_steps
     coef = (mu - c.r) ** 2 / (c.gamma * sb * sb)
 
-    start, kernel, check = _mc_stepper(float(S0), c.r, sb, alpha, dt, n_steps)
-
-    def euler_gain(steps, n):
-        # acc += 0.5 * (f + f_new) * dt with f = coef * s^-alpha, in reused buffers
-        f, f_new, acc = coef * np.full(n, start) ** (-alpha), np.empty(n), np.zeros(n)
-        for s in steps:
-            np.power(s, -alpha, out=f_new)
-            f_new *= coef
-            f += f_new
-            f *= 0.5
-            f *= dt
-            acc += f
-            f, f_new = f_new, f
-        return (acc,)
-
-    def implicit_gain(steps, n):
-        # the trapezoid rule's sum of y = x^2 = S^-alpha, its two ends
-        # halved once after the last step
+    def gain(steps, n, start):
+        def power(s, out=None):  # S^-alpha, x^2 of the implicit state x
+            return np.multiply(s, s, out=out) if alpha > 0 else np.power(s, -alpha, out=out)
         y, acc = np.empty(n), np.zeros(n)
-        for x in steps:
-            np.multiply(x, x, out=y)
-            acc += y
-        acc += 0.5 * (start * start - y)
+        for s in steps:
+            acc += power(s, y)
+        acc += 0.5 * (power(start) - y)
         acc *= coef * dt
         return (acc,)
 
-    s, acc = _run_halves(seed, paths, implicit_gain if alpha > 0 else euler_gain, start,
-                         kernel, check)
-    absorbed = 0.0 if alpha > 0 else float(np.mean(s <= ABSORPTION_REL_FLOOR * start))
+    s, acc = _run_halves(seed, paths, gain, float(S0), c.r, sb, alpha, dt, n_steps)
+    absorbed = 0.0 if alpha > 0 else float(np.mean(s <= ABSORPTION_REL_FLOOR * S0))
     return McEstimate(value=float(np.mean(acc)),
                       stderr=float(np.std(acc, ddof=1) / np.sqrt(paths)), n_steps=n_steps,
                       absorbed=absorbed)
@@ -434,13 +417,12 @@ def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
     _check_prices(S)
     dt = (c.T - t) / n_steps
     alpha = c.alpha[0]
-    start, kernel, check = _mc_stepper(float(S), c.mu[0], c.sigma_bar[0], alpha, dt, n_steps)
-    f0 = cev_anticipated_gain_exact(c, S, t)
 
-    def changes(steps, n):
-        # row k - 1 holds step k's returns and gain changes of the n paths
+    def changes(steps, n, _):
+        # row k - 1 holds step k's returns and gain changes of the n paths;
+        # the gain at S is taken once the runner has checked its start
         rets, dfs = np.empty((n_steps, n)), np.empty((n_steps, n))
-        s_prev, f_prev = np.full(n, float(S)), np.full(n, f0)
+        s_prev, f_prev = np.full(n, float(S)), np.full(n, cev_anticipated_gain_exact(c, S, t))
         for k, s in enumerate(steps, start=1):
             if alpha > 0:
                 s = s ** (-2.0 / alpha)  # the price of the implicit state x
@@ -454,7 +436,8 @@ def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
             f_prev = f
         return rets.ravel(), dfs.ravel()
 
-    _, rets, dfs = _run_halves(seed, paths, changes, start, kernel, check)
+    _, rets, dfs = _run_halves(seed, paths, changes, float(S), c.mu[0], c.sigma_bar[0], alpha,
+                               dt, n_steps)
     if np.std(dfs) < 1e-15 or np.std(rets) < 1e-15:
         corr = 0.0
     else:

@@ -5,8 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mvlab
+from mvlab.backtest import STRATEGIES
 from mvlab.cli import main, read_price_csv, read_wealth_csv, write_price_csv
 from mvlab.errors import ProtocolError
 from mvlab.simulate import PriceSeries
@@ -450,6 +452,13 @@ def panel_csv(weeks=60, n_assets=3, seed=0):
     pytest.param({}, ["simulate", "--model", "cev", "--s0", "1e-300", "--alpha", "5",
                       "--assets", "2", "--weeks", "5"], 4, "divide by zero encountered",
                  id="simulate-cev-underflowing-s0"),
+    # a Python float power that overflows raises OverflowError, not numpy's error
+    *[pytest.param({}, ["simulate", "--model", "cev", "--alpha", alpha], 4,
+                   "Numerical result out of range", id=f"simulate-cev-overflowing-alpha-{alpha}")
+      for alpha in ("400", "1e155", "1e308")],
+    *[pytest.param({}, ["compare-precommit", f"--{flag}", "1e155", "--out", "o"], 4,
+                   "Numerical result out of range", id=f"compare-precommit-overflowing-{flag}")
+      for flag in ("mu", "rate")],
 ])
 def test_bad_input_exits_with_one_error_line(tmp_path, monkeypatch, capsys, files, argv, code,
                                              said):
@@ -468,3 +477,93 @@ def test_bad_input_exits_with_one_error_line(tmp_path, monkeypatch, capsys, file
     assert said in lines[-1]
     assert len(lines) == 1 or code == 2  # argparse prints its usage first
     assert os.listdir(tmp_path) == sorted(files)
+
+
+# ---------------------------------------------------- fuzzed exit codes
+#
+# Any argv of any subcommand exits 0, 2, 3 or 4 and raises nothing else.
+# Each argv sets some of its command's flags to finite numbers, tiny to
+# overflowing, and perhaps one flag to text that is not a finite number.
+# A count is either small enough to run at once or so far above the entry
+# cap that numpy could not allocate it either, so no argv can exhaust
+# memory, even one that reaches an allocation before the cap is checked.
+
+_NUMBERS = st.one_of(st.floats(-3.0, 3.0).map(repr),
+                     st.sampled_from(["400", "1e155", "1e308", "-400", "-1e155", "-1e308",
+                                      "1e-300", "0"]))
+_COUNTS = st.one_of(st.integers(1, 5).map(str),
+                    st.sampled_from(["1000000000000", "1000000000000000000"]))
+_ODD = st.sampled_from(["nan", "inf", "-inf", "abc", "", "2.5", "1e400", "-1", "0"])
+_VECTORS = st.lists(_NUMBERS, min_size=1, max_size=3).map(",".join)
+_MATRICES = st.lists(_VECTORS, min_size=1, max_size=3).map(";".join)
+_FILES = st.sampled_from(["p.csv", "w.csv", "missing.csv"])
+_OUT = st.just("o")
+
+_FLAGS = {
+    "simulate": {"--model": st.sampled_from(["gbm", "cev"]), "--assets": _COUNTS,
+                 "--weeks": _COUNTS, "--mean": _NUMBERS, "--variance": _NUMBERS,
+                 "--corr": _NUMBERS, "--alpha": _NUMBERS, "--rate": _NUMBERS,
+                 "--s0": _NUMBERS, "--seed": _COUNTS, "--out": _OUT,
+                 "--measure": st.sampled_from(["physical", "hedge_neutral"])},
+    "backtest": {"--input": _FILES, "--strategy": st.sampled_from(STRATEGIES),
+                 "--target": _NUMBERS, "--alpha": _NUMBERS, "--gamma": _NUMBERS,
+                 "--rate": _NUMBERS, "--batch-len": _COUNTS, "--notional": _NUMBERS,
+                 "--base": _NUMBERS, "--out": _OUT},
+    "mvo": {"--mu": _VECTORS, "--sigma": _MATRICES, "--input": _FILES, "--target": _NUMBERS,
+            "--out": _OUT},
+    "policy": {"--type": st.sampled_from(["simple", "multi", "cev"]), "--mu": _VECTORS,
+               "--sigma": _MATRICES, "--sigma-bar": _VECTORS, "--alpha": _NUMBERS,
+               "--corr": _MATRICES, "--price": _VECTORS, "--rate": _NUMBERS,
+               "--horizon": _NUMBERS, "--time": _NUMBERS, "--gamma": _NUMBERS, "--out": _OUT},
+    "compare-precommit": {"--mu": _NUMBERS, "--sigma": _NUMBERS, "--rate": _NUMBERS,
+                          "--horizon": _NUMBERS, "--gamma": _NUMBERS, "--w0": _NUMBERS,
+                          "--paths": st.sampled_from(["10000", "1000000000000"]),
+                          "--seed": _COUNTS, "--out": _OUT},
+    "report": {"--input": _FILES, "--base": _NUMBERS, "--out": _OUT},
+}
+# flags every argv carries: the sizes, so that no run takes a default one
+_ALWAYS = {"simulate": ("--model", "--assets", "--weeks"), "compare-precommit": ("--paths",)}
+# argv that once escaped as an OverflowError with a traceback
+_OVERFLOWS = [*(["simulate", "--model=cev", f"--alpha={alpha}"] for alpha in ("400", "1e155")),
+              *(["compare-precommit", f"--{flag}=1e155"] for flag in ("mu", "rate"))]
+
+
+def _argvs(command):
+    """argv of `command`: a random subset of its flags, one of them perhaps
+    set to odd text, each as --flag=value so that a value starting with
+    '-' stays a value."""
+    flags = _FLAGS[command]
+    always = {flag: flags[flag] for flag in _ALWAYS.get(command, ())}
+    others = {flag: value for flag, value in flags.items() if flag not in always}
+
+    def argv(values, odd_flag, odd):
+        if odd_flag is not None:
+            values[odd_flag] = odd
+        return [command] + [f"{flag}={value}" for flag, value in values.items()]
+
+    # one argv in four has an odd flag
+    odd_flag = st.sampled_from([None] * (3 * len(flags)) + sorted(flags))
+    return st.builds(argv, st.fixed_dictionaries(always, optional=others), odd_flag, _ODD)
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_fuzzed_argv_exits_with_a_documented_code(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MVLAB_OUT", raising=False)
+    (tmp_path / "p.csv").write_text(panel_csv(weeks=40))
+    (tmp_path / "w.csv").write_text(WEALTH_HEADER + "27,0.5,0,0,0\n28,0.52,0.1,-0.9,1\n"
+                                    "29,0.54,0.05,-0.9,0.95\n")
+
+    def exits_with_a_documented_code(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 2, 3, 4), argv
+
+    test = given(_argvs(command))(exits_with_a_documented_code)
+    for argv in _OVERFLOWS:
+        if argv[0] == command:
+            test = example(argv)(test)
+    settings(derandomize=True, max_examples=40, deadline=None, database=None)(test)()

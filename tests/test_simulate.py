@@ -299,29 +299,30 @@ class TestMcAnticipatedGain:
 
 
 def mc_gain_loop(c, S0, paths, seed, n_steps):
-    """Reference (value, stderr) of mc_anticipated_gain from t = 0 at
-    alpha <= 0: hedge-neutral Euler steps absorbed at 1e-8 S0 of each half
-    of two_streams(seed, paths) in turn, each step's normals drawn in turn,
-    and the trapezoid rule over the steps of (mu - r)^2 / (gamma
-    sigma_bar^2) S^-alpha, half 0's paths first."""
+    """Reference (value, stderr, absorbed fraction) of mc_anticipated_gain
+    from t = 0 at alpha <= 0: hedge-neutral Euler steps absorbed at 1e-8 S0
+    of each half of two_streams(seed, paths) in turn, each step's normals
+    drawn in turn, and the trapezoid rule over the steps of (mu - r)^2 /
+    (gamma sigma_bar^2) S^-alpha, summed over the steps' ends and corrected
+    at the two ends, half 0's paths first."""
     mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
     dt = c.T / n_steps
     coef = (mu - c.r) ** 2 / (c.gamma * sb * sb)
-    accs = []
+    floor = 1e-8 * S0
+    accs, ends = [], []
     for rng, n in two_streams(seed, paths):
         s = np.full(n, S0)
-        f = coef * s ** (-alpha)
         acc = np.zeros(n)
         for _ in range(n_steps):
             z = rng.standard_normal(n)
             step = s + s * (c.r * dt + sb * s ** (alpha / 2.0) * np.sqrt(dt) * z)
-            s = np.where(s > 1e-8 * S0, np.maximum(step, 1e-8 * S0), s)
-            f_new = coef * s ** (-alpha)
-            acc += 0.5 * (f + f_new) * dt
-            f = f_new
-        accs.append(acc)
+            s = np.where(s > floor, np.maximum(step, floor), s)
+            acc = acc + s ** (-alpha)
+        accs.append((acc + 0.5 * (np.power(S0, -alpha) - s ** (-alpha))) * (coef * dt))
+        ends.append(s)
     acc = np.concatenate(accs)
-    return np.mean(acc), np.std(acc, ddof=1) / np.sqrt(paths)
+    absorbed = np.mean(np.concatenate(ends) <= floor)
+    return np.mean(acc), np.std(acc, ddof=1) / np.sqrt(paths), absorbed
 
 
 def mc_gain_implicit_loop(c, S0, paths, seed, n_steps):
@@ -405,11 +406,23 @@ class TestDrawsAhead:
 
     def test_mc_gain_matches_step_by_step_loop(self):
         # an odd count gives half 1 the extra path; alpha <= 0 steps Euler
-        for alpha, loop in ((1.0, mc_gain_implicit_loop), (-1.0, mc_gain_loop)):
-            for paths in (4000, 4001):
+        for paths in (4000, 4001):
+            est = mc_anticipated_gain(cev1(), 1.0, 0.0, paths, 7, n_steps=16)
+            assert (est.value, est.stderr) == mc_gain_implicit_loop(cev1(), 1.0, paths, 7, 16)
+            assert est.n_steps == 16 and est.absorbed == 0.0
+            for alpha in (-1.0, -0.5):
                 est = mc_anticipated_gain(cev1(alpha=alpha), 1.0, 0.0, paths, 7, n_steps=16)
-                assert (est.value, est.stderr) == loop(cev1(alpha=alpha), 1.0, paths, 7, 16)
+                assert ((est.value, est.stderr, est.absorbed)
+                        == mc_gain_loop(cev1(alpha=alpha), 1.0, paths, 7, 16))
                 assert est.n_steps == 16 and est.absorbed == 0.0
+
+    def test_absorbed_paths_match_step_by_step_loop(self):
+        # alpha = -1 at sigma_bar = 1 absorbs over a quarter of the Euler
+        # paths, fewer than the half at which a run fails
+        c = cev1(sigma_bar=1.0, alpha=-1.0, T=2.0)
+        est = mc_anticipated_gain(c, 1.3, 0.0, 2000, 4, n_steps=16)
+        assert est.absorbed == 0.2765
+        assert (est.value, est.stderr, est.absorbed) == mc_gain_loop(c, 1.3, 2000, 4, 16)
 
     def test_half_zero_inline_gives_the_same_bits(self, monkeypatch):
         import concurrent.futures
