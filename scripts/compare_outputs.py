@@ -54,8 +54,16 @@ COMMANDS = [
      "--out", "policy-cev-multi"],
     ["compare-precommit", "--horizon", "10", "--paths", "20000", "--seed", "3",
      "--out", "compare"],
-    # S0^alpha overflows Python's float power: exit 4, and nothing written
+    # S0^(alpha/2) is out of the normal float range: exit 4, and nothing written
     ["simulate", "--model", "cev", "--alpha", "400", "--out", "cev-alpha-400"],
+    ["simulate", "--model", "cev", "--alpha", "-400", "--assets", "2", "--weeks", "3",
+     "--out", "cev-alpha-minus-400"],
+    # a vector flag that does not parse or is not finite, a batch of one
+    # week and a negative seed are usage errors
+    ["policy", "--mu", "0.1,abc", "--sigma", "0.4", "--out", "policy-bad-mu"],
+    ["policy", "--mu", "nan", "--sigma", "0.4", "--out", "policy-nan-mu"],
+    ["backtest", "--input", GBM, "--batch-len", "1", "--out", "bt-batch-one"],
+    ["simulate", "--seed", "-1", "--out", "negative-seed"],
 ]
 
 # The two CEV Monte Carlo runs at sizes no command reaches: criterion 07's

@@ -5,8 +5,12 @@ Outputs are plot-ready CSV/JSON files plus a manifest that records the full
 parameter set and seed, sufficient to re-run the command bit-identically.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error.
+Each numeric flag's argparse type rejects, naming the flag (exit 2), a
+value that does not parse, a NaN or infinite entry of a float, vector or
+matrix, matrix rows of unequal length and a count below its minimum
+(--batch-len 2, --seed 0); the manifest records the parsed numbers.
 A flat key=value config file supplies flags of the command (key=value is
---key=value); explicit flags win.
+--key=value) through the same types; explicit flags win.
 The MVLAB_OUT environment variable overrides the default output directory.
 """
 
@@ -23,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__, backtest, dynamic_policy, estimate, metrics, simulate, static_mvo, wealth_analysis
-from .errors import DataError, MvlabError, ProtocolError, WarmupError
+from .errors import DataError, DomainError, MvlabError, ProtocolError, WarmupError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -129,7 +133,7 @@ def _save(args, command: str, writers: dict):
 def _json_writer(payload: dict):
     def write(path):
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, default=str)
+            json.dump(payload, fh, indent=2, default=np.ndarray.tolist)  # array flags
             fh.write("\n")
     return write
 
@@ -139,21 +143,6 @@ def _emit_json(args, command: str, payload: dict):
         _save(args, command, {f"{command.replace('-', '_')}.json": _json_writer(payload)})
     else:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _parse_vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(x) for x in text.split(",")])
-    except ValueError as exc:
-        raise DataError(f"bad vector {text!r}: {exc}") from None
-
-
-def _parse_matrix(text: str) -> np.ndarray:
-    try:
-        return np.array([[float(x) for x in row.split(",")]
-                         for row in text.split(";")])
-    except ValueError as exc:
-        raise DataError(f"bad matrix {text!r}: {exc}") from None
 
 
 # ------------------------------------------------------------- commands
@@ -178,7 +167,12 @@ def cmd_simulate(args):
         )
         series = simulate.gbm_paths(m, cfg)
     else:
-        sigma_bar = np.sqrt(variance) / s0 ** (args.alpha / 2.0)
+        with np.errstate(over="ignore", under="ignore"):
+            scale = np.float64(s0) ** (args.alpha / 2.0)
+        if not (np.isfinite(scale) and scale >= dynamic_policy._TINY):
+            raise DomainError(f"price power S0^(alpha/2) out of range at --s0 {s0:g}, "
+                              f"--alpha {args.alpha:g}")
+        sigma_bar = np.sqrt(variance) / scale
         c = dynamic_policy.CevParams(
             mu=np.full(n, mean), sigma_bar=np.full(n, sigma_bar),
             alpha=np.full(n, args.alpha), corr=corr,
@@ -212,10 +206,9 @@ def cmd_mvo(args):
         mu, sigma = estimate.rolling_estimates(returns, len(returns), len(returns))
         mu, sigma = mu[0], estimate.regularize_covariance(sigma[0])
     else:
-        if not args.mu or not args.sigma:
+        if args.mu is None or args.sigma is None:
             raise DataError("provide either --input or both --mu and --sigma")
-        mu = _parse_vector(args.mu)
-        sigma = _parse_matrix(args.sigma)
+        mu, sigma = args.mu, args.sigma
     problem = static_mvo.StaticProblem(mu=mu, sigma=sigma, target=args.target)
     fc = static_mvo.frontier_constants(problem)
     w = static_mvo.solve_static_mvo(problem)
@@ -235,24 +228,19 @@ def cmd_mvo(args):
 
 
 def cmd_policy(args):
-    t, T = args.time, args.horizon
-    mu = _parse_vector(args.mu)
+    t, T, mu = args.time, args.horizon, args.mu
     flag = "sigma_bar" if args.type == "cev" else "sigma"
     if getattr(args, flag) is None:
         raise DataError(f"policy --type {args.type} needs --{flag.replace('_', '-')}")
     if args.type == "cev":
         n = mu.size
-        sigma_bar = _parse_vector(args.sigma_bar)
-        prices = _parse_vector(args.price)
-        corr = _parse_matrix(args.corr) if args.corr else np.eye(n)
+        corr = np.eye(n) if args.corr is None else args.corr
         c = dynamic_policy.CevParams(
-            mu=mu, sigma_bar=sigma_bar, alpha=np.full(n, args.alpha),
+            mu=mu, sigma_bar=args.sigma_bar, alpha=np.full(n, args.alpha),
             corr=corr, r=args.rate, T=T, gamma=args.gamma)
-        pol = dynamic_policy.cev_policy(c, prices, t)
+        pol = dynamic_policy.cev_policy(c, args.price, t)
     else:
-        sigma = _parse_matrix(args.sigma) if ";" in args.sigma \
-            else np.diag(_parse_vector(args.sigma))
-        m = dynamic_policy.MarketParams(mu=mu, sigma=sigma, r=args.rate,
+        m = dynamic_policy.MarketParams(mu=mu, sigma=args.sigma, r=args.rate,
                                         T=T, gamma=args.gamma)
         pol = dynamic_policy.simple_policy(m, t)
     _emit_json(args, "policy", {
@@ -297,9 +285,27 @@ def _at_least(minimum: int):
     return _flag_type(int, lambda value: value >= minimum, f"is below {minimum}")
 
 
-# every float flag is finite, and every count flag at least 1 or the
-# library's own minimum
+def vector(text: str) -> np.ndarray:
+    """','-separated numbers."""
+    return np.array([float(x) for x in text.split(",")])
+
+
+def matrix(text: str) -> np.ndarray:
+    """';'-separated rows of ','-separated numbers, all rows of one length."""
+    return np.array([vector(row) for row in text.split(";")])
+
+
+def loading(text: str) -> np.ndarray:
+    """A matrix, or without ';' the diagonal matrix of a vector."""
+    return matrix(text) if ";" in text else np.diag(vector(text))
+
+
+# every float flag is finite, every vector and matrix flag has finite
+# entries, and every count flag is at least 1 or the library's own minimum
 _finite_float = _flag_type(float, np.isfinite, "is not a finite number")
+_finite_vector, _finite_matrix, _finite_loading = (
+    _flag_type(parse, lambda a: np.isfinite(a).all(), "has an entry that is not a finite number")
+    for parse in (vector, matrix, loading))
 _count = _at_least(1)
 
 
@@ -325,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=0.0, type=_finite_float)
     p.add_argument("--rate", default=0.025, type=_finite_float)
     p.add_argument("--s0", default=100.0, type=_finite_float)
-    p.add_argument("--seed", default=0, type=int)
+    p.add_argument("--seed", default=0, type=_at_least(0))
     p.add_argument("--measure", choices=[simulate.PHYSICAL, simulate.HEDGE_NEUTRAL],
                    default=simulate.PHYSICAL)
     common(p)
@@ -338,15 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=0.0, type=_finite_float)
     p.add_argument("--gamma", default=1.0, type=_finite_float)
     p.add_argument("--rate", default=0.025, type=_finite_float)
-    p.add_argument("--batch-len", dest="batch_len", default=26, type=int)
+    p.add_argument("--batch-len", dest="batch_len", default=estimate.DEFAULT_BATCH_LEN,
+                   type=_at_least(2))
     p.add_argument("--notional", default=1.0, type=_finite_float)
     p.add_argument("--base", default=1.0, type=_finite_float)
     common(p)
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("mvo", help="solve a static mean-variance instance")
-    p.add_argument("--mu", default=None, help="comma-separated returns")
-    p.add_argument("--sigma", default=None, help="semicolon-separated rows")
+    p.add_argument("--mu", default=None, type=_finite_vector, help="comma-separated returns")
+    p.add_argument("--sigma", default=None, type=_finite_matrix, help="semicolon-separated rows")
     p.add_argument("--input", default=None, help="price CSV to estimate from")
     p.add_argument("--target", default=0.15, type=_finite_float)
     common(p)
@@ -354,12 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("policy", help="evaluate a dynamic policy")
     p.add_argument("--type", choices=["simple", "multi", "cev"], default="simple")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--sigma", default=None, help="loading matrix (GBM)")
-    p.add_argument("--sigma-bar", dest="sigma_bar", default=None)
+    p.add_argument("--mu", required=True, type=_finite_vector)
+    p.add_argument("--sigma", default=None, type=_finite_loading, help="loading matrix (GBM)")
+    p.add_argument("--sigma-bar", dest="sigma_bar", default=None, type=_finite_vector)
     p.add_argument("--alpha", default=0.0, type=_finite_float)
-    p.add_argument("--corr", default=None)
-    p.add_argument("--price", default="1.0")
+    p.add_argument("--corr", default=None, type=_finite_matrix)
+    p.add_argument("--price", default="1.0", type=_finite_vector)
     p.add_argument("--rate", default=0.025, type=_finite_float)
     p.add_argument("--horizon", default=10.0, type=_finite_float)
     p.add_argument("--time", default=0.0, type=_finite_float)
@@ -376,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", default=1.0, type=_finite_float)
     p.add_argument("--w0", default=0.0, type=_finite_float)
     p.add_argument("--paths", default=100_000, type=_at_least(wealth_analysis.MIN_PATHS))
-    p.add_argument("--seed", default=0, type=int)
+    p.add_argument("--seed", default=0, type=_at_least(0))
     common(p)
     p.set_defaults(func=cmd_compare_precommit)
 

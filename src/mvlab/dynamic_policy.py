@@ -287,14 +287,18 @@ def cev_anticipated_gain_exact(c: CevParams, S: float | Array, t: float) -> floa
     Under the drift-r measure, h(s) = E[S_s^-alpha] obeys
         dh/ds = -alpha r h + alpha (alpha+1) sigma_bar^2 / 2,
     which integrates in closed form; the gain is
-    (mu-r)^2 / (gamma sigma_bar^2) times the time integral of h.
+    (mu-r)^2 / (gamma sigma_bar^2) times the time integral of h.  A price
+    power S^-alpha outside the normal float range is a DomainError.
     """
     if c.n_assets != 1:
         raise ValueError("requires a single-asset market")
     _check_prices(S)
     tau = _check_horizon(t, c.T)
     mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
-    h0 = S ** (-alpha)
+    with np.errstate(over="ignore", under="ignore"):
+        h0 = S ** (-alpha)
+    if not np.all(np.isfinite(h0) & (h0 >= _TINY)):
+        raise DomainError(f"price power S^-alpha out of range at alpha = {alpha:g}")
     ar = alpha * c.r
     if abs(ar) <= _ZERO_RATE_TOL:
         # h grows linearly: h(s) = h0 + (s-t) alpha (alpha+1) sb^2 / 2

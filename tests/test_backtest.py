@@ -282,6 +282,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             BacktestConfig(gamma=-1.0)
 
+    def test_negative_rate(self):
+        with pytest.raises(ValueError, match="^riskless rate must be nonnegative$"):
+            BacktestConfig(r=-0.01)
+
     @pytest.mark.parametrize("field", ["target", "alpha", "gamma", "r", "notional"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_field_rejected(self, field, bad):

@@ -376,13 +376,22 @@ def panel_csv(weeks=60, n_assets=3, seed=0):
     pytest.param({}, ["policy", "--mu", "0.1"], 3, "needs --sigma", id="policy-without-sigma"),
     pytest.param({}, ["policy", "--type", "cev", "--mu", "0.1"], 3, "needs --sigma-bar",
                  id="policy-cev-without-sigma-bar"),
-    pytest.param({}, ["policy", "--mu", "nan", "--sigma", "0.4", "--out", "o"], 4,
-                 "mu must be finite", id="policy-nan-mu"),
-    pytest.param({}, ["policy", "--mu", "0.1", "--sigma", "nan", "--out", "o"], 4,
-                 "sigma must be finite", id="policy-nan-sigma"),
+    pytest.param({}, ["mvo", "--mu", "0.1,0.2", "--target", "0.1"], 3,
+                 "provide either --input or both --mu and --sigma", id="mvo-without-sigma"),
+    # every vector and matrix flag, on the command line or as a config key,
+    # parses to finite entries in rows of one length
+    pytest.param({}, ["policy", "--mu", "nan", "--sigma", "0.4", "--out", "o"], 2,
+                 "argument --mu: 'nan' has an entry that is not a finite number",
+                 id="policy-nan-mu"),
+    pytest.param({}, ["policy", "--mu", "0.1", "--sigma", "nan", "--out", "o"], 2,
+                 "argument --sigma: 'nan' has an entry that is not a finite number",
+                 id="policy-nan-sigma"),
     pytest.param({}, ["policy", "--type", "cev", "--mu", "0.1", "--sigma-bar", "0.2",
-                      "--corr", "nan", "--out", "o"], 4, "corr must be finite",
+                      "--corr", "nan", "--out", "o"], 2,
+                 "argument --corr: 'nan' has an entry that is not a finite number",
                  id="policy-cev-nan-corr"),
+    pytest.param({"c.cfg": "sigma=1,0;0\n"}, ["mvo", "--mu", "0.1,0.2", "--config", "c.cfg"], 2,
+                 "argument --sigma: invalid matrix value: '1,0;0'", id="config-ragged-sigma"),
     # every float flag, on the command line or as a config key, is a finite float
     pytest.param({}, ["policy", "--mu", "0.1", "--sigma", "0.4", "--time", "nan",
                       "--out", "o"], 2, "argument --time: 'nan' is not a finite number",
@@ -421,6 +430,10 @@ def panel_csv(weeks=60, n_assets=3, seed=0):
                  "argument --assets: '-1' is below 1", id="simulate-negative-assets"),
     pytest.param({}, ["simulate", "--assets", "2", "--weeks", "0"], 2,
                  "argument --weeks: '0' is below 1", id="simulate-no-weeks"),
+    pytest.param({}, ["simulate", "--config", "missing.cfg"], 2,
+                 "cannot read config missing.cfg", id="config-unreadable"),
+    pytest.param({"p.csv": "date\n2007-10-29\n"}, ["backtest", "--input", "p.csv"], 3,
+                 "p.csv: no asset columns", id="backtest-date-column-only"),
     pytest.param({}, ["compare-precommit", "--paths", "0"], 2,
                  "argument --paths: '0' is below 10000", id="compare-precommit-no-paths"),
     # a count below the library's own minimum is a usage error naming the flag
@@ -449,13 +462,21 @@ def panel_csv(weeks=60, n_assets=3, seed=0):
                  4, "overflow encountered", id="backtest-overflowing-notional"),
     pytest.param({}, ["mvo", "--mu", "0.1,0.2", "--sigma", "1,0;0,1", "--target", "1e308"], 4,
                  "overflow encountered", id="mvo-overflowing-target"),
+    # S0^(alpha/2), which scales --variance to the CEV sigma_bar, must be a
+    # normal float
     pytest.param({}, ["simulate", "--model", "cev", "--s0", "1e-300", "--alpha", "5",
-                      "--assets", "2", "--weeks", "5"], 4, "divide by zero encountered",
+                      "--assets", "2", "--weeks", "5"], 4,
+                 "error: price power S0^(alpha/2) out of range at --s0 1e-300, --alpha 5",
                  id="simulate-cev-underflowing-s0"),
-    # a Python float power that overflows raises OverflowError, not numpy's error
     *[pytest.param({}, ["simulate", "--model", "cev", "--alpha", alpha], 4,
-                   "Numerical result out of range", id=f"simulate-cev-overflowing-alpha-{alpha}")
-      for alpha in ("400", "1e155", "1e308")],
+                   f"error: price power S0^(alpha/2) out of range at --s0 100, --alpha {said}",
+                   id=f"simulate-cev-overflowing-alpha-{alpha}")
+      for alpha, said in [("400", "400"), ("1e155", "1e+155"), ("1e308", "1e+308")]],
+    pytest.param({}, ["simulate", "--model", "cev", "--alpha", "-400", "--assets", "2",
+                      "--weeks", "3"], 4,
+                 "error: price power S0^(alpha/2) out of range at --s0 100, --alpha -400",
+                 id="simulate-cev-underflowing-alpha"),
+    # a Python float power that overflows raises OverflowError, not numpy's error
     *[pytest.param({}, ["compare-precommit", f"--{flag}", "1e155", "--out", "o"], 4,
                    "Numerical result out of range", id=f"compare-precommit-overflowing-{flag}")
       for flag in ("mu", "rate")],
@@ -477,6 +498,76 @@ def test_bad_input_exits_with_one_error_line(tmp_path, monkeypatch, capsys, file
     assert said in lines[-1]
     assert len(lines) == 1 or code == 2  # argparse prints its usage first
     assert os.listdir(tmp_path) == sorted(files)
+
+
+# --------------------------------------------------- usage-error contract
+#
+# A flag that takes numbers exits 2, naming the flag on its `error:` line,
+# when its value does not parse, holds a NaN or an infinity, has rows of
+# different lengths, or is a count below the flag's minimum.
+
+_BAD_NUMBER = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "", "0x10", "1..2"]),
+    st.text("abcxyz_ ", min_size=1))
+_FINITE = st.floats(-10.0, 10.0).map(repr)
+_BAD_VECTOR = st.builds(lambda xs, bad, k: ",".join(xs[:k] + [bad] + xs[k:]),
+                        st.lists(_FINITE, max_size=3), _BAD_NUMBER, st.integers(0, 3))
+_ROW = st.lists(_FINITE, min_size=1, max_size=3).map(",".join)
+_BAD_MATRIX = st.one_of(
+    st.builds(lambda rows, bad, k: ";".join(rows[:k] + [bad] + rows[k:]),
+              st.lists(_ROW, max_size=2), _BAD_VECTOR, st.integers(0, 2)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda nm: nm[0] != nm[1])
+    .map(lambda nm: ";".join(",".join(["0.5"] * k) for k in nm)))
+_BAD_VALUES = {"float": _BAD_NUMBER, "vector": _BAD_VECTOR, "matrix": _BAD_MATRIX,
+               "loading": st.one_of(_BAD_VECTOR, _BAD_MATRIX)}
+
+def _floats(*flags):
+    return dict.fromkeys(flags, "float")
+
+
+# each flag that takes numbers: its kind, or for a count its minimum
+_NUMERIC_FLAGS = {
+    "simulate": {"--assets": 1, "--weeks": 1, "--seed": 0,
+                 **_floats("--mean", "--variance", "--corr", "--alpha", "--rate", "--s0")},
+    "backtest": {"--batch-len": 2,
+                 **_floats("--target", "--alpha", "--gamma", "--rate", "--notional", "--base")},
+    "mvo": {"--mu": "vector", "--sigma": "matrix", "--target": "float"},
+    "policy": {"--mu": "vector", "--sigma": "loading", "--sigma-bar": "vector",
+               "--corr": "matrix", "--price": "vector",
+               **_floats("--alpha", "--rate", "--horizon", "--time", "--gamma")},
+    "compare-precommit": {"--paths": 10_000, "--seed": 0,
+                          **_floats("--mu", "--sigma", "--rate", "--horizon", "--gamma", "--w0")},
+    "report": {"--base": "float"},
+}
+# valid flags each argv starts from: the required ones, and small sizes, so
+# that a tree which lets the bad value through runs briefly
+_BASE = {"simulate": {"--assets": "1", "--weeks": "1"}, "backtest": {"--input": "p.csv"},
+         "mvo": {"--mu": "0.1", "--sigma": "1"}, "policy": {"--mu": "0.1", "--sigma": "0.4"},
+         "compare-precommit": {"--paths": "10000"}, "report": {"--input": "w.csv"}}
+
+
+@pytest.mark.parametrize("command, flag, kind", [
+    pytest.param(command, flag, kind, id=f"{command}{flag}")
+    for command, flags in _NUMERIC_FLAGS.items() for flag, kind in flags.items()])
+def test_bad_number_is_a_usage_error_naming_the_flag(tmp_path, monkeypatch, capsys, command,
+                                                     flag, kind):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MVLAB_OUT", raising=False)
+    bad = _BAD_VALUES[kind] if isinstance(kind, str) else st.one_of(
+        st.integers(max_value=kind - 1).map(str), st.sampled_from(["2.5", "1e3", "", "nan"]))
+
+    def exits_2_naming_the_flag(value):
+        values = {**_BASE[command], flag: value}
+        try:
+            code = main([command] + [f"{f}={v}" for f, v in values.items()])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2, value
+        assert f"error: argument {flag}: " in err.splitlines()[-1]
+
+    settings(derandomize=True, max_examples=5, deadline=None, database=None)(
+        given(bad)(exits_2_naming_the_flag))()
 
 
 # ---------------------------------------------------- fuzzed exit codes

@@ -278,6 +278,14 @@ class TestAnticipatedGain:
         scalars = [cev_anticipated_gain_exact(c, float(s), 0.4) for s in S]
         np.testing.assert_allclose(gains, scalars, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("alpha, S", [(400.0, 1e-3), (400.0, 10.0), (-400.0, 10.0),
+                                          (400.0, np.array([1.0, 10.0]))],
+                             ids=["overflow", "underflow", "negative-alpha", "array"])
+    def test_exact_gain_price_power_out_of_range_is_domain_error(self, alpha, S):
+        with pytest.raises(DomainError,
+                           match=rf"^price power S\^-alpha out of range at alpha = {alpha:g}$"):
+            cev_anticipated_gain_exact(cev_single(alpha=alpha), S, 0.0)
+
     def test_exact_gain_rejects_a_nonpositive_price_in_an_array(self):
         with pytest.raises(DomainError):
             cev_anticipated_gain_exact(cev_single(), np.array([1.0, 0.0]), 0.0)
@@ -446,6 +454,11 @@ class TestLattice:
         with pytest.raises(ResourceError, match="exceeds limit 4096"):
             lattice_equilibrium_oracle(single(), steps=(1 << 12) + 1)
 
+    def test_step_too_coarse_for_the_drift(self):
+        # mu sqrt(dt) = 1.1 exceeds sigma = 0.1: growth exp(mu dt) is above u
+        with pytest.raises(ValueError, match="time step too coarse"):
+            lattice_equilibrium_oracle(single(mu=0.5, sigma=0.1, T=10.0), steps=2)
+
     def test_too_few_steps(self):
         with pytest.raises(ValueError):
             lattice_equilibrium_oracle(single(), steps=1)
@@ -480,6 +493,30 @@ class TestValidation:
     def test_wrong_matrix_shape_named(self, make, name):
         with pytest.raises(ValueError, match=rf"^{name} must be 2x2, got \(3, 3\)$"):
             make(np.eye(3))
+
+    @pytest.mark.parametrize("call", [
+        lambda m, c: m.sharpe,
+        lambda m, c: anticipated_gain_gbm(m, 0.0),
+        lambda m, c: cev_anticipated_gain_exact(c, 1.0, 0.0),
+        lambda m, c: lattice_equilibrium_oracle(m, 8),
+        lambda m, c: mc_anticipated_gain(c, 1.0, 0.0, 1000, 0),
+    ], ids=["sharpe", "anticipated_gain_gbm", "cev_anticipated_gain_exact",
+            "lattice_equilibrium_oracle", "mc_anticipated_gain"])
+    def test_single_asset_call_rejects_a_multi_asset_market(self, call):
+        m = MarketParams(mu=[0.1, 0.2], sigma=np.eye(2), r=0.02, T=1.0, gamma=1.0)
+        c = CevParams(mu=[0.1, 0.2], sigma_bar=[0.2, 0.2], alpha=1.0, corr=np.eye(2),
+                      r=0.02, T=1.0, gamma=1.0)
+        with pytest.raises(ValueError, match="single"):
+            call(m, c)
+
+    @pytest.mark.parametrize("sigma_bar, said", [
+        ([0.2], "sigma_bar must have length 2"),
+        ([0.2, -0.1], "sigma_bar must be nonnegative componentwise"),
+    ])
+    def test_bad_sigma_bar(self, sigma_bar, said):
+        with pytest.raises(ValueError, match=said):
+            CevParams(mu=[0.1, 0.2], sigma_bar=sigma_bar, alpha=1.0, corr=np.eye(2),
+                      r=0.02, T=1.0, gamma=1.0)
 
     def test_bad_gamma(self):
         with pytest.raises(ValueError):

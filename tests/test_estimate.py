@@ -84,6 +84,11 @@ class TestRollingEstimate:
         with pytest.raises(DataError):
             rolling_estimates(returns, 45)
 
+    def test_one_week_batch(self):
+        returns = to_returns(series(np.linspace(1.0, 2.0, 40)))
+        with pytest.raises(DataError, match="batch too short for a covariance"):
+            rolling_estimates(returns, 30, batch_len=1)
+
     def test_consistency_on_gbm(self, rng):
         # long sample: annualised estimates approach the generator parameters
         n = 20_000

@@ -81,6 +81,10 @@ class TestPerfStats:
         viaattr = perf_stats(P(), base=1.0)
         assert direct == viaattr
 
+    def test_empty_path_rejected(self):
+        with pytest.raises(DomainError, match="^empty wealth path$"):
+            perf_stats([], base=1.0)
+
     def test_bad_base(self):
         with pytest.raises(DomainError):
             perf_stats([0.0, 0.1], base=0.0)

@@ -93,6 +93,8 @@ class TestGbmPaths:
         m = MarketParams.single(0.1, 0.2, 0.02, 1.0, 1.0)
         with pytest.raises(ValueError):
             gbm_paths(m, cfg(n_assets=2, s0=[1.0, 1.0]))
+        with pytest.raises(ValueError, match="config and market disagree on asset count"):
+            cev_paths(CevParams.single(0.1, 0.2, 1.0, 0.02, 1.0, 1.0), cfg(n_assets=2))
 
 
 def cev1(mu=0.125, sigma_bar=0.2, alpha=1.0, r=0.025, T=1.0, gamma=1.0):
@@ -255,6 +257,8 @@ class TestMcAnticipatedGain:
             mc_anticipated_gain(cev1(), -1.0, 0.0, 1000, 0)
         with pytest.raises(ValueError):
             mc_anticipated_gain(cev1(), 1.0, 0.0, 50, 0)
+        with pytest.raises(DomainError, match="positive scale volatility required"):
+            mc_anticipated_gain(cev1(sigma_bar=0.0), 1.0, 0.0, 1000, 0)
 
     @pytest.mark.parametrize("check", ["mc_anticipated_gain", "hedging_covariance_check"])
     @pytest.mark.parametrize("S", [np.nan, np.inf, 0.0])
@@ -665,6 +669,10 @@ class TestSimConfig:
     def test_nonpositive_s0(self):
         with pytest.raises(ValueError):
             cfg(s0=0.0)
+
+    def test_s0_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="^s0 must have length 3$"):
+            cfg(n_assets=3, s0=[1.0, 2.0])
 
     @pytest.mark.parametrize("dt", [np.nan, np.inf])
     def test_non_finite_dt(self, dt):

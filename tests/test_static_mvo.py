@@ -46,6 +46,11 @@ class TestInvariants:
         with pytest.raises(ValueError, match="^target must be finite$"):
             StaticProblem(mu=[0.1, 0.2], sigma=np.eye(2), target=target)
 
+    def test_scalar_instance_reads_as_one_asset(self):
+        p = StaticProblem(mu=0.1, sigma=0.04, target=0.1)
+        np.testing.assert_array_equal(p.mu, [0.1])
+        np.testing.assert_array_equal(p.sigma, [[0.04]])
+
     def test_rejects_two_dimensional_mu(self):
         with pytest.raises(ValueError, match="^mu must be a 1-d vector"):
             StaticProblem(mu=[[0.1, 0.2]], sigma=np.eye(2), target=0.15)
