@@ -64,6 +64,20 @@ COMMANDS = [
     ["policy", "--mu", "nan", "--sigma", "0.4", "--out", "policy-nan-mu"],
     ["backtest", "--input", GBM, "--batch-len", "1", "--out", "bt-batch-one"],
     ["simulate", "--seed", "-1", "--out", "negative-seed"],
+    # an array flag whose shape does not fit --mu is a data error naming both
+    ["policy", "--mu", "0.1,0.2", "--sigma", "0.3", "--out", "policy-sigma-shape"],
+    ["mvo", "--mu", "0.1", "--sigma", "1,2", "--out", "mvo-sigma-shape"],
+    ["policy", "--type", "cev", "--mu", "0.1,0.2", "--sigma-bar", "0.2",
+     "--out", "policy-sigma-bar-shape"],
+    ["policy", "--type", "cev", "--mu", "0.1", "--sigma-bar", "0.2", "--price", "1,2",
+     "--out", "policy-price-shape"],
+    ["policy", "--type", "cev", "--mu", "0.1,0.2", "--sigma-bar", "0.2,0.2",
+     "--corr", "1,0;0,1;0,0", "--out", "policy-corr-shape"],
+    # an exponent kappa^2 T or r T beyond the float range of e^x: exit 4,
+    # naming it
+    *[["compare-precommit", *flags, "--paths", "10000", "--out", "compare-overflow"]
+      for flags in (["--mu", "1e155"], ["--rate", "1e155"], ["--sigma", "1e-160"],
+                    ["--mu", "10"], ["--horizon", "1e300"], ["--rate", "100", "--mu", "100.1"])],
 ]
 
 # The two CEV Monte Carlo runs at sizes no command reaches: criterion 07's

@@ -209,6 +209,9 @@ def cmd_mvo(args):
         if args.mu is None or args.sigma is None:
             raise DataError("provide either --input or both --mu and --sigma")
         mu, sigma = args.mu, args.sigma
+        if sigma.shape != (mu.size,) * 2:
+            raise DataError(f"--sigma has shape {sigma.shape}; --mu of length {mu.size} "
+                            f"needs {(mu.size,) * 2}")
     problem = static_mvo.StaticProblem(mu=mu, sigma=sigma, target=args.target)
     fc = static_mvo.frontier_constants(problem)
     w = static_mvo.solve_static_mvo(problem)
@@ -232,8 +235,15 @@ def cmd_policy(args):
     flag = "sigma_bar" if args.type == "cev" else "sigma"
     if getattr(args, flag) is None:
         raise DataError(f"policy --type {args.type} needs --{flag.replace('_', '-')}")
+    n = mu.size
+    # the array flags the type reads, each with n entries along each axis
+    shapes = {"sigma_bar": 1, "corr": 2, "price": 1} if args.type == "cev" else {"sigma": 2}
+    for name, ndim in shapes.items():
+        value = getattr(args, name)
+        if value is not None and value.shape != (n,) * ndim:
+            raise DataError(f"--{name.replace('_', '-')} has shape {value.shape}; "
+                            f"--mu of length {n} needs {(n,) * ndim}")
     if args.type == "cev":
-        n = mu.size
         corr = np.eye(n) if args.corr is None else args.corr
         c = dynamic_policy.CevParams(
             mu=mu, sigma_bar=args.sigma_bar, alpha=np.full(n, args.alpha),
@@ -316,7 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=no_prefixes)
 
-    def common(p):
+    # the float flags that several commands take, each with one default
+    shared = {"rate": 0.025, "gamma": 1.0, "alpha": 0.0, "target": 0.15, "horizon": 10.0,
+              "base": 1.0}
+
+    def common(p, *names):
+        for name in names:
+            p.add_argument(f"--{name}", default=shared[name], type=_finite_float)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--config", default=None,
                        help="flat key=value file of flags (explicit flags win)")
@@ -328,35 +344,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean", default=0.125, type=_finite_float)
     p.add_argument("--variance", default=0.2, type=_finite_float)
     p.add_argument("--corr", default=0.05, type=_finite_float)
-    p.add_argument("--alpha", default=0.0, type=_finite_float)
-    p.add_argument("--rate", default=0.025, type=_finite_float)
     p.add_argument("--s0", default=100.0, type=_finite_float)
     p.add_argument("--seed", default=0, type=_at_least(0))
     p.add_argument("--measure", choices=[simulate.PHYSICAL, simulate.HEDGE_NEUTRAL],
                    default=simulate.PHYSICAL)
-    common(p)
+    common(p, "alpha", "rate")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("backtest", help="run a weekly rolling backtest")
     p.add_argument("--input", required=True)
     p.add_argument("--strategy", choices=list(backtest.STRATEGIES), default="simple")
-    p.add_argument("--target", default=0.15, type=_finite_float)
-    p.add_argument("--alpha", default=0.0, type=_finite_float)
-    p.add_argument("--gamma", default=1.0, type=_finite_float)
-    p.add_argument("--rate", default=0.025, type=_finite_float)
     p.add_argument("--batch-len", dest="batch_len", default=estimate.DEFAULT_BATCH_LEN,
                    type=_at_least(2))
     p.add_argument("--notional", default=1.0, type=_finite_float)
-    p.add_argument("--base", default=1.0, type=_finite_float)
-    common(p)
+    common(p, "target", "alpha", "gamma", "rate", "base")
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("mvo", help="solve a static mean-variance instance")
     p.add_argument("--mu", default=None, type=_finite_vector, help="comma-separated returns")
     p.add_argument("--sigma", default=None, type=_finite_matrix, help="semicolon-separated rows")
     p.add_argument("--input", default=None, help="price CSV to estimate from")
-    p.add_argument("--target", default=0.15, type=_finite_float)
-    common(p)
+    common(p, "target")
     p.set_defaults(func=cmd_mvo)
 
     p = sub.add_parser("policy", help="evaluate a dynamic policy")
@@ -364,33 +372,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, type=_finite_vector)
     p.add_argument("--sigma", default=None, type=_finite_loading, help="loading matrix (GBM)")
     p.add_argument("--sigma-bar", dest="sigma_bar", default=None, type=_finite_vector)
-    p.add_argument("--alpha", default=0.0, type=_finite_float)
     p.add_argument("--corr", default=None, type=_finite_matrix)
     p.add_argument("--price", default="1.0", type=_finite_vector)
-    p.add_argument("--rate", default=0.025, type=_finite_float)
-    p.add_argument("--horizon", default=10.0, type=_finite_float)
     p.add_argument("--time", default=0.0, type=_finite_float)
-    p.add_argument("--gamma", default=1.0, type=_finite_float)
-    common(p)
+    common(p, "alpha", "rate", "horizon", "gamma")
     p.set_defaults(func=cmd_policy)
 
     p = sub.add_parser("compare-precommit",
                        help="Monte Carlo precommitment vs time-consistent")
     p.add_argument("--mu", default=0.125, type=_finite_float)
     p.add_argument("--sigma", default=float(np.sqrt(0.2)), type=_finite_float)
-    p.add_argument("--rate", default=0.025, type=_finite_float)
-    p.add_argument("--horizon", default=10.0, type=_finite_float)
-    p.add_argument("--gamma", default=1.0, type=_finite_float)
     p.add_argument("--w0", default=0.0, type=_finite_float)
     p.add_argument("--paths", default=100_000, type=_at_least(wealth_analysis.MIN_PATHS))
     p.add_argument("--seed", default=0, type=_at_least(0))
-    common(p)
+    common(p, "rate", "horizon", "gamma")
     p.set_defaults(func=cmd_compare_precommit)
 
     p = sub.add_parser("report", help="performance statistics of a wealth CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--base", default=1.0, type=_finite_float)
-    common(p)
+    common(p, "base")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -135,18 +135,19 @@ def gbm_paths(m: MarketParams, cfg: SimConfig) -> PriceSeries:
     return PriceSeries(prices=prices)
 
 
-def _cev_euler(s, floor, drift, sigma_bar, alpha, dt: float, n_steps: int, draw):
+def _cev_euler(s, drift, sigma_bar, alpha, dt: float, n_steps: int, draw):
     """Euler-Maruyama steps of dS/S = drift dt + sigma_bar S^(alpha/2) dw
     for the state s (one price per path or asset), draw(out) filling `out`
     with each step's standard normals.  Yields s, stepped in place, after
     each step; the caller checks the final state with _check_stable.
 
-    An entry that touches `floor` (ABSORPTION_REL_FLOOR times its start
-    price) is absorbed and stays there, so its return over any later step
-    is exactly 0.  The step reuses its buffers but takes the operations of
-    s + s * (drift dt + sigma_bar s^(alpha/2) sqrt(dt) z) in their order,
-    so its bits are that expression's.
+    An entry that touches its floor, ABSORPTION_REL_FLOOR times its value
+    in s before the first step, is absorbed and stays there, so its return
+    over any later step is exactly 0.  The step reuses its buffers but
+    takes the operations of s + s * (drift dt + sigma_bar s^(alpha/2)
+    sqrt(dt) z) in their order, so its bits are that expression's.
     """
+    floor = ABSORPTION_REL_FLOOR * s
     z, step, alive = np.empty(s.shape), np.empty(s.shape), np.empty(s.shape, dtype=bool)
     half_alpha, sqdt, drift_dt = alpha / 2.0, np.sqrt(dt), drift * dt
     for _ in range(n_steps):
@@ -190,36 +191,39 @@ def _cev_implicit(x, drift, sigma_bar, alpha, dt: float, n_steps: int, draw):
         yield x
 
 
-def _check_finite(s) -> None:
-    """Raises InstabilityError if an entry of the final state s is not
-    finite (callers step under np.errstate, so a diverging run warns
-    nothing)."""
+def _check_finite(s) -> float:
+    """0.0, the absorbed fraction of a run with no floor, unless an entry
+    of the final state s is not finite: then an InstabilityError (callers
+    step under np.errstate, so a diverging run warns nothing)."""
     if not np.all(np.isfinite(s)):
         raise InstabilityError("CEV steps diverged; use a smaller dt or milder alpha")
+    return 0.0
 
 
-def _check_stable(s, floor, alpha) -> None:
+def _check_stable(s, s0, alpha) -> float:
     """_check_finite, then an InstabilityError if more than half the
-    entries of the Euler state s are absorbed at `floor`, or if any with
-    alpha > 0 is: that process never reaches 0."""
+    entries of the final Euler state s are absorbed at _cev_euler's floor
+    ABSORPTION_REL_FLOOR * s0 for the start s0, or if any with alpha > 0
+    is (that process never reaches 0); else the fraction absorbed."""
     _check_finite(s)
-    absorbed = s <= floor
+    absorbed = s <= ABSORPTION_REL_FLOOR * s0
     if np.any(absorbed & (alpha > 0)) or np.mean(absorbed) > ABSORPTION_MAX_FRACTION:
         raise InstabilityError(f"{np.sum(absorbed)} of {absorbed.size} paths absorbed; "
                                "use a smaller dt or milder alpha")
+    return float(np.mean(absorbed))
 
 
 def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alpha,
                 dt: float, n_steps: int) -> list:
     """Steps `paths` CEV paths from the price s0 in two halves at once and
-    returns [final state, *consume's arrays], each merged half 0 first,
-    once the final state has passed its check.
+    returns [absorbed fraction, *consume's arrays], each array merged half
+    0 first, once the merged final state has passed its check.
 
     For alpha > 0 the state is x = S^(-alpha/2), stepped by _cev_implicit
-    and checked by _check_finite; a DomainError before any step if
-    s0^-alpha is outside the normal float range or if k <= 0.  Otherwise
-    it is the price, stepped by _cev_euler with its floor at
-    ABSORPTION_REL_FLOOR * s0 and checked by _check_stable.
+    and checked by _check_finite (no path is absorbed); a DomainError
+    before any step if s0^-alpha is outside the normal float range or if
+    k <= 0.  Otherwise it is the price, stepped by _cev_euler and checked
+    by _check_stable, which gives the fraction absorbed at its floor.
 
     Half k, of (paths // 2, paths - paths // 2)[k] paths, draws from a
     Generator on child k of SeedSequence(seed).spawn(2); consume(steps, n,
@@ -238,10 +242,9 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
         if 1.0 + 0.5 * alpha * drift * dt <= 0:
             raise DomainError(f"alpha * drift * dt = {alpha * drift * dt:g} is at or below -2; "
                               "the implicit CEV step needs a smaller dt")
-        start, kernel, check, floor = float(x0), _cev_implicit, _check_finite, ()
+        start, kernel, check = float(x0), _cev_implicit, _check_finite
     else:
-        floor = (ABSORPTION_REL_FLOOR * s0,)  # _cev_euler's argument after the state
-        start, kernel, check = s0, _cev_euler, lambda s: _check_stable(s, *floor, alpha)
+        start, kernel, check = s0, _cev_euler, lambda s: _check_stable(s, s0, alpha)
     from concurrent.futures import ThreadPoolExecutor
     children = np.random.SeedSequence(seed).spawn(2)
     sizes = (paths // 2, paths - paths // 2)
@@ -250,7 +253,7 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
     def half(k):
         rng = np.random.default_rng(children[k])
         state = np.full(sizes[k], start)
-        steps = kernel(state, *floor, drift, sigma_bar, alpha, dt, n_steps,
+        steps = kernel(state, drift, sigma_bar, alpha, dt, n_steps,
                        lambda out: rng.standard_normal(out=out))
         try:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -266,9 +269,8 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
             second = half(1)
         finally:
             first = future.result()
-    merged = [np.concatenate(parts) for parts in zip(first, second)]
-    check(merged[0])
-    return merged
+    state, *arrays = [np.concatenate(parts) for parts in zip(first, second)]
+    return [check(state), *arrays]
 
 
 def cev_paths(c: CevParams, cfg: SimConfig) -> PriceSeries:
@@ -284,13 +286,12 @@ def cev_paths(c: CevParams, cfg: SimConfig) -> PriceSeries:
     rng = np.random.default_rng(cfg.seed)
     prices = np.empty((cfg.n_steps + 1, c.n_assets))
     prices[0] = s = cfg.s0.copy()
-    floor = ABSORPTION_REL_FLOOR * cfg.s0
-    steps = _cev_euler(s, floor, drift, c.sigma_bar, c.alpha, cfg.dt, cfg.n_steps,
+    steps = _cev_euler(s, drift, c.sigma_bar, c.alpha, cfg.dt, cfg.n_steps,
                        lambda out: np.matmul(rng.standard_normal(c.n_assets), L.T, out=out))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, s in enumerate(steps, start=1):
             prices[k] = s
-    _check_stable(s, floor, c.alpha)
+    _check_stable(s, cfg.s0, c.alpha)
     return PriceSeries(prices=prices)
 
 
@@ -385,8 +386,7 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
         acc *= coef * dt
         return (acc,)
 
-    s, acc = _run_halves(seed, paths, gain, float(S0), c.r, sb, alpha, dt, n_steps)
-    absorbed = 0.0 if alpha > 0 else float(np.mean(s <= ABSORPTION_REL_FLOOR * S0))
+    absorbed, acc = _run_halves(seed, paths, gain, float(S0), c.r, sb, alpha, dt, n_steps)
     return McEstimate(value=float(np.mean(acc)),
                       stderr=float(np.std(acc, ddof=1) / np.sqrt(paths)), n_steps=n_steps,
                       absorbed=absorbed)

@@ -16,10 +16,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dynamic_policy import MarketParams, _check_count, _check_entries
+from .errors import DomainError
 
 Array = NDArray[np.float64]
 
 MIN_PATHS = 10_000  # compare_strategies_mc's fewest paths
+_LOG_MAX = float(np.log(np.finfo(np.float64).max))  # the largest x with a finite e^x
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,17 @@ def analytic_gap(m: MarketParams) -> float:
 
 def compare_strategies_mc(m: MarketParams, W0: float, paths: int,
                           seed: int) -> StrategyComparison:
-    """Shared-draw Monte Carlo comparison of the two strategies."""
+    """Shared-draw Monte Carlo comparison of the two strategies; a
+    DomainError before the draw if the exponent kappa^2 T or r T is beyond
+    the float range of e^x."""
     paths = _check_count("paths", paths, MIN_PATHS)
     _check_entries("paths", paths)
+    with np.errstate(over="ignore"):
+        exponents = {"kappa^2 T = ((mu - r)/sigma)^2 T": np.float64(m.sharpe) ** 2 * m.T,
+                     "r T": np.float64(m.r) * m.T}
+    for name, value in exponents.items():
+        if not abs(value) <= _LOG_MAX:
+            raise DomainError(f"{name} = {value:g} is beyond {_LOG_MAX:.2f}, where e^x overflows")
     rng = np.random.default_rng(seed)
     w_T = rng.standard_normal(paths) * np.sqrt(m.T)
     pre = precommitment_wealth(m, W0, price_density_sample(m, w_T))

@@ -476,10 +476,32 @@ def panel_csv(weeks=60, n_assets=3, seed=0):
                       "--weeks", "3"], 4,
                  "error: price power S0^(alpha/2) out of range at --s0 100, --alpha -400",
                  id="simulate-cev-underflowing-alpha"),
-    # a Python float power that overflows raises OverflowError, not numpy's error
-    *[pytest.param({}, ["compare-precommit", f"--{flag}", "1e155", "--out", "o"], 4,
-                   "Numerical result out of range", id=f"compare-precommit-overflowing-{flag}")
-      for flag in ("mu", "rate")],
+    # an exponent of the precommitment wealth beyond the float range of e^x
+    # is refused before the draw, naming it
+    *[pytest.param({}, ["compare-precommit", *flags, "--out", "o"], 4, said,
+                   id=f"compare-precommit-overflowing-{name}")
+      for name, flags, said in [
+          ("mu", ["--mu", "1e155"], "kappa^2 T = ((mu - r)/sigma)^2 T = inf is beyond 709.78"),
+          ("rate", ["--rate", "1e155"], "kappa^2 T = ((mu - r)/sigma)^2 T = inf is beyond"),
+          ("sigma", ["--sigma", "1e-160"], "kappa^2 T = ((mu - r)/sigma)^2 T = inf is beyond"),
+          ("mu-10", ["--mu", "10"], "kappa^2 T = ((mu - r)/sigma)^2 T = 4975.03 is beyond"),
+          ("horizon", ["--horizon", "1e300"], "kappa^2 T = ((mu - r)/sigma)^2 T = 5e+298 is"),
+          ("rate-100", ["--rate", "100", "--mu", "100.1"], "r T = 1000 is beyond 709.78")]],
+    # array flags whose shapes disagree with --mu are a data error naming both
+    *[pytest.param({}, [*argv, "--out", "o"], 3, said, id=name) for name, argv, said in [
+        ("policy-sigma-shape", ["policy", "--mu", "0.1,0.2", "--sigma", "0.3"],
+         "--sigma has shape (1, 1); --mu of length 2 needs (2, 2)"),
+        ("mvo-sigma-shape", ["mvo", "--mu", "0.1", "--sigma", "1,2"],
+         "--sigma has shape (1, 2); --mu of length 1 needs (1, 1)"),
+        ("policy-cev-sigma-bar-shape", ["policy", "--type", "cev", "--mu", "0.1,0.2",
+                                        "--sigma-bar", "0.2"],
+         "--sigma-bar has shape (1,); --mu of length 2 needs (2,)"),
+        ("policy-cev-price-shape", ["policy", "--type", "cev", "--mu", "0.1", "--sigma-bar",
+                                    "0.2", "--price", "1,2"],
+         "--price has shape (2,); --mu of length 1 needs (1,)"),
+        ("policy-cev-corr-shape", ["policy", "--type", "cev", "--mu", "0.1,0.2", "--sigma-bar",
+                                   "0.2,0.2", "--corr", "1,0;0,1;0,0"],
+         "--corr has shape (3, 2); --mu of length 2 needs (2, 2)")]],
 ])
 def test_bad_input_exits_with_one_error_line(tmp_path, monkeypatch, capsys, files, argv, code,
                                              said):

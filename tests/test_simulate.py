@@ -142,6 +142,16 @@ class TestCevPaths:
         assert np.array_equal(prices, euler_loop(c, config))
         assert prices[-1, 1] == 1e-8 and np.all(prices[-1, [0, 2]] > 0.5)
 
+    def test_absorbing_panel_with_unequal_starts(self):
+        # each asset's floor is 1e-8 of its own start: the middle one, at
+        # s0 = 2, ends at 2e-8, while the others' floors are 1e-8 and 5e-9
+        c = CevParams(mu=[0.1, 0.1, 0.1], sigma_bar=[0.2, 6.0, 0.2], alpha=0.0,
+                      corr=np.eye(3), r=0.025, T=2.0, gamma=1.0)
+        config = SimConfig(n_assets=3, n_steps=100, dt=1 / 52, s0=[1.0, 2.0, 0.5], seed=3)
+        prices = cev_paths(c, config).prices
+        assert np.array_equal(prices, euler_loop(c, config))
+        assert prices[-1, 1] == 2e-8 and np.all(prices[-1, [0, 2]] > 0.25)
+
     def test_singular_correlation_allowed(self):
         # rank one: two equal assets driven by one shock move together
         c = CevParams(mu=[0.1, 0.1], sigma_bar=[0.3, 0.3], alpha=1.0,
@@ -404,7 +414,7 @@ class InlineExecutor:
         return future
 
 
-class TestDrawsAhead:
+class TestTwoStreams:
     """The two-stream Monte Carlo: half 0 of the paths draws and steps on a
     worker thread while half 1 does on the calling thread."""
 
@@ -646,15 +656,21 @@ class TestEntryCap:
 
 class TestStabilityCheck:
     def test_absorption_counts_the_merged_state(self):
-        # half 0 has 6 of its 10 paths absorbed, the run 6 of 20
+        # half 0 has 6 of its 10 paths absorbed, the run 6 of 20; paths
+        # started at 1.0 are absorbed at ABSORPTION_REL_FLOOR
         floor = simulate.ABSORPTION_REL_FLOOR
         half0 = np.array([floor] * 6 + [1.0] * 4)
         half1 = np.ones(10)
         with pytest.raises(InstabilityError, match="6 of 10 paths absorbed"):
-            simulate._check_stable(half0, floor, 0.0)
-        simulate._check_stable(np.concatenate([half0, half1]), floor, 0.0)
+            simulate._check_stable(half0, 1.0, 0.0)
+        assert simulate._check_stable(np.concatenate([half0, half1]), 1.0, 0.0) == 0.3
         with pytest.raises(InstabilityError, match="6 of 20 paths absorbed"):
-            simulate._check_stable(np.concatenate([half0, half1]), floor, 0.5)
+            simulate._check_stable(np.concatenate([half0, half1]), 1.0, 0.5)
+
+    def test_no_floor_absorbs_nothing(self):
+        assert simulate._check_finite(np.full(4, 1e-300)) == 0.0
+        with pytest.raises(InstabilityError, match="diverged"):
+            simulate._check_finite(np.array([1.0, np.inf]))
 
 
 class TestSimConfig:
