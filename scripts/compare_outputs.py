@@ -78,6 +78,10 @@ COMMANDS = [
     *[["compare-precommit", *flags, "--paths", "10000", "--out", "compare-overflow"]
       for flags in (["--mu", "1e155"], ["--rate", "1e155"], ["--sigma", "1e-160"],
                     ["--mu", "10"], ["--horizon", "1e300"], ["--rate", "100", "--mu", "100.1"])],
+    # kappa^2 T = 442, 604 and 705, below that bound: finite samples, whose
+    # sums and squared deviations overflow unless they are scaled first
+    *[["compare-precommit", "--mu", mu, *flags, "--paths", "10000", "--out", f"compare-mu-{mu}"]
+      for mu, flags in (("3", []), ("3.5", ["--gamma", "0.1"]), ("3.78", []))],
 ]
 
 # The two CEV Monte Carlo runs at sizes no command reaches: criterion 07's
@@ -86,8 +90,9 @@ COMMANDS = [
 # covariance sign check at 2^17 paths x 16 steps, both at alpha = 1; two
 # gains at alpha = -1, which step Euler with its floor, the second on inputs
 # where over a quarter of the paths end absorbed; and a gain at alpha = 2.5
-# on inputs where Euler absorbs paths, printing the error a tree raises in
-# place of the value.  Then each strategy's backtest wealth path, one CSV column each, on the
+# on inputs where Euler absorbs paths, and one at alpha = -4 from S0 = 1e200,
+# whose S0^-alpha overflows, each printing the error a tree raises in place
+# of the value.  Then each strategy's backtest wealth path, one CSV column each, on the
 # seeded 50 x 523 GBM panel of the `simulate` defaults, built through the
 # library: at 50 assets the CLI's simple, multi and cev backtests exit 4
 # before writing wealth.csv, so no command compares their money vectors.
@@ -116,6 +121,14 @@ PROBES = {
         "c = mvlab.CevParams.single(0.125, 0.3, 2.5, 0.025, 2.0, 1.5)\n"
         "try:\n"
         "    e = mvlab.mc_anticipated_gain(c, 1.0, 0.0, 20_000, 5, n_steps=100)\n"
+        "    print(repr(e.value), repr(e.stderr))\n"
+        "except mvlab.errors.MvlabError as exc:\n"
+        "    print(f'{type(exc).__name__}: {exc}')\n"),
+    "gain-alpha-minus-four.txt": (
+        "import mvlab, mvlab.errors\n"
+        "c = mvlab.CevParams.single(0.125, 0.2, -4.0, 0.025, 1.0, 1.0)\n"
+        "try:\n"
+        "    e = mvlab.mc_anticipated_gain(c, 1e200, 0.0, 1000, 0)\n"
         "    print(repr(e.value), repr(e.stderr))\n"
         "except mvlab.errors.MvlabError as exc:\n"
         "    print(f'{type(exc).__name__}: {exc}')\n"),

@@ -167,11 +167,11 @@ def cmd_simulate(args):
         )
         series = simulate.gbm_paths(m, cfg)
     else:
-        with np.errstate(over="ignore", under="ignore"):
-            scale = np.float64(s0) ** (args.alpha / 2.0)
-        if not (np.isfinite(scale) and scale >= dynamic_policy._TINY):
+        try:
+            scale = dynamic_policy._price_power(np.float64(s0), args.alpha, 0.5)
+        except DomainError as exc:
             raise DomainError(f"price power S0^(alpha/2) out of range at --s0 {s0:g}, "
-                              f"--alpha {args.alpha:g}")
+                              f"--alpha {args.alpha:g}") from exc
         sigma_bar = np.sqrt(variance) / scale
         c = dynamic_policy.CevParams(
             mu=np.full(n, mean), sigma_bar=np.full(n, sigma_bar),

@@ -222,9 +222,22 @@ def simple_policy(m: MarketParams, t: float) -> Policy:
     return Policy(myopic=myopic, hedging=np.zeros_like(myopic))
 
 
-def _check_prices(S) -> None:
+def _price_power(S, alpha, scale: float = 1.0):
+    """S^(scale alpha) for prices S (a scalar or a stack (..., N)) and alpha
+    (a scalar or one per price); a DomainError for a bad price or a power
+    outside the normal float range, whose `index` is its row in a stack."""
     if not np.all(np.isfinite(S) & (S > 0)):
         raise DomainError(f"prices must be positive and finite, got {S}")
+    with np.errstate(over="ignore", under="ignore"):
+        power = S ** (scale * alpha)
+    bad = ~(np.isfinite(power) & (power >= _TINY))
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        name = {1.0: "alpha", -1.0: "-alpha"}.get(scale, f"({scale:g} alpha)")
+        raise DomainError(f"price power S^{name} out of range at alpha = "
+                          f"{np.broadcast_to(alpha, bad.shape)[first]:g}",
+                          index=int(first[0]) if bad.ndim > 1 else None)
+    return power
 
 
 def cev_demand(mu: Array, solve: Solve, alpha: float | Array, S: Array, r: float,
@@ -234,20 +247,13 @@ def cev_demand(mu: Array, solve: Solve, alpha: float | Array, S: Array, r: float
     omega = sigma_bar sigma_bar^T * corr: gbm_demand of (mu - r) / S^alpha,
     and that of (mu - r)^2 / S^alpha at tau = 0 times
     exp(-r tau) (exp(-alpha r tau) - 1) / r (-alpha tau as r -> 0), which
-    is zero at alpha = 0.  A price power S^alpha outside the normal float
-    range is a DomainError whose `index` is the first row holding one.
+    is zero at alpha = 0.  A bad price or price power S^alpha is a
+    DomainError (_price_power) whose `index` is the first row holding one.
 
     Works over leading axes: mu and S (..., N), tau (...); alpha is a
     scalar or (..., N).
     """
-    with np.errstate(over="ignore", under="ignore"):
-        s_pow = S**alpha
-    ok = np.isfinite(s_pow) & (s_pow >= _TINY)
-    if not ok.all():
-        first = tuple(np.argwhere(~ok)[0])
-        raise DomainError(f"price power S^alpha out of range at alpha = "
-                          f"{np.broadcast_to(alpha, s_pow.shape)[first]:g}",
-                          index=int(first[0]) if s_pow.ndim > 1 else None)
+    s_pow = _price_power(S, alpha)
     excess = mu - r
     myopic = gbm_demand(excess / s_pow, solve, r, gamma, tau)
     hedged = gbm_demand(excess**2 / s_pow, solve, r, gamma, 0.0)
@@ -262,7 +268,6 @@ def cev_policy(c: CevParams, S: float | Array, t: float) -> Policy:
     S = _as_vector(S, "S")
     if S.size != c.n_assets:
         raise ValueError(f"expected {c.n_assets} prices, got {S.size}")
-    _check_prices(S)
     omega = c.sigma_bar[:, None] * c.sigma_bar[None, :] * c.corr
     myopic, hedging = cev_demand(c.mu, partial(np.linalg.solve, omega), c.alpha, S, c.r,
                                  c.gamma, _check_horizon(t, c.T))
@@ -287,18 +292,14 @@ def cev_anticipated_gain_exact(c: CevParams, S: float | Array, t: float) -> floa
     Under the drift-r measure, h(s) = E[S_s^-alpha] obeys
         dh/ds = -alpha r h + alpha (alpha+1) sigma_bar^2 / 2,
     which integrates in closed form; the gain is
-    (mu-r)^2 / (gamma sigma_bar^2) times the time integral of h.  A price
-    power S^-alpha outside the normal float range is a DomainError.
+    (mu-r)^2 / (gamma sigma_bar^2) times the time integral of h.  A bad
+    price or price power S^-alpha is a DomainError (_price_power).
     """
     if c.n_assets != 1:
         raise ValueError("requires a single-asset market")
-    _check_prices(S)
-    tau = _check_horizon(t, c.T)
     mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
-    with np.errstate(over="ignore", under="ignore"):
-        h0 = S ** (-alpha)
-    if not np.all(np.isfinite(h0) & (h0 >= _TINY)):
-        raise DomainError(f"price power S^-alpha out of range at alpha = {alpha:g}")
+    h0 = _price_power(S, alpha, -1.0)
+    tau = _check_horizon(t, c.T)
     ar = alpha * c.r
     if abs(ar) <= _ZERO_RATE_TOL:
         # h grows linearly: h(s) = h0 + (s-t) alpha (alpha+1) sb^2 / 2

@@ -33,8 +33,7 @@ from .dynamic_policy import (
     _check_count,
     _check_entries,
     _check_horizon,
-    _check_prices,
-    _TINY,
+    _price_power,
     anticipated_gain_gbm,
     cev_anticipated_gain_exact,
     cev_policy,
@@ -219,9 +218,9 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
     returns [absorbed fraction, *consume's arrays], each array merged half
     0 first, once the merged final state has passed its check.
 
-    For alpha > 0 the state is x = S^(-alpha/2), stepped by _cev_implicit
-    and checked by _check_finite (no path is absorbed); a DomainError
-    before any step if s0^-alpha is outside the normal float range or if
+    The caller has checked s0 and s0^-alpha (_price_power).  For alpha > 0
+    the state is x = S^(-alpha/2), stepped by _cev_implicit and checked by
+    _check_finite (no path is absorbed); a DomainError before any step if
     k <= 0.  Otherwise it is the price, stepped by _cev_euler and checked
     by _check_stable, which gives the fraction absorbed at its floor.
 
@@ -234,15 +233,10 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
     step; the worker is joined either way.
     """
     if alpha > 0:
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            x0 = np.power(s0, -alpha / 2.0)
-            y0 = x0 * x0
-        if not (np.isfinite(y0) and y0 >= _TINY):
-            raise DomainError(f"price power S^-alpha out of range at alpha = {alpha:g}")
         if 1.0 + 0.5 * alpha * drift * dt <= 0:
             raise DomainError(f"alpha * drift * dt = {alpha * drift * dt:g} is at or below -2; "
                               "the implicit CEV step needs a smaller dt")
-        start, kernel, check = float(x0), _cev_implicit, _check_finite
+        start, kernel, check = float(np.power(s0, -alpha / 2.0)), _cev_implicit, _check_finite
     else:
         start, kernel, check = s0, _cev_euler, lambda s: _check_stable(s, s0, alpha)
     from concurrent.futures import ThreadPoolExecutor
@@ -348,10 +342,10 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
     Averages the trapezoid-rule time integral of the squared instantaneous
     Sharpe ratio over gamma.  For constant-parameter GBM the integrand is
     deterministic, so the estimator collapses to the closed form with zero
-    standard error.  A CEV run steps on two streams (_run_halves), for
-    alpha > 0 through _cev_implicit, whose state x gives the integrand
-    coef * S^-alpha as coef * x^2.  The rule sums S^-alpha over the step
-    ends and halves the two end terms once, after the last step.
+    standard error.  A CEV run checks S0^-alpha (_price_power) at entry and
+    steps on two streams (_run_halves), for alpha > 0 through _cev_implicit,
+    whose state x gives the integrand coef * S^-alpha as coef * x^2.  The
+    rule sums S^-alpha over the step ends, then halves the two end terms.
     """
     paths = _check_count("paths", paths, 100)
     _check_entries("paths", paths)
@@ -363,7 +357,7 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
     c = model
     if c.n_assets != 1:
         raise ValueError("MC anticipated gain requires a single-asset market")
-    _check_prices(S0)
+    _price_power(S0, c.alpha[0], -1.0)
     if tau == 0.0:
         return McEstimate(value=0.0, stderr=0.0)
     mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
@@ -414,15 +408,16 @@ def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
     paths = _check_count("paths", paths, 1)
     n_steps = _check_count("n_steps", n_steps, 1)
     _check_entries("pair store", paths * n_steps)
-    _check_prices(S)
+    if c.n_assets != 1:
+        raise ValueError("hedging_covariance_check requires a single-asset market")
+    f0 = cev_anticipated_gain_exact(c, S, t)  # checks S, S^-alpha (_price_power) and t
     dt = (c.T - t) / n_steps
     alpha = c.alpha[0]
 
     def changes(steps, n, _):
-        # row k - 1 holds step k's returns and gain changes of the n paths;
-        # the gain at S is taken once the runner has checked its start
+        # row k - 1 holds step k's returns and gain changes of the n paths
         rets, dfs = np.empty((n_steps, n)), np.empty((n_steps, n))
-        s_prev, f_prev = np.full(n, float(S)), np.full(n, cev_anticipated_gain_exact(c, S, t))
+        s_prev, f_prev = np.full(n, float(S)), np.full(n, f0)
         for k, s in enumerate(steps, start=1):
             if alpha > 0:
                 s = s ** (-2.0 / alpha)  # the price of the implicit state x

@@ -91,7 +91,8 @@ def compare_strategies_mc(m: MarketParams, W0: float, paths: int,
                           seed: int) -> StrategyComparison:
     """Shared-draw Monte Carlo comparison of the two strategies; a
     DomainError before the draw if the exponent kappa^2 T or r T is beyond
-    the float range of e^x."""
+    the float range of e^x.  Its statistics are taken on the samples scaled
+    by a power of two (exact), so they are finite whenever the samples are."""
     paths = _check_count("paths", paths, MIN_PATHS)
     _check_entries("paths", paths)
     with np.errstate(over="ignore"):
@@ -104,12 +105,15 @@ def compare_strategies_mc(m: MarketParams, W0: float, paths: int,
     w_T = rng.standard_normal(paths) * np.sqrt(m.T)
     pre = precommitment_wealth(m, W0, price_density_sample(m, w_T))
     tc = tc_terminal_wealth_sample(m, W0, w_T)
+    e = np.frexp(max(np.abs(pre).max(), np.abs(tc).max()))[1]
+    for x in (pre, tc):
+        np.ldexp(x, -e, out=x)
     diff = pre - tc
-    gap_se = float(np.std(diff, ddof=1) / np.sqrt(paths)) if m.sharpe != 0.0 else 0.0
+    gap_se = float(np.ldexp(np.std(diff, ddof=1), e) / np.sqrt(paths)) if m.sharpe != 0.0 else 0.0
     return StrategyComparison(
-        mean_pre=float(np.mean(pre)),
-        mean_tc=float(np.mean(tc)),
-        gap=float(np.mean(diff)),
+        mean_pre=float(np.ldexp(np.mean(pre), e)),
+        mean_tc=float(np.ldexp(np.mean(tc), e)),
+        gap=float(np.ldexp(np.mean(diff), e)),
         gap_analytic=analytic_gap(m),
         gap_stderr=gap_se,
     )

@@ -224,6 +224,16 @@ class TestComparePrecommit:
         assert abs(result["gap"] - result["gap_analytic"]) \
             <= 4 * result["gap_stderr"]
 
+    @pytest.mark.parametrize("flags", [["--mu", "3"], ["--mu", "3.5", "--gamma", "0.1"],
+                                       ["--mu", "3.78"]], ids=["mu-3", "mu-3.5-gamma", "mu-3.78"])
+    def test_exponent_below_its_bound_gives_finite_statistics(self, flags, capsys):
+        # kappa^2 T = 442, 604 and 705: the samples are finite, and so must
+        # be their means and standard error, whose sums and squares overflowed
+        code = main(["compare-precommit", *flags, "--paths", "10000"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert np.all(np.isfinite(list(json.loads(captured.out).values())))
+
 
 class TestPlumbing:
     def test_usage_error_exit_code(self):

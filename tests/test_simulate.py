@@ -278,13 +278,40 @@ class TestMcAnticipatedGain:
             getattr(simulate, check)(cev1(), S, 0.0, 1000, 0)
 
     @pytest.mark.parametrize("check", ["mc_anticipated_gain", "hedging_covariance_check"])
-    @pytest.mark.parametrize("S", [1e200, 1e-200, 1e100, 1e-100])
-    def test_start_power_out_of_range_rejected_before_any_step(self, check, S, monkeypatch):
+    @pytest.mark.parametrize("alpha, S", [
+        *[pytest.param(4.0, S, id=f"{S:g}") for S in (1e200, 1e-200, 1e100, 1e-100)],
+        *[pytest.param(-4.0, S, id=f"alpha-minus-4-{S:g}") for S in (1e200, 1e-200)]])
+    def test_start_power_out_of_range_rejected_before_any_step(self, check, alpha, S,
+                                                                monkeypatch):
         # at alpha = 4 the implicit state S^-2 is 0 or infinite, or its
-        # square S^-4, the gain's integrand, is
+        # square S^-4, the gain's integrand, is; at alpha = -4 the Euler
+        # integrand S^4 is
         no_steps(monkeypatch)
-        with pytest.raises(DomainError, match="price power S\\^-alpha out of range at alpha = 4"):
-            getattr(simulate, check)(cev1(alpha=4.0), S, 0.0, 1000, 0)
+        with pytest.raises(DomainError,
+                           match=f"^price power S\\^-alpha out of range at alpha = {alpha:g}$"):
+            getattr(simulate, check)(cev1(alpha=alpha), S, 0.0, 1000, 0)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_start_power_out_of_range_at_negative_alpha_like_the_exact_gain(self, t):
+        # 100^400 overflows: the Monte Carlo returned a NaN estimate here,
+        # and at t = T a zero, where the exact gain raises
+        c = cev1(alpha=-400.0)
+        message = "^price power S\\^-alpha out of range at alpha = -400$"
+        with pytest.raises(DomainError, match=message):
+            cev_anticipated_gain_exact(c, 100.0, t)
+        with pytest.raises(DomainError, match=message):
+            mc_anticipated_gain(c, 100.0, t, 1000, 0)
+
+    def test_multi_asset_market_rejected_before_the_runner(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("ran")
+
+        monkeypatch.setattr(simulate, "_run_halves", fail)
+        c = CevParams(mu=[0.1, 0.2], sigma_bar=[0.2, 0.2], alpha=1.0, corr=np.eye(2),
+                      r=0.02, T=1.0, gamma=1.0)
+        with pytest.raises(ValueError,
+                           match="^hedging_covariance_check requires a single-asset market$"):
+            simulate.hedging_covariance_check(c, 1.0, 0.0, 1000, 0)
 
     @pytest.mark.parametrize("mu", [-4.0, -10.0])
     def test_implicit_step_without_positive_root_rejected(self, mu, monkeypatch):

@@ -139,6 +139,30 @@ class TestCompareMc:
         b = compare_strategies_mc(m, 1.0, 20_000, 11)
         assert a == b
 
+    def test_statistics_equal_the_plain_numpy_calls(self):
+        # the README's compare-precommit input; scaling the samples by a
+        # power of two before the statistics must not move a bit
+        m, paths = market(), 100_000
+        cmpr = compare_strategies_mc(m, 0.0, paths, 0)
+        w_T = np.random.default_rng(0).standard_normal(paths) * np.sqrt(m.T)
+        pre = precommitment_wealth(m, 0.0, price_density_sample(m, w_T))
+        tc = tc_terminal_wealth_sample(m, 0.0, w_T)
+        assert cmpr.gap_stderr == float(np.std(pre - tc, ddof=1) / np.sqrt(paths))
+        assert (cmpr.mean_pre, cmpr.mean_tc, cmpr.gap) == (
+            float(np.mean(pre)), float(np.mean(tc)), float(np.mean(pre - tc)))
+
+    @pytest.mark.parametrize("mu, gamma", [(3.0, 1.0), (3.5, 0.1), (3.78, 1.0)])
+    def test_finite_below_the_exponent_bound(self, mu, gamma):
+        # kappa^2 T = 442, 604 and 705: each gap sample is about
+        # e^(kappa^2 T) / gamma, so its squared deviations (and at 705 the
+        # sum of 10,000 samples) overflowed
+        m = market(mu=mu, gamma=gamma)
+        with np.errstate(all="raise", under="ignore"):
+            cmpr = compare_strategies_mc(m, 0.0, 10_000, 0)
+        values = [cmpr.mean_pre, cmpr.mean_tc, cmpr.gap, cmpr.gap_analytic, cmpr.gap_stderr]
+        assert np.all(np.isfinite(values))
+        assert cmpr.gap_stderr > 0.0
+
     def test_path_floor(self):
         with pytest.raises(ValueError):
             compare_strategies_mc(market(), 1.0, 100, 0)
