@@ -73,15 +73,21 @@ COMMANDS = [
      "--out", "policy-price-shape"],
     ["policy", "--type", "cev", "--mu", "0.1,0.2", "--sigma-bar", "0.2,0.2",
      "--corr", "1,0;0,1;0,0", "--out", "policy-corr-shape"],
-    # an exponent kappa^2 T or r T beyond the float range of e^x: exit 4,
-    # naming it
+    # an exponent kappa^2 T, r T, kappa^2 T - log gamma or r T + log |W0|
+    # beyond the float range of e^x: exit 4, naming it
     *[["compare-precommit", *flags, "--paths", "10000", "--out", "compare-overflow"]
       for flags in (["--mu", "1e155"], ["--rate", "1e155"], ["--sigma", "1e-160"],
-                    ["--mu", "10"], ["--horizon", "1e300"], ["--rate", "100", "--mu", "100.1"])],
+                    ["--mu", "10"], ["--horizon", "1e300"], ["--rate", "100", "--mu", "100.1"],
+                    ["--mu", "3.79", "--gamma", "0.1"], ["--gamma", "1e-310"],
+                    ["--w0", "1e308", "--rate", "0.1"])],
     # kappa^2 T = 442, 604 and 705, below that bound: finite samples, whose
     # sums and squared deviations overflow unless they are scaled first
     *[["compare-precommit", "--mu", mu, *flags, "--paths", "10000", "--out", f"compare-mu-{mu}"]
       for mu, flags in (("3", []), ("3.5", ["--gamma", "0.1"]), ("3.78", []))],
+    # kappa^2 T - log gamma = 705.69 and 707.39, below that bound
+    ["compare-precommit", "--mu", "3.78", "--gamma", "0.5", "--paths", "10000",
+     "--out", "compare-gamma-0.5"],
+    ["compare-precommit", "--gamma", "1e-307", "--paths", "10000", "--out", "compare-gamma-1e-307"],
 ]
 
 # The two CEV Monte Carlo runs at sizes no command reaches: criterion 07's

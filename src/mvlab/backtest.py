@@ -184,22 +184,20 @@ def _ledger(prices: Array, rows: Array, theta: Array, cfg: BacktestConfig) -> We
     stock_now = (shares[:, None, :] @ prices_now[:, :, None])[:, 0, 0]
     stock = (shares[:, None, :] @ prices[rows + 1][:, :, None])[:, 0, 0]
     growth = float(np.exp(cfg.r * DT))
-    w, wealth, bond = 0.0, [0.0], [0.0]
+    w, wealth = 0.0, [0.0]
     for cost, held in zip(spent.tolist(), stock.tolist()):
-        b = (w - cost) * growth
-        w = b + held
-        bond.append(b)
+        w = (w - cost) * growth + held
         wealth.append(w)
-    wealth, bond = np.array(wealth), np.array(bond)
-    # Wealth after accrual is bond + stock by construction; at rebalancing
-    # the cash left, W_k - sum(theta_k), plus the shares' value must be W_k.
+    wealth = np.array(wealth)
+    # The bond is the cash left at rebalancing, W_k - sum(theta_k), accrued a
+    # week; that cash plus the shares' value must be W_k.
     cash = wealth[:-1] - spent
     _check_identity(cash, stock_now, wealth[:-1], np.abs(cash) + np.abs(theta).sum(axis=1))
     weeks = np.concatenate([rows[:1], rows + 1])
     return WealthPath(
         times=weeks * DT,
         wealth=wealth,
-        bond=bond,
+        bond=np.concatenate([[0.0], cash * growth]),
         stock_value=np.concatenate([[0.0], stock]),
         week_index=weeks,
     )

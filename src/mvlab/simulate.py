@@ -440,6 +440,6 @@ def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
     hedging = float(cev_policy(c, S, t).hedging[0])
     cov_sign = int(np.sign(corr)) if abs(corr) > 0.05 else 0
     hedge_sign = int(np.sign(hedging)) if abs(hedging) > 1e-14 else 0
-    consistent = (cov_sign == 0 and hedge_sign == 0) or (cov_sign == -hedge_sign)
+    consistent = cov_sign == -hedge_sign
     return CovarianceSignReport(correlation=corr, covariance_sign=cov_sign,
                                 hedging_sign=hedge_sign, consistent=consistent)

@@ -89,17 +89,19 @@ def analytic_gap(m: MarketParams) -> float:
 
 def compare_strategies_mc(m: MarketParams, W0: float, paths: int,
                           seed: int) -> StrategyComparison:
-    """Shared-draw Monte Carlo comparison of the two strategies; a
-    DomainError before the draw if the exponent kappa^2 T or r T is beyond
-    the float range of e^x.  Its statistics are taken on the samples scaled
-    by a power of two (exact), so they are finite whenever the samples are."""
+    """Shared-draw Monte Carlo comparison of the two strategies; a DomainError
+    before the draw if the exponent of e^{kappa^2 T}, e^{rT}, e^{kappa^2 T}/gamma
+    or W0 e^{rT} is beyond the float range of e^x.  Its statistics are taken on the
+    samples scaled by a power of two (exact), so they are finite whenever the samples are."""
     paths = _check_count("paths", paths, MIN_PATHS)
     _check_entries("paths", paths)
-    with np.errstate(over="ignore"):
-        exponents = {"kappa^2 T = ((mu - r)/sigma)^2 T": np.float64(m.sharpe) ** 2 * m.T,
-                     "r T": np.float64(m.r) * m.T}
+    with np.errstate(over="ignore", divide="ignore"):  # log 0 = -inf passes
+        k2T, rT = np.float64(m.sharpe) ** 2 * m.T, np.float64(m.r) * m.T
+        exponents = {"kappa^2 T = ((mu - r)/sigma)^2 T": k2T, "r T": rT,
+                     "kappa^2 T - log gamma": k2T - np.log(m.gamma),
+                     "r T + log |W0|": rT + np.log(abs(W0))}
     for name, value in exponents.items():
-        if not abs(value) <= _LOG_MAX:
+        if not value <= _LOG_MAX:
             raise DomainError(f"{name} = {value:g} is beyond {_LOG_MAX:.2f}, where e^x overflows")
     rng = np.random.default_rng(seed)
     w_T = rng.standard_normal(paths) * np.sqrt(m.T)

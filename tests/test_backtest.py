@@ -233,6 +233,18 @@ class TestBatchedKernel:
         with pytest.raises(LedgerError, match=r"^decision week 27: ledger identity"):
             run_backtest(prices, cfg)
 
+    def test_error_without_index_passes_unchanged(self):
+        # an error naming no stack entry reaches the caller as raised,
+        # without a decision week in its message
+        def no_forecast(est, p, t, T):
+            raise DomainError("no forecast")
+
+        cfg = BacktestConfig(strategy=no_forecast)
+        with pytest.raises(DomainError) as info:
+            run_backtest(gbm_series(n_weeks=60, seed=0), cfg)
+        assert str(info.value) == "no forecast"
+        assert info.value.index is None
+
 
 class TestBlockWeeks:
     """Blocks sized by the stack entries a decision week takes."""

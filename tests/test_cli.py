@@ -496,7 +496,13 @@ def panel_csv(weeks=60, n_assets=3, seed=0):
           ("sigma", ["--sigma", "1e-160"], "kappa^2 T = ((mu - r)/sigma)^2 T = inf is beyond"),
           ("mu-10", ["--mu", "10"], "kappa^2 T = ((mu - r)/sigma)^2 T = 4975.03 is beyond"),
           ("horizon", ["--horizon", "1e300"], "kappa^2 T = ((mu - r)/sigma)^2 T = 5e+298 is"),
-          ("rate-100", ["--rate", "100", "--mu", "100.1"], "r T = 1000 is beyond 709.78")]],
+          ("rate-100", ["--rate", "100", "--mu", "100.1"], "r T = 1000 is beyond 709.78"),
+          ("gamma-over-mu", ["--mu", "3.79", "--gamma", "0.1", "--paths", "10000"],
+           "kappa^2 T - log gamma = 711.064 is beyond 709.78"),
+          ("gamma", ["--gamma", "1e-310", "--paths", "10000"],
+           "kappa^2 T - log gamma = 714.301 is beyond 709.78"),
+          ("w0", ["--w0", "1e308", "--rate", "0.1", "--paths", "10000"],
+           "r T + log |W0| = 710.196 is beyond 709.78")]],
     # array flags whose shapes disagree with --mu are a data error naming both
     *[pytest.param({}, [*argv, "--out", "o"], 3, said, id=name) for name, argv, said in [
         ("policy-sigma-shape", ["policy", "--mu", "0.1,0.2", "--sigma", "0.3"],

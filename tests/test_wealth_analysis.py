@@ -151,11 +151,12 @@ class TestCompareMc:
         assert (cmpr.mean_pre, cmpr.mean_tc, cmpr.gap) == (
             float(np.mean(pre)), float(np.mean(tc)), float(np.mean(pre - tc)))
 
-    @pytest.mark.parametrize("mu, gamma", [(3.0, 1.0), (3.5, 0.1), (3.78, 1.0)])
+    @pytest.mark.parametrize("mu, gamma", [(3.0, 1.0), (3.5, 0.1), (3.78, 1.0), (3.78, 0.5)])
     def test_finite_below_the_exponent_bound(self, mu, gamma):
         # kappa^2 T = 442, 604 and 705: each gap sample is about
         # e^(kappa^2 T) / gamma, so its squared deviations (and at 705 the
-        # sum of 10,000 samples) overflowed
+        # sum of 10,000 samples) overflowed; at (3.78, 0.5) the exponent
+        # kappa^2 T - log gamma of e^(kappa^2 T) / gamma is 705.69
         m = market(mu=mu, gamma=gamma)
         with np.errstate(all="raise", under="ignore"):
             cmpr = compare_strategies_mc(m, 0.0, 10_000, 0)
