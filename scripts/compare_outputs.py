@@ -88,6 +88,9 @@ COMMANDS = [
     ["compare-precommit", "--mu", "3.78", "--gamma", "0.5", "--paths", "10000",
      "--out", "compare-gamma-0.5"],
     ["compare-precommit", "--gamma", "1e-307", "--paths", "10000", "--out", "compare-gamma-1e-307"],
+    # below every exponent bound, a wealth sample term overflows: exit 4
+    *[["compare-precommit", *flags, "--gamma", "1e-308", "--paths", "10000",
+       "--out", "compare-sample-overflow"] for flags in ([], ["--w0", "1e308"])],
 ]
 
 # The two CEV Monte Carlo runs at sizes no command reaches: criterion 07's

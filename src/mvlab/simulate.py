@@ -16,6 +16,10 @@ each on a Generator of its own from SeedSequence(seed).spawn(2), and merge
 them half 0 first.  Half 0 draws and steps on a worker thread while half 1
 does on the caller's (standard_normal and large ufuncs release the GIL).
 There are always two streams, so a one-core host computes the same bits.
+Within a half of n paths the draws are antithetic: each step draws the
+normals of paths 0 .. h-1, h = n - n // 2, and path h + i takes the negated
+normals of path i < n // 2, so an odd half's middle path h - 1 has no
+partner.  The Monte Carlo values changed once when the pairing came in.
 """
 
 from __future__ import annotations
@@ -224,13 +228,16 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
     k <= 0.  Otherwise it is the price, stepped by _cev_euler and checked
     by _check_stable, which gives the fraction absorbed at its floor.
 
-    Half k, of (paths // 2, paths - paths // 2)[k] paths, draws from a
-    Generator on child k of SeedSequence(seed).spawn(2); consume(steps, n,
-    start) reads its state, which starts at the value `start`, after each
-    step and returns a tuple of arrays.  Half 0 runs on a pool's one worker
-    (imported here, so that `import mvlab` loads no concurrent.futures),
-    half 1 on this thread.  If a half raises, the other stops at its next
-    step; the worker is joined either way.
+    Half k, of n = (paths // 2, paths - paths // 2)[k] paths, draws from a
+    Generator on child k of SeedSequence(seed).spawn(2), h = n - n // 2
+    normals a step for its paths 0 .. h-1; path h + i steps on the negated
+    normals of path i < n // 2 (antithetic pairs), and for odd n path h - 1
+    has no partner.  consume(steps, n, start) reads its state, which starts
+    at the value `start`, after each step and returns a tuple of arrays.
+    Half 0 runs on a pool's one worker (imported here, so that `import
+    mvlab` loads no concurrent.futures), half 1 on this thread.  If a half
+    raises, the other stops at its next step; the worker is joined either
+    way.
     """
     if alpha > 0:
         if 1.0 + 0.5 * alpha * drift * dt <= 0:
@@ -245,14 +252,18 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
     stop = threading.Event()
 
     def half(k):
-        rng = np.random.default_rng(children[k])
-        state = np.full(sizes[k], start)
-        steps = kernel(state, drift, sigma_bar, alpha, dt, n_steps,
-                       lambda out: rng.standard_normal(out=out))
+        rng, n = np.random.default_rng(children[k]), sizes[k]
+        h = n - n // 2
+
+        def draw(out):
+            rng.standard_normal(out=out[:h])
+            np.negative(out[:n - h], out=out[h:])
+
+        state = np.full(n, start)
+        steps = kernel(state, drift, sigma_bar, alpha, dt, n_steps, draw)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return (state, *consume(takewhile(lambda _: not stop.is_set(), steps), sizes[k],
-                                        start))
+                return (state, *consume(takewhile(lambda _: not stop.is_set(), steps), n, start))
         except BaseException:
             stop.set()
             raise
@@ -346,6 +357,13 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
     steps on two streams (_run_halves), for alpha > 0 through _cev_implicit,
     whose state x gives the integrand coef * S^-alpha as coef * x^2.  The
     rule sums S^-alpha over the step ends, then halves the two end terms.
+
+    value is the mean over all paths.  The two paths of an antithetic pair
+    are not independent, so stderr is taken over the P pair means: with an
+    even number of paths in each half it is sqrt(var(pair means) / P).  An
+    odd half's unpaired middle path counts in value, and in stderr with
+    the sample variance of its half's paths v: stderr = sqrt(4 P
+    var(pair means) + sum of v over the unpaired paths) / paths.
     """
     paths = _check_count("paths", paths, 100)
     _check_entries("paths", paths)
@@ -378,11 +396,20 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
             acc += power(s, y)
         acc += 0.5 * (power(start) - y)
         acc *= coef * dt
-        return (acc,)
+        # the pairs (i, n - m + i), their means written over acc[:m], and
+        # for odd n the unpaired path m with its half's variance of a path
+        m = n // 2
+        unpaired_var = np.var(acc, ddof=1, keepdims=True) if n % 2 else np.empty(0)
+        pair_means = acc[:m]
+        pair_means += acc[n - m:]
+        pair_means *= 0.5
+        return pair_means, acc[m:n - m], unpaired_var
 
-    absorbed, acc = _run_halves(seed, paths, gain, float(S0), c.r, sb, alpha, dt, n_steps)
-    return McEstimate(value=float(np.mean(acc)),
-                      stderr=float(np.std(acc, ddof=1) / np.sqrt(paths)), n_steps=n_steps,
+    absorbed, pair_means, unpaired, unpaired_var = _run_halves(
+        seed, paths, gain, float(S0), c.r, sb, alpha, dt, n_steps)
+    value = (2 * np.sum(pair_means) + np.sum(unpaired)) / paths
+    var = 4 * pair_means.size * np.var(pair_means, ddof=1) + np.sum(unpaired_var)
+    return McEstimate(value=float(value), stderr=float(np.sqrt(var) / paths), n_steps=n_steps,
                       absorbed=absorbed)
 
 

@@ -91,8 +91,10 @@ def compare_strategies_mc(m: MarketParams, W0: float, paths: int,
                           seed: int) -> StrategyComparison:
     """Shared-draw Monte Carlo comparison of the two strategies; a DomainError
     before the draw if the exponent of e^{kappa^2 T}, e^{rT}, e^{kappa^2 T}/gamma
-    or W0 e^{rT} is beyond the float range of e^x.  Its statistics are taken on the
-    samples scaled by a power of two (exact), so they are finite whenever the samples are."""
+    or W0 e^{rT} is beyond the float range of e^x, and after it, naming the first
+    sample term in the order of evaluation that does, if a sample overflows.  Its
+    statistics are taken on the samples scaled by a power of two (exact), so they
+    are finite whenever the samples are."""
     paths = _check_count("paths", paths, MIN_PATHS)
     _check_entries("paths", paths)
     with np.errstate(over="ignore", divide="ignore"):  # log 0 = -inf passes
@@ -105,8 +107,20 @@ def compare_strategies_mc(m: MarketParams, W0: float, paths: int,
             raise DomainError(f"{name} = {value:g} is beyond {_LOG_MAX:.2f}, where e^x overflows")
     rng = np.random.default_rng(seed)
     w_T = rng.standard_normal(paths) * np.sqrt(m.T)
-    pre = precommitment_wealth(m, W0, price_density_sample(m, w_T))
-    tc = tc_terminal_wealth_sample(m, W0, w_T)
+    xi_T = price_density_sample(m, w_T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = precommitment_wealth(m, W0, xi_T)
+        tc = tc_terminal_wealth_sample(m, W0, w_T)
+        if not (np.all(np.isfinite(pre)) and np.all(np.isfinite(tc))):
+            erT = np.exp(rT)
+            terms = {"W0 e^{rT} + e^{kappa^2 T}/gamma": W0 * erT + np.exp(k2T) / m.gamma,
+                     "xi_T e^{rT}/gamma": np.max(xi_T) * erT / m.gamma,
+                     "precommitment wealth": np.max(np.abs(pre)),
+                     "W0 e^{rT} + kappa^2 T/gamma": W0 * erT + k2T / m.gamma,
+                     "kappa w_T/gamma": m.sharpe * np.max(np.abs(w_T)) / m.gamma,
+                     "time-consistent wealth": np.max(np.abs(tc))}
+            name = next(name for name, value in terms.items() if not np.isfinite(value))
+            raise DomainError(f"wealth sample term {name} overflows the float range")
     e = np.frexp(max(np.abs(pre).max(), np.abs(tc).max()))[1]
     for x in (pre, tc):
         np.ldexp(x, -e, out=x)

@@ -22,6 +22,15 @@ def two_streams(seed, paths):
             for child, n in zip(children, (paths // 2, paths - paths // 2))]
 
 
+def antithetic_normals(rng, n):
+    """One step's standard normals for a half of n paths: h = n - n // 2
+    drawn for paths 0 .. h-1, then the negatives of the first n // 2 of
+    them for paths h .. n-1, so path h + i pairs with path i and, for odd
+    n, path h - 1 has no partner."""
+    z = rng.standard_normal(n - n // 2)
+    return np.concatenate([z, -z[:n // 2]])
+
+
 def implicit_step(x, z, drift, sigma_bar, alpha, dt):
     """One drift-implicit step of x = S^(-alpha/2) for the CEV price
     dS/S = drift dt + sigma_bar S^(alpha/2) dw, alpha > 0, on the normals z:

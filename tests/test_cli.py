@@ -503,6 +503,15 @@ def panel_csv(weeks=60, n_assets=3, seed=0):
            "kappa^2 T - log gamma = 714.301 is beyond 709.78"),
           ("w0", ["--w0", "1e308", "--rate", "0.1", "--paths", "10000"],
            "r T + log |W0| = 710.196 is beyond 709.78")]],
+    # below every exponent bound, a sample term overflows after the draw;
+    # the error names the first one
+    *[pytest.param({}, ["compare-precommit", *flags, "--paths", "10000", "--out", "o"], 4,
+                   f"error: wealth sample term {said} overflows the float range",
+                   id=f"compare-precommit-overflowing-sample-{name}")
+      for name, flags, said in [
+          ("gamma", ["--gamma", "1e-308"], "xi_T e^{rT}/gamma"),
+          ("w0-gamma", ["--w0", "1e308", "--gamma", "1e-308"],
+           "W0 e^{rT} + e^{kappa^2 T}/gamma")]],
     # array flags whose shapes disagree with --mu are a data error naming both
     *[pytest.param({}, [*argv, "--out", "o"], 3, said, id=name) for name, argv, said in [
         ("policy-sigma-shape", ["policy", "--mu", "0.1,0.2", "--sigma", "0.3"],

@@ -22,7 +22,13 @@ from mvlab.errors import (
 )
 from mvlab.simulate import hedging_covariance_check, mc_anticipated_gain
 
-from conftest import cev_scalar_policy, gbm_scalar_policy, implicit_step, two_streams
+from conftest import (
+    antithetic_normals,
+    cev_scalar_policy,
+    gbm_scalar_policy,
+    implicit_step,
+    two_streams,
+)
 
 MKT = dict(mu=0.125, sigma=np.sqrt(0.2), r=0.025, T=10.0, gamma=1.0)
 
@@ -305,9 +311,9 @@ class TestAnticipatedGain:
 def hedging_loop(c, S, t, paths, seed, n_steps):
     """Reference correlation of hedging_covariance_check at alpha <= 0:
     physical-measure Euler steps absorbed at 1e-8 S of each half of
-    two_streams(seed, paths) in turn, each step's normals drawn in turn,
-    the exact gain at each step's end time, one-step returns and gain
-    changes pooled over steps and paths, half 0's first."""
+    two_streams(seed, paths) in turn, each step's antithetic normals drawn
+    in turn, the exact gain at each step's end time, one-step returns and
+    gain changes pooled over steps and paths, half 0's first."""
     alpha = c.alpha[0]
     dt = (c.T - t) / n_steps
     rets, dfs = [], []
@@ -315,7 +321,7 @@ def hedging_loop(c, S, t, paths, seed, n_steps):
         s = np.full(n, S)
         f = cev_anticipated_gain_exact(c, S, t)
         for k in range(1, n_steps + 1):
-            z = rng.standard_normal(n)
+            z = antithetic_normals(rng, n)
             alive = s > 1e-8 * S
             step = s + s * (c.mu[0] * dt + c.sigma_bar[0] * s ** (alpha / 2.0) * np.sqrt(dt) * z)
             s_new = np.where(alive, np.maximum(step, 1e-8 * S), s)
@@ -329,10 +335,10 @@ def hedging_loop(c, S, t, paths, seed, n_steps):
 def hedging_implicit_loop(c, S, t, paths, seed, n_steps):
     """Reference correlation of hedging_covariance_check at alpha > 0:
     physical-measure implicit steps of x = S^(-alpha/2) (implicit_step) of
-    each half of two_streams(seed, paths) in turn, each step's normals drawn
-    in turn, the price x^(-2/alpha) and its exact gain at each step's end
-    time, one-step returns and gain changes pooled over steps and paths,
-    half 0's first."""
+    each half of two_streams(seed, paths) in turn, each step's antithetic
+    normals drawn in turn, the price x^(-2/alpha) and its exact gain at
+    each step's end time, one-step returns and gain changes pooled over
+    steps and paths, half 0's first."""
     mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
     dt = (c.T - t) / n_steps
     rets, dfs = [], []
@@ -341,7 +347,7 @@ def hedging_implicit_loop(c, S, t, paths, seed, n_steps):
         s = np.full(n, S)
         f = cev_anticipated_gain_exact(c, S, t)
         for k in range(1, n_steps + 1):
-            x = implicit_step(x, rng.standard_normal(n), mu, sb, alpha, dt)
+            x = implicit_step(x, antithetic_normals(rng, n), mu, sb, alpha, dt)
             s_new = x ** (-2.0 / alpha)
             f_new = cev_anticipated_gain_exact(c, s_new, min(t + k * dt, c.T))
             rets.append(s_new / s - 1.0)
@@ -403,7 +409,7 @@ class TestHedgingCovariance:
 
     @pytest.mark.parametrize("sigma_bar", [1.0, 1.5])
     def test_absorbed_paths_match_step_by_step_loop(self, sigma_bar):
-        # 19% and 43% of paths end at the floor; an absorbed path's return,
+        # 19% and 45% of paths end at the floor; an absorbed path's return,
         # floor / floor - 1, is the loop's masked 0
         c = cev_single(alpha=-1.0, sigma_bar=sigma_bar, T=2.0)
         rep = hedging_covariance_check(c, 1.3, 0.2, 2000, seed=4, n_steps=16)

@@ -31,7 +31,7 @@ from mvlab.simulate import (
 )
 from mvlab.wealth_analysis import compare_strategies_mc
 
-from conftest import implicit_step, two_streams
+from conftest import antithetic_normals, implicit_step, two_streams
 
 
 def cfg(n_assets=1, n_steps=52, dt=1 / 52, s0=1.0, seed=0, measure=PHYSICAL):
@@ -331,6 +331,19 @@ class TestMcAnticipatedGain:
         assert abs(est.value - exact) <= 3 * est.stderr
         assert est.absorbed == 0.0
 
+    @pytest.mark.parametrize("paths", [2000, 2001])
+    def test_stderr_matches_the_spread_over_seeds(self, paths):
+        # 39 times the sample variance of 40 seeds' values over their mean
+        # stderr^2 is chi^2(39) if stderr is right; at 2001 paths half 1 has
+        # an unpaired path.  A per-path stderr, which ignores the antithetic
+        # pairing, reads about 0.18 here, far below the band.
+        from scipy.stats import chi2
+        ests = [mc_anticipated_gain(cev1(), 1.0, 0.0, paths, seed, n_steps=16)
+                for seed in range(40)]
+        values = np.array([e.value for e in ests])
+        ratio = 39 * np.var(values, ddof=1) / np.mean([e.stderr ** 2 for e in ests])
+        assert chi2.ppf(0.001, 39) <= ratio <= chi2.ppf(0.999, 39)
+
     @pytest.mark.parametrize("model", [cev1(), MarketParams.single(0.1, 0.2, 0.025, 1.0, 1.0)],
                              ids=["cev", "gbm"])
     @pytest.mark.parametrize("t", [-0.5, 2.0])
@@ -339,13 +352,33 @@ class TestMcAnticipatedGain:
             mc_anticipated_gain(model, 1.0, t, 1000, 0)
 
 
+def pair_estimate(accs, paths):
+    """(value, stderr) of the per-path gains `accs` of each half, half 0's
+    first, with the antithetic pairs (i, h + i), i < n // 2, h = n - n // 2,
+    of a half of n paths: the mean over all paths, and the standard error of
+    their sum over the pairs, each an independent draw of twice its pair
+    mean, and over the unpaired path h - 1 of an odd half, whose variance
+    is the sample variance of its half's paths."""
+    means, unpaired, unpaired_var = [], [], []
+    for acc in accs:
+        n = acc.size
+        means.append(0.5 * (acc[:n // 2] + acc[n - n // 2:]))
+        if n % 2:
+            unpaired.append(acc[n // 2])
+            unpaired_var.append(np.var(acc, ddof=1))
+    means = np.concatenate(means)
+    value = (2 * np.sum(means) + np.sum(unpaired)) / paths
+    var = 4 * means.size * np.var(means, ddof=1) + np.sum(unpaired_var)
+    return value, np.sqrt(var) / paths
+
+
 def mc_gain_loop(c, S0, paths, seed, n_steps):
     """Reference (value, stderr, absorbed fraction) of mc_anticipated_gain
     from t = 0 at alpha <= 0: hedge-neutral Euler steps absorbed at 1e-8 S0
-    of each half of two_streams(seed, paths) in turn, each step's normals
-    drawn in turn, and the trapezoid rule over the steps of (mu - r)^2 /
-    (gamma sigma_bar^2) S^-alpha, summed over the steps' ends and corrected
-    at the two ends, half 0's paths first."""
+    of each half of two_streams(seed, paths) in turn, each step's
+    antithetic normals drawn in turn, and the trapezoid rule over the steps
+    of (mu - r)^2 / (gamma sigma_bar^2) S^-alpha, summed over the steps'
+    ends and corrected at the two ends, half 0's paths first."""
     mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
     dt = c.T / n_steps
     coef = (mu - c.r) ** 2 / (c.gamma * sb * sb)
@@ -355,24 +388,23 @@ def mc_gain_loop(c, S0, paths, seed, n_steps):
         s = np.full(n, S0)
         acc = np.zeros(n)
         for _ in range(n_steps):
-            z = rng.standard_normal(n)
+            z = antithetic_normals(rng, n)
             step = s + s * (c.r * dt + sb * s ** (alpha / 2.0) * np.sqrt(dt) * z)
             s = np.where(s > floor, np.maximum(step, floor), s)
             acc = acc + s ** (-alpha)
         accs.append((acc + 0.5 * (np.power(S0, -alpha) - s ** (-alpha))) * (coef * dt))
         ends.append(s)
-    acc = np.concatenate(accs)
     absorbed = np.mean(np.concatenate(ends) <= floor)
-    return np.mean(acc), np.std(acc, ddof=1) / np.sqrt(paths), absorbed
+    return (*pair_estimate(accs, paths), absorbed)
 
 
 def mc_gain_implicit_loop(c, S0, paths, seed, n_steps):
     """Reference (value, stderr) of mc_anticipated_gain from t = 0 at
     alpha > 0: hedge-neutral implicit steps of x = S^(-alpha/2)
     (implicit_step) of each half of two_streams(seed, paths) in turn, each
-    step's normals drawn in turn, and the trapezoid rule over the steps of
-    (mu - r)^2 / (gamma sigma_bar^2) x^2, summed over the steps' ends and
-    corrected at the two ends, half 0's paths first."""
+    step's antithetic normals drawn in turn, and the trapezoid rule over
+    the steps of (mu - r)^2 / (gamma sigma_bar^2) x^2, summed over the
+    steps' ends and corrected at the two ends, half 0's paths first."""
     mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
     dt = c.T / n_steps
     coef = (mu - c.r) ** 2 / (c.gamma * sb * sb)
@@ -382,11 +414,10 @@ def mc_gain_implicit_loop(c, S0, paths, seed, n_steps):
         x = np.full(n, x0)
         acc = np.zeros(n)
         for _ in range(n_steps):
-            x = implicit_step(x, rng.standard_normal(n), c.r, sb, alpha, dt)
+            x = implicit_step(x, antithetic_normals(rng, n), c.r, sb, alpha, dt)
             acc = acc + x * x
         accs.append((acc + 0.5 * (x0 * x0 - x * x)) * (coef * dt))
-    acc = np.concatenate(accs)
-    return np.mean(acc), np.std(acc, ddof=1) / np.sqrt(paths)
+    return pair_estimate(accs, paths)
 
 
 KERNELS = ("_cev_euler", "_cev_implicit")
@@ -462,7 +493,7 @@ class TestTwoStreams:
         # paths, fewer than the half at which a run fails
         c = cev1(sigma_bar=1.0, alpha=-1.0, T=2.0)
         est = mc_anticipated_gain(c, 1.3, 0.0, 2000, 4, n_steps=16)
-        assert est.absorbed == 0.2765
+        assert est.absorbed == 0.2515
         assert (est.value, est.stderr, est.absorbed) == mc_gain_loop(c, 1.3, 2000, 4, 16)
 
     def test_half_zero_inline_gives_the_same_bits(self, monkeypatch):
@@ -565,7 +596,8 @@ class TestTwoStreams:
             assert draws[failing_half] == 3 and draws[1 - failing_half] < n_steps
 
     def test_draws_stop_at_the_last_step(self, monkeypatch):
-        # each half fills one buffer of its own size, once a step
+        # each half draws its h = n - n // 2 normals into the front of one
+        # buffer of its own size n, once a step
         calls = []
 
         class Normals:
@@ -579,9 +611,10 @@ class TestTwoStreams:
         monkeypatch.setattr(np.random, "default_rng", Normals)
         mc_anticipated_gain(cev1(), 1.0, 0.0, 1001, 0, n_steps=5)
         assert len(calls) == 10
-        for size in (500, 501):
-            bufs = [out for out in calls if out.size == size]
-            assert len(bufs) == 5 and all(out is bufs[0] for out in bufs)
+        for n in (500, 501):
+            bufs = [out for out in calls if out.size == n - n // 2]
+            assert len(bufs) == 5 and all(out.base is bufs[0].base for out in bufs)
+            assert bufs[0].base.size == n
 
     def test_cli_import_leaves_concurrent_futures_out(self):
         # scipy is a test dependency only; concurrent.futures is loaded by a
