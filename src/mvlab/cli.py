@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__, backtest, dynamic_policy, estimate, metrics, simulate, static_mvo, wealth_analysis
-from .errors import DataError, DomainError, MvlabError, ProtocolError, WarmupError
+from .errors import DataError, DomainError, MvlabError, ProtocolError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -425,7 +425,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             args.func(args)
-    except (DataError, WarmupError, ProtocolError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (MvlabError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -278,9 +278,8 @@ def anticipated_gain_gbm(m: MarketParams, t: float) -> float:
     """Expected cumulative excess gain of the optimal policy under GBM.
 
     Constant parameters make the integrand deterministic: kappa^2 (T-t) / gamma.
+    A market of several assets has no scalar kappa (MarketParams.sharpe).
     """
-    if m.n_assets != 1:
-        raise ValueError("anticipated_gain_gbm requires a single-asset market")
     tau = _check_horizon(t, m.T)
     return m.sharpe**2 * tau / m.gamma
 

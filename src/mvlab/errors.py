@@ -37,11 +37,11 @@ class DataError(MvlabError):
     """Malformed or inconsistent input data."""
 
 
-class WarmupError(MvlabError):
+class WarmupError(DataError):
     """Not enough history to estimate parameters at the requested time."""
 
 
-class ProtocolError(MvlabError):
+class ProtocolError(DataError):
     """An input violates a structural protocol (e.g. price rows not a week apart)."""
 
 

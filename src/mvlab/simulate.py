@@ -10,16 +10,9 @@ through the Euler kernel `_cev_euler`.  The Monte Carlo runner `_run_halves`
 steps alpha <= 0 through it too, and alpha > 0 through `_cev_implicit`.
 
 Determinism: identical (config, seed) yields bit-identical output.  A panel
-or an ensemble draws from one numpy Generator seeded by the caller.  The two
-Monte Carlo runs split their paths into halves of paths // 2 and the rest,
-each on a Generator of its own from SeedSequence(seed).spawn(2), and merge
-them half 0 first.  Half 0 draws and steps on a worker thread while half 1
-does on the caller's (standard_normal and large ufuncs release the GIL).
-There are always two streams, so a one-core host computes the same bits.
-Within a half of n paths the draws are antithetic: each step draws the
-normals of paths 0 .. h-1, h = n - n // 2, and path h + i takes the negated
-normals of path i < n // 2, so an odd half's middle path h - 1 has no
-partner.  The Monte Carlo values changed once when the pairing came in.
+or an ensemble draws from one numpy Generator seeded by the caller; the two
+Monte Carlo runs draw from two streams spawned from the seed, whatever the
+host's cores (see _run_halves).
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ from .dynamic_policy import (
     _check_entries,
     _check_horizon,
     _price_power,
-    anticipated_gain_gbm,
     cev_anticipated_gain_exact,
     cev_policy,
 )
@@ -235,9 +227,11 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
     has no partner.  consume(steps, n, start) reads its state, which starts
     at the value `start`, after each step and returns a tuple of arrays.
     Half 0 runs on a pool's one worker (imported here, so that `import
-    mvlab` loads no concurrent.futures), half 1 on this thread.  If a half
-    raises, the other stops at its next step; the worker is joined either
-    way.
+    mvlab` loads no concurrent.futures), half 1 on this thread, at once
+    because standard_normal and large ufuncs release the GIL.  There are
+    always two streams, so a one-core host computes the same bits.  If a
+    half raises, the other stops at its next step; the worker is joined
+    either way.
     """
     if alpha > 0:
         if 1.0 + 0.5 * alpha * drift * dt <= 0:
@@ -335,9 +329,9 @@ def rn_weights(m: MarketParams, times: Array, prices: Array) -> Array:
 @dataclass(frozen=True)
 class McEstimate:
     """A Monte Carlo mean with its standard error, the steps taken and the
-    fraction of paths that ended at the Euler absorption floor: 0 for the
-    closed forms, which take no step, and for alpha > 0, whose implicit
-    step has no floor."""
+    fraction of paths that ended at the Euler absorption floor: 0 for a
+    zero gain, which takes no step, and for alpha > 0, whose implicit step
+    has no floor."""
 
     value: float
     stderr: float
@@ -345,18 +339,17 @@ class McEstimate:
     absorbed: float = 0.0
 
 
-def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
-                        paths: int, seed: int,
+def mc_anticipated_gain(c: CevParams, S0: float, t: float, paths: int, seed: int,
                         n_steps: int | None = None) -> McEstimate:
-    """Monte Carlo anticipated gain under the hedge-neutral measure.
+    """Monte Carlo anticipated gain of a single CEV asset under the
+    hedge-neutral measure.
 
     Averages the trapezoid-rule time integral of the squared instantaneous
-    Sharpe ratio over gamma.  For constant-parameter GBM the integrand is
-    deterministic, so the estimator collapses to the closed form with zero
-    standard error.  A CEV run checks S0^-alpha (_price_power) at entry and
-    steps on two streams (_run_halves), for alpha > 0 through _cev_implicit,
-    whose state x gives the integrand coef * S^-alpha as coef * x^2.  The
-    rule sums S^-alpha over the step ends, then halves the two end terms.
+    Sharpe ratio over gamma.  The run checks S0^-alpha (_price_power) at
+    entry and steps on two streams (_run_halves), for alpha > 0 through
+    _cev_implicit, whose state x gives the integrand coef * S^-alpha as
+    coef * x^2.  The rule sums S^-alpha over the step ends, then halves the
+    two end terms.
 
     value is the mean over all paths.  The two paths of an antithetic pair
     are not independent, so stderr is taken over the P pair means: with an
@@ -369,17 +362,12 @@ def mc_anticipated_gain(model: MarketParams | CevParams, S0: float, t: float,
     _check_entries("paths", paths)
     if n_steps is not None:
         n_steps = _check_count("n_steps", n_steps, 1)
-    tau = _check_horizon(t, model.T)
-    if isinstance(model, MarketParams):
-        return McEstimate(value=anticipated_gain_gbm(model, t), stderr=0.0)
-    c = model
+    tau = _check_horizon(t, c.T)
     if c.n_assets != 1:
         raise ValueError("MC anticipated gain requires a single-asset market")
-    _price_power(S0, c.alpha[0], -1.0)
-    if tau == 0.0:
-        return McEstimate(value=0.0, stderr=0.0)
     mu, sb, alpha = c.mu[0], c.sigma_bar[0], c.alpha[0]
-    if mu == c.r:
+    _price_power(S0, alpha, -1.0)
+    if tau == 0.0 or mu == c.r:
         return McEstimate(value=0.0, stderr=0.0)
     if sb <= 0:
         raise DomainError("positive scale volatility required for a finite gain")
@@ -434,10 +422,8 @@ def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
     """
     paths = _check_count("paths", paths, 1)
     n_steps = _check_count("n_steps", n_steps, 1)
-    _check_entries("pair store", paths * n_steps)
-    if c.n_assets != 1:
-        raise ValueError("hedging_covariance_check requires a single-asset market")
-    f0 = cev_anticipated_gain_exact(c, S, t)  # checks S, S^-alpha (_price_power) and t
+    _check_entries("pair store", 2 * paths * n_steps)  # np.corrcoef stacks the pairs
+    f0 = cev_anticipated_gain_exact(c, S, t)  # checks one asset, S, S^-alpha and t
     dt = (c.T - t) / n_steps
     alpha = c.alpha[0]
 

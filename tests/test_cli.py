@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import mvlab
 from mvlab.backtest import STRATEGIES
 from mvlab.cli import main, read_price_csv, read_wealth_csv, write_price_csv
-from mvlab.errors import ProtocolError
+from mvlab.errors import DataError, ProtocolError, WarmupError
 from mvlab.simulate import PriceSeries
 
 
@@ -296,6 +296,9 @@ class TestPlumbing:
         write_price_csv(path, PriceSeries(prices=prices))
         np.testing.assert_array_equal(read_price_csv(path).prices, prices)
         assert path.read_text().splitlines()[0] == "date,A000,A001,A002"
+
+    def test_warmup_and_protocol_errors_exit_3_as_data_errors(self):
+        assert issubclass(WarmupError, DataError) and issubclass(ProtocolError, DataError)
 
     def test_malformed_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

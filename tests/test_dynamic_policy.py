@@ -236,12 +236,6 @@ class TestAnticipatedGain:
     def test_gbm_direct(self):
         assert anticipated_gain_gbm(single(), 0.0) == pytest.approx(0.5, rel=1e-12)
 
-    def test_gbm_matches_mc(self):
-        m = single()
-        est = mc_anticipated_gain(m, 1.0, 2.0, 1000, 3)
-        assert est.stderr == 0.0
-        assert est.value == pytest.approx(anticipated_gain_gbm(m, 2.0), rel=1e-12)
-
     def test_cev_alpha_zero_deterministic(self):
         c = cev_single(alpha=0.0, T=2.0)
         est = mc_anticipated_gain(c, S0=1.0, t=0.0, paths=500, seed=1)

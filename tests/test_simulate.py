@@ -14,6 +14,7 @@ from mvlab.dynamic_policy import (
     MarketParams,
     _check_entries,
     _MAX_ENTRIES,
+    anticipated_gain_gbm,
     cev_anticipated_gain_exact,
     lattice_equilibrium_oracle,
 )
@@ -246,12 +247,6 @@ class TestRnWeights:
 
 
 class TestMcAnticipatedGain:
-    def test_gbm_closed_form_zero_stderr(self):
-        m = MarketParams.single(0.125, np.sqrt(0.2), 0.025, 10.0, 1.0)
-        est = mc_anticipated_gain(m, 1.0, 0.0, 1000, 0)
-        assert est.value == pytest.approx(0.5, rel=1e-12)
-        assert est.stderr == 0.0
-
     def test_cev_against_exact(self):
         c = cev1()
         exact = cev_anticipated_gain_exact(c, 1.0, 0.0)
@@ -310,7 +305,7 @@ class TestMcAnticipatedGain:
         c = CevParams(mu=[0.1, 0.2], sigma_bar=[0.2, 0.2], alpha=1.0, corr=np.eye(2),
                       r=0.02, T=1.0, gamma=1.0)
         with pytest.raises(ValueError,
-                           match="^hedging_covariance_check requires a single-asset market$"):
+                           match="^requires a single-asset market$"):
             simulate.hedging_covariance_check(c, 1.0, 0.0, 1000, 0)
 
     @pytest.mark.parametrize("mu", [-4.0, -10.0])
@@ -344,12 +339,14 @@ class TestMcAnticipatedGain:
         ratio = 39 * np.var(values, ddof=1) / np.mean([e.stderr ** 2 for e in ests])
         assert chi2.ppf(0.001, 39) <= ratio <= chi2.ppf(0.999, 39)
 
-    @pytest.mark.parametrize("model", [cev1(), MarketParams.single(0.1, 0.2, 0.025, 1.0, 1.0)],
-                             ids=["cev", "gbm"])
+    @pytest.mark.parametrize("call", [
+        lambda t: mc_anticipated_gain(cev1(), 1.0, t, 1000, 0),
+        lambda t: anticipated_gain_gbm(MarketParams.single(0.1, 0.2, 0.025, 1.0, 1.0), t),
+    ], ids=["cev", "gbm"])
     @pytest.mark.parametrize("t", [-0.5, 2.0])
-    def test_time_outside_horizon_is_horizon_error(self, model, t):
+    def test_time_outside_horizon_is_horizon_error(self, call, t):
         with pytest.raises(HorizonError, match=r"outside horizon \[0, 1.0\]"):
-            mc_anticipated_gain(model, 1.0, t, 1000, 0)
+            call(t)
 
 
 def pair_estimate(accs, paths):
@@ -702,14 +699,18 @@ class TestEntryCap:
         ("price panel of 100000001000", lambda: SimConfig(1000, 10**8, 0.1, 1.0, 0)),
         ("ensemble of 200000000", lambda: gbm_ensemble(0.1, 0.2, 0.0, 1.0, 1, 10**8, 0)),
         ("paths of 134217729", lambda: mc_anticipated_gain(cev1(), 1.0, 0.0, _MAX_ENTRIES + 1, 0)),
-        ("pair store of 134217792", lambda: simulate.hedging_covariance_check(
+        ("pair store of 268435584", lambda: simulate.hedging_covariance_check(
             cev1(), 1.0, 0.0, 2**21 + 1, 0, n_steps=64)),
+        # np.corrcoef stacks the returns and gain changes into one array
+        ("pair store of 136314880", lambda: simulate.hedging_covariance_check(
+            cev1(), 1.0, 0.0, 2**20, 0, n_steps=65)),
         ("paths of 134217729", lambda: compare_strategies_mc(MarketParams.single(
             0.125, 0.2, 0.025, 1.0, 1.0), 0.0, _MAX_ENTRIES + 1, 0)),
     ], ids=["SimConfig", "gbm_ensemble", "mc_anticipated_gain", "hedging_covariance_check",
-            "compare_strategies_mc"])
+            "hedging_covariance_check-stacked", "compare_strategies_mc"])
     def test_rejected_before_any_draw(self, monkeypatch, what, call):
         monkeypatch.setattr(np.random, "default_rng", None)
+        monkeypatch.setattr(simulate, "_run_halves", None)
         with pytest.raises(ResourceError, match=f"^{what} entries exceeds limit {_MAX_ENTRIES}$"):
             call()
 
