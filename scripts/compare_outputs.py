@@ -54,6 +54,9 @@ COMMANDS = [
      "--out", "policy-cev-multi"],
     ["compare-precommit", "--horizon", "10", "--paths", "20000", "--seed", "3",
      "--out", "compare"],
+    # W0 e^{rT} = 1.28e15 swamped the gap when each sample carried it
+    ["compare-precommit", "--w0", "1e15", "--paths", "20000", "--seed", "3",
+     "--out", "compare-w0-1e15"],
     # S0^(alpha/2) is out of the normal float range: exit 4, and nothing written
     ["simulate", "--model", "cev", "--alpha", "400", "--out", "cev-alpha-400"],
     ["simulate", "--model", "cev", "--alpha", "-400", "--assets", "2", "--weeks", "3",
@@ -81,16 +84,17 @@ COMMANDS = [
                     ["--mu", "3.79", "--gamma", "0.1"], ["--gamma", "1e-310"],
                     ["--w0", "1e308", "--rate", "0.1"])],
     # kappa^2 T = 442, 604 and 705, below that bound: finite samples, whose
-    # sums and squared deviations overflow unless they are scaled first
+    # e^{kappa^2 T}/gamma is added once, after their statistics
     *[["compare-precommit", "--mu", mu, *flags, "--paths", "10000", "--out", f"compare-mu-{mu}"]
       for mu, flags in (("3", []), ("3.5", ["--gamma", "0.1"]), ("3.78", []))],
-    # kappa^2 T - log gamma = 705.69 and 707.39, below that bound
+    # kappa^2 T - log gamma = 705.69, 707.39 and 709.70, below that bound
     ["compare-precommit", "--mu", "3.78", "--gamma", "0.5", "--paths", "10000",
      "--out", "compare-gamma-0.5"],
-    ["compare-precommit", "--gamma", "1e-307", "--paths", "10000", "--out", "compare-gamma-1e-307"],
-    # below every exponent bound, a wealth sample term overflows: exit 4
-    *[["compare-precommit", *flags, "--gamma", "1e-308", "--paths", "10000",
-       "--out", "compare-sample-overflow"] for flags in ([], ["--w0", "1e308"])],
+    *[["compare-precommit", "--gamma", gamma, "--paths", "10000", "--out", f"compare-gamma-{gamma}"]
+      for gamma in ("1e-307", "1e-308")],
+    # below every exponent bound, the mean wealth W0 e^{rT} + ... overflows: exit 4
+    ["compare-precommit", "--w0", "1e308", "--gamma", "1e-308", "--paths", "10000",
+     "--out", "compare-sample-overflow"],
 ]
 
 # The two CEV Monte Carlo runs at sizes no command reaches: criterion 07's

@@ -24,7 +24,7 @@ from .errors import DefinitenessError, SingularFrontierError
 Array = NDArray[np.float64]
 
 # Symmetry and pivots are judged against 1e-12 of max |Sigma_ij| (the largest
-# diagonal entry of a PSD matrix), a*c - b^2 against 1e-12 of max(1, |a*c|).
+# diagonal entry of a PSD matrix), a*c - b^2 against 1e-12 of |a*c|.
 _REL_TOL = 1e-12
 
 
@@ -68,7 +68,7 @@ def _discriminant(a, b, c):
     """a*c - b^2, or SingularFrontierError naming the first degenerate entry:
     its position in the flattened stack as `index` (None for a scalar)."""
     disc = a * c - b * b
-    bad = np.flatnonzero(disc <= _REL_TOL * np.maximum(1.0, np.abs(a * c)))
+    bad = np.flatnonzero(disc <= _REL_TOL * np.abs(a * c))
     if bad.size:
         raise SingularFrontierError(
             f"degenerate frontier: a*c - b^2 = {np.ravel(disc)[bad[0]]:.3e}",
@@ -170,13 +170,15 @@ def kkt_oracle(p: StaticProblem) -> Weights:
     """Solve the full KKT stationarity system with a generic dense solver.
 
     Independent of the closed form: assembles
-        [Sigma, -1, -mu; 1', 0, 0; mu', 0, 0] (w, l1, l2) = (0, 1, target)
-    and hands it to LAPACK.
+        [Sigma/s, -1, -mu; 1', 0, 0; mu', 0, 0] (w, l1/s, l2/s) = (0, 1, target)
+    with s = max |Sigma_ij|, so that its condition number, which must not
+    exceed 1e14, does not move with the units of Sigma, and hands it to LAPACK.
     """
     n = p.n_assets
+    scale = p.sigma.diagonal().max()  # max |Sigma_ij| of a definite Sigma
     ones = np.ones(n)
     K = np.zeros((n + 2, n + 2))
-    K[:n, :n] = p.sigma
+    K[:n, :n] = p.sigma / scale
     K[:n, n] = -ones
     K[:n, n + 1] = -p.mu
     K[n, :n] = ones
@@ -186,8 +188,6 @@ def kkt_oracle(p: StaticProblem) -> Weights:
     rhs[n + 1] = p.target
     if np.linalg.cond(K) > 1e14:
         raise SingularFrontierError("KKT matrix is singular or near-singular")
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFrontierError("KKT matrix is singular") from exc
-    return Weights(omega=sol[:n], lambda1=float(sol[n]), lambda2=float(sol[n + 1]))
+    sol = np.linalg.solve(K, rhs)
+    return Weights(omega=sol[:n], lambda1=float(sol[n] * scale),
+                   lambda2=float(sol[n + 1] * scale))

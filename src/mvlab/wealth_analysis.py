@@ -92,9 +92,12 @@ def compare_strategies_mc(m: MarketParams, W0: float, paths: int,
     """Shared-draw Monte Carlo comparison of the two strategies; a DomainError
     before the draw if the exponent of e^{kappa^2 T}, e^{rT}, e^{kappa^2 T}/gamma
     or W0 e^{rT} is beyond the float range of e^x, and after it, naming the first
-    sample term in the order of evaluation that does, if a sample overflows.  Its
-    statistics are taken on the samples scaled by a power of two (exact), so they
-    are finite whenever the samples are."""
+    result field that is not finite.
+
+    Each terminal wealth is W0 e^{rT} + (constant - draw)/gamma: e^{kappa^2 T}
+    less u = xi_T e^{rT} = e^{-kappa^2 T/2 - kappa w_T} (precommitment), kappa^2 T
+    less v = kappa w_T (time-consistent).  Only u and v are sampled, so the gap
+    and its stderr do not depend on W0, and u <= e^{kappa |w_T|} stays finite."""
     paths = _check_count("paths", paths, MIN_PATHS)
     _check_entries("paths", paths)
     with np.errstate(over="ignore", divide="ignore"):  # log 0 = -inf passes
@@ -105,31 +108,16 @@ def compare_strategies_mc(m: MarketParams, W0: float, paths: int,
     for name, value in exponents.items():
         if not value <= _LOG_MAX:
             raise DomainError(f"{name} = {value:g} is beyond {_LOG_MAX:.2f}, where e^x overflows")
-    rng = np.random.default_rng(seed)
-    w_T = rng.standard_normal(paths) * np.sqrt(m.T)
-    xi_T = price_density_sample(m, w_T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pre = precommitment_wealth(m, W0, xi_T)
-        tc = tc_terminal_wealth_sample(m, W0, w_T)
-        if not (np.all(np.isfinite(pre)) and np.all(np.isfinite(tc))):
-            erT = np.exp(rT)
-            terms = {"W0 e^{rT} + e^{kappa^2 T}/gamma": W0 * erT + np.exp(k2T) / m.gamma,
-                     "xi_T e^{rT}/gamma": np.max(xi_T) * erT / m.gamma,
-                     "precommitment wealth": np.max(np.abs(pre)),
-                     "W0 e^{rT} + kappa^2 T/gamma": W0 * erT + k2T / m.gamma,
-                     "kappa w_T/gamma": m.sharpe * np.max(np.abs(w_T)) / m.gamma,
-                     "time-consistent wealth": np.max(np.abs(tc))}
-            name = next(name for name, value in terms.items() if not np.isfinite(value))
-            raise DomainError(f"wealth sample term {name} overflows the float range")
-    e = np.frexp(max(np.abs(pre).max(), np.abs(tc).max()))[1]
-    for x in (pre, tc):
-        np.ldexp(x, -e, out=x)
-    diff = pre - tc
-    gap_se = float(np.ldexp(np.std(diff, ddof=1), e) / np.sqrt(paths)) if m.sharpe != 0.0 else 0.0
-    return StrategyComparison(
-        mean_pre=float(np.ldexp(np.mean(pre), e)),
-        mean_tc=float(np.ldexp(np.mean(tc), e)),
-        gap=float(np.ldexp(np.mean(diff), e)),
-        gap_analytic=analytic_gap(m),
-        gap_stderr=gap_se,
-    )
+    v = m.sharpe * (np.random.default_rng(seed).standard_normal(paths) * np.sqrt(m.T))
+    u = np.exp(-0.5 * k2T - v)
+    ek2T, start, d = np.exp(k2T), W0 * np.exp(rT), u - v
+    with np.errstate(over="ignore"):
+        fields = {"mean_pre": start + (ek2T - np.mean(u)) / m.gamma,
+                  "mean_tc": start + (k2T - np.mean(v)) / m.gamma,
+                  "gap": (ek2T - k2T - np.mean(d)) / m.gamma,
+                  "gap_analytic": analytic_gap(m),
+                  "gap_stderr": np.std(d, ddof=1) / np.sqrt(paths) / m.gamma}
+    for name, value in fields.items():
+        if not np.isfinite(value):
+            raise DomainError(f"{name} = {value:g} is beyond the float range")
+    return StrategyComparison(**{name: float(value) for name, value in fields.items()})

@@ -234,6 +234,16 @@ class TestComparePrecommit:
         assert (code, captured.err) == (0, "")
         assert np.all(np.isfinite(list(json.loads(captured.out).values())))
 
+    def test_tiny_gamma_gives_finite_statistics(self, capsys):
+        # kappa^2 T - log gamma = 709.70, below its bound: the fields are
+        # about 1e307, and the samples, which carry no 1/gamma, stay small
+        code = main(["compare-precommit", "--gamma", "1e-308", "--paths", "10000"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        result = json.loads(captured.out)
+        assert np.all(np.isfinite(list(result.values())))
+        assert abs(result["gap"] - result["gap_analytic"]) <= 5 * result["gap_stderr"]
+
 
 class TestPlumbing:
     def test_usage_error_exit_code(self):
@@ -506,15 +516,13 @@ def panel_csv(weeks=60, n_assets=3, seed=0):
            "kappa^2 T - log gamma = 714.301 is beyond 709.78"),
           ("w0", ["--w0", "1e308", "--rate", "0.1", "--paths", "10000"],
            "r T + log |W0| = 710.196 is beyond 709.78")]],
-    # below every exponent bound, a sample term overflows after the draw;
+    # below every exponent bound, a result field overflows after the draw;
     # the error names the first one
     *[pytest.param({}, ["compare-precommit", *flags, "--paths", "10000", "--out", "o"], 4,
-                   f"error: wealth sample term {said} overflows the float range",
+                   f"error: {said} = inf is beyond the float range",
                    id=f"compare-precommit-overflowing-sample-{name}")
       for name, flags, said in [
-          ("gamma", ["--gamma", "1e-308"], "xi_T e^{rT}/gamma"),
-          ("w0-gamma", ["--w0", "1e308", "--gamma", "1e-308"],
-           "W0 e^{rT} + e^{kappa^2 T}/gamma")]],
+          ("w0-gamma", ["--w0", "1e308", "--gamma", "1e-308"], "mean_pre")]],
     # array flags whose shapes disagree with --mu are a data error naming both
     *[pytest.param({}, [*argv, "--out", "o"], 3, said, id=name) for name, argv, said in [
         ("policy-sigma-shape", ["policy", "--mu", "0.1,0.2", "--sigma", "0.3"],

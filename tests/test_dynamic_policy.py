@@ -418,6 +418,22 @@ class TestHedgingCovariance:
         assert np.isfinite(rep.correlation)
         assert rep.covariance_sign == -1 and rep.hedging_sign == 1 and rep.consistent
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.0])
+    @pytest.mark.parametrize("gamma", [1e13, 1e15])
+    def test_verdict_does_not_depend_on_gamma(self, alpha, gamma):
+        # 1/gamma scales the gain changes and the hedging demand alike; with
+        # absolute floors gamma = 1e13 read correlation 0 and an inconsistent
+        # report, gamma = 1e15 both signs 0.  At alpha = 0 the gain's spread
+        # is rounding (1.2e-15 of its size at gamma = 1e13), so no correlation
+        c = cev_single(alpha=alpha)
+        want = hedging_covariance_check(c, S=1.0, t=0.0, paths=2000, seed=3)
+        got = hedging_covariance_check(cev_single(alpha=alpha, gamma=gamma), S=1.0, t=0.0,
+                                       paths=2000, seed=3)
+        assert got.correlation == pytest.approx(want.correlation, rel=1e-12)
+        assert (got.covariance_sign, got.hedging_sign, got.consistent) == (
+            want.covariance_sign, want.hedging_sign, want.consistent)
+        assert want.consistent and (want.correlation == 0.0) == (alpha == 0.0)
+
     def test_mass_absorption_is_unstable(self):
         # the CEV step shared with cev_paths and mc_anticipated_gain rejects
         # a run that absorbs more than half of its paths

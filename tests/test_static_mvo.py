@@ -273,3 +273,44 @@ class TestOptimality:
             assert abs(np.sum(omega) - 1) < 1e-9
             assert abs(omega @ p.mu - p.target) < 1e-9
             assert float(omega @ p.sigma @ omega) >= best - 1e-12
+
+
+def twenty_asset_problem(scale, mu=None):
+    """A well-posed 20-asset instance with Sigma in units scaled by `scale`."""
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((20, 20))
+    sigma = A @ A.T / 20 + np.eye(20)
+    if mu is None:
+        mu = rng.normal(0.1, 0.05, size=20)
+    return StaticProblem(mu=mu, sigma=sigma * scale, target=0.12)
+
+
+class TestUnitsOfSigma:
+    """Neither the closed form's degenerate-frontier test nor the KKT
+    oracle's conditioning test may depend on the units of Sigma."""
+
+    @pytest.mark.parametrize("scale", [1e-14, 1e-11, 1e-9, 1e6, 1e8, 1e10, 1e20])
+    def test_weights_do_not_move(self, scale):
+        # a*c - b^2 was floored at 1e-12 (an absolute floor below |a*c| = 1),
+        # so the closed form refused Sigma x 1e6 and above; the KKT oracle's
+        # cond(K) refused Sigma x 1e-14 and x 1e8 and above
+        want = solve_static_mvo(twenty_asset_problem(1.0)).omega
+        p = twenty_asset_problem(scale)
+        np.testing.assert_allclose(solve_static_mvo(p).omega, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(kkt_oracle(p).omega, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-14, 1e10])
+    def test_multipliers_scale_with_sigma(self, scale):
+        p, unit = twenty_asset_problem(scale), kkt_oracle(twenty_asset_problem(1.0))
+        o, w = kkt_oracle(p), solve_static_mvo(p)
+        assert (o.lambda1, o.lambda2) == pytest.approx(
+            (unit.lambda1 * scale, unit.lambda2 * scale), rel=1e-13)
+        assert (o.lambda1, o.lambda2) == pytest.approx((w.lambda1, w.lambda2), rel=1e-13)
+
+    @pytest.mark.parametrize("scale", [1e-14, 1.0, 1e10])
+    @pytest.mark.parametrize("mu", [np.full(20, 0.1), np.zeros(20)], ids=["mu-constant", "mu-0"])
+    def test_degenerate_frontier_still_raises(self, scale, mu):
+        p = twenty_asset_problem(scale, mu)
+        for solver in (solve_static_mvo, kkt_oracle):
+            with pytest.raises(SingularFrontierError):
+                solver(p)

@@ -139,17 +139,27 @@ class TestCompareMc:
         b = compare_strategies_mc(m, 1.0, 20_000, 11)
         assert a == b
 
-    def test_statistics_equal_the_plain_numpy_calls(self):
-        # the README's compare-precommit input; scaling the samples by a
-        # power of two before the statistics must not move a bit
+    def test_fields_equal_the_means_of_the_wealth_samples(self):
+        # the README's compare-precommit input at W0 = 1: the affine forms
+        # agree with the per-sample formulas over the same draws
         m, paths = market(), 100_000
-        cmpr = compare_strategies_mc(m, 0.0, paths, 0)
+        cmpr = compare_strategies_mc(m, 1.0, paths, 0)
         w_T = np.random.default_rng(0).standard_normal(paths) * np.sqrt(m.T)
-        pre = precommitment_wealth(m, 0.0, price_density_sample(m, w_T))
-        tc = tc_terminal_wealth_sample(m, 0.0, w_T)
-        assert cmpr.gap_stderr == float(np.std(pre - tc, ddof=1) / np.sqrt(paths))
-        assert (cmpr.mean_pre, cmpr.mean_tc, cmpr.gap) == (
-            float(np.mean(pre)), float(np.mean(tc)), float(np.mean(pre - tc)))
+        pre = precommitment_wealth(m, 1.0, price_density_sample(m, w_T))
+        tc = tc_terminal_wealth_sample(m, 1.0, w_T)
+        want = [np.mean(pre), np.mean(tc), np.mean(pre - tc),
+                np.std(pre - tc, ddof=1) / np.sqrt(paths)]
+        got = [cmpr.mean_pre, cmpr.mean_tc, cmpr.gap, cmpr.gap_stderr]
+        scale = max(np.max(np.abs(pre)), np.max(np.abs(tc)))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * scale)
+
+    def test_gap_does_not_depend_on_w0(self):
+        # no sample carries W0 e^{rT}: at W0 = 1e15 the gap used to read
+        # 0.2521 against 0.1511, and 1.2127 at 1e16
+        m = market()
+        got = {(c.gap, c.gap_stderr) for c in (
+            compare_strategies_mc(m, w0, 100_000, 5) for w0 in (0.0, 1.0, 1e15, 1e16))}
+        assert len(got) == 1
 
     @pytest.mark.parametrize("mu, gamma", [(3.0, 1.0), (3.5, 0.1), (3.78, 1.0), (3.78, 0.5)])
     def test_finite_below_the_exponent_bound(self, mu, gamma):
