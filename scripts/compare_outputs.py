@@ -43,6 +43,12 @@ COMMANDS = [
     ["report", "--input", "static/wealth.csv", "--base", "10", "--out", "report"],
     ["mvo", "--mu", "0.1,0.2", "--sigma", "1,0;0,1", "--target", "0.15", "--out", "mvo-flags"],
     ["mvo", "--input", CEV, "--target", "0.15", "--out", "mvo-input"],
+    # the definiteness rule: LAPACK stops (exit 4), a pivot at 1e-13 below
+    # the floor 1e-12 of the largest diagonal entry (exit 4), one above it
+    # (exit 0; at mu = (0.1, 0.2) its frontier would be degenerate)
+    *[["mvo", "--mu", "0.1,0", "--sigma", sigma, "--target", "0.15", "--out", f"mvo-{name}"]
+      for name, sigma in (("indefinite", "1,2;2,1"), ("below-floor", "1,0;0,1e-13"),
+                          ("above-floor", "1,0;0,2e-12"))],
     ["policy", "--type", "simple", "--mu", "0.125", "--sigma", "0.4472135954999579",
      "--horizon", "10", "--out", "policy-simple"],
     ["policy", "--type", "multi", "--mu", "0.1,0.14", "--sigma", "0.3,0;0.1,0.25",
@@ -105,8 +111,11 @@ COMMANDS = [
 # where over a quarter of the paths end absorbed; and a gain at alpha = 2.5
 # on inputs where Euler absorbs paths, and one at alpha = -4 from S0 = 1e200,
 # whose S0^-alpha overflows, each printing the error a tree raises in place
-# of the value.  Then each strategy's backtest wealth path, one CSV column each, on the
-# seeded 50 x 523 GBM panel of the `simulate` defaults, built through the
+# of the value.  Then StaticProblem's verdict, `ok` or the class of the
+# error, on diag(1, x) for x from 1e-13 to 1e-11 and on either side of the
+# floor 1e-12, and on a 3 x 3 family whose last pivot is x.  Then each
+# strategy's backtest wealth path, one CSV column each, on the seeded
+# 50 x 523 GBM panel of the `simulate` defaults, built through the
 # library: at 50 assets the CLI's simple, multi and cev backtests exit 4
 # before writing wealth.csv, so no command compares their money vectors.
 PROBES = {
@@ -145,6 +154,19 @@ PROBES = {
         "    print(repr(e.value), repr(e.stderr))\n"
         "except mvlab.errors.MvlabError as exc:\n"
         "    print(f'{type(exc).__name__}: {exc}')\n"),
+    "definiteness.txt": (
+        "import numpy as np\n"
+        "from mvlab.static_mvo import StaticProblem\n"
+        "grid = [np.diag([1.0, x]) for x in (*np.geomspace(1e-13, 1e-11, 9),\n"
+        "                                    np.nextafter(1e-12, 0), np.nextafter(1e-12, 1))]\n"
+        "grid += [np.array([[4.0, 2, 2], [2, 2, 1], [2, 1, 1 + x]])\n"
+        "         for x in (-0.5, 0.0, 1e-13, 4e-12, 1e-11)]\n"
+        "for sigma in grid:\n"
+        "    try:\n"
+        "        StaticProblem(mu=np.zeros(len(sigma)), sigma=sigma, target=0.0)\n"
+        "        print('ok')\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__)\n"),
     "backtest-wealth.csv": (
         "import sys\n"
         "import numpy as np\n"

@@ -24,11 +24,12 @@ Array = NDArray[np.float64]
 
 WEEKS_PER_YEAR = 52
 DEFAULT_BATCH_LEN = 26
-# The ridge rho = RIDGE_EPS * tr(Sigma)/N proves the pivot floor of
-# static_mvo.robust_cholesky for any finite PSD Sigma: each Cholesky pivot of
-# Sigma + rho I is a Schur complement, so >= lambda_min >= rho, and the floor
-# 1e-12 * max diag <= 1e-12 * (tr(Sigma) + rho) is below rho for N < ~10^6
-# (1e-18 against rho = 1e-6 at a zero trace).  Rounding moves a pivot by about
+# The ridge rho = RIDGE_EPS * tr(Sigma)/N gives lambda_min(Sigma + rho I) >= rho
+# for any finite PSD Sigma, so the backtest's solve is well posed and
+# StaticProblem's pivot floor is met: each Cholesky pivot is a Schur
+# complement, so >= lambda_min >= rho, and the floor 1e-12 * max diag <=
+# 1e-12 * (tr(Sigma) + rho) is below rho for N < ~10^6 (1e-18 against
+# rho = 1e-6 at a zero trace).  Rounding moves a pivot by about
 # N * eps * tr(Sigma), some 5e-7 * rho at N = 50.
 RIDGE_EPS = 1e-6
 

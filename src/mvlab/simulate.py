@@ -416,6 +416,11 @@ def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
     Simulates physical-measure CEV paths, evaluates the exact anticipated
     gain f along them, and pools one-step covariances.  A negative
     covariance should pair with a positive hedging demand and vice versa.
+    The covariance sign is 0 unless |corr| > 0.05, a fixed threshold and
+    not a significance level: over the paths * n_steps pooled pairs the
+    correlation's noise is of order 1/sqrt(paths * n_steps), about 0.002 at
+    4,000 paths x 64 steps, and only in order of magnitude, since the
+    antithetic pairs are not independent.
     The paths step on two streams (_run_halves), for alpha > 0 through
     _cev_implicit; the pooled pairs are half 0's, step by step, then half
     1's.

@@ -28,33 +28,6 @@ Array = NDArray[np.float64]
 _REL_TOL = 1e-12
 
 
-def robust_cholesky(sigma: Array) -> Array:
-    """Lower Cholesky factor of one matrix by LAPACK dpotrf, whose pivots
-    diag(L)^2 must clear a floor of 1e-12 times the largest diagonal entry.
-    Otherwise an unblocked Cholesky names the first pivot not above the
-    floor in a DefinitenessError, or the last if all clear it (LAPACK
-    rounded one within eps of zero the other way)."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    # fmax skips NaNs, so a NaN diagonal entry is named as its own pivot.
-    floor = _REL_TOL * float(np.fmax.reduce(np.diag(sigma), initial=0.0))
-    try:
-        L = np.linalg.cholesky(sigma)
-        # `>` rather than `not <=`, so a NaN pivot fails too.
-        if np.all(np.diag(L) ** 2 > floor):
-            return L
-    except np.linalg.LinAlgError:
-        pass
-    L = np.zeros_like(sigma)
-    for j in range(sigma.shape[0]):
-        pivot = sigma[j, j] - L[j, :j] @ L[j, :j]
-        if not pivot > floor:
-            break
-        L[j, j] = np.sqrt(pivot)
-        L[j + 1:, j] = (sigma[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    raise DefinitenessError(
-        f"covariance not positive definite: pivot {j} = {pivot:.3e} (floor {floor:.3e})")
-
-
 def _frontier_solve(solve: Solve, mu: Array) -> tuple[Array, Array, Array, Array]:
     """Sigma^-1 [1, mu] as an (..., N, 2) array, over any leading axes, with
     solve(b) = Sigma^-1 b, and the frontier constants a, b, c it gives."""
@@ -65,10 +38,11 @@ def _frontier_solve(solve: Solve, mu: Array) -> tuple[Array, Array, Array, Array
 
 
 def _discriminant(a, b, c):
-    """a*c - b^2, or SingularFrontierError naming the first degenerate entry:
-    its position in the flattened stack as `index` (None for a scalar)."""
+    """a*c - b^2, or SingularFrontierError naming the first degenerate entry,
+    one not above 1e-12 |a*c| (a NaN, where a*c overflows, too): its
+    position in the flattened stack as `index` (None for a scalar)."""
     disc = a * c - b * b
-    bad = np.flatnonzero(disc <= _REL_TOL * np.abs(a * c))
+    bad = np.flatnonzero(~(disc > _REL_TOL * np.abs(a * c)))
     if bad.size:
         raise SingularFrontierError(
             f"degenerate frontier: a*c - b^2 = {np.ravel(disc)[bad[0]]:.3e}",
@@ -113,8 +87,17 @@ class StaticProblem:
         asym = np.max(np.abs(self.sigma - self.sigma.T))
         if asym > _REL_TOL * np.abs(self.sigma).max():
             raise ValueError(f"sigma not symmetric: max |S_ij - S_ji| = {asym:.3e}")
-        # Positive definiteness is enforced eagerly so every instance is usable.
-        robust_cholesky(self.sigma)
+        # Positive definiteness is enforced eagerly so every instance is usable:
+        # LAPACK's Cholesky must succeed and each pivot diag(L)^2 clear a floor.
+        try:
+            pivots = np.linalg.cholesky(self.sigma).diagonal() ** 2
+        except np.linalg.LinAlgError:
+            raise DefinitenessError("covariance not positive definite") from None
+        floor = _REL_TOL * self.sigma.diagonal().max()
+        bad = np.flatnonzero(pivots <= floor)
+        if bad.size:
+            raise DefinitenessError(f"covariance not positive definite: pivot {bad[0]} = "
+                                    f"{pivots[bad[0]]:.3e} (floor {floor:.3e})")
 
     @property
     def n_assets(self) -> int:

@@ -97,7 +97,15 @@ def compare_strategies_mc(m: MarketParams, W0: float, paths: int,
     Each terminal wealth is W0 e^{rT} + (constant - draw)/gamma: e^{kappa^2 T}
     less u = xi_T e^{rT} = e^{-kappa^2 T/2 - kappa w_T} (precommitment), kappa^2 T
     less v = kappa w_T (time-consistent).  Only u and v are sampled, so the gap
-    and its stderr do not depend on W0, and u <= e^{kappa |w_T|} stays finite."""
+    and its stderr do not depend on W0, and u <= e^{kappa |w_T|} stays finite.
+
+    gap_stderr is the sample spread std(u - v)/(gamma sqrt(paths)); the exact
+    standard error is sqrt(e^{kappa^2 T} - 1 + 3 kappa^2 T)/(gamma sqrt(paths)).
+    At 100k paths they agree at kappa^2 T = 0.5 (0.00461 against 0.00464),
+    but u is lognormal with log-variance kappa^2 T, and above a few units of
+    it no draw reaches the tail that carries E[u]: the spread understates the
+    error (0.138 against 5.7 at 15, 0.029 against 1.5e6 at 40), and the gap
+    matches gap_analytic there only because of that, so it checks nothing."""
     paths = _check_count("paths", paths, MIN_PATHS)
     _check_entries("paths", paths)
     with np.errstate(over="ignore", divide="ignore"):  # log 0 = -inf passes

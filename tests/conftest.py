@@ -50,19 +50,6 @@ def random_pd_matrix(rng, n, jitter=0.1):
     return a @ a.T + jitter * np.eye(n)
 
 
-def loop_cholesky(sigma):
-    """Lower Cholesky factor by the textbook column loop, no LAPACK: an
-    independent reference for mvlab.static_mvo.robust_cholesky on positive
-    definite input."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    n = sigma.shape[0]
-    L = np.zeros_like(sigma)
-    for j in range(n):
-        L[j, j] = np.sqrt(sigma[j, j] - L[j, :j] @ L[j, :j])
-        L[j + 1:, j] = (sigma[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
 # ------------------------------------------- single-asset closed forms
 #
 # The equilibrium policies of one asset written out as scalar formulas,
@@ -142,7 +129,7 @@ def oracle_theta(cfg, est, prices_now, t_years, horizon):
         problem = static_mvo.StaticProblem(mu=est.mu_hat, sigma=sigma, target=cfg.target)
         return cfg.notional * static_mvo.solve_static_mvo(problem).omega, sigma
     if cfg.strategy in ("simple", "multi"):
-        m = MarketParams(mu=est.mu_hat, sigma=static_mvo.robust_cholesky(sigma),
+        m = MarketParams(mu=est.mu_hat, sigma=np.linalg.cholesky(sigma),
                          r=cfg.r, T=horizon, gamma=cfg.gamma)
         return simple_policy(m, t_years).theta, sigma
     vols = np.sqrt(np.diag(sigma))

@@ -10,7 +10,7 @@ from mvlab.dynamic_policy import MarketParams
 from mvlab.errors import DataError, DomainError, LedgerError, WarmupError
 from mvlab.simulate import SimConfig, gbm_paths
 
-from conftest import Ledger, accrue_step, loop_cholesky, oracle_backtest, rebalance_step
+from conftest import Ledger, accrue_step, oracle_backtest, rebalance_step
 
 
 def gbm_series(n_weeks=120, mu=0.125, sigma=np.sqrt(0.2), n_assets=1, seed=0):
@@ -364,15 +364,14 @@ class TestRunBacktest:
         path = run_backtest(prices, BacktestConfig(strategy="static", target=0.15))
         assert np.all(np.isfinite(path.wealth))
 
-    def test_static_wealth_matches_column_loop_cholesky(self, monkeypatch):
+    def test_static_wealth_matches_oracle_at_50_assets(self):
         # 50 assets > the 26-week batch: only the ridge keeps Sigma_hat
         # definite, at cond(Sigma_hat) ~ 1e6.  The batched kernel does not
-        # factorise; the oracle's per-week path does, in each StaticProblem,
-        # here with the textbook column loop in place of LAPACK.
+        # factorise; the oracle's per-week path checks each Sigma_hat's
+        # definiteness in its StaticProblem and solves it densely.
         prices = gbm_series(n_weeks=70, n_assets=50, seed=4)
         cfg = BacktestConfig(strategy="static", target=0.15)
         path = run_backtest(prices, cfg)
-        monkeypatch.setattr(static_mvo, "robust_cholesky", loop_cholesky)
         assert_matches_oracle(path, prices, cfg)
 
     def test_constant_bond_strategy_compounds(self):

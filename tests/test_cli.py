@@ -485,6 +485,13 @@ def panel_csv(weeks=60, n_assets=3, seed=0):
                  4, "overflow encountered", id="backtest-overflowing-notional"),
     pytest.param({}, ["mvo", "--mu", "0.1,0.2", "--sigma", "1,0;0,1", "--target", "1e308"], 4,
                  "overflow encountered", id="mvo-overflowing-target"),
+    # a covariance LAPACK cannot factorise, and one with a pivot below the
+    # floor 1e-12 of its largest diagonal entry, which is named
+    pytest.param({}, ["mvo", "--mu", "0.1,0.2", "--sigma", "1,2;2,1"], 4,
+                 "error: covariance not positive definite", id="mvo-indefinite-sigma"),
+    pytest.param({}, ["mvo", "--mu", "0.1,0.2", "--sigma", "1,0;0,1e-13"], 4,
+                 "error: covariance not positive definite: pivot 1 = 1.000e-13 (floor 1.000e-12)",
+                 id="mvo-pivot-below-floor"),
     # S0^(alpha/2), which scales --variance to the CEV sigma_bar, must be a
     # normal float
     pytest.param({}, ["simulate", "--model", "cev", "--s0", "1e-300", "--alpha", "5",

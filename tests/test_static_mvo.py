@@ -11,11 +11,10 @@ from mvlab.static_mvo import (
     frontier_variance,
     frontier_weights,
     kkt_oracle,
-    robust_cholesky,
     solve_static_mvo,
 )
 
-from conftest import loop_cholesky, random_pd_matrix
+from conftest import random_pd_matrix
 
 
 def random_problem(rng, n, target=None):
@@ -33,13 +32,18 @@ class TestInvariants:
             StaticProblem(mu=[0.1, 0.2], sigma=sigma, target=0.15)
 
     def test_rejects_indefinite_sigma(self):
+        # LAPACK stops at pivot 1 = 1 - 2^2 = -3; no pivot is named
         sigma = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(DefinitenessError, match="pivot"):
+        with pytest.raises(DefinitenessError, match="^covariance not positive definite$"):
             StaticProblem(mu=[0.1, 0.2], sigma=sigma, target=0.15)
 
     def test_rejects_nonfinite_mu(self):
         with pytest.raises(ValueError):
             StaticProblem(mu=[np.nan, 0.2], sigma=np.eye(2), target=0.15)
+
+    def test_nonfinite_sigma_refused_before_the_factorisation(self):
+        with pytest.raises(ValueError, match="^sigma must be finite$"):
+            StaticProblem(mu=[0.1, 0.2], sigma=[[1.0, 0.0], [0.0, np.nan]], target=0.15)
 
     @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_target(self, target):
@@ -71,61 +75,47 @@ class TestInvariants:
             StaticProblem(mu=[0.1, 0.2], sigma=sigma, target=0.15)
 
 
-class TestRobustCholesky:
-    def test_matches_column_loop(self, rng):
-        for n in (1, 2, 5, 10):
-            sigma = random_pd_matrix(rng, n)
-            L = robust_cholesky(sigma)
-            assert np.array_equal(L, np.tril(L))
-            np.testing.assert_allclose(L, loop_cholesky(sigma), rtol=0,
-                                       atol=1e-13 * np.linalg.cond(sigma))
+def static_problem(sigma):
+    return StaticProblem(mu=np.zeros(len(sigma)), sigma=sigma, target=0.0)
 
-    def test_matches_column_loop_on_ridged_batch_covariance(self, rng):
+
+class TestDefiniteness:
+    """StaticProblem accepts Sigma only when LAPACK factorises it and every
+    pivot diag(L)^2 is above 1e-12 of the largest diagonal entry."""
+
+    def test_accepts_ridged_batch_covariance(self, rng):
         # 50 assets, 26 observations: rank 25 plus the backtest's ridge.
         batch = rng.normal(size=(26, 50))
         sigma = 52 * np.cov(batch, rowvar=False)
         sigma += 1e-6 * np.trace(sigma) / 50 * np.eye(50)
-        L = robust_cholesky(sigma)
-        eps = np.finfo(float).eps
-        tol = 100 * eps * np.linalg.cond(sigma) * np.max(np.abs(L))
-        np.testing.assert_allclose(L, loop_cholesky(sigma), rtol=0, atol=tol)
-
-    def test_reads_lower_triangle_only(self):
-        sigma = np.array([[4.0, 100.0], [2.0, 3.0]])
-        np.testing.assert_allclose(robust_cholesky(sigma),
-                                   [[2.0, 0.0], [1.0, np.sqrt(2.0)]])
-
-    def test_nonpositive_pivot_named(self):
-        # LAPACK itself stops here: pivot 1 = 1 - 2^2 = -3.
-        sigma = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(DefinitenessError, match=r"pivot 1 = -3\.000e\+00"):
-            robust_cholesky(sigma)
+        static_problem(sigma)
 
     def test_positive_pivot_below_floor_named(self):
         # LAPACK factorises this; the floor (1e-12 x max diagonal) rejects it.
         with pytest.raises(DefinitenessError,
                            match=r"pivot 1 = 1\.000e-13 \(floor 1\.000e-12\)"):
-            robust_cholesky(np.diag([1.0, 1e-13]))
+            static_problem(np.diag([1.0, 1e-13]))
 
-    @pytest.mark.parametrize("last, value", [
-        (0.5, r"-5\.000e-01"),   # negative: LAPACK stops at pivot 2
-        (1.0, r"0\.000e\+00"),   # exactly zero: LAPACK stops at pivot 2
-        (1.0 + 1e-13, r"9\.992e-14"),   # positive below the floor 4e-12
+    def test_floor_itself_is_refused(self):
+        with pytest.raises(DefinitenessError, match=r"pivot 1 = 1\.000e-12 "):
+            static_problem(np.diag([1.0, 1e-12]))
+        static_problem(np.diag([1.0, np.nextafter(1e-12, 1.0)]))
+
+    @pytest.mark.parametrize("last, said", [
+        (0.5, "^covariance not positive definite$"),   # negative: LAPACK stops
+        (1.0, "^covariance not positive definite$"),   # exactly zero: LAPACK stops
+        (1.0 + 1e-13, r"pivot 2 = 9\.992e-14 "),   # positive below the floor 4e-12
     ])
-    def test_three_by_three_fails_at_pivot_2(self, last, value):
+    def test_three_by_three_refused_at_pivot_2(self, last, said):
         # Pivots 4 and 1, then last - 1 - 0.
         sigma = np.array([[4.0, 2.0, 2.0], [2.0, 2.0, 1.0], [2.0, 1.0, last]])
-        with pytest.raises(DefinitenessError, match=rf"pivot 2 = {value} "):
-            robust_cholesky(sigma)
+        with pytest.raises(DefinitenessError, match=said):
+            static_problem(sigma)
 
-    def test_first_failing_pivot_wins(self):
-        # Pivot 1 is below the floor before pivot 2 stops LAPACK.
-        with pytest.raises(DefinitenessError, match="pivot 1 = 1.000e-13"):
-            robust_cholesky(np.diag([1.0, 1e-13, -1.0]))
-
-    def test_rejects_nan(self):
-        with pytest.raises(DefinitenessError, match="pivot 1 = nan"):
-            robust_cholesky(np.array([[1.0, 0.0], [0.0, np.nan]]))
+    def test_lapack_stop_refused_after_a_low_pivot(self):
+        # Pivot 1 is below the floor, then pivot 2 stops LAPACK.
+        with pytest.raises(DefinitenessError, match="^covariance not positive definite$"):
+            static_problem(np.diag([1.0, 1e-13, -1.0]))
 
 
 class TestFrontierConstants:
@@ -314,3 +304,19 @@ class TestUnitsOfSigma:
         for solver in (solve_static_mvo, kkt_oracle):
             with pytest.raises(SingularFrontierError):
                 solver(p)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200])
+    def test_overflowing_discriminant_raises(self, scale):
+        # a*c overflows, so a*c - b^2 is NaN, which is no discriminant
+        p = twenty_asset_problem(scale)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SingularFrontierError, match="= nan$"):
+            solve_static_mvo(p)
+
+    def test_overflowing_discriminant_named_in_a_stack(self):
+        sigma = np.stack([twenty_asset_problem(s).sigma for s in (1.0, 1e-160, 1e-200)])
+        mu = np.broadcast_to(twenty_asset_problem(1.0).mu, (3, 20))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SingularFrontierError) as info:
+            frontier_weights(partial(np.linalg.solve, sigma), mu, 0.12)
+        assert info.value.index == 1

@@ -161,6 +161,17 @@ class TestCompareMc:
             compare_strategies_mc(m, w0, 100_000, 5) for w0 in (0.0, 1.0, 1e15, 1e16))}
         assert len(got) == 1
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stderr_matches_the_exact_standard_error(self, seed):
+        # kappa^2 T = 0.5, where the sample spread of u - v holds: the exact
+        # error is sqrt(e^{kappa^2 T} - 1 + 3 kappa^2 T)/(gamma sqrt(paths)),
+        # and the spread's own sampling error about 0.7%
+        m, paths = market(gamma=2.0), 100_000
+        k2T = m.sharpe**2 * m.T
+        exact = np.sqrt(np.expm1(k2T) + 3 * k2T) / (m.gamma * np.sqrt(paths))
+        cmpr = compare_strategies_mc(m, 1.0, paths, seed)
+        assert cmpr.gap_stderr == pytest.approx(exact, rel=0.05)
+
     @pytest.mark.parametrize("mu, gamma", [(3.0, 1.0), (3.5, 0.1), (3.78, 1.0), (3.78, 0.5)])
     def test_finite_below_the_exponent_bound(self, mu, gamma):
         # kappa^2 T = 442, 604 and 705: each gap sample is about
