@@ -49,6 +49,12 @@ COMMANDS = [
     *[["mvo", "--mu", "0.1,0", "--sigma", sigma, "--target", "0.15", "--out", f"mvo-{name}"]
       for name, sigma in (("indefinite", "1,2;2,1"), ("below-floor", "1,0;0,1e-13"),
                           ("above-floor", "1,0;0,2e-12"))],
+    # a*c beyond the float range, refused as degenerate (exit 4): it overflows
+    # at Sigma x 1e-160, and at Sigma x 1e160 it is subnormal
+    *[["mvo", "--mu", "0.1,0.2,0.15", "--sigma", sigma, "--target", "0.15",
+       "--out", f"mvo-{name}-ac"]
+      for name, sigma in (("overflowing", "1e-160,0,0;0,2e-160,0;0,0,3e-160"),
+                          ("subnormal", "1e160,0,0;0,2e160,0;0,0,3e160"))],
     ["policy", "--type", "simple", "--mu", "0.125", "--sigma", "0.4472135954999579",
      "--horizon", "10", "--out", "policy-simple"],
     ["policy", "--type", "multi", "--mu", "0.1,0.14", "--sigma", "0.3,0;0.1,0.25",
@@ -108,12 +114,13 @@ COMMANDS = [
 # McEstimate's value and stderr (the fields every tree's has), and the
 # covariance sign check at 2^17 paths x 16 steps, both at alpha = 1; two
 # gains at alpha = -1, which step Euler with its floor, the second on inputs
-# where over a quarter of the paths end absorbed; and a gain at alpha = 2.5
-# on inputs where Euler absorbs paths, and one at alpha = -4 from S0 = 1e200,
-# whose S0^-alpha overflows, each printing the error a tree raises in place
-# of the value.  Then StaticProblem's verdict, `ok` or the class of the
-# error, on diag(1, x) for x from 1e-13 to 1e-11 and on either side of the
-# floor 1e-12, and on a 3 x 3 family whose last pivot is x.  Then each
+# where over a quarter of the paths end absorbed; and a gain at alpha = 2.5,
+# which steps the implicit kernel (no floor) at an elasticity that is not an
+# integer, and one at alpha = -4 from S0 = 1e200, whose S0^-alpha overflows,
+# each printing the error a tree raises in place of the value.  Then
+# StaticProblem's verdict, `ok` or the class of the error, on diag(1, x) for
+# x from 1e-13 to 1e-11 and on either side of the floor 1e-12, and on a
+# 3 x 3 family whose last pivot is x.  Then each
 # strategy's backtest wealth path, one CSV column each, on the seeded
 # 50 x 523 GBM panel of the `simulate` defaults, built through the
 # library: at 50 assets the CLI's simple, multi and cev backtests exit 4

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -86,8 +87,7 @@ def _check_identity(bond: Array, stock: Array, wealth: Array, gross: Array):
             index=i)
 
 
-@dataclass(frozen=True)
-class WealthPath:
+class WealthPath(NamedTuple):
     times: Array
     wealth: Array
     bond: Array

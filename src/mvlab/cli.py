@@ -17,7 +17,6 @@ The MVLAB_OUT environment variable overrides the default output directory.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime as dt
 import functools
 import json
@@ -196,7 +195,7 @@ def cmd_backtest(args):
     wp = backtest.run_backtest(series, cfg)
     stats = metrics.perf_stats(wp, base=args.base)
     _save(args, "backtest", {"wealth.csv": lambda path: write_wealth_csv(path, wp),
-                             "stats.json": _json_writer(dataclasses.asdict(stats))})
+                             "stats.json": _json_writer(stats._asdict())})
 
 
 def cmd_mvo(args):
@@ -266,12 +265,12 @@ def cmd_compare_precommit(args):
         T=args.horizon, gamma=args.gamma)
     cmp_ = wealth_analysis.compare_strategies_mc(
         m, W0=args.w0, paths=args.paths, seed=args.seed)
-    _emit_json(args, "compare-precommit", dataclasses.asdict(cmp_))
+    _emit_json(args, "compare-precommit", cmp_._asdict())
 
 
 def cmd_report(args):
     wp = read_wealth_csv(args.input)
-    _emit_json(args, "report", dataclasses.asdict(metrics.perf_stats(wp, base=args.base)))
+    _emit_json(args, "report", metrics.perf_stats(wp, base=args.base)._asdict())
 
 
 # ------------------------------------------------------------- parser

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -180,8 +181,7 @@ class CevParams:
         return self.mu.size
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(NamedTuple):
     """Money amounts per asset, theta = myopic + hedging exactly."""
 
     myopic: Array
@@ -309,8 +309,7 @@ def cev_anticipated_gain_exact(c: CevParams, S: float | Array, t: float) -> floa
     return (mu - c.r) ** 2 / (c.gamma * sb * sb) * integral
 
 
-@dataclass(frozen=True)
-class LatticePolicy:
+class LatticePolicy(NamedTuple):
     """Equilibrium policy on a recombining binomial lattice.
 
     thetas[k][j] is the money invested at time k*dt in the node reached by

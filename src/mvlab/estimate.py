@@ -11,8 +11,8 @@ each batch without forming it when the assets outnumber the batch weeks.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,8 +34,7 @@ DEFAULT_BATCH_LEN = 26
 RIDGE_EPS = 1e-6
 
 
-@dataclass(frozen=True)
-class ParamEstimate:
+class ParamEstimate(NamedTuple):
     mu_hat: Array
     sigma_hat: Array
     batch_start: int

@@ -3,7 +3,7 @@ annualised standard deviation of wealth increments."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -14,8 +14,7 @@ from .estimate import WEEKS_PER_YEAR
 Array = NDArray[np.float64]
 
 
-@dataclass(frozen=True)
-class PerfStats:
+class PerfStats(NamedTuple):
     terminal_return: float
     max_drawdown: float
     std_dev: float

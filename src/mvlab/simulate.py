@@ -20,6 +20,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import takewhile
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -326,8 +327,7 @@ def rn_weights(m: MarketParams, times: Array, prices: Array) -> Array:
     return np.exp(-0.5 * kappa * kappa * T - kappa * w_T)
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """A Monte Carlo mean with its standard error, the steps taken and the
     fraction of paths that ended at the Euler absorption floor: 0 for a
     zero gain, which takes no step, and for alpha > 0, whose implicit step
@@ -401,8 +401,7 @@ def mc_anticipated_gain(c: CevParams, S0: float, t: float, paths: int, seed: int
                       absorbed=absorbed)
 
 
-@dataclass(frozen=True)
-class CovarianceSignReport:
+class CovarianceSignReport(NamedTuple):
     correlation: float
     covariance_sign: int
     hedging_sign: int

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamic_policy import Solve, _as_square, _as_vector, _check_fields
+from .dynamic_policy import _TINY, Solve, _as_square, _as_vector, _check_fields
 from .errors import DefinitenessError, SingularFrontierError
 
 Array = NDArray[np.float64]
@@ -38,16 +39,22 @@ def _frontier_solve(solve: Solve, mu: Array) -> tuple[Array, Array, Array, Array
 
 
 def _discriminant(a, b, c):
-    """a*c - b^2, or SingularFrontierError naming the first degenerate entry,
-    one not above 1e-12 |a*c| (a NaN, where a*c overflows, too): its
-    position in the flattened stack as `index` (None for a scalar)."""
-    disc = a * c - b * b
-    bad = np.flatnonzero(~(disc > _REL_TOL * np.abs(a * c)))
+    """a*c - b^2, or SingularFrontierError naming the first degenerate entry:
+    one not above 1e-12 |a*c| (a NaN, where a*c overflows, too), or one
+    whose |a*c| is below the normal float range, where a*c - b^2 has too
+    few digits left to be judged.  Its position in the flattened stack is
+    the error's `index` (None for a scalar)."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ac = a * c
+        disc = ac - b * b
+        clear = disc > _REL_TOL * np.abs(ac)
+    bad = np.flatnonzero(~clear | (np.abs(ac) < _TINY))
     if bad.size:
-        raise SingularFrontierError(
-            f"degenerate frontier: a*c - b^2 = {np.ravel(disc)[bad[0]]:.3e}",
-            index=int(bad[0]) if np.ndim(disc) else None,
-        )
+        i = bad[0]
+        what = (f"a*c - b^2 = {np.ravel(disc)[i]:.3e}" if not np.ravel(clear)[i] else
+                f"a*c = {np.ravel(ac)[i]:.3e} is below the normal float range")
+        raise SingularFrontierError(f"degenerate frontier: {what}",
+                                    index=int(i) if np.ndim(disc) else None)
     return disc
 
 
@@ -104,8 +111,7 @@ class StaticProblem:
         return self.mu.size
 
 
-@dataclass(frozen=True)
-class FrontierConstants:
+class FrontierConstants(NamedTuple):
     a: float
     b: float
     c: float
@@ -116,8 +122,7 @@ class FrontierConstants:
         return self.a * self.c - self.b * self.b
 
 
-@dataclass(frozen=True)
-class Weights:
+class Weights(NamedTuple):
     omega: Array
     lambda1: float
     lambda2: float

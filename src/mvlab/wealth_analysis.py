@@ -10,7 +10,7 @@ density.  The precommitment strategy dominates in time-0 expectation by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -24,8 +24,7 @@ MIN_PATHS = 10_000  # compare_strategies_mc's fewest paths
 _LOG_MAX = float(np.log(np.finfo(np.float64).max))  # the largest x with a finite e^x
 
 
-@dataclass(frozen=True)
-class WealthStats:
+class WealthStats(NamedTuple):
     mean: float
     variance: float
     value_function: float
@@ -72,8 +71,7 @@ def tc_terminal_wealth_sample(m: MarketParams, W0: float,
     return W0 * np.exp(m.r * m.T) + kappa**2 * m.T / m.gamma - kappa * w_T / m.gamma
 
 
-@dataclass(frozen=True)
-class StrategyComparison:
+class StrategyComparison(NamedTuple):
     mean_pre: float
     mean_tc: float
     gap: float

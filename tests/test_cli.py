@@ -492,6 +492,16 @@ def panel_csv(weeks=60, n_assets=3, seed=0):
     pytest.param({}, ["mvo", "--mu", "0.1,0.2", "--sigma", "1,0;0,1e-13"], 4,
                  "error: covariance not positive definite: pivot 1 = 1.000e-13 (floor 1.000e-12)",
                  id="mvo-pivot-below-floor"),
+    # a*c beyond the float range: it overflows at Sigma x 1e-160, and at
+    # Sigma x 1e160 it is subnormal, where a*c - b^2 cannot be judged
+    pytest.param({}, ["mvo", "--mu", "0.1,0.2,0.15", "--sigma",
+                      "1e-160,0,0;0,2e-160,0;0,0,3e-160", "--target", "0.15"], 4,
+                 "error: degenerate frontier: a*c - b^2 = nan",
+                 id="mvo-overflowing-discriminant"),
+    pytest.param({}, ["mvo", "--mu", "0.1,0.2,0.15", "--sigma",
+                      "1e160,0,0;0,2e160,0;0,0,3e160", "--target", "0.15"], 4,
+                 "error: degenerate frontier: a*c = 6.868e-322 is below the normal float range",
+                 id="mvo-subnormal-discriminant"),
     # S0^(alpha/2), which scales --variance to the CEV sigma_bar, must be a
     # normal float
     pytest.param({}, ["simulate", "--model", "cev", "--s0", "1e-300", "--alpha", "5",

@@ -279,11 +279,12 @@ class TestUnitsOfSigma:
     """Neither the closed form's degenerate-frontier test nor the KKT
     oracle's conditioning test may depend on the units of Sigma."""
 
-    @pytest.mark.parametrize("scale", [1e-14, 1e-11, 1e-9, 1e6, 1e8, 1e10, 1e20])
+    @pytest.mark.parametrize("scale", [1e-154, 1e-14, 1e-11, 1e-9, 1e6, 1e8, 1e10, 1e20, 1e153])
     def test_weights_do_not_move(self, scale):
         # a*c - b^2 was floored at 1e-12 (an absolute floor below |a*c| = 1),
         # so the closed form refused Sigma x 1e6 and above; the KKT oracle's
-        # cond(K) refused Sigma x 1e-14 and x 1e8 and above
+        # cond(K) refused Sigma x 1e-14 and x 1e8 and above.  The ends are
+        # those of the accepted range, |a*c| = 1.7e308 and 1.7e-306
         want = solve_static_mvo(twenty_asset_problem(1.0)).omega
         p = twenty_asset_problem(scale)
         np.testing.assert_allclose(solve_static_mvo(p).omega, want, rtol=0, atol=1e-15)
@@ -307,16 +308,30 @@ class TestUnitsOfSigma:
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-200])
     def test_overflowing_discriminant_raises(self, scale):
-        # a*c overflows, so a*c - b^2 is NaN, which is no discriminant
+        # a*c overflows, so a*c - b^2 is NaN, which is no discriminant; the
+        # overflow itself warns nowhere
         p = twenty_asset_problem(scale)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(SingularFrontierError, match="= nan$"):
+        with pytest.raises(SingularFrontierError, match="= nan$"):
             solve_static_mvo(p)
 
     def test_overflowing_discriminant_named_in_a_stack(self):
         sigma = np.stack([twenty_asset_problem(s).sigma for s in (1.0, 1e-160, 1e-200)])
         mu = np.broadcast_to(twenty_asset_problem(1.0).mu, (3, 20))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(SingularFrontierError) as info:
+        with pytest.raises(SingularFrontierError) as info:
             frontier_weights(partial(np.linalg.solve, sigma), mu, 0.12)
         assert info.value.index == 1
+
+    @pytest.mark.parametrize("scale", [1e154, 1e160])
+    def test_subnormal_discriminant_raises(self, scale):
+        # |a*c| is 1.7e-308 at Sigma x 1e154, below the smallest normal
+        # float 2.2e-308; at Sigma x 1e160 the closed form was 6.3e-5 off
+        with pytest.raises(SingularFrontierError, match=r"^degenerate frontier: a\*c = "
+                           r"\S+ is below the normal float range$"):
+            solve_static_mvo(twenty_asset_problem(scale))
+
+    def test_subnormal_discriminant_named_in_a_stack(self):
+        sigma = np.stack([twenty_asset_problem(s).sigma for s in (1.0, 1e153, 1e154, 1e160)])
+        mu = np.broadcast_to(twenty_asset_problem(1.0).mu, (4, 20))
+        with pytest.raises(SingularFrontierError, match="below the normal") as info:
+            frontier_weights(partial(np.linalg.solve, sigma), mu, 0.12)
+        assert info.value.index == 2
