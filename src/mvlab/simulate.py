@@ -17,6 +17,7 @@ host's cores (see _run_halves).
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from dataclasses import dataclass
 from itertools import takewhile
@@ -228,7 +229,8 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
     has no partner.  consume(steps, n, start) reads its state, which starts
     at the value `start`, after each step and returns a tuple of arrays.
     Half 0 runs on a pool's one worker (imported here, so that `import
-    mvlab` loads no concurrent.futures), half 1 on this thread, at once
+    mvlab` loads no concurrent.futures) in a copy of this thread's context,
+    so under the caller's np.errstate, and half 1 on this thread, at once
     because standard_normal and large ufuncs release the GIL.  There are
     always two streams, so a one-core host computes the same bits.  If a
     half raises, the other stops at its next step; the worker is joined
@@ -264,7 +266,7 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
             raise
 
     with ThreadPoolExecutor(1, thread_name_prefix="mvlab-half") as pool:
-        future = pool.submit(half, 0)
+        future = pool.submit(contextvars.copy_context().run, half, 0)
         try:
             second = half(1)
         finally:

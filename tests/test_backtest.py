@@ -1,4 +1,8 @@
+import sys
+import threading
+import time
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -266,9 +270,11 @@ class TestBlockWeeks:
 
     def test_fifty_assets_split_evenly(self, monkeypatch):
         # the README panel's 496 decision weeks: 2**19 // (50 x 50) = 209
-        # weeks fit a block, so they take three
+        # weeks fit a block, so one lane would take three; they run on two
+        # lanes of 248, and 2**18 // (50 x 50) = 104 fit a lane's block
         assert backtest._block_weeks(496, 50, 26) == 166
-        assert self.block_sizes(monkeypatch, 50, 523) == [166, 166, 164]
+        assert backtest._block_weeks(248, 50, 26, lanes=2) == 83
+        assert sorted(self.block_sizes(monkeypatch, 50, 523)) == [82, 82, 83, 83, 83, 83]
 
     @pytest.mark.parametrize("n_assets", [1, 10, 26, 50, 144, 145, 724, 725, 2000])
     @pytest.mark.parametrize("n_weeks", [1, 172, 496, 5000])
@@ -280,6 +286,168 @@ class TestBlockWeeks:
         # no fewer blocks would fit the budget
         blocks = -(-n_weeks // k)
         assert blocks == 1 or -(-n_weeks // (blocks - 1)) * week > backtest.BLOCK_ENTRIES
+
+
+class InlineThread:
+    """A threading.Thread stand-in that runs its target at start, on the
+    calling thread, as a one-core host in effect does."""
+
+    def __init__(self, target, args=(), name=None):
+        self.target, self.args = target, args
+
+    def start(self):
+        self.target(*self.args)
+
+    def join(self):
+        pass
+
+
+def recording_blocks(monkeypatch, record):
+    """Patches _block_theta to call record(rows) on the thread computing
+    each block before computing it."""
+    block_theta = backtest._block_theta
+
+    def recorded(cfg, returns, prices, rows, horizon):
+        record(rows)
+        return block_theta(cfg, returns, prices, rows, horizon)
+
+    monkeypatch.setattr(backtest, "_block_theta", recorded)
+
+
+class TestLanes:
+    """A panel that needs more than one block runs the later half of its
+    decision weeks on a worker thread, the earlier half on the caller's."""
+
+    @pytest.mark.parametrize("strategy", backtest.STRATEGIES)
+    def test_same_bits_inline_and_in_one_block(self, monkeypatch, strategy):
+        prices, cfg = gbm_series(n_weeks=523, n_assets=50), BacktestConfig(strategy=strategy)
+        paths = [run_backtest(prices, cfg)]
+        with monkeypatch.context() as m:
+            m.setattr(backtest, "threading",
+                      SimpleNamespace(Thread=InlineThread, Event=threading.Event))
+            paths.append(run_backtest(prices, cfg))
+        monkeypatch.setattr(backtest, "BLOCK_ENTRIES", 2**24)
+        blocks = []
+        recording_blocks(monkeypatch, blocks.append)
+        paths.append(run_backtest(prices, cfg))
+        assert len(blocks) == 1
+        for path in paths[1:]:
+            for field in ("wealth", "bond", "stock_value"):
+                assert np.array_equal(getattr(path, field), getattr(paths[0], field))
+
+    def test_one_worker_joined_on_return(self, monkeypatch):
+        baseline = threading.active_count()
+        seen = []
+        recording_blocks(monkeypatch, lambda rows: seen.append(
+            (threading.current_thread(), threading.active_count())))
+        run_backtest(gbm_series(n_weeks=523, n_assets=50), BacktestConfig(strategy="static"))
+        assert threading.active_count() == baseline
+        workers = {thread for thread, _ in seen} - {threading.current_thread()}
+        assert [thread.name for thread in workers] == ["mvlab-lane"]
+        assert len(seen) == 6 and {count for _, count in seen} <= {baseline, baseline + 1}
+
+    @pytest.mark.parametrize("n_assets, n_weeks, strategy", [
+        (10, 199, "simple"),   # criterion 09's shape: one block
+        (50, 523, lambda est, p, t, T: np.zeros(p.size)),
+    ])
+    def test_one_block_or_callable_runs_on_the_caller(self, monkeypatch,
+                                                      n_assets, n_weeks, strategy):
+        seen = []
+        recording_blocks(monkeypatch, lambda rows: seen.append(threading.current_thread()))
+        run_backtest(gbm_series(n_weeks=n_weeks, n_assets=n_assets),
+                     BacktestConfig(strategy=strategy))
+        assert seen and set(seen) == {threading.current_thread()}
+
+    def test_caller_lane_error_wins(self, monkeypatch):
+        # the worker fails in its first block before the caller's lane
+        # fails in its second; the weeks in order fail at the caller's first
+        worker_failed, caller_blocks = threading.Event(), []
+
+        def failing(cfg, returns, prices, rows, horizon):
+            if threading.current_thread().name == "mvlab-lane":
+                worker_failed.set()
+                raise DomainError("worker", index=0)
+            caller_blocks.append(rows)
+            if len(caller_blocks) == 2:
+                assert worker_failed.wait(10)
+                raise DomainError("caller", index=1)
+            return np.zeros((rows.size, 50))
+
+        monkeypatch.setattr(backtest, "_block_theta", failing)
+        with pytest.raises(DomainError) as info:
+            run_backtest(gbm_series(n_weeks=523, n_assets=50), BacktestConfig())
+        assert str(info.value) == f"decision week {caller_blocks[1][1]}: caller"
+
+    def test_worker_error_raised_after_the_caller_lane(self, monkeypatch):
+        caller_blocks, worker_rows = [], []
+
+        def failing(cfg, returns, prices, rows, horizon):
+            if threading.current_thread().name == "mvlab-lane":
+                worker_rows.append(rows)
+                raise DomainError("worker", index=2)
+            caller_blocks.append(rows)
+            return np.zeros((rows.size, 50))
+
+        monkeypatch.setattr(backtest, "_block_theta", failing)
+        with pytest.raises(DomainError) as info:
+            run_backtest(gbm_series(n_weeks=523, n_assets=50), BacktestConfig())
+        assert str(info.value) == f"decision week {worker_rows[0][2]}: worker"
+        assert len(caller_blocks) == 3 and len(worker_rows) == 1
+
+    def test_interrupt_stops_the_worker(self, monkeypatch):
+        baseline = threading.active_count()
+        started, interrupted, worker_blocks = threading.Event(), threading.Event(), []
+
+        def interrupting(cfg, returns, prices, rows, horizon):
+            if threading.current_thread().name == "mvlab-lane":
+                worker_blocks.append(rows)
+                if len(worker_blocks) == 1:
+                    started.set()
+                    # let the caller's lane unwind and stop the worker
+                    assert interrupted.wait(10)
+                    time.sleep(0.1)
+                return np.zeros((rows.size, 50))
+            assert started.wait(10)
+            interrupted.set()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(backtest, "_block_theta", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            run_backtest(gbm_series(n_weeks=523, n_assets=50), BacktestConfig())
+        assert threading.active_count() == baseline
+        assert len(worker_blocks) == 1
+
+    def test_concurrent_runs_keep_their_bits(self):
+        # three callers at once (six threads on two cores) under a short
+        # switch interval: two runs share no state
+        prices, cfg = gbm_series(n_weeks=523, n_assets=50), BacktestConfig(strategy="multi")
+        want, got = run_backtest(prices, cfg).wealth, [None] * 3
+
+        def run(i):
+            got[i] = run_backtest(prices, cfg).wealth
+
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert all(np.array_equal(wealth, want) for wealth in got)
+
+    def test_blocks_step_under_the_callers_errstate(self, monkeypatch):
+        seen = []
+        recording_blocks(monkeypatch, lambda rows: seen.append(
+            (threading.current_thread().name, np.geterr())))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            outer = np.geterr()
+            run_backtest(gbm_series(n_weeks=523, n_assets=50), BacktestConfig())
+        assert {name for name, _ in seen} == {threading.current_thread().name, "mvlab-lane"}
+        assert all(errs == outer for _, errs in seen)
 
 
 class TestConfig:

@@ -503,6 +503,21 @@ class TestTwoStreams:
         assert [run() for run in runs] == threaded
         assert {name for name, _ in seen} == {threading.current_thread().name}
 
+    def test_both_halves_step_under_the_callers_errstate(self):
+        # the CLI runs every command under np.errstate(..., divide="raise")
+        seen = []
+
+        def consume(steps, n, start):
+            for _ in steps:
+                pass
+            seen.append((threading.current_thread().name, np.geterr()["divide"]))
+            return ()
+
+        with np.errstate(divide="raise"):
+            simulate._run_halves(0, 1000, consume, 1.0, 0.05, 0.2, 0.0, 0.01, 4)
+        assert len({name for name, _ in seen}) == 2
+        assert [divide for _, divide in seen] == ["raise", "raise"]
+
     def test_one_thread_per_run_stopped_after_the_last_step(self, monkeypatch):
         baseline = threading.active_count()
         seen = stepping_threads(monkeypatch)
