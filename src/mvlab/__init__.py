@@ -42,9 +42,6 @@ from .wealth_analysis import (
     WealthStats,
     analytic_gap,
     compare_strategies_mc,
-    precommitment_wealth,
-    price_density_sample,
-    tc_terminal_wealth_sample,
     tc_wealth_stats,
 )
 

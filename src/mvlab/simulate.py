@@ -5,9 +5,11 @@ use Euler-Maruyama with an absorption floor.  Both can be generated under the
 physical measure (drift mu) or the hedge-neutral measure (drift r).  The
 module also provides Radon-Nikodym reweighting from the physical to the
 hedge-neutral measure, the Monte Carlo anticipated-gain estimator and the
-covariance sign diagnostic of the CEV hedging demand.  A CEV panel steps
-through the Euler kernel `_cev_euler`.  The Monte Carlo runner `_run_halves`
-steps alpha <= 0 through it too, and alpha > 0 through `_cev_implicit`.
+covariance sign diagnostic of the CEV hedging demand.  A CEV panel draws
+all its normals at once and steps each row from the one before it by the
+Euler step `_euler_step`; an asset that touches its floor stays there.  The
+Monte Carlo runner `_run_halves` steps alpha <= 0 through the same step, in
+the generator `_cev_euler`, and alpha > 0 through `_cev_implicit`.
 
 Determinism: identical (config, seed) yields bit-identical output.  A panel
 or an ensemble draws from one numpy Generator seeded by the caller; the two
@@ -132,31 +134,37 @@ def gbm_paths(m: MarketParams, cfg: SimConfig) -> PriceSeries:
     return PriceSeries(prices=prices)
 
 
+def _euler_step(s, z, out, drift_dt, sigma_bar, half_alpha, sqdt, floor):
+    """One Euler-Maruyama step of dS/S = drift dt + sigma_bar S^(alpha/2) dw
+    from the state s on the standard normals z, written to `out` (not s):
+    max(s + s * (drift_dt + sigma_bar s^half_alpha sqdt z), floor), with the
+    operations taken in that order, so its bits are that expression's."""
+    np.power(s, half_alpha, out=out)
+    out *= sigma_bar
+    out *= sqdt
+    out *= z
+    out += drift_dt
+    out *= s
+    out += s
+    np.maximum(out, floor, out=out)
+
+
 def _cev_euler(s, drift, sigma_bar, alpha, dt: float, n_steps: int, draw):
-    """Euler-Maruyama steps of dS/S = drift dt + sigma_bar S^(alpha/2) dw
-    for the state s (one price per path or asset), draw(out) filling `out`
-    with each step's standard normals.  Yields s, stepped in place, after
-    each step; the caller checks the final state with _check_stable.
+    """_euler_step applied n_steps times to the state s (one price per
+    path), draw(out) filling `out` with each step's standard normals.
+    Yields s, stepped in place, after each step; the caller checks the
+    final state with _check_stable.
 
     An entry that touches its floor, ABSORPTION_REL_FLOOR times its value
     in s before the first step, is absorbed and stays there, so its return
-    over any later step is exactly 0.  The step reuses its buffers but
-    takes the operations of s + s * (drift dt + sigma_bar s^(alpha/2)
-    sqrt(dt) z) in their order, so its bits are that expression's.
+    over any later step is exactly 0.
     """
     floor = ABSORPTION_REL_FLOOR * s
     z, step, alive = np.empty(s.shape), np.empty(s.shape), np.empty(s.shape, dtype=bool)
     half_alpha, sqdt, drift_dt = alpha / 2.0, np.sqrt(dt), drift * dt
     for _ in range(n_steps):
         draw(z)
-        np.power(s, half_alpha, out=step)
-        step *= sigma_bar
-        step *= sqdt
-        step *= z
-        step += drift_dt
-        step *= s
-        step += s
-        np.maximum(step, floor, out=step)
+        _euler_step(s, z, step, drift_dt, sigma_bar, half_alpha, sqdt, floor)
         np.copyto(s, step, where=np.greater(s, floor, out=alive))
         yield s
 
@@ -199,7 +207,7 @@ def _check_finite(s) -> float:
 
 def _check_stable(s, s0, alpha) -> float:
     """_check_finite, then an InstabilityError if more than half the
-    entries of the final Euler state s are absorbed at _cev_euler's floor
+    entries of the final Euler state s are absorbed at the Euler floor
     ABSORPTION_REL_FLOOR * s0 for the start s0, or if any with alpha > 0
     is (that process never reaches 0); else the fraction absorbed."""
     _check_finite(s)
@@ -278,22 +286,30 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
 def cev_paths(c: CevParams, cfg: SimConfig) -> PriceSeries:
     """One panel of CEV prices via Euler-Maruyama with an absorption floor.
 
-    Paths that touch floor = 1e-8 * s0 are absorbed there (see _cev_euler).
-    Draws from one Generator seeded with cfg.seed, one row of normals a step.
+    Draws all the panel's normals at once from one Generator seeded with
+    cfg.seed, the same numbers in the same order as one row a step, and
+    correlates each row by its own vector-matrix product.  Each row steps
+    from the one before it by _euler_step.  An asset that touches its floor,
+    1e-8 of its s0, stays there: every later price of it is set to the
+    floor once the panel is stepped, as _cev_euler's mask would hold it.
     """
     if cfg.n_assets != c.n_assets:
         raise ValueError("config and market disagree on asset count")
     drift = c.mu if cfg.measure == PHYSICAL else np.full(c.n_assets, c.r)
     L = _corr_factor(c.corr)
     rng = np.random.default_rng(cfg.seed)
+    # a stack of (1, N) @ (N, N) products has the per-row product's bits,
+    # where one (n_steps, N) @ (N, N) product can differ in the last bit
+    shocks = np.matmul(rng.standard_normal((cfg.n_steps, 1, c.n_assets)), L.T)[:, 0]
     prices = np.empty((cfg.n_steps + 1, c.n_assets))
-    prices[0] = s = cfg.s0.copy()
-    steps = _cev_euler(s, drift, c.sigma_bar, c.alpha, cfg.dt, cfg.n_steps,
-                       lambda out: np.matmul(rng.standard_normal(c.n_assets), L.T, out=out))
+    prices[0] = cfg.s0
+    floor = ABSORPTION_REL_FLOOR * cfg.s0
+    half_alpha, sqdt, drift_dt = c.alpha / 2.0, np.sqrt(cfg.dt), drift * cfg.dt
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, s in enumerate(steps, start=1):
-            prices[k] = s
-    _check_stable(s, cfg.s0, c.alpha)
+        for s, z, out in zip(prices, shocks, prices[1:]):
+            _euler_step(s, z, out, drift_dt, c.sigma_bar, half_alpha, sqdt, floor)
+    np.copyto(prices, floor, where=np.logical_or.accumulate(prices <= floor, axis=0))
+    _check_stable(prices[-1], cfg.s0, c.alpha)
     return PriceSeries(prices=prices)
 
 

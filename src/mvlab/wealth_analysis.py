@@ -13,12 +13,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .dynamic_policy import MarketParams, _check_count, _check_entries
 from .errors import DomainError
-
-Array = NDArray[np.float64]
 
 MIN_PATHS = 10_000  # compare_strategies_mc's fewest paths
 _LOG_MAX = float(np.log(np.finfo(np.float64).max))  # the largest x with a finite e^x
@@ -41,34 +38,6 @@ def tc_wealth_stats(m: MarketParams, W0: float) -> WealthStats:
     variance = k2T / m.gamma**2
     return WealthStats(mean=float(mean), variance=float(variance),
                        value_function=float(mean - 0.5 * m.gamma * variance))
-
-
-def price_density_sample(m: MarketParams, w_T: float | Array) -> float | Array:
-    """State-price density xi_T = exp(-rT - kappa^2 T / 2 - kappa w_T)
-    (xi_0 = 1) for a Brownian draw or an array of them."""
-    kappa = m.sharpe
-    return np.exp(-m.r * m.T - 0.5 * kappa**2 * m.T - kappa * w_T)
-
-
-def precommitment_wealth(m: MarketParams, W0: float, xi_T: float | Array) -> float | Array:
-    """Realised terminal wealth of the precommitment optimizer.
-
-    W_hat = W0 e^{rT} + (1/gamma) e^{kappa^2 T} - (1/gamma) xi_T e^{rT}.
-    """
-    k2T = m.sharpe**2 * m.T
-    erT = np.exp(m.r * m.T)
-    return W0 * erT + np.exp(k2T) / m.gamma - xi_T * erT / m.gamma
-
-
-def tc_terminal_wealth_sample(m: MarketParams, W0: float,
-                              w_T: float | Array) -> float | Array:
-    """Realised terminal wealth of the time-consistent strategy.
-
-    Affine in the Brownian draw: W* = W0 e^{rT} + kappa^2 T/gamma - kappa w_T/gamma,
-    so its moments match tc_wealth_stats exactly.
-    """
-    kappa = m.sharpe
-    return W0 * np.exp(m.r * m.T) + kappa**2 * m.T / m.gamma - kappa * w_T / m.gamma
 
 
 class StrategyComparison(NamedTuple):

@@ -76,6 +76,39 @@ def cev_scalar_policy(mu, sigma_bar, alpha, r, T, gamma, S, t):
     return myopic, -kappa_sq / gamma * rate * disc
 
 
+# ------------------------------------------------- terminal-wealth draws
+#
+# The two strategies' terminal wealths as formulas of one Brownian draw,
+# apart from mvlab.wealth_analysis, which samples only their affine forms,
+# so that the tests can check its moments and its comparison against them.
+
+def price_density_sample(m, w_T):
+    """State-price density xi_T = exp(-rT - kappa^2 T / 2 - kappa w_T)
+    (xi_0 = 1) for a Brownian draw or an array of them."""
+    kappa = m.sharpe
+    return np.exp(-m.r * m.T - 0.5 * kappa**2 * m.T - kappa * w_T)
+
+
+def precommitment_wealth(m, W0, xi_T):
+    """Realised terminal wealth of the precommitment optimizer.
+
+    W_hat = W0 e^{rT} + (1/gamma) e^{kappa^2 T} - (1/gamma) xi_T e^{rT}.
+    """
+    k2T = m.sharpe**2 * m.T
+    erT = np.exp(m.r * m.T)
+    return W0 * erT + np.exp(k2T) / m.gamma - xi_T * erT / m.gamma
+
+
+def tc_terminal_wealth_sample(m, W0, w_T):
+    """Realised terminal wealth of the time-consistent strategy.
+
+    Affine in the Brownian draw: W* = W0 e^{rT} + kappa^2 T/gamma - kappa w_T/gamma,
+    so its moments match tc_wealth_stats exactly.
+    """
+    kappa = m.sharpe
+    return W0 * np.exp(m.r * m.T) + kappa**2 * m.T / m.gamma - kappa * w_T / m.gamma
+
+
 # ------------------------------------------------------- ledger oracle
 #
 # The weekly backtest one step at a time, written apart from

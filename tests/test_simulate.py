@@ -101,6 +101,13 @@ def cev1(mu=0.125, sigma_bar=0.2, alpha=1.0, r=0.025, T=1.0, gamma=1.0):
     return CevParams.single(mu, sigma_bar, alpha, r, T, gamma)
 
 
+# runs a test as it is and again under the floating-point traps that the
+# CLI runs every command under
+both_errstates = pytest.mark.parametrize(
+    "errstate", [{}, dict(over="raise", invalid="raise", divide="raise")],
+    ids=["default", "cli-errstate"])
+
+
 def euler_loop(c, config):
     """Step-by-step Euler-Maruyama reference for cev_paths: one draw of
     correlated normals per week, paths absorbed at 1e-8 * s0."""
@@ -142,6 +149,34 @@ class TestCevPaths:
         assert np.array_equal(prices, euler_loop(c, config))
         assert prices[-1, 1] == 1e-8 and np.all(prices[-1, [0, 2]] > 0.5)
 
+    @both_errstates
+    @pytest.mark.parametrize("n_assets, n_steps", [(1, 200), (10, 200), (50, 523)])
+    def test_workload_shapes_match_step_by_step_euler(self, n_assets, n_steps, errstate):
+        # the benchmark's CEV panels: equicorrelated assets with variance
+        # 0.02 at s0 = 100; the panel's stacked (1, N) @ (N, N) products
+        # must have the bits of the reference's one product a week
+        corr = np.full((n_assets, n_assets), 0.05)
+        np.fill_diagonal(corr, 1.0)
+        c = CevParams(mu=np.full(n_assets, 0.125), sigma_bar=np.full(n_assets, np.sqrt(2e-4)),
+                      alpha=1.0, corr=corr, r=0.025, T=n_steps / 52, gamma=1.0)
+        config = SimConfig(n_assets=n_assets, n_steps=n_steps, dt=1 / 52, s0=100.0, seed=5)
+        with np.errstate(**errstate):
+            prices = cev_paths(c, config).prices
+        assert np.array_equal(prices, euler_loop(c, config))
+
+    @both_errstates
+    def test_absorbed_asset_at_negative_alpha_stays_at_its_floor(self, errstate):
+        # the middle asset touches its floor at week 80 and is held there for
+        # the 20 weeks after, where an unheld Euler step would move it
+        c = CevParams(mu=[0.1, 0.1, 0.1], sigma_bar=[0.2, 2.0, 0.2], alpha=-1.0,
+                      corr=np.eye(3), r=0.025, T=2.0, gamma=1.0)
+        config = SimConfig(n_assets=3, n_steps=100, dt=1 / 52, s0=1.0, seed=0)
+        with np.errstate(**errstate):
+            prices = cev_paths(c, config).prices
+        assert np.array_equal(prices, euler_loop(c, config))
+        assert np.all(prices[80:, 1] == 1e-8) and prices[79, 1] > 1e-8
+        assert np.all(prices[-1, [0, 2]] > 0.5)
+
     def test_absorbing_panel_with_unequal_starts(self):
         # each asset's floor is 1e-8 of its own start: the middle one, at
         # s0 = 2, ends at 2e-8, while the others' floors are 1e-8 and 5e-9
@@ -174,10 +209,12 @@ class TestCevPaths:
         b = cev_paths(c, cfg(seed=3))
         np.testing.assert_array_equal(a.prices, b.prices)
 
-    def test_absorption_floor(self):
+    @both_errstates
+    def test_absorption_floor(self, errstate):
         # violent negative elasticity: vol blows up as S falls
         c = cev1(mu=-2.0, sigma_bar=3.0, alpha=-1.5, T=1.0)
-        with pytest.raises(InstabilityError):
+        with np.errstate(**errstate), pytest.raises(InstabilityError,
+                                                   match="^1 of 1 paths absorbed"):
             cev_paths(c, SimConfig(n_assets=1, n_steps=260, dt=1 / 52,
                                    s0=0.01, seed=1))
 
@@ -190,11 +227,12 @@ class TestCevPaths:
         with pytest.raises(InstabilityError, match="1 of 3 paths absorbed"):
             cev_paths(c, SimConfig(n_assets=3, n_steps=100, dt=1 / 52, s0=1.0, seed=1))
 
-    def test_diverging_panel_is_unstable(self):
+    @both_errstates
+    def test_diverging_panel_is_unstable(self, errstate):
         # alpha = 2.5 at dt = 10/64: this seed's Euler path overflows before
         # it steps below zero (the Monte Carlo runs step alpha > 0 implicitly)
         c = CevParams.single(0.125, 0.3, 2.5, 0.025, 10.0, 1.0)
-        with pytest.raises(InstabilityError, match="diverged"):
+        with np.errstate(**errstate), pytest.raises(InstabilityError, match="^CEV steps diverged"):
             cev_paths(c, SimConfig(n_assets=1, n_steps=64, dt=10 / 64, s0=1.0, seed=78))
 
     def test_hedge_neutral_drift(self):
@@ -529,10 +567,18 @@ class TestTwoStreams:
         assert names.count(threading.current_thread().name) == 10
         assert {count for _, count in seen} == {baseline + 1}
 
-    def test_small_state_draws_in_the_loop(self, monkeypatch):
-        # a price panel steps on the calling thread from one Generator
+    def test_price_panel_steps_on_the_calling_thread(self, monkeypatch):
+        # a price panel steps its rows through the shared Euler step, each on
+        # the calling thread, and starts no worker
         baseline = threading.active_count()
-        seen = stepping_threads(monkeypatch)
+        seen = []
+        step = simulate._euler_step
+
+        def recorded(*args):
+            seen.append((threading.current_thread().name, threading.active_count()))
+            return step(*args)
+
+        monkeypatch.setattr(simulate, "_euler_step", recorded)
         cev_paths(cev1(), cfg(n_steps=4))
         assert seen == [(threading.current_thread().name, baseline)] * 4
 

@@ -5,11 +5,10 @@ from mvlab.dynamic_policy import MarketParams
 from mvlab.wealth_analysis import (
     analytic_gap,
     compare_strategies_mc,
-    precommitment_wealth,
-    price_density_sample,
-    tc_terminal_wealth_sample,
     tc_wealth_stats,
 )
+
+from conftest import precommitment_wealth, price_density_sample, tc_terminal_wealth_sample
 
 
 def market(mu=0.125, sigma=np.sqrt(0.2), r=0.025, T=10.0, gamma=1.0):
