@@ -26,15 +26,15 @@ at a time.
 A named strategy's panel that needs more than one block, and whose week
 fits half of BLOCK_ENTRIES (N <= 512 at L = 26), runs on two lanes: the
 earlier half of its decision weeks on the calling thread, the later half
-on one worker thread, each lane in blocks that fit half the budget (see
-_on_two_lanes).  A week's theta does not depend on how the weeks are
-grouped, so the outputs are the same bits on one lane or two.  A callable
-strategy is called in week order on the calling thread.
+on the worker of simulate._on_two_threads (the Monte Carlo's runner too),
+each lane in blocks that fit half the budget (see _on_two_lanes).  A
+week's theta does not depend on how the weeks are grouped, so the outputs
+are the same bits on one lane or two.  A callable strategy is called in
+week order on the calling thread.
 """
 
 from __future__ import annotations
 
-import contextvars
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -46,7 +46,7 @@ from numpy.typing import NDArray
 
 from . import dynamic_policy, estimate, static_mvo
 from .errors import LedgerError, MvlabError, WarmupError
-from .simulate import PriceSeries
+from .simulate import PriceSeries, _on_two_threads
 
 Array = NDArray[np.float64]
 
@@ -181,41 +181,18 @@ def _fill_theta(cfg: BacktestConfig, returns: Array, prices: Array, horizon: flo
 
 def _on_two_lanes(lane, rows: Array, theta: Array, n_assets: int, batch_len: int) -> None:
     """Run `lane` (a partial _fill_theta) on the earlier half of the
-    decision weeks on this thread and on the later half on one worker
-    thread, each in blocks that fit half of BLOCK_ENTRIES, so the two
-    blocks in flight hold no more than one block of a single lane.
-
-    The batched solves and matmuls release the GIL, so the lanes overlap;
-    a week's theta does not depend on how the weeks are grouped, so the
-    outputs are the same bits as on one lane.  The worker runs in a copy
-    of this thread's context, so it steps under the caller's np.errstate.
-    The error raised is the one the weeks in order raise: an error here
-    (KeyboardInterrupt included) stops the worker before its next block,
-    and the worker's error is raised only once this lane has finished
-    clean.  The worker is joined either way."""
+    decision weeks on this thread and on the later half on the worker of
+    simulate._on_two_threads, each in blocks that fit half of BLOCK_ENTRIES,
+    so the two blocks in flight hold no more than one block of a single
+    lane.  The worker's lane does not set stop when it fails, so this
+    lane's earlier weeks still run, and the error raised is the one the
+    weeks in order raise."""
     mid = rows.size // 2
-    stop, failed = threading.Event(), []
-
-    def later():
-        try:
-            lane(rows[mid:], theta[mid:],
-                 _block_weeks(rows.size - mid, n_assets, batch_len, 2), stop)
-        except BaseException as exc:  # raised on the calling thread below
-            failed.append(exc)
-
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(later,),
-                              name="mvlab-lane")
-    worker.start()
-    try:
-        lane(rows[:mid], theta[:mid],
-             _block_weeks(mid, n_assets, batch_len, 2), stop)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
+    earlier = partial(lane, rows[:mid], theta[:mid],
+                      _block_weeks(mid, n_assets, batch_len, 2))
+    later = partial(lane, rows[mid:], theta[mid:],
+                    _block_weeks(rows.size - mid, n_assets, batch_len, 2))
+    _on_two_threads(earlier, later, "mvlab-lane")
 
 
 def _block_weeks(n_weeks: int, n_assets: int, batch_len: int, lanes: int = 1) -> int:

@@ -14,7 +14,8 @@ the generator `_cev_euler`, and alpha > 0 through `_cev_implicit`.
 Determinism: identical (config, seed) yields bit-identical output.  A panel
 or an ensemble draws from one numpy Generator seeded by the caller; the two
 Monte Carlo runs draw from two streams spawned from the seed, whatever the
-host's cores (see _run_halves).
+host's cores (see _run_halves), and step at once on two threads through
+_on_two_threads, the one runner that the backtest's lanes share.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import contextvars
 import threading
 from dataclasses import dataclass
+from functools import partial
 from itertools import takewhile
 from typing import NamedTuple
 
@@ -218,6 +220,36 @@ def _check_stable(s, s0, alpha) -> float:
     return float(np.mean(absorbed))
 
 
+def _on_two_threads(first, second, name: str) -> tuple:
+    """(first(stop), second(stop)), `first` run on this thread while
+    `second` runs on one worker thread named `name`, in a copy of this
+    thread's context (so under its np.errstate); the worker is always
+    joined.  Both parts get one stop Event, check it between their steps
+    and choose whether their own failure sets it.  Caller first: an error
+    of `first` (KeyboardInterrupt included) sets stop and is raised, else
+    an error of `second` is."""
+    stop, failed, done = threading.Event(), [], []
+
+    def run():
+        try:
+            done.append(second(stop))
+        except BaseException as exc:  # raised on the calling thread below
+            failed.append(exc)
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run,), name=name)
+    worker.start()
+    try:
+        mine = first(stop)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    return mine, done[0]
+
+
 def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alpha,
                 dt: float, n_steps: int) -> list:
     """Steps `paths` CEV paths from the price s0 in two halves at once and
@@ -236,13 +268,10 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
     normals of path i < n // 2 (antithetic pairs), and for odd n path h - 1
     has no partner.  consume(steps, n, start) reads its state, which starts
     at the value `start`, after each step and returns a tuple of arrays.
-    Half 0 runs on a pool's one worker (imported here, so that `import
-    mvlab` loads no concurrent.futures) in a copy of this thread's context,
-    so under the caller's np.errstate, and half 1 on this thread, at once
-    because standard_normal and large ufuncs release the GIL.  There are
-    always two streams, so a one-core host computes the same bits.  If a
-    half raises, the other stops at its next step; the worker is joined
-    either way.
+    Half 0 steps on _on_two_threads' worker and half 1 on this thread, at
+    once, as standard_normal and large ufuncs release the GIL; a one-core
+    host computes the same bits from the same two streams.  A half that
+    raises sets stop, so the other stops at its next step.
     """
     if alpha > 0:
         if 1.0 + 0.5 * alpha * drift * dt <= 0:
@@ -251,12 +280,10 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
         start, kernel, check = float(np.power(s0, -alpha / 2.0)), _cev_implicit, _check_finite
     else:
         start, kernel, check = s0, _cev_euler, lambda s: _check_stable(s, s0, alpha)
-    from concurrent.futures import ThreadPoolExecutor
     children = np.random.SeedSequence(seed).spawn(2)
     sizes = (paths // 2, paths - paths // 2)
-    stop = threading.Event()
 
-    def half(k):
+    def half(k, stop):
         rng, n = np.random.default_rng(children[k]), sizes[k]
         h = n - n // 2
 
@@ -273,13 +300,8 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
             stop.set()
             raise
 
-    with ThreadPoolExecutor(1, thread_name_prefix="mvlab-half") as pool:
-        future = pool.submit(contextvars.copy_context().run, half, 0)
-        try:
-            second = half(1)
-        finally:
-            first = future.result()
-    state, *arrays = [np.concatenate(parts) for parts in zip(first, second)]
+    one, zero = _on_two_threads(partial(half, 1), partial(half, 0), "mvlab-half")
+    state, *arrays = [np.concatenate(parts) for parts in zip(zero, one)]
     return [check(state), *arrays]
 
 

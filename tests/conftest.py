@@ -1,9 +1,11 @@
+import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mvlab import backtest, estimate, static_mvo
+from mvlab import backtest, estimate, simulate, static_mvo
 from mvlab.dynamic_policy import CevParams, MarketParams, cev_policy, simple_policy
 from mvlab.errors import DataError
 
@@ -42,6 +44,29 @@ def implicit_step(x, z, drift, sigma_bar, alpha, dt):
     c_dt = 0.25 * alpha * (alpha + 2.0) * sigma_bar * sigma_bar * dt
     root = np.sqrt(beta * beta + 2.0 * k * c_dt)
     return (beta + root) * (1.0 / (2.0 * k))
+
+
+def inline_threads(monkeypatch):
+    """Patches the thread of the two-thread runner, simulate._on_two_threads,
+    with a stand-in that runs its target at start, on the calling thread, as
+    a one-core host in effect does; returns the names of the stand-ins
+    started, in order."""
+    started = []
+
+    class InlineThread:
+        def __init__(self, target, args=(), name=None):
+            self.target, self.args, self.name = target, args, name
+
+        def start(self):
+            started.append(self.name)
+            self.target(*self.args)
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(simulate, "threading",
+                        SimpleNamespace(Thread=InlineThread, Event=threading.Event))
+    return started
 
 
 def random_pd_matrix(rng, n, jitter=0.1):

@@ -2,7 +2,6 @@ import sys
 import threading
 import time
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from mvlab.dynamic_policy import MarketParams
 from mvlab.errors import DataError, DomainError, LedgerError, WarmupError
 from mvlab.simulate import SimConfig, gbm_paths
 
-from conftest import Ledger, accrue_step, oracle_backtest, rebalance_step
+from conftest import Ledger, accrue_step, inline_threads, oracle_backtest, rebalance_step
 
 
 def gbm_series(n_weeks=120, mu=0.125, sigma=np.sqrt(0.2), n_assets=1, seed=0):
@@ -288,20 +287,6 @@ class TestBlockWeeks:
         assert blocks == 1 or -(-n_weeks // (blocks - 1)) * week > backtest.BLOCK_ENTRIES
 
 
-class InlineThread:
-    """A threading.Thread stand-in that runs its target at start, on the
-    calling thread, as a one-core host in effect does."""
-
-    def __init__(self, target, args=(), name=None):
-        self.target, self.args = target, args
-
-    def start(self):
-        self.target(*self.args)
-
-    def join(self):
-        pass
-
-
 def recording_blocks(monkeypatch, record):
     """Patches _block_theta to call record(rows) on the thread computing
     each block before computing it."""
@@ -323,9 +308,9 @@ class TestLanes:
         prices, cfg = gbm_series(n_weeks=523, n_assets=50), BacktestConfig(strategy=strategy)
         paths = [run_backtest(prices, cfg)]
         with monkeypatch.context() as m:
-            m.setattr(backtest, "threading",
-                      SimpleNamespace(Thread=InlineThread, Event=threading.Event))
+            started = inline_threads(m)
             paths.append(run_backtest(prices, cfg))
+        assert started == ["mvlab-lane"]
         monkeypatch.setattr(backtest, "BLOCK_ENTRIES", 2**24)
         blocks = []
         recording_blocks(monkeypatch, blocks.append)

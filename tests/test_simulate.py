@@ -31,7 +31,7 @@ from mvlab.simulate import (
 )
 from mvlab.wealth_analysis import compare_strategies_mc
 
-from conftest import antithetic_normals, implicit_step, two_streams
+from conftest import antithetic_normals, implicit_step, inline_threads, two_streams
 
 
 def cfg(n_assets=1, n_steps=52, dt=1 / 52, s0=1.0, seed=0, measure=PHYSICAL):
@@ -483,29 +483,6 @@ def stepping_threads(monkeypatch):
     return seen
 
 
-class InlineExecutor:
-    """A ThreadPoolExecutor stand-in that runs each task at submit, as a
-    one-core host in effect does."""
-
-    def __init__(self, *args, **kwargs):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        from concurrent.futures import Future
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
-
 class TestTwoStreams:
     """The two-stream Monte Carlo: half 0 of the paths draws and steps on a
     worker thread while half 1 does on the calling thread."""
@@ -531,14 +508,14 @@ class TestTwoStreams:
         assert (est.value, est.stderr, est.absorbed) == mc_gain_loop(c, 1.3, 2000, 4, 16)
 
     def test_half_zero_inline_gives_the_same_bits(self, monkeypatch):
-        import concurrent.futures
         c = cev1()
         runs = [lambda: mc_anticipated_gain(c, 1.0, 0.0, 4001, 7, n_steps=16),
                 lambda: simulate.hedging_covariance_check(c, 1.3, 0.2, 4001, 4, n_steps=16)]
         threaded = [run() for run in runs]
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
+        started = inline_threads(monkeypatch)
         seen = stepping_threads(monkeypatch)
         assert [run() for run in runs] == threaded
+        assert started == ["mvlab-half"] * 2
         assert {name for name, _ in seen} == {threading.current_thread().name}
 
     def test_both_halves_step_under_the_callers_errstate(self):
@@ -556,6 +533,29 @@ class TestTwoStreams:
         assert len({name for name, _ in seen}) == 2
         assert [divide for _, divide in seen] == ["raise", "raise"]
 
+    def test_caller_half_error_wins(self):
+        # the worker's half fails at its first step, the caller's at its
+        # third, while the worker is inside its step; both fail, and the
+        # error raised is the caller's
+        baseline = threading.active_count()
+        worker_inside, caller_failed = threading.Event(), threading.Event()
+
+        def consume(steps, n, start):
+            for k, _ in enumerate(steps, start=1):
+                if threading.current_thread().name.startswith("mvlab-half"):
+                    worker_inside.set()
+                    assert caller_failed.wait(10)
+                    raise RuntimeError("worker half")
+                if k == 3:
+                    assert worker_inside.wait(10)
+                    caller_failed.set()
+                    raise RuntimeError("caller half")
+            return ()
+
+        with pytest.raises(RuntimeError, match="^caller half$"):
+            simulate._run_halves(0, 1000, consume, 1.0, 0.05, 0.2, 0.0, 0.01, 4)
+        assert threading.active_count() == baseline
+
     def test_one_thread_per_run_stopped_after_the_last_step(self, monkeypatch):
         baseline = threading.active_count()
         seen = stepping_threads(monkeypatch)
@@ -565,7 +565,12 @@ class TestTwoStreams:
         worker = {name for name in names if name.startswith("mvlab-half")}
         assert len(worker) == 1 and len(names) == 20
         assert names.count(threading.current_thread().name) == 10
-        assert {count for _, count in seen} == {baseline + 1}
+        # every step up to the worker's last sees the worker alive; the
+        # worker ends with its half, so only the caller's steps after that
+        # may count one thread fewer
+        last = max(i for i, (name, _) in enumerate(seen) if name in worker)
+        assert {count for _, count in seen[:last + 1]} == {baseline + 1}
+        assert {count for _, count in seen[last + 1:]} <= {baseline, baseline + 1}
 
     def test_price_panel_steps_on_the_calling_thread(self, monkeypatch):
         # a price panel steps its rows through the shared Euler step, each on
@@ -674,8 +679,9 @@ class TestTwoStreams:
             assert bufs[0].base.size == n
 
     def test_cli_import_leaves_concurrent_futures_out(self):
-        # scipy is a test dependency only; concurrent.futures is loaded by a
-        # two-stream Monte Carlo, not by the import or by a price panel
+        # scipy is a test dependency only; the two-thread runner uses a
+        # plain thread, so neither the import, a price panel nor a
+        # two-stream Monte Carlo loads concurrent.futures
         code = ("import sys, mvlab.cli\n"
                 "print([m in sys.modules for m in ('concurrent.futures', 'scipy')])\n"
                 "c = mvlab.CevParams.single(0.125, 0.2, 1.0, 0.025, 1.0, 1.0)\n"
@@ -686,7 +692,7 @@ class TestTwoStreams:
         src = os.path.dirname(os.path.dirname(simulate.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-        assert out == "[False, False]\nFalse\nTrue\n"
+        assert out == "[False, False]\nFalse\nFalse\n"
 
 
 def exact_cir_step(rng, y, drift, sigma_bar, alpha, dt):
