@@ -34,6 +34,9 @@ COMMANDS = [
      "--alpha", "1", "--seed", "1", "--out", "cev"],
     ["simulate", "--assets", "5", "--weeks", "100", "--measure", "hedge_neutral",
      "--seed", "2", "--out", "hedge-neutral"],
+    # 4 of the 10 assets end absorbed at the Euler floor 1e-8 * S0 = 1e-6
+    ["simulate", "--model", "cev", "--alpha", "-1", "--variance", "0.5", "--assets", "10",
+     "--weeks", "200", "--seed", "2", "--out", "cev-absorbed"],
     ["backtest", "--input", GBM, "--strategy", "static", "--base", "10", "--out", "static"],
     ["backtest", "--input", CEV, "--strategy", "cev", "--alpha", "1", "--base", "1000",
      "--out", "bt-cev"],

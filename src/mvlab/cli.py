@@ -42,20 +42,21 @@ _WEALTH_HEADER = "week_index,time_years,wealth,bond,stock_value"
 
 def write_price_csv(path, series: simulate.PriceSeries):
     """Write a 'date,A000,A001,...' price CSV, one row a week from _START_DATE."""
-    with open(path, "w") as fh:
-        fh.write("date," + ",".join(f"A{i:03d}" for i in range(series.n_assets)) + "\n")
-        for k in range(series.prices.shape[0]):
-            day = _START_DATE + dt.timedelta(weeks=k)
-            row = ",".join(_FLOAT_FMT % v for v in series.prices[k])
-            fh.write(f"{day.isoformat()},{row}\n")
+    days = [(_START_DATE + dt.timedelta(weeks=k)).isoformat() for k in range(len(series.prices))]
+    np.savetxt(path, np.column_stack([np.array(days, dtype=object), series.prices.astype(object)]),
+               fmt=["%s"] + [_FLOAT_FMT] * series.n_assets, delimiter=",", comments="",
+               header="date," + ",".join(f"A{i:03d}" for i in range(series.n_assets)))
 
 
 def _csv_lines(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """The header fields of a CSV file and its data lines as (1-based file
-    line number, fields); blank lines are skipped, and each data line must
-    have as many fields as the header."""
-    with open(path) as fh:
-        lines = [(n, ln.strip().split(",")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    """The header fields of a UTF-8 CSV file (a BOM is skipped) and its data
+    lines as (1-based file line number, fields); blank lines are skipped, and
+    each data line must have as many fields as the header."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = [(n, ln.strip().split(",")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     header = lines[0][1] if lines else []
     for lineno, fields in lines[1:]:
         if len(fields) != len(header):
@@ -153,9 +154,8 @@ def cmd_simulate(args):
     if n > 1 and not -1.0 / (n - 1) <= args.corr <= 1.0:  # where corr below is PSD
         raise DataError(f"--corr {args.corr} is outside [{-1.0 / (n - 1):g}, 1] for {n} assets")
     T = args.weeks / estimate.WEEKS_PER_YEAR
-    cfg = simulate.SimConfig(n_assets=n, n_steps=args.weeks, dt=backtest.DT,
-                             s0=s0, seed=args.seed,
-                             measure=args.measure)
+    cfg = simulate.SimConfig(n_assets=n, n_steps=args.weeks, dt=backtest.DT, s0=s0,
+                             seed=args.seed, measure=args.measure)
     dynamic_policy._check_entries("correlation matrix", n * n)
     corr = np.full((n, n), args.corr)
     np.fill_diagonal(corr, 1.0)
@@ -214,8 +214,7 @@ def cmd_mvo(args):
     problem = static_mvo.StaticProblem(mu=mu, sigma=sigma, target=args.target)
     fc = static_mvo.frontier_constants(problem)
     w = static_mvo.solve_static_mvo(problem)
-    residual = float(np.max(np.abs(
-        sigma @ w.omega - w.lambda1 * np.ones(mu.size) - w.lambda2 * mu)))
+    residual = float(np.max(np.abs(sigma @ w.omega - w.lambda1 - w.lambda2 * mu)))
     result = {
         "omega": list(w.omega),
         "lambda1": w.lambda1,
@@ -399,9 +398,9 @@ def _config_flags(parser, path: str) -> list[str]:
     """Each `key=value` line of a config file as `--key=value` (`_` in a
     key read as `-`); blank lines and `#` comments are skipped."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read config {path}: {exc}")
     flags = []
     for lineno, ln in enumerate(lines, start=1):

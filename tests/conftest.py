@@ -46,6 +46,14 @@ def implicit_step(x, z, drift, sigma_bar, alpha, dt):
     return (beta + root) * (1.0 / (2.0 * k))
 
 
+def euler_step(s, z, drift, sigma_bar, alpha, dt, floor):
+    """One Euler-Maruyama step of the CEV price dS/S = drift dt + sigma_bar
+    S^(alpha/2) dw on the normals z; a price at or below floor stays where
+    it is, and a step that falls below floor stops at it."""
+    step = s + s * (drift * dt + sigma_bar * s ** (alpha / 2.0) * np.sqrt(dt) * z)
+    return np.where(s > floor, np.maximum(step, floor), s)
+
+
 def inline_threads(monkeypatch):
     """Patches the thread of the two-thread runner, simulate._on_two_threads,
     with a stand-in that runs its target at start, on the calling thread, as

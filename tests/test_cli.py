@@ -299,13 +299,69 @@ class TestPlumbing:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["seed"] == 9
 
-    def test_price_csv_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        prices = np.exp(rng.normal(0, 0.2, size=(20, 3)))
+    @pytest.mark.parametrize("prices, header", [
+        pytest.param(np.exp(np.random.default_rng(0).normal(0, 0.2, size=(20, 3))),
+                     "date,A000,A001,A002", id="three-assets"),
+        pytest.param(np.exp(np.random.default_rng(1).normal(0, 0.2, size=(20, 1))),
+                     "date,A000", id="one-asset"),
+        # the smallest subnormal, tiny, the Euler floor, a sum that is not
+        # 0.3, the largest float and 1 + 2^-52, which needs 17 digits
+        pytest.param(np.array([[5e-324, 1e-300, 1e-6],
+                               [0.1 + 0.2, 1.7976931348623157e308, np.nextafter(1.0, 2.0)]]),
+                     "date,A000,A001,A002", id="extremes"),
+    ])
+    def test_price_csv_roundtrip_exact(self, tmp_path, prices, header):
         path = tmp_path / "p.csv"
         write_price_csv(path, PriceSeries(prices=prices))
         np.testing.assert_array_equal(read_price_csv(path).prices, prices)
-        assert path.read_text().splitlines()[0] == "date,A000,A001,A002"
+        # the whole text: ISO dates 7 days apart from 2007-10-29, then each
+        # price as %.17g
+        days = np.datetime64("2007-10-29") + 7 * np.arange(len(prices))
+        rows = [f"{day}," + ",".join("%.17g" % x for x in row)
+                for day, row in zip(days, prices.tolist())]
+        assert path.read_text() == "\n".join([header, *rows]) + "\n"
+
+    def test_csvs_and_config_with_a_byte_order_mark_read_as_without(self, tmp_path):
+        # spreadsheets save UTF-8 text with a leading byte-order mark
+        sim, bt = tmp_path / "sim", tmp_path / "bt"
+        assert main(["simulate", "--assets", "2", "--weeks", "80", "--seed", "5",
+                     "--out", str(sim)]) == 0
+        assert main(["backtest", "--input", str(sim / "prices.csv"), "--base", "10",
+                     "--out", str(bt)]) == 0
+
+        def with_bom(path):
+            marked = path.with_name("bom-" + path.name)
+            marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            return marked
+
+        np.testing.assert_array_equal(read_price_csv(with_bom(sim / "prices.csv")).prices,
+                                      read_price_csv(sim / "prices.csv").prices)
+        np.testing.assert_array_equal(np.array(read_wealth_csv(with_bom(bt / "wealth.csv"))),
+                                      np.array(read_wealth_csv(bt / "wealth.csv")))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("assets=3\n")
+        assert main(["simulate", "--config", str(with_bom(cfg)), "--weeks", "5",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert read_price_csv(tmp_path / "o" / "prices.csv").prices.shape == (6, 3)
+
+    @pytest.mark.parametrize("command", ["backtest", "report"])
+    def test_csv_that_is_not_utf8_is_data_error_naming_it(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("date,Pr\xe9x\n2007-10-29,1.0\n".encode("latin-1"))
+        code, cap = run([command, "--input", str(path), "--out", str(tmp_path / "o")], capsys)
+        assert code == 3
+        assert cap.err == f"error: {path}: not UTF-8 text (invalid continuation byte)\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# caf\xe9\nassets=2\n".encode("latin-1"))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert (f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xe9"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_warmup_and_protocol_errors_exit_3_as_data_errors(self):
         assert issubclass(WarmupError, DataError) and issubclass(ProtocolError, DataError)

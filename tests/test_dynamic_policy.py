@@ -25,6 +25,7 @@ from mvlab.simulate import hedging_covariance_check, mc_anticipated_gain
 from conftest import (
     antithetic_normals,
     cev_scalar_policy,
+    euler_step,
     gbm_scalar_policy,
     implicit_step,
     two_streams,
@@ -317,8 +318,7 @@ def hedging_loop(c, S, t, paths, seed, n_steps):
         for k in range(1, n_steps + 1):
             z = antithetic_normals(rng, n)
             alive = s > 1e-8 * S
-            step = s + s * (c.mu[0] * dt + c.sigma_bar[0] * s ** (alpha / 2.0) * np.sqrt(dt) * z)
-            s_new = np.where(alive, np.maximum(step, 1e-8 * S), s)
+            s_new = euler_step(s, z, c.mu[0], c.sigma_bar[0], alpha, dt, 1e-8 * S)
             f_new = cev_anticipated_gain_exact(c, s_new, t + k * dt)
             rets.append(np.where(alive, s_new / s - 1.0, 0.0))
             dfs.append(f_new - f)

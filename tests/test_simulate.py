@@ -31,7 +31,7 @@ from mvlab.simulate import (
 )
 from mvlab.wealth_analysis import compare_strategies_mc
 
-from conftest import antithetic_normals, implicit_step, inline_threads, two_streams
+from conftest import antithetic_normals, euler_step, implicit_step, inline_threads, two_streams
 
 
 def cfg(n_assets=1, n_steps=52, dt=1 / 52, s0=1.0, seed=0, measure=PHYSICAL):
@@ -119,9 +119,7 @@ def euler_loop(c, config):
     rows = [s]
     for _ in range(config.n_steps):
         z = rng.standard_normal(c.n_assets) @ L.T
-        vol = c.sigma_bar * s ** (c.alpha / 2.0)
-        step = s + s * (drift * config.dt + vol * np.sqrt(config.dt) * z)
-        s = np.where(s > floor, np.maximum(step, floor), s)
+        s = euler_step(s, z, drift, c.sigma_bar, c.alpha, config.dt, floor)
         rows.append(s)
     return np.array(rows)
 
@@ -422,9 +420,7 @@ def mc_gain_loop(c, S0, paths, seed, n_steps):
         s = np.full(n, S0)
         acc = np.zeros(n)
         for _ in range(n_steps):
-            z = antithetic_normals(rng, n)
-            step = s + s * (c.r * dt + sb * s ** (alpha / 2.0) * np.sqrt(dt) * z)
-            s = np.where(s > floor, np.maximum(step, floor), s)
+            s = euler_step(s, antithetic_normals(rng, n), c.r, sb, alpha, dt, floor)
             acc = acc + s ** (-alpha)
         accs.append((acc + 0.5 * (np.power(S0, -alpha) - s ** (-alpha))) * (coef * dt))
         ends.append(s)
