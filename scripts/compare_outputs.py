@@ -128,6 +128,26 @@ COMMANDS = [
 # 50 x 523 GBM panel of the `simulate` defaults, built through the
 # library: at 50 assets the CLI's simple, multi and cev backtests exit 4
 # before writing wealth.csv, so no command compares their money vectors.
+# Then the static wealth paths of a sweep in one process: the panels of
+# seeds 0 and 1 at targets 10, 15 and 20% and at 15% with notional 2.5,
+# then panel 0 at 15% after one of its prices changed in place.  Most of
+# these calls reuse the frontier table of the call before them, so equal
+# bits show that a reused table gives the bits of a fresh solve.
+README_PANEL = (
+    "import sys\n"
+    "import numpy as np\n"
+    "import mvlab\n"
+    "n, weeks = 50, 523\n"
+    "corr = np.full((n, n), 0.05)\n"
+    "np.fill_diagonal(corr, 1.0)\n"
+    "loading = np.sqrt(0.2) * np.linalg.cholesky(corr)\n"
+    "m = mvlab.MarketParams(mu=np.full(n, 0.125), sigma=loading, r=0.025,\n"
+    "                       T=weeks / 52, gamma=1.0)\n"
+    "def readme_panel(seed):\n"
+    "    cfg = mvlab.SimConfig(n_assets=n, n_steps=weeks, dt=1 / 52,\n"
+    "                          s0=np.full(n, 100.0), seed=seed)\n"
+    "    return mvlab.gbm_paths(m, cfg)\n")
+
 PROBES = {
     "criterion07-mc.txt": (
         "import mvlab\n"
@@ -177,24 +197,27 @@ PROBES = {
         "        print('ok')\n"
         "    except Exception as exc:\n"
         "        print(type(exc).__name__)\n"),
-    "backtest-wealth.csv": (
-        "import sys\n"
-        "import numpy as np\n"
-        "import mvlab\n"
-        "n, weeks = 50, 523\n"
-        "corr = np.full((n, n), 0.05)\n"
-        "np.fill_diagonal(corr, 1.0)\n"
-        "loading = np.sqrt(0.2) * np.linalg.cholesky(corr)\n"
-        "m = mvlab.MarketParams(mu=np.full(n, 0.125), sigma=loading, r=0.025,\n"
-        "                       T=weeks / 52, gamma=1.0)\n"
-        "cfg = mvlab.SimConfig(n_assets=n, n_steps=weeks, dt=1 / 52,\n"
-        "                      s0=np.full(n, 100.0), seed=0)\n"
-        "panel = mvlab.gbm_paths(m, cfg)\n"
+    "backtest-wealth.csv": README_PANEL + (
+        "panel = readme_panel(0)\n"
         "strategies = ('static', 'simple', 'multi', 'cev')\n"
         "wealth = [mvlab.run_backtest(panel, mvlab.BacktestConfig(strategy=s, alpha=1.0)).wealth\n"
         "          for s in strategies]\n"
         "np.savetxt(sys.stdout, np.column_stack(wealth), fmt='%.17g', delimiter=',',\n"
         "           header=','.join(strategies), comments='')\n"),
+    "static-sweep.csv": README_PANEL + (
+        "panels = [readme_panel(seed) for seed in (0, 1)]\n"
+        "header, wealth = [], []\n"
+        "def run(i, target, notional=1.0):\n"
+        "    cfg = mvlab.BacktestConfig(strategy='static', target=target, notional=notional)\n"
+        "    wealth.append(mvlab.run_backtest(panels[i], cfg).wealth)\n"
+        "    header.append(f'panel{i}@{target}x{notional}')\n"
+        "for i in (0, 1):\n"
+        "    for target, notional in ((0.10, 1.0), (0.15, 1.0), (0.20, 1.0), (0.15, 2.5)):\n"
+        "        run(i, target, notional)\n"
+        "panels[0].prices[300, 7] *= 1.001\n"
+        "run(0, 0.15)\n"
+        "np.savetxt(sys.stdout, np.column_stack(wealth), fmt='%.17g', delimiter=',',\n"
+        "           header=','.join(header), comments='')\n"),
 }
 
 RUNS = [" ".join(argv) for argv in COMMANDS] + [f"probe {name}" for name in PROBES]

@@ -31,6 +31,18 @@ each lane in blocks that fit half the budget (see _on_two_lanes).  A
 week's theta does not depend on how the weeks are grouped, so the outputs
 are the same bits on one lane or two.  A callable strategy is called in
 week order on the calling thread.
+
+For N > 1 the static strategy's weights are affine in the target through
+Sigma^-1 [1, mu] and the frontier constants a, b, c (static_mvo._frontier_solve),
+so its block stages compute that table and the target step runs over all of
+it afterwards.  The module keeps one entry, (batch_len, a read-only copy of
+the prices, table), for the last static panel solved, about 0.6 MB at
+50 x 523.  A static call with the same batch_len and equal prices (compared
+after to_returns has passed them: finite and positive, so equal values are
+equal bits, and a panel changed in place misses) skips the block stages.  A
+miss empties the entry and stores the new one only once every block has
+passed.  The entry is replaced as one tuple, so a call on another thread
+reads the old entry or the new one.
 """
 
 from __future__ import annotations
@@ -55,6 +67,9 @@ STRATEGIES = ("static", "simple", "multi", "cev")
 BLOCK_ENTRIES = 2**19
 LEDGER_TOL = 1e-9
 DT = 1.0 / estimate.WEEKS_PER_YEAR
+
+# (batch_len, prices, frontier table) of the last static panel solved
+_memo = None
 
 
 @dataclass(frozen=True)
@@ -108,7 +123,9 @@ class WealthPath(NamedTuple):
 
 def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
                  rows: Array, horizon: float) -> Array:
-    """Money vectors (k, N) of the strategy at decision rows `rows`."""
+    """Money vectors (k, N) of the strategy at decision rows `rows`; for
+    the static strategy on N > 1 assets, the rows of its frontier table
+    (see _frontier_table) instead."""
     prices_now = prices[rows]
     if callable(cfg.strategy):
         mu, sigma = estimate.rolling_estimates(returns, rows, cfg.batch_len)
@@ -126,7 +143,11 @@ def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
         if mu.shape[1] == 1:
             # A single asset cannot generally hit the target; invest fully.
             return np.full((rows.size, 1), cfg.notional)
-        return cfg.notional * static_mvo.frontier_weights(solve, mu, cfg.target)[0]
+        inv, a, b, c = static_mvo._frontier_solve(solve, mu)
+        static_mvo._discriminant(a, b, c)  # name a degenerate week in its block
+        table = np.empty(rows.size, _table_dtype(mu.shape[1]))
+        table["inv"], table["a"], table["b"], table["c"] = inv, a, b, c
+        return table
     if cfg.strategy in ("simple", "multi"):
         return dynamic_policy.gbm_demand(mu - cfg.r, solve, cfg.r, cfg.gamma, tau)
     # cev: read the estimated covariance as the instantaneous covariance of
@@ -151,19 +172,56 @@ def run_backtest(prices: PriceSeries, cfg: BacktestConfig) -> WealthPath:
     returns = estimate.to_returns(prices)
     horizon = (n_rows - 1) * DT
     rows = np.arange(cfg.batch_len + 1, n_rows - 1)
-    theta = np.empty((rows.size, prices.n_assets))
-    n_assets, n_weeks = prices.n_assets, rows.size
+    if cfg.strategy == "static" and prices.n_assets > 1:
+        table = _frontier_table(cfg, returns, prices.prices, horizon, rows)
+        theta = cfg.notional * static_mvo._frontier_point(
+            table["inv"], table["a"], table["b"], table["c"], cfg.target)[0]
+    else:
+        theta = np.empty((rows.size, prices.n_assets))
+        _run_blocks(cfg, returns, prices.prices, horizon, rows, theta)
+    with _naming_week(rows):
+        return _ledger(prices.prices, rows, theta, cfg)
+
+
+def _table_dtype(n_assets: int) -> np.dtype:
+    """A decision week's row of the static frontier table: Sigma^-1 [1, mu]
+    as (N, 2) and the frontier constants a, b, c."""
+    return np.dtype([("inv", np.float64, (n_assets, 2)),
+                     ("a", np.float64), ("b", np.float64), ("c", np.float64)])
+
+
+def _frontier_table(cfg: BacktestConfig, returns: Array, prices: Array, horizon: float,
+                    rows: Array) -> Array:
+    """The static strategy's frontier table, one row per decision week:
+    the kept one when the last static panel solved had these prices and
+    batch_len, else a new one, which replaces it once every block passed."""
+    global _memo
+    memo = _memo
+    if memo is not None and memo[0] == cfg.batch_len and np.array_equal(memo[1], prices):
+        return memo[2]
+    _memo = None
+    kept = prices.copy()
+    table = np.empty(rows.size, _table_dtype(prices.shape[1]))
+    _run_blocks(cfg, returns, prices, horizon, rows, table)
+    kept.flags.writeable = table.flags.writeable = False
+    _memo = (cfg.batch_len, kept, table)
+    return table
+
+
+def _run_blocks(cfg: BacktestConfig, returns: Array, prices: Array, horizon: float,
+                rows: Array, out: Array) -> None:
+    """Fill out's rows, one per decision week, with the block stage's rows,
+    on one lane or two."""
+    n_assets, n_weeks = prices.shape[1], rows.size
     step = _block_weeks(n_weeks, n_assets, cfg.batch_len)
     # A callable is user code, called in week order.  A one-block panel
     # (criterion 09's 10 x 200) ran 1.29-1.42x slower on two lanes.
     if (callable(cfg.strategy) or step == n_weeks
             or 2 * n_assets * max(n_assets, cfg.batch_len) > BLOCK_ENTRIES):
-        _fill_theta(cfg, returns, prices.prices, horizon, rows, theta, step)
+        _fill_theta(cfg, returns, prices, horizon, rows, out, step)
     else:
-        _on_two_lanes(partial(_fill_theta, cfg, returns, prices.prices, horizon),
-                      rows, theta, n_assets, cfg.batch_len)
-    with _naming_week(rows):
-        return _ledger(prices.prices, rows, theta, cfg)
+        _on_two_lanes(partial(_fill_theta, cfg, returns, prices, horizon),
+                      rows, out, n_assets, cfg.batch_len)
 
 
 def _fill_theta(cfg: BacktestConfig, returns: Array, prices: Array, horizon: float,

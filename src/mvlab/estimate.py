@@ -62,6 +62,8 @@ def _centred_windows(returns: Array, t_indices, batch_len: int) -> tuple[Array, 
     at once through a sliding window over the return rows.
     """
     t = np.atleast_1d(np.asarray(t_indices, dtype=np.intp))
+    if t.size == 0:
+        raise DataError("no decision index given")
     if t.min() < batch_len:
         raise WarmupError(
             f"need {batch_len} return observations before index {t.min()}"

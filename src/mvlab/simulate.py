@@ -40,7 +40,7 @@ from .dynamic_policy import (
     cev_anticipated_gain_exact,
     cev_policy,
 )
-from .errors import DomainError, InstabilityError
+from .errors import DataError, DomainError, InstabilityError
 
 Array = NDArray[np.float64]
 
@@ -95,6 +95,10 @@ class PriceSeries:
         prices = np.asarray(self.prices, dtype=np.float64)
         if prices.ndim == 1:
             prices = prices[:, None]
+        if prices.ndim != 2:
+            raise DataError(f"price panel must be 2-D (steps x assets), got shape {prices.shape}")
+        if prices.shape[1] == 0:
+            raise DataError("price panel has no asset columns")
         object.__setattr__(self, "prices", prices)
 
     @property

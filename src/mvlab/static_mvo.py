@@ -68,7 +68,13 @@ def frontier_weights(solve: Solve, mu: Array, target: float) -> tuple[Array, Arr
     degenerate frontier raises SingularFrontierError with the first one's
     position in the flattened stack as its `index`.
     """
-    inv, a, b, c = _frontier_solve(solve, mu)
+    return _frontier_point(*_frontier_solve(solve, mu), target)
+
+
+def _frontier_point(inv: Array, a, b, c, target: float) -> tuple[Array, Array, Array]:
+    """(omega, lambda1, lambda2) at the target from the outputs of
+    _frontier_solve, over any leading axes; the weights are affine in the
+    target, so one solve serves every target."""
     disc = _discriminant(a, b, c)
     lam1 = (c - b * target) / disc
     lam2 = (a * target - b) / disc

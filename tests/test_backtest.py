@@ -10,8 +10,8 @@ from mvlab import backtest, dynamic_policy, estimate, static_mvo
 from mvlab.backtest import LEDGER_TOL, BacktestConfig, run_backtest
 from mvlab.cli import main, read_price_csv
 from mvlab.dynamic_policy import MarketParams
-from mvlab.errors import DataError, DomainError, LedgerError, WarmupError
-from mvlab.simulate import SimConfig, gbm_paths
+from mvlab.errors import DataError, DomainError, LedgerError, SingularFrontierError, WarmupError
+from mvlab.simulate import PriceSeries, SimConfig, gbm_paths
 
 from conftest import Ledger, accrue_step, inline_threads, oracle_backtest, rebalance_step
 
@@ -148,7 +148,8 @@ class TestBatchedKernel:
     def test_theta_below_batch_len_solves_each_matrix(self, kwargs):
         # With fewer assets than batch weeks the kernel solves each
         # regularised N x N estimate as it stands; cev scales its right-hand
-        # sides and solutions by q = S^(alpha/2)
+        # sides and solutions by q = S^(alpha/2); static's block stage gives
+        # its frontier table, Sigma^-1 [1, mu] and a, b, c
         cfg = BacktestConfig(**kwargs)
         prices = gbm_series(n_weeks=120, n_assets=10, seed=6)
         returns = estimate.to_returns(prices)
@@ -158,7 +159,7 @@ class TestBatchedKernel:
         sigma = estimate.regularize_covariance(sigma)
         tau = horizon - rows * backtest.DT
         if cfg.strategy == "static":
-            want = static_mvo.frontier_weights(partial(np.linalg.solve, sigma), mu, cfg.target)[0]
+            want = static_mvo._frontier_solve(partial(np.linalg.solve, sigma), mu)
         elif cfg.strategy == "simple":
             want = dynamic_policy.gbm_demand(mu - cfg.r, partial(np.linalg.solve, sigma),
                                              cfg.r, cfg.gamma, tau)
@@ -170,7 +171,11 @@ class TestBatchedKernel:
                 cfg.gamma, tau)
             want = myopic + hedging
         got = backtest._block_theta(cfg, returns, prices.prices, rows, horizon)
-        np.testing.assert_array_equal(got, want)
+        if cfg.strategy == "static":
+            for name, value in zip(("inv", "a", "b", "c"), want):
+                np.testing.assert_array_equal(got[name], value)
+        else:
+            np.testing.assert_array_equal(got, want)
 
     def test_cev_theta_at_or_above_batch_len_scales_the_woodbury_solve(self):
         # the same q-scaling around the batch-dimension solve
@@ -287,6 +292,11 @@ class TestBlockWeeks:
         assert blocks == 1 or -(-n_weeks // (blocks - 1)) * week > backtest.BLOCK_ENTRIES
 
 
+def assert_same_bits(path, want):
+    for field in ("wealth", "bond", "stock_value"):
+        assert np.array_equal(getattr(path, field), getattr(want, field)), field
+
+
 def recording_blocks(monkeypatch, record):
     """Patches _block_theta to call record(rows) on the thread computing
     each block before computing it."""
@@ -305,20 +315,23 @@ class TestLanes:
 
     @pytest.mark.parametrize("strategy", backtest.STRATEGIES)
     def test_same_bits_inline_and_in_one_block(self, monkeypatch, strategy):
+        # each run computes its own blocks: the static frontier memo is
+        # emptied before it
         prices, cfg = gbm_series(n_weeks=523, n_assets=50), BacktestConfig(strategy=strategy)
         paths = [run_backtest(prices, cfg)]
         with monkeypatch.context() as m:
             started = inline_threads(m)
+            m.setattr(backtest, "_memo", None)
             paths.append(run_backtest(prices, cfg))
         assert started == ["mvlab-lane"]
         monkeypatch.setattr(backtest, "BLOCK_ENTRIES", 2**24)
+        monkeypatch.setattr(backtest, "_memo", None)
         blocks = []
         recording_blocks(monkeypatch, blocks.append)
         paths.append(run_backtest(prices, cfg))
         assert len(blocks) == 1
         for path in paths[1:]:
-            for field in ("wealth", "bond", "stock_value"):
-                assert np.array_equal(getattr(path, field), getattr(paths[0], field))
+            assert_same_bits(path, paths[0])
 
     def test_one_worker_joined_on_return(self, monkeypatch):
         baseline = threading.active_count()
@@ -402,14 +415,19 @@ class TestLanes:
         assert threading.active_count() == baseline
         assert len(worker_blocks) == 1
 
-    def test_concurrent_runs_keep_their_bits(self):
+    @pytest.mark.parametrize("strategy", ["multi", "static"])
+    def test_concurrent_runs_keep_their_bits(self, strategy):
         # three callers at once (six threads on two cores) under a short
-        # switch interval: two runs share no state
-        prices, cfg = gbm_series(n_weeks=523, n_assets=50), BacktestConfig(strategy="multi")
-        want, got = run_backtest(prices, cfg).wealth, [None] * 3
+        # switch interval, alternating between two panels: a run reads no
+        # state another writes but static's frontier memo, which it reads
+        # or replaces whole
+        panels = [gbm_series(n_weeks=523, n_assets=50, seed=seed) for seed in (0, 1)]
+        cfg = BacktestConfig(strategy=strategy)
+        want = [run_backtest(prices, cfg).wealth for prices in panels]
+        got = [None] * 3
 
         def run(i):
-            got[i] = run_backtest(prices, cfg).wealth
+            got[i] = run_backtest(panels[i % 2], cfg).wealth
 
         callers = [threading.Thread(target=run, args=(i,)) for i in range(3)]
         interval = sys.getswitchinterval()
@@ -422,7 +440,7 @@ class TestLanes:
         finally:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
-        assert all(np.array_equal(wealth, want) for wealth in got)
+        assert all(np.array_equal(wealth, want[i % 2]) for i, wealth in enumerate(got))
 
     def test_blocks_step_under_the_callers_errstate(self, monkeypatch):
         seen = []
@@ -433,6 +451,52 @@ class TestLanes:
             run_backtest(gbm_series(n_weeks=523, n_assets=50), BacktestConfig())
         assert {name for name, _ in seen} == {threading.current_thread().name, "mvlab-lane"}
         assert all(errs == outer for _, errs in seen)
+
+
+class TestFrontierMemo:
+    """A static backtest on the prices and batch_len that the last static
+    call solved reuses its frontier table and runs no block stage."""
+
+    def test_warm_call_gives_the_cold_bits(self, monkeypatch):
+        prices = gbm_series(n_weeks=523, n_assets=50)
+        configs = [BacktestConfig(strategy="static", target=t) for t in (0.10, 0.15, 0.20)]
+        configs.append(BacktestConfig(strategy="static", target=0.15, notional=2.5))
+        cold = []
+        for cfg in configs:
+            monkeypatch.setattr(backtest, "_memo", None)
+            cold.append(run_backtest(prices, cfg))
+        blocks = []
+        recording_blocks(monkeypatch, blocks.append)
+        for cfg, want in zip(configs, cold):
+            assert_same_bits(run_backtest(prices, cfg), want)
+        assert blocks == []
+
+    def test_panel_changed_in_place_is_solved_again(self, monkeypatch):
+        prices, cfg = gbm_series(n_weeks=523, n_assets=50), BacktestConfig(strategy="static")
+        run_backtest(prices, cfg)
+        prices.prices[300, 7] *= 1.001
+        got = run_backtest(prices, cfg)
+        monkeypatch.setattr(backtest, "_memo", None)
+        assert_same_bits(got, run_backtest(prices, cfg))
+
+    def test_other_batch_len_misses(self, monkeypatch):
+        prices = gbm_series(n_weeks=523, n_assets=50)
+        run_backtest(prices, BacktestConfig(strategy="static"))
+        blocks = []
+        recording_blocks(monkeypatch, blocks.append)
+        cfg = BacktestConfig(strategy="static", batch_len=30)
+        got = run_backtest(prices, cfg)
+        assert blocks and backtest._memo[0] == 30
+        monkeypatch.setattr(backtest, "_memo", None)
+        assert_same_bits(got, run_backtest(prices, cfg))
+
+    def test_failing_panel_is_not_kept(self):
+        # constant prices: zero means, so b = c = 0 and a*c - b^2 = 0
+        prices, cfg = PriceSeries(prices=np.ones((60, 3))), BacktestConfig(strategy="static")
+        for _ in range(2):
+            with pytest.raises(SingularFrontierError, match=r"^decision week 27: degenerate"):
+                run_backtest(prices, cfg)
+            assert backtest._memo is None
 
 
 class TestConfig:

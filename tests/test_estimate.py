@@ -84,6 +84,12 @@ class TestRollingEstimate:
         with pytest.raises(DataError):
             rolling_estimates(returns, 45)
 
+    @pytest.mark.parametrize("estimator", [rolling_estimates, ridge_solver])
+    def test_no_index_is_data_error(self, estimator):
+        returns = to_returns(series(np.linspace(1.0, 2.0, 40)))
+        with pytest.raises(DataError, match="no decision index given"):
+            estimator(returns, [])
+
     def test_one_week_batch(self):
         returns = to_returns(series(np.linspace(1.0, 2.0, 40)))
         with pytest.raises(DataError, match="batch too short for a covariance"):

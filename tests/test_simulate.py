@@ -17,7 +17,7 @@ from mvlab.dynamic_policy import (
     cev_anticipated_gain_exact,
     lattice_equilibrium_oracle,
 )
-from mvlab.errors import DomainError, HorizonError, InstabilityError, ResourceError
+from mvlab.errors import DataError, DomainError, HorizonError, InstabilityError, ResourceError
 from mvlab.simulate import (
     HEDGE_NEUTRAL,
     PHYSICAL,
@@ -44,6 +44,15 @@ class TestPriceSeries:
         ps = PriceSeries(prices=[1.0, 1.1])
         assert ps.prices.shape == (2, 1)
         assert ps.n_assets == 1
+
+    def test_no_asset_column_is_data_error(self):
+        with pytest.raises(DataError, match="no asset columns"):
+            PriceSeries(prices=np.ones((60, 0)))
+
+    @pytest.mark.parametrize("shape", [(60, 3, 1), ()])
+    def test_panel_not_2d_is_data_error(self, shape):
+        with pytest.raises(DataError, match="must be 2-D"):
+            PriceSeries(prices=np.ones(shape))
 
 
 class TestGbmPaths:
