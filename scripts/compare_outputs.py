@@ -115,10 +115,12 @@ COMMANDS = [
 # The two CEV Monte Carlo runs at sizes no command reaches: criterion 07's
 # three gains at 150k paths x 500 steps, each line the repr of an
 # McEstimate's value and stderr (the fields every tree's has), and the
-# covariance sign check at 2^17 paths x 16 steps, both at alpha = 1; two
-# gains at alpha = -1, which step Euler with its floor, the second on inputs
-# where over a quarter of the paths end absorbed; and a gain at alpha = 2.5,
-# which steps the implicit kernel (no floor) at an elasticity that is not an
+# covariance sign check at 2^17 paths x 16 steps, both at alpha = 1; the
+# same check at alpha = -1, -0.5 and 0, which step Euler (at 0 the gain is
+# flat in S, so its correlation reads 0.0); two gains at alpha = -1, which
+# step Euler with its floor, the second on inputs where over a quarter of
+# the paths end absorbed; and a gain at alpha = 2.5, which steps the
+# implicit step (no floor) at an elasticity that is not an
 # integer, and one at alpha = -4 from S0 = 1e200, whose S0^-alpha overflows,
 # each printing the error a tree raises in place of the value.  Then
 # StaticProblem's verdict, `ok` or the class of the error, on diag(1, x) for
@@ -160,6 +162,12 @@ PROBES = {
         "c = mvlab.CevParams.single(0.125, 0.2, 1.0, 0.025, 1.0, 1.0)\n"
         "r = mvlab.hedging_covariance_check(c, 1.0, 0.0, 2**17, 4, n_steps=16)\n"
         "print(repr(r.correlation), repr(r.covariance_sign), repr(r.hedging_sign))\n"),
+    "covariance-sign-euler.txt": (
+        "import mvlab\n"
+        "for alpha in (-1.0, -0.5, 0.0):\n"
+        "    c = mvlab.CevParams.single(0.125, 0.2, alpha, 0.025, 1.0, 1.0)\n"
+        "    r = mvlab.hedging_covariance_check(c, 1.0, 0.0, 2**17, 4, n_steps=16)\n"
+        "    print(repr(r.correlation), repr(r.covariance_sign), repr(r.hedging_sign))\n"),
     "gain-alpha-minus-one.txt": (
         "import mvlab\n"
         "c = mvlab.CevParams.single(0.125, 0.2, -1.0, 0.025, 1.0, 1.0)\n"

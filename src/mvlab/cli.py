@@ -234,10 +234,12 @@ def cmd_policy(args):
     if getattr(args, flag) is None:
         raise DataError(f"policy --type {args.type} needs --{flag.replace('_', '-')}")
     n = mu.size
+    # one --price applies to every asset, as --alpha does
+    price = np.full(n, args.price[0]) if args.price.size == 1 else args.price
     # the array flags the type reads, each with n entries along each axis
     shapes = {"sigma_bar": 1, "corr": 2, "price": 1} if args.type == "cev" else {"sigma": 2}
     for name, ndim in shapes.items():
-        value = getattr(args, name)
+        value = price if name == "price" else getattr(args, name)
         if value is not None and value.shape != (n,) * ndim:
             raise DataError(f"--{name.replace('_', '-')} has shape {value.shape}; "
                             f"--mu of length {n} needs {(n,) * ndim}")
@@ -246,7 +248,7 @@ def cmd_policy(args):
         c = dynamic_policy.CevParams(
             mu=mu, sigma_bar=args.sigma_bar, alpha=np.full(n, args.alpha),
             corr=corr, r=args.rate, T=T, gamma=args.gamma)
-        pol = dynamic_policy.cev_policy(c, args.price, t)
+        pol = dynamic_policy.cev_policy(c, price, t)
     else:
         m = dynamic_policy.MarketParams(mu=mu, sigma=args.sigma, r=args.rate,
                                         T=T, gamma=args.gamma)

@@ -8,8 +8,9 @@ hedge-neutral measure, the Monte Carlo anticipated-gain estimator and the
 covariance sign diagnostic of the CEV hedging demand.  A CEV panel draws
 all its normals at once and steps each row from the one before it by the
 Euler step `_euler_step`; an asset that touches its floor stays there.  The
-Monte Carlo runner `_run_halves` steps alpha <= 0 through the same step, in
-the generator `_cev_euler`, and alpha > 0 through `_cev_implicit`.
+Monte Carlo runner `_run_halves` steps its paths in one loop, through the
+same step for alpha <= 0 and through the drift-implicit step
+`_implicit_step` of x = S^(-alpha/2) for alpha > 0.
 
 Determinism: identical (config, seed) yields bit-identical output.  A panel
 or an ensemble draws from one numpy Generator seeded by the caller; the two
@@ -24,7 +25,6 @@ import contextvars
 import threading
 from dataclasses import dataclass
 from functools import partial
-from itertools import takewhile
 from typing import NamedTuple
 
 import numpy as np
@@ -155,51 +155,26 @@ def _euler_step(s, z, out, drift_dt, sigma_bar, half_alpha, sqdt, floor):
     np.maximum(out, floor, out=out)
 
 
-def _cev_euler(s, drift, sigma_bar, alpha, dt: float, n_steps: int, draw):
-    """_euler_step applied n_steps times to the state s (one price per
-    path), draw(out) filling `out` with each step's standard normals.
-    Yields s, stepped in place, after each step; the caller checks the
-    final state with _check_stable.
-
-    An entry that touches its floor, ABSORPTION_REL_FLOOR times its value
-    in s before the first step, is absorbed and stays there, so its return
-    over any later step is exactly 0.
-    """
-    floor = ABSORPTION_REL_FLOOR * s
-    z, step, alive = np.empty(s.shape), np.empty(s.shape), np.empty(s.shape, dtype=bool)
-    half_alpha, sqdt, drift_dt = alpha / 2.0, np.sqrt(dt), drift * dt
-    for _ in range(n_steps):
-        draw(z)
-        _euler_step(s, z, step, drift_dt, sigma_bar, half_alpha, sqdt, floor)
-        np.copyto(s, step, where=np.greater(s, floor, out=alive))
-        yield s
-
-
-def _cev_implicit(x, drift, sigma_bar, alpha, dt: float, n_steps: int, draw):
-    """Drift-implicit steps (Alfonsi 2005) of x = S^(-alpha/2), alpha > 0,
-    for the price of _cev_euler; yields x, stepped in place, after each step.
+def _implicit_step(x, z, drift, sigma_bar, alpha, dt):
+    """One drift-implicit step (Alfonsi 2005), in place, of x = S^(-alpha/2),
+    alpha > 0, for the price of _euler_step, on the standard normals z,
+    which it overwrites.
 
     By Ito y = x^2 = S^-alpha is a CIR process, and dx = (alpha (alpha+2)
     sigma_bar^2 / (8x) - alpha drift x / 2) dt - alpha sigma_bar dw / 2.
     With both drift terms taken at the step's end, x' is the positive root
-        x' = (beta + sqrt(beta^2 + 2k alpha (alpha+2) sigma_bar^2 dt / 4)) * (1 / (2k)),
+        x' = (sqrt(beta^2 + 2k alpha (alpha+2) sigma_bar^2 dt / 4) + beta) * (1 / (2k)),
     k = 1 + alpha drift dt / 2 > 0, beta = x - alpha sigma_bar sqrt(dt) z / 2,
     taken in that order of operations; no path needs a floor.
     """
-    z, root = np.empty(x.shape), np.empty(x.shape)
     k = 1.0 + 0.5 * alpha * drift * dt
-    half_vol, inv_two_k = 0.5 * alpha * sigma_bar * np.sqrt(dt), 1.0 / (2.0 * k)
-    four_kc = 2.0 * k * (0.25 * alpha * (alpha + 2.0) * sigma_bar * sigma_bar * dt)
-    for _ in range(n_steps):
-        draw(z)
-        z *= half_vol
-        np.subtract(x, z, out=z)  # beta
-        np.multiply(z, z, out=root)
-        root += four_kc
-        np.sqrt(root, out=root)
-        np.add(z, root, out=x)
-        x *= inv_two_k
-        yield x
+    z *= 0.5 * alpha * sigma_bar * np.sqrt(dt)
+    np.subtract(x, z, out=z)  # beta
+    np.multiply(z, z, out=x)
+    x += 2.0 * k * (0.25 * alpha * (alpha + 2.0) * sigma_bar * sigma_bar * dt)
+    np.sqrt(x, out=x)
+    x += z
+    x *= 1.0 / (2.0 * k)
 
 
 def _check_finite(s) -> float:
@@ -261,45 +236,62 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
     0 first, once the merged final state has passed its check.
 
     The caller has checked s0 and s0^-alpha (_price_power).  For alpha > 0
-    the state is x = S^(-alpha/2), stepped by _cev_implicit and checked by
+    the state is x = S^(-alpha/2), stepped by _implicit_step and checked by
     _check_finite (no path is absorbed); a DomainError before any step if
-    k <= 0.  Otherwise it is the price, stepped by _cev_euler and checked
-    by _check_stable, which gives the fraction absorbed at its floor.
+    k <= 0.  Otherwise it is the price, stepped by _euler_step and checked
+    by _check_stable, which gives the fraction absorbed at its floor: a
+    path that touches the floor ABSORPTION_REL_FLOOR * s0 stays there, so
+    its return over any later step is exactly 0.
 
     Half k, of n = (paths // 2, paths - paths // 2)[k] paths, draws from a
     Generator on child k of SeedSequence(seed).spawn(2), h = n - n // 2
     normals a step for its paths 0 .. h-1; path h + i steps on the negated
     normals of path i < n // 2 (antithetic pairs), and for odd n path h - 1
-    has no partner.  consume(steps, n, start) reads its state, which starts
-    at the value `start`, after each step and returns a tuple of arrays.
-    Half 0 steps on _on_two_threads' worker and half 1 on this thread, at
-    once, as standard_normal and large ufuncs release the GIL; a one-core
-    host computes the same bits from the same two streams.  A half that
-    raises sets stop, so the other stops at its next step.
+    has no partner.  consume(steps, n, start) reads its state, stepped in
+    place from the value `start`, after each step and returns a tuple of
+    arrays.  Half 0 steps on _on_two_threads' worker and half 1 on this
+    thread, at once, as standard_normal and large ufuncs release the GIL; a
+    one-core host computes the same bits from the same two streams.  A half
+    that raises sets stop, and each half checks stop before each step.
     """
     if alpha > 0:
         if 1.0 + 0.5 * alpha * drift * dt <= 0:
             raise DomainError(f"alpha * drift * dt = {alpha * drift * dt:g} is at or below -2; "
                               "the implicit CEV step needs a smaller dt")
-        start, kernel, check = float(np.power(s0, -alpha / 2.0)), _cev_implicit, _check_finite
+        start, check = float(np.power(s0, -alpha / 2.0)), _check_finite
+
+        def step(x, z):
+            _implicit_step(x, z, drift, sigma_bar, alpha, dt)
     else:
-        start, kernel, check = s0, _cev_euler, lambda s: _check_stable(s, s0, alpha)
+        start, check = s0, lambda s: _check_stable(s, s0, alpha)
+        floor = ABSORPTION_REL_FLOOR * s0
+        half_alpha, sqdt, drift_dt = alpha / 2.0, np.sqrt(dt), drift * dt
+
+        def step(s, z, out, alive):
+            _euler_step(s, z, out, drift_dt, sigma_bar, half_alpha, sqdt, floor)
+            np.copyto(s, out, where=np.greater(s, floor, out=alive))
     children = np.random.SeedSequence(seed).spawn(2)
     sizes = (paths // 2, paths - paths // 2)
 
     def half(k, stop):
         rng, n = np.random.default_rng(children[k]), sizes[k]
         h = n - n // 2
+        state, z = np.full(n, start), np.empty(n)
+        # the Euler step's result and absorption mask; the implicit step needs neither
+        work = () if alpha > 0 else (np.empty(n), np.empty(n, dtype=bool))
 
-        def draw(out):
-            rng.standard_normal(out=out[:h])
-            np.negative(out[:n - h], out=out[h:])
+        def steps():
+            for _ in range(n_steps):
+                if stop.is_set():
+                    return
+                rng.standard_normal(out=z[:h])
+                np.negative(z[:n - h], out=z[h:])
+                step(state, z, *work)
+                yield state
 
-        state = np.full(n, start)
-        steps = kernel(state, drift, sigma_bar, alpha, dt, n_steps, draw)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return (state, *consume(takewhile(lambda _: not stop.is_set(), steps), n, start))
+                return (state, *consume(steps(), n, start))
         except BaseException:
             stop.set()
             raise
@@ -317,7 +309,7 @@ def cev_paths(c: CevParams, cfg: SimConfig) -> PriceSeries:
     correlates each row by its own vector-matrix product.  Each row steps
     from the one before it by _euler_step.  An asset that touches its floor,
     1e-8 of its s0, stays there: every later price of it is set to the
-    floor once the panel is stepped, as _cev_euler's mask would hold it.
+    floor once the panel is stepped, as _run_halves' mask would hold it.
     """
     if cfg.n_assets != c.n_assets:
         raise ValueError("config and market disagree on asset count")
@@ -390,8 +382,9 @@ def mc_anticipated_gain(c: CevParams, S0: float, t: float, paths: int, seed: int
 
     Averages the trapezoid-rule time integral of the squared instantaneous
     Sharpe ratio over gamma.  The run checks S0^-alpha (_price_power) at
-    entry and steps on two streams (_run_halves), for alpha > 0 through
-    _cev_implicit, whose state x gives the integrand coef * S^-alpha as
+    entry and steps on two streams (_run_halves): Euler steps of the price
+    for alpha <= 0, and for alpha > 0 implicit steps (_implicit_step) of
+    x = S^(-alpha/2), which gives the integrand coef * S^-alpha as
     coef * x^2.  The rule sums S^-alpha over the step ends, then halves the
     two end terms.
 
@@ -464,9 +457,10 @@ def hedging_covariance_check(c: CevParams, S: float, t: float, paths: int,
     correlation's noise is of order 1/sqrt(paths * n_steps), about 0.002 at
     4,000 paths x 64 steps, and only in order of magnitude, since the
     antithetic pairs are not independent.
-    The paths step on two streams (_run_halves), for alpha > 0 through
-    _cev_implicit; the pooled pairs are half 0's, step by step, then half
-    1's.
+    The paths step on two streams (_run_halves): Euler steps of the price
+    for alpha <= 0, and for alpha > 0 implicit steps (_implicit_step) of
+    x = S^(-alpha/2), read back as the price S = x^(-2/alpha).  The pooled
+    pairs are half 0's, step by step, then half 1's.
     """
     paths = _check_count("paths", paths, 1)
     n_steps = _check_count("n_steps", n_steps, 1)

@@ -58,23 +58,16 @@ def _discriminant(a, b, c):
     return disc
 
 
-def frontier_weights(solve: Solve, mu: Array, target: float) -> tuple[Array, Array, Array]:
-    """Closed-form minimum-variance weights hitting the target return.
-
-    omega = ((c - b*m)/(ac - b^2)) Sigma^-1 1 + ((a*m - b)/(ac - b^2)) Sigma^-1 mu
-    with m the target; the Lagrange multipliers are the two scalar
-    prefactors.  solve(b) returns Sigma^-1 b for b (..., N, 2).  Works over
-    leading axes of mu (..., N); returns (omega, lambda1, lambda2).  A
-    degenerate frontier raises SingularFrontierError with the first one's
-    position in the flattened stack as its `index`.
-    """
-    return _frontier_point(*_frontier_solve(solve, mu), target)
-
-
 def _frontier_point(inv: Array, a, b, c, target: float) -> tuple[Array, Array, Array]:
-    """(omega, lambda1, lambda2) at the target from the outputs of
-    _frontier_solve, over any leading axes; the weights are affine in the
-    target, so one solve serves every target."""
+    """(omega, lambda1, lambda2) at the target m from the outputs of
+    _frontier_solve, over any leading axes:
+
+        omega = ((c - b*m)/(ac - b^2)) Sigma^-1 1 + ((a*m - b)/(ac - b^2)) Sigma^-1 mu,
+
+    the Lagrange multipliers being the two scalar prefactors.  The weights
+    are affine in the target, so one solve serves every target.  A
+    degenerate frontier raises SingularFrontierError with the first one's
+    position in the flattened stack as its `index`."""
     disc = _discriminant(a, b, c)
     lam1 = (c - b * target) / disc
     lam2 = (a * target - b) / disc
@@ -142,7 +135,7 @@ def frontier_constants(p: StaticProblem) -> FrontierConstants:
 
 def solve_static_mvo(p: StaticProblem) -> Weights:
     """Closed-form minimum-variance weights of one instance (see
-    frontier_weights)."""
+    _frontier_point)."""
     if p.n_assets == 1:
         # Degenerate single-asset frontier: omega = 1 is the only feasible point.
         if abs(p.mu[0] - p.target) > 1e-10 * max(1.0, abs(p.mu[0])):
@@ -150,7 +143,8 @@ def solve_static_mvo(p: StaticProblem) -> Weights:
                 f"single asset cannot reach target {p.target} (mu = {p.mu[0]})"
             )
         return Weights(omega=np.array([1.0]), lambda1=float(p.sigma[0, 0]), lambda2=0.0)
-    omega, lam1, lam2 = frontier_weights(partial(np.linalg.solve, p.sigma), p.mu, p.target)
+    inv, a, b, c = _frontier_solve(partial(np.linalg.solve, p.sigma), p.mu)
+    omega, lam1, lam2 = _frontier_point(inv, a, b, c, p.target)
     return Weights(omega=omega, lambda1=float(lam1), lambda2=float(lam2))
 
 

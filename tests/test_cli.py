@@ -201,6 +201,20 @@ class TestPolicy:
             result["myopic"][0] + result["hedging"][0], rel=1e-12)
         assert result["hedging"][0] > 0
 
+    def test_cev_one_price_applies_to_every_asset(self, capsys):
+        # the flag's default, 1.0, has one entry; --mu has two
+        argv = ["policy", "--type", "cev", "--mu", "0.1,0.12", "--sigma-bar", "0.2,0.2"]
+        assert main(argv) == 0
+        theta = json.loads(capsys.readouterr().out)["theta"]
+        c = mvlab.CevParams(mu=[0.1, 0.12], sigma_bar=[0.2, 0.2], alpha=np.full(2, 0.0),
+                            corr=np.eye(2), r=0.025, T=10.0, gamma=1.0)
+        assert theta == list(mvlab.cev_policy(c, [1.0, 1.0], 0.0).theta)
+        thetas = []
+        for price in ("1.2", "1.2,1.2"):
+            assert main([*argv, "--alpha", "1", "--price", price]) == 0
+            thetas.append(json.loads(capsys.readouterr().out)["theta"])
+        assert thetas[0] == thetas[1]
+
     def test_simple_and_multi_print_the_same(self, capsys):
         argv = ["--mu", "0.1,0.14", "--sigma", "0.3,0;0.1,0.25", "--gamma", "3"]
         assert main(["policy", "--type", "simple", *argv]) == 0

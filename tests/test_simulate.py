@@ -459,31 +459,30 @@ def mc_gain_implicit_loop(c, S0, paths, seed, n_steps):
     return pair_estimate(accs, paths)
 
 
-KERNELS = ("_cev_euler", "_cev_implicit")
+STEPS = ("_euler_step", "_implicit_step")
 
 
 def no_steps(monkeypatch):
-    """Patches both CEV kernels to fail at their first step."""
+    """Patches both CEV step functions to fail at their first step."""
     def fail(*args):
         raise AssertionError("stepped")
 
-    for name in KERNELS:
+    for name in STEPS:
         monkeypatch.setattr(simulate, name, fail)
 
 
 def stepping_threads(monkeypatch):
-    """Patches both CEV kernels to record, at each step, the stepping
+    """Patches both CEV step functions to record, at each step, the stepping
     thread's name and the number of live threads."""
     seen = []
 
-    def recording(kernel):
+    def recording(step):
         def recorded(*args):
-            for s in kernel(*args):
-                seen.append((threading.current_thread().name, threading.active_count()))
-                yield s
+            seen.append((threading.current_thread().name, threading.active_count()))
+            return step(*args)
         return recorded
 
-    for name in KERNELS:
+    for name in STEPS:
         monkeypatch.setattr(simulate, name, recording(getattr(simulate, name)))
     return seen
 
@@ -593,20 +592,24 @@ class TestTwoStreams:
         assert seen == [(threading.current_thread().name, baseline)] * 4
 
     def test_abandoned_run_stops_its_thread(self, monkeypatch):
-        # an interrupt on the calling thread stops the worker's half at its
-        # next step rather than after its last
+        # an interrupt on the calling thread, once the worker has stepped,
+        # stops the worker's half at its next step rather than after its last
         n_steps = 10_000
         baseline = threading.active_count()
         seen = stepping_threads(monkeypatch)
-        implicit = simulate._cev_implicit
+        implicit, caller_steps, worker_stepped = simulate._implicit_step, [], threading.Event()
 
         def interrupted(*args):
-            for k, s in enumerate(implicit(*args), start=1):
-                if k == 3 and threading.current_thread() is threading.main_thread():
+            implicit(*args)
+            if threading.current_thread() is not threading.main_thread():
+                worker_stepped.set()
+            else:
+                caller_steps.append(None)
+                if len(caller_steps) == 3:
+                    assert worker_stepped.wait(10)
                     raise KeyboardInterrupt
-                yield s
 
-        monkeypatch.setattr(simulate, "_cev_implicit", interrupted)
+        monkeypatch.setattr(simulate, "_implicit_step", interrupted)
         with pytest.raises(KeyboardInterrupt):
             mc_anticipated_gain(cev1(), 1.0, 0.0, 2000, 0, n_steps=n_steps)
         assert threading.active_count() == baseline
@@ -713,6 +716,18 @@ def exact_cir_step(rng, y, drift, sigma_bar, alpha, dt):
     return c * rng.noncentral_chisquare(2.0 * (alpha + 1.0) / alpha, y * np.exp(-b * dt) / c)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5, 4.0])
+def test_implicit_step_has_the_reference_bits(alpha):
+    # the in-place step against the reference's expression, over states x
+    # from 1e-150 to 1e150 and normals z with |z| up to 38
+    x, z = (a.ravel() for a in np.meshgrid(np.logspace(-150, 150, 301),
+                                           np.linspace(-38.0, 38.0, 77)))
+    for drift in (0.025, -0.3):
+        stepped = x.copy()
+        simulate._implicit_step(stepped, z.copy(), drift, 0.2, alpha, 1 / 64)
+        np.testing.assert_array_equal(stepped, implicit_step(x, z, drift, 0.2, alpha, 1 / 64))
+
+
 @pytest.mark.parametrize("r", [0.0, 0.025])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5, 4.0])
 class TestImplicitStepAgainstExactLaw:
@@ -726,10 +741,9 @@ class TestImplicitStepAgainstExactLaw:
         # the mean, and the kernel's fractions below the exact quartiles
         n = self.paths
         rng = np.random.default_rng(3)
-        x = np.full(n, 1.0)
-        for _ in simulate._cev_implicit(x, r, 0.2, alpha, 1 / 64, 64,
-                                        lambda out: rng.standard_normal(out=out)):
-            pass
+        x, z = np.full(n, 1.0), np.empty(n)
+        for _ in range(64):
+            simulate._implicit_step(x, rng.standard_normal(out=z), r, 0.2, alpha, 1 / 64)
         stepped = x * x
         exact = exact_cir_step(np.random.default_rng(4), np.ones(n), r, 0.2, alpha, 1.0)
         se = np.sqrt((np.var(stepped, ddof=1) + np.var(exact, ddof=1)) / n)
