@@ -134,21 +134,30 @@ COMMANDS = [
 # seeds 0 and 1 at targets 10, 15 and 20% and at 15% with notional 2.5,
 # then panel 0 at 15% after one of its prices changed in place.  Most of
 # these calls reuse the frontier table of the call before them, so equal
-# bits show that a reused table gives the bits of a fresh solve.
-README_PANEL = (
+# bits show that a reused table gives the bits of a fresh solve.  Then each
+# strategy's wealth path on a 20 x 1200 panel of the same market, which
+# runs in two blocks through the (k, N, N) solve that N < L takes.
+GBM_PANEL = (
     "import sys\n"
     "import numpy as np\n"
     "import mvlab\n"
-    "n, weeks = 50, 523\n"
-    "corr = np.full((n, n), 0.05)\n"
-    "np.fill_diagonal(corr, 1.0)\n"
-    "loading = np.sqrt(0.2) * np.linalg.cholesky(corr)\n"
-    "m = mvlab.MarketParams(mu=np.full(n, 0.125), sigma=loading, r=0.025,\n"
-    "                       T=weeks / 52, gamma=1.0)\n"
-    "def readme_panel(seed):\n"
+    "def gbm_panel(n, weeks, seed):\n"
+    "    corr = np.full((n, n), 0.05)\n"
+    "    np.fill_diagonal(corr, 1.0)\n"
+    "    loading = np.sqrt(0.2) * np.linalg.cholesky(corr)\n"
+    "    m = mvlab.MarketParams(mu=np.full(n, 0.125), sigma=loading, r=0.025,\n"
+    "                           T=weeks / 52, gamma=1.0)\n"
     "    cfg = mvlab.SimConfig(n_assets=n, n_steps=weeks, dt=1 / 52,\n"
     "                          s0=np.full(n, 100.0), seed=seed)\n"
-    "    return mvlab.gbm_paths(m, cfg)\n")
+    "    return mvlab.gbm_paths(m, cfg)\n"
+    "def readme_panel(seed):\n"
+    "    return gbm_panel(50, 523, seed)\n"
+    "def print_wealth(panel):\n"
+    "    strategies = ('static', 'simple', 'multi', 'cev')\n"
+    "    wealth = [mvlab.run_backtest(panel, mvlab.BacktestConfig(strategy=s, alpha=1.0)).wealth\n"
+    "              for s in strategies]\n"
+    "    np.savetxt(sys.stdout, np.column_stack(wealth), fmt='%.17g', delimiter=',',\n"
+    "               header=','.join(strategies), comments='')\n")
 
 PROBES = {
     "criterion07-mc.txt": (
@@ -205,14 +214,9 @@ PROBES = {
         "        print('ok')\n"
         "    except Exception as exc:\n"
         "        print(type(exc).__name__)\n"),
-    "backtest-wealth.csv": README_PANEL + (
-        "panel = readme_panel(0)\n"
-        "strategies = ('static', 'simple', 'multi', 'cev')\n"
-        "wealth = [mvlab.run_backtest(panel, mvlab.BacktestConfig(strategy=s, alpha=1.0)).wealth\n"
-        "          for s in strategies]\n"
-        "np.savetxt(sys.stdout, np.column_stack(wealth), fmt='%.17g', delimiter=',',\n"
-        "           header=','.join(strategies), comments='')\n"),
-    "static-sweep.csv": README_PANEL + (
+    "backtest-wealth.csv": GBM_PANEL + "print_wealth(readme_panel(0))\n",
+    "backtest-wealth-narrow.csv": GBM_PANEL + "print_wealth(gbm_panel(20, 1200, 0))\n",
+    "static-sweep.csv": GBM_PANEL + (
         "panels = [readme_panel(seed) for seed in (0, 1)]\n"
         "header, wealth = [], []\n"
         "def run(i, target, notional=1.0):\n"

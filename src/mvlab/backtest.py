@@ -21,16 +21,8 @@ which receives each week's ParamEstimate, gets the covariance stack.  The
 stages use numpy's batched LAPACK.  A block takes as many weeks as fit
 BLOCK_ENTRIES stack entries at N max(N, L) a week, which bounds every
 stack it forms: a small panel runs in one block, a very wide one a week
-at a time.
-
-A named strategy's panel that needs more than one block, and whose week
-fits half of BLOCK_ENTRIES (N <= 512 at L = 26), runs on two lanes: the
-earlier half of its decision weeks on the calling thread, the later half
-on the worker of simulate._on_two_threads (the Monte Carlo's runner too),
-each lane in blocks that fit half the budget (see _on_two_lanes).  A
-week's theta does not depend on how the weeks are grouped, so the outputs
-are the same bits on one lane or two.  A callable strategy is called in
-week order on the calling thread.
+at a time.  The blocks run in week order on the calling thread, so a
+callable strategy is called in week order.
 
 For N > 1 the static strategy's weights are affine in the target through
 Sigma^-1 [1, mu] and the frontier constants a, b, c (static_mvo._frontier_solve),
@@ -47,10 +39,8 @@ reads the old entry or the new one.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +48,7 @@ from numpy.typing import NDArray
 
 from . import dynamic_policy, estimate, static_mvo
 from .errors import LedgerError, MvlabError, WarmupError
-from .simulate import PriceSeries, _on_two_threads
+from .simulate import PriceSeries
 
 Array = NDArray[np.float64]
 
@@ -210,57 +200,22 @@ def _frontier_table(cfg: BacktestConfig, returns: Array, prices: Array, horizon:
 
 def _run_blocks(cfg: BacktestConfig, returns: Array, prices: Array, horizon: float,
                 rows: Array, out: Array) -> None:
-    """Fill out's rows, one per decision week, with the block stage's rows,
-    on one lane or two."""
-    n_assets, n_weeks = prices.shape[1], rows.size
-    step = _block_weeks(n_weeks, n_assets, cfg.batch_len)
-    # A callable is user code, called in week order.  A one-block panel
-    # (criterion 09's 10 x 200) ran 1.29-1.42x slower on two lanes.
-    if (callable(cfg.strategy) or step == n_weeks
-            or 2 * n_assets * max(n_assets, cfg.batch_len) > BLOCK_ENTRIES):
-        _fill_theta(cfg, returns, prices, horizon, rows, out, step)
-    else:
-        _on_two_lanes(partial(_fill_theta, cfg, returns, prices, horizon),
-                      rows, out, n_assets, cfg.batch_len)
-
-
-def _fill_theta(cfg: BacktestConfig, returns: Array, prices: Array, horizon: float,
-                rows: Array, theta: Array, step: int,
-                stop: threading.Event | None = None) -> None:
-    """Fill theta's rows, one per decision week in `rows`, `step` weeks a
-    block; return early, before a block, once `stop` is set."""
+    """Fill out's rows, one per decision week in `rows`, with the block
+    stage's rows, block by block in week order."""
+    step = _block_weeks(rows.size, prices.shape[1], cfg.batch_len)
     for start in range(0, rows.size, step):
-        if stop is not None and stop.is_set():
-            return
         block = rows[start:start + step]
         with _naming_week(block):
-            theta[start:start + block.size] = _block_theta(cfg, returns, prices, block, horizon)
+            out[start:start + block.size] = _block_theta(cfg, returns, prices, block, horizon)
 
 
-def _on_two_lanes(lane, rows: Array, theta: Array, n_assets: int, batch_len: int) -> None:
-    """Run `lane` (a partial _fill_theta) on the earlier half of the
-    decision weeks on this thread and on the later half on the worker of
-    simulate._on_two_threads, each in blocks that fit half of BLOCK_ENTRIES,
-    so the two blocks in flight hold no more than one block of a single
-    lane.  The worker's lane does not set stop when it fails, so this
-    lane's earlier weeks still run, and the error raised is the one the
-    weeks in order raise."""
-    mid = rows.size // 2
-    earlier = partial(lane, rows[:mid], theta[:mid],
-                      _block_weeks(mid, n_assets, batch_len, 2))
-    later = partial(lane, rows[mid:], theta[mid:],
-                    _block_weeks(rows.size - mid, n_assets, batch_len, 2))
-    _on_two_threads(earlier, later, "mvlab-lane")
-
-
-def _block_weeks(n_weeks: int, n_assets: int, batch_len: int, lanes: int = 1) -> int:
-    """Decision weeks per block of one of `lanes` lanes running at once.
-    A week's stacks hold n_assets x max(n_assets, batch_len) entries (its
-    (N, N) covariance or (N, L) return window), so a block takes as many
-    weeks as fit the lane's share of BLOCK_ENTRIES, at least one.  The
-    n_weeks are then spread evenly over the fewest blocks that hold them,
-    which keeps the count and shrinks the largest."""
-    most = max(1, BLOCK_ENTRIES // lanes // (n_assets * max(n_assets, batch_len)))
+def _block_weeks(n_weeks: int, n_assets: int, batch_len: int) -> int:
+    """Decision weeks per block.  A week's stacks hold n_assets x
+    max(n_assets, batch_len) entries (its (N, N) covariance or (N, L)
+    return window), so a block takes as many weeks as fit BLOCK_ENTRIES,
+    at least one.  The n_weeks are then spread evenly over the fewest
+    blocks that hold them, which keeps the count and shrinks the largest."""
+    most = max(1, BLOCK_ENTRIES // (n_assets * max(n_assets, batch_len)))
     blocks = -(-n_weeks // most)
     return -(-n_weeks // blocks)
 

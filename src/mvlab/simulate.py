@@ -16,7 +16,7 @@ Determinism: identical (config, seed) yields bit-identical output.  A panel
 or an ensemble draws from one numpy Generator seeded by the caller; the two
 Monte Carlo runs draw from two streams spawned from the seed, whatever the
 host's cores (see _run_halves), and step at once on two threads through
-_on_two_threads, the one runner that the backtest's lanes share.
+the runner _on_two_threads.
 """
 
 from __future__ import annotations
@@ -199,23 +199,25 @@ def _check_stable(s, s0, alpha) -> float:
     return float(np.mean(absorbed))
 
 
-def _on_two_threads(first, second, name: str) -> tuple:
+def _on_two_threads(first, second) -> tuple:
     """(first(stop), second(stop)), `first` run on this thread while
-    `second` runs on one worker thread named `name`, in a copy of this
+    `second` runs on one worker thread named mvlab-half, in a copy of this
     thread's context (so under its np.errstate); the worker is always
-    joined.  Both parts get one stop Event, check it between their steps
-    and choose whether their own failure sets it.  Caller first: an error
-    of `first` (KeyboardInterrupt included) sets stop and is raised, else
-    an error of `second` is."""
+    joined.  Both parts get one stop Event and check it between their
+    steps; an error of either (KeyboardInterrupt included) sets it.
+    Caller first: an error of `first` is raised, else an error of `second`
+    is."""
     stop, failed, done = threading.Event(), [], []
 
     def run():
         try:
             done.append(second(stop))
         except BaseException as exc:  # raised on the calling thread below
+            stop.set()
             failed.append(exc)
 
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(run,), name=name)
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run,),
+                              name="mvlab-half")
     worker.start()
     try:
         mine = first(stop)
@@ -251,8 +253,9 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
     place from the value `start`, after each step and returns a tuple of
     arrays.  Half 0 steps on _on_two_threads' worker and half 1 on this
     thread, at once, as standard_normal and large ufuncs release the GIL; a
-    one-core host computes the same bits from the same two streams.  A half
-    that raises sets stop, and each half checks stop before each step.
+    one-core host computes the same bits from the same two streams.  The
+    runner sets stop once either half raises, and each half checks stop
+    before each step.
     """
     if alpha > 0:
         if 1.0 + 0.5 * alpha * drift * dt <= 0:
@@ -289,14 +292,10 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
                 step(state, z, *work)
                 yield state
 
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return (state, *consume(steps(), n, start))
-        except BaseException:
-            stop.set()
-            raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (state, *consume(steps(), n, start))
 
-    one, zero = _on_two_threads(partial(half, 1), partial(half, 0), "mvlab-half")
+    one, zero = _on_two_threads(partial(half, 1), partial(half, 0))
     state, *arrays = [np.concatenate(parts) for parts in zip(zero, one)]
     return [check(state), *arrays]
 

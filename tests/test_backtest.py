@@ -1,6 +1,5 @@
 import sys
 import threading
-import time
 from functools import partial
 
 import numpy as np
@@ -13,7 +12,7 @@ from mvlab.dynamic_policy import MarketParams
 from mvlab.errors import DataError, DomainError, LedgerError, SingularFrontierError, WarmupError
 from mvlab.simulate import PriceSeries, SimConfig, gbm_paths
 
-from conftest import Ledger, accrue_step, inline_threads, oracle_backtest, rebalance_step
+from conftest import Ledger, accrue_step, oracle_backtest, rebalance_step
 
 
 def gbm_series(n_weeks=120, mu=0.125, sigma=np.sqrt(0.2), n_assets=1, seed=0):
@@ -274,11 +273,9 @@ class TestBlockWeeks:
 
     def test_fifty_assets_split_evenly(self, monkeypatch):
         # the README panel's 496 decision weeks: 2**19 // (50 x 50) = 209
-        # weeks fit a block, so one lane would take three; they run on two
-        # lanes of 248, and 2**18 // (50 x 50) = 104 fit a lane's block
+        # weeks fit a block, so they take three, spread evenly
         assert backtest._block_weeks(496, 50, 26) == 166
-        assert backtest._block_weeks(248, 50, 26, lanes=2) == 83
-        assert sorted(self.block_sizes(monkeypatch, 50, 523)) == [82, 82, 83, 83, 83, 83]
+        assert self.block_sizes(monkeypatch, 50, 523) == [166, 166, 164]
 
     @pytest.mark.parametrize("n_assets", [1, 10, 26, 50, 144, 145, 724, 725, 2000])
     @pytest.mark.parametrize("n_weeks", [1, 172, 496, 5000])
@@ -309,115 +306,64 @@ def recording_blocks(monkeypatch, record):
     monkeypatch.setattr(backtest, "_block_theta", recorded)
 
 
-class TestLanes:
-    """A panel that needs more than one block runs the later half of its
-    decision weeks on a worker thread, the earlier half on the caller's."""
+class TestBlockStage:
+    """A panel's blocks run in week order on the calling thread."""
 
     @pytest.mark.parametrize("strategy", backtest.STRATEGIES)
-    def test_same_bits_inline_and_in_one_block(self, monkeypatch, strategy):
+    def test_same_bits_in_three_blocks_and_in_one(self, monkeypatch, strategy):
         # each run computes its own blocks: the static frontier memo is
         # emptied before it
         prices, cfg = gbm_series(n_weeks=523, n_assets=50), BacktestConfig(strategy=strategy)
-        paths = [run_backtest(prices, cfg)]
-        with monkeypatch.context() as m:
-            started = inline_threads(m)
-            m.setattr(backtest, "_memo", None)
-            paths.append(run_backtest(prices, cfg))
-        assert started == ["mvlab-lane"]
-        monkeypatch.setattr(backtest, "BLOCK_ENTRIES", 2**24)
-        monkeypatch.setattr(backtest, "_memo", None)
-        blocks = []
-        recording_blocks(monkeypatch, blocks.append)
-        paths.append(run_backtest(prices, cfg))
-        assert len(blocks) == 1
-        for path in paths[1:]:
-            assert_same_bits(path, paths[0])
+        paths, counts = [], []
+        for entries in (backtest.BLOCK_ENTRIES, 2**24):
+            blocks = []
+            with monkeypatch.context() as m:
+                m.setattr(backtest, "BLOCK_ENTRIES", entries)
+                m.setattr(backtest, "_memo", None)
+                recording_blocks(m, blocks.append)
+                paths.append(run_backtest(prices, cfg))
+            counts.append(len(blocks))
+        assert counts == [3, 1]
+        assert_same_bits(paths[1], paths[0])
 
-    def test_one_worker_joined_on_return(self, monkeypatch):
+    @pytest.mark.parametrize("n_assets, n_weeks, strategy", [
+        (10, 199, "simple"),   # criterion 09's shape: one block
+        (50, 523, "static"),   # three blocks
+        (50, 523, "simple"),
+        (50, 523, lambda est, p, t, T: np.zeros(p.size)),
+    ])
+    def test_every_block_runs_on_the_caller(self, monkeypatch, n_assets, n_weeks, strategy):
         baseline = threading.active_count()
         seen = []
         recording_blocks(monkeypatch, lambda rows: seen.append(
             (threading.current_thread(), threading.active_count())))
-        run_backtest(gbm_series(n_weeks=523, n_assets=50), BacktestConfig(strategy="static"))
-        assert threading.active_count() == baseline
-        workers = {thread for thread, _ in seen} - {threading.current_thread()}
-        assert [thread.name for thread in workers] == ["mvlab-lane"]
-        assert len(seen) == 6 and {count for _, count in seen} <= {baseline, baseline + 1}
-
-    @pytest.mark.parametrize("n_assets, n_weeks, strategy", [
-        (10, 199, "simple"),   # criterion 09's shape: one block
-        (50, 523, lambda est, p, t, T: np.zeros(p.size)),
-    ])
-    def test_one_block_or_callable_runs_on_the_caller(self, monkeypatch,
-                                                      n_assets, n_weeks, strategy):
-        seen = []
-        recording_blocks(monkeypatch, lambda rows: seen.append(threading.current_thread()))
+        monkeypatch.setattr(backtest, "_memo", None)  # so a static run computes its blocks
         run_backtest(gbm_series(n_weeks=n_weeks, n_assets=n_assets),
                      BacktestConfig(strategy=strategy))
-        assert seen and set(seen) == {threading.current_thread()}
+        assert seen and set(seen) == {(threading.current_thread(), baseline)}
 
-    def test_caller_lane_error_wins(self, monkeypatch):
-        # the worker fails in its first block before the caller's lane
-        # fails in its second; the weeks in order fail at the caller's first
-        worker_failed, caller_blocks = threading.Event(), []
+    @pytest.mark.parametrize("error", [DomainError("x", index=1), KeyboardInterrupt()],
+                             ids=["DomainError", "KeyboardInterrupt"])
+    def test_error_in_a_block_stops_the_run(self, monkeypatch, error):
+        # the second of the panel's three blocks fails; the third never runs
+        blocks = []
 
         def failing(cfg, returns, prices, rows, horizon):
-            if threading.current_thread().name == "mvlab-lane":
-                worker_failed.set()
-                raise DomainError("worker", index=0)
-            caller_blocks.append(rows)
-            if len(caller_blocks) == 2:
-                assert worker_failed.wait(10)
-                raise DomainError("caller", index=1)
+            blocks.append(rows)
+            if len(blocks) == 2:
+                raise error
             return np.zeros((rows.size, 50))
 
         monkeypatch.setattr(backtest, "_block_theta", failing)
-        with pytest.raises(DomainError) as info:
+        with pytest.raises(type(error)) as info:
             run_backtest(gbm_series(n_weeks=523, n_assets=50), BacktestConfig())
-        assert str(info.value) == f"decision week {caller_blocks[1][1]}: caller"
-
-    def test_worker_error_raised_after_the_caller_lane(self, monkeypatch):
-        caller_blocks, worker_rows = [], []
-
-        def failing(cfg, returns, prices, rows, horizon):
-            if threading.current_thread().name == "mvlab-lane":
-                worker_rows.append(rows)
-                raise DomainError("worker", index=2)
-            caller_blocks.append(rows)
-            return np.zeros((rows.size, 50))
-
-        monkeypatch.setattr(backtest, "_block_theta", failing)
-        with pytest.raises(DomainError) as info:
-            run_backtest(gbm_series(n_weeks=523, n_assets=50), BacktestConfig())
-        assert str(info.value) == f"decision week {worker_rows[0][2]}: worker"
-        assert len(caller_blocks) == 3 and len(worker_rows) == 1
-
-    def test_interrupt_stops_the_worker(self, monkeypatch):
-        baseline = threading.active_count()
-        started, interrupted, worker_blocks = threading.Event(), threading.Event(), []
-
-        def interrupting(cfg, returns, prices, rows, horizon):
-            if threading.current_thread().name == "mvlab-lane":
-                worker_blocks.append(rows)
-                if len(worker_blocks) == 1:
-                    started.set()
-                    # let the caller's lane unwind and stop the worker
-                    assert interrupted.wait(10)
-                    time.sleep(0.1)
-                return np.zeros((rows.size, 50))
-            assert started.wait(10)
-            interrupted.set()
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(backtest, "_block_theta", interrupting)
-        with pytest.raises(KeyboardInterrupt):
-            run_backtest(gbm_series(n_weeks=523, n_assets=50), BacktestConfig())
-        assert threading.active_count() == baseline
-        assert len(worker_blocks) == 1
+        assert len(blocks) == 2
+        if isinstance(error, DomainError):
+            assert str(info.value) == f"decision week {blocks[1][1]}: x"
 
     @pytest.mark.parametrize("strategy", ["multi", "static"])
     def test_concurrent_runs_keep_their_bits(self, strategy):
-        # three callers at once (six threads on two cores) under a short
+        # three callers at once (three threads on two cores) under a short
         # switch interval, alternating between two panels: a run reads no
         # state another writes but static's frontier memo, which it reads
         # or replaces whole
@@ -449,7 +395,7 @@ class TestLanes:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             outer = np.geterr()
             run_backtest(gbm_series(n_weeks=523, n_assets=50), BacktestConfig())
-        assert {name for name, _ in seen} == {threading.current_thread().name, "mvlab-lane"}
+        assert {name for name, _ in seen} == {threading.current_thread().name}
         assert all(errs == outer for _, errs in seen)
 
 
