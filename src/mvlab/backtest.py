@@ -47,7 +47,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import dynamic_policy, estimate, static_mvo
-from .errors import LedgerError, MvlabError, WarmupError
+from .errors import DataError, LedgerError, MvlabError, WarmupError
 from .simulate import PriceSeries
 
 Array = NDArray[np.float64]
@@ -119,13 +119,17 @@ def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
     prices_now = prices[rows]
     if callable(cfg.strategy):
         mu, sigma = estimate.rolling_estimates(returns, rows, cfg.batch_len)
-        return np.array([
-            np.asarray(cfg.strategy(
+        theta = np.empty(prices_now.shape)
+        for i, t in enumerate(rows.tolist()):
+            theta_i = np.asarray(cfg.strategy(
                 estimate.ParamEstimate(mu_hat=mu[i], sigma_hat=sigma[i],
                                        batch_start=t - cfg.batch_len, batch_end=t),
                 prices_now[i], t * DT, horizon), float)
-            for i, t in enumerate(rows.tolist())
-        ])
+            if theta_i.shape != theta.shape[1:]:
+                raise DataError(f"strategy returned theta of shape {theta_i.shape}, "
+                                f"expected {theta.shape[1:]}", index=i)
+            theta[i] = theta_i
+        return theta
     # The ridge makes a finite estimate definite (see estimate.RIDGE_EPS).
     mu, solve = estimate.ridge_solver(returns, rows, cfg.batch_len)
     tau = horizon - rows * DT

@@ -198,18 +198,24 @@ def _check_horizon(t: float, T: float) -> float:
     return T - t
 
 
+def _solve(solve: Solve, b: Array) -> Array:
+    """solve(b), the one policy solve of both demand kernels; a singular
+    matrix is a DefinitenessError."""
+    try:
+        return solve(b)
+    except np.linalg.LinAlgError as exc:
+        raise DefinitenessError("singular covariance") from exc
+
+
 def gbm_demand(excess: Array, solve: Solve, r: float, gamma: float, tau) -> Array:
     """Money per asset of the GBM equilibrium policy,
     exp(-r tau) cov^-1 excess / gamma with excess = mu - r, where
-    solve(b) returns cov^-1 b for b (..., N, m): the one policy solve.
+    solve(b) returns cov^-1 b for b (..., N, m).
 
     Works over leading axes: excess (..., N), tau (...), so a backtest
     evaluates a block of decision weeks in one call.
     """
-    try:
-        x = solve(excess[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise DefinitenessError("singular covariance") from exc
+    x = _solve(solve, excess[..., None])[..., 0]
     return x / gamma * np.asarray(np.exp(-r * tau))[..., None]
 
 
@@ -244,8 +250,10 @@ def cev_demand(mu: Array, solve: Solve, alpha: float | Array, S: Array, r: float
                gamma: float, tau) -> tuple[Array, Array]:
     """Myopic and hedging money per asset of the CEV equilibrium policy,
     where solve(b) returns omega^-1 b for the scale covariance
-    omega = sigma_bar sigma_bar^T * corr: gbm_demand of (mu - r) / S^alpha,
-    and that of (mu - r)^2 / S^alpha at tau = 0 times
+    omega = sigma_bar sigma_bar^T * corr.  One solve takes the two columns
+    (mu - r) / S^alpha and (mu - r)^2 / S^alpha, so omega is factored once:
+    the myopic demand is exp(-r tau) times the first solved column over
+    gamma, and the hedging demand is the second over gamma times
     exp(-r tau) (exp(-alpha r tau) - 1) / r (-alpha tau as r -> 0), which
     is zero at alpha = 0.  A bad price or price power S^alpha is a
     DomainError (_price_power) whose `index` is the first row holding one.
@@ -255,11 +263,11 @@ def cev_demand(mu: Array, solve: Solve, alpha: float | Array, S: Array, r: float
     """
     s_pow = _price_power(S, alpha)
     excess = mu - r
-    myopic = gbm_demand(excess / s_pow, solve, r, gamma, tau)
-    hedged = gbm_demand(excess**2 / s_pow, solve, r, gamma, 0.0)
+    x = _solve(solve, np.stack([excess, excess**2], axis=-1) / s_pow[..., None]) / gamma
     tau = np.asarray(tau)[..., None]
+    discount = np.exp(-r * tau)
     rate = -alpha * tau if abs(r) <= _ZERO_RATE_TOL else np.expm1(-alpha * r * tau) / r
-    return myopic, -hedged * rate * np.exp(-r * tau)
+    return x[..., 0] * discount, -x[..., 1] * rate * discount
 
 
 def cev_policy(c: CevParams, S: float | Array, t: float) -> Policy:

@@ -240,6 +240,16 @@ class TestBatchedKernel:
         with pytest.raises(LedgerError, match=r"^decision week 27: ledger identity"):
             run_backtest(prices, cfg)
 
+    @pytest.mark.parametrize("theta, shape", [(np.ones(4), r"\(4,\)"), (1.0, r"\(\)")],
+                             ids=["four-entries", "scalar"])
+    def test_callable_theta_of_wrong_shape_is_data_error(self, theta, shape):
+        # a 4-entry or 0-d theta on a 3-asset panel names the week and both shapes
+        prices = gbm_series(n_weeks=60, n_assets=3, seed=0)
+        cfg = BacktestConfig(strategy=lambda est, p, t, T: theta)
+        message = rf"^decision week 27: strategy returned theta of shape {shape}, expected \(3,\)$"
+        with pytest.raises(DataError, match=message):
+            run_backtest(prices, cfg)
+
     def test_error_without_index_passes_unchanged(self):
         # an error naming no stack entry reaches the caller as raised,
         # without a decision week in its message
@@ -515,12 +525,32 @@ class TestRunBacktest:
         np.testing.assert_allclose(a.wealth, b.wealth, rtol=1e-12)
 
     def test_cev_alpha_zero_equals_multi(self):
-        # q = S^0 = 1 scales nothing, below batch_len and at or above it
+        # q = S^0 = 1 scales nothing, below batch_len and at or above it.
+        # cev solves its myopic column beside the hedging column, multi
+        # alone, and LAPACK rounds the two apart in the last bits; the demand
+        # itself is checked to the bit below.  At 30 assets the ridge-bound
+        # money reaches 3e8 a week, so the gap (3e-16 of that money) is
+        # measured against the path's largest wealth, not a week near zero.
         for n_assets in (3, 30):
             prices = gbm_series(n_weeks=90, n_assets=n_assets, seed=11)
             a = run_backtest(prices, BacktestConfig(strategy="multi"))
             b = run_backtest(prices, BacktestConfig(strategy="cev", alpha=0.0))
-            np.testing.assert_array_equal(a.wealth, b.wealth)
+            np.testing.assert_allclose(b.wealth, a.wealth, rtol=1e-13,
+                                       atol=1e-13 * np.abs(a.wealth).max())
+
+    @pytest.mark.parametrize("n_assets", [3, 30])
+    def test_cev_demand_at_alpha_zero_is_the_myopic_column(self, n_assets):
+        # at alpha = 0 the hedge is exactly zero, and the myopic demand is
+        # column 0 of the one two-column solve over gamma, discounted
+        prices = gbm_series(n_weeks=90, n_assets=n_assets, seed=11)
+        rows = np.arange(27, 89)
+        r, gamma, tau = 0.025, 2.0, 89 * backtest.DT - rows * backtest.DT
+        mu, solve = estimate.ridge_solver(estimate.to_returns(prices), rows)
+        myopic, hedging = dynamic_policy.cev_demand(mu, solve, 0.0, prices.prices[rows], r,
+                                                    gamma, tau)
+        x = solve(np.stack([mu - r, (mu - r) ** 2], axis=-1))
+        np.testing.assert_array_equal(hedging, 0.0)
+        np.testing.assert_array_equal(myopic, x[..., 0] / gamma * np.exp(-r * tau)[:, None])
 
     def test_static_runs_multi_asset(self):
         prices = gbm_series(n_weeks=90, n_assets=3, seed=2)

@@ -549,6 +549,13 @@ class TestValidation:
         with pytest.raises(DefinitenessError):
             simple_policy(m, 0.0)
 
+    def test_singular_scale_covariance_rejected(self):
+        # sigma_bar = [0.2, 0] makes omega singular; the one solve says so
+        c = CevParams(mu=[0.1, 0.12], sigma_bar=[0.2, 0.0], alpha=1.0, corr=np.eye(2),
+                      r=0.025, T=1.0, gamma=1.0)
+        with pytest.raises(DefinitenessError, match="^singular covariance$"):
+            cev_policy(c, [1.0, 1.0], 0.0)
+
     def test_zero_volatility_sharpe_rejected(self):
         m = MarketParams.single(0.1, 0.0, 0.02, 1.0, 1.0)
         with pytest.raises(DefinitenessError):
