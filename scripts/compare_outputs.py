@@ -226,7 +226,9 @@ PROBES = {
         "for i in (0, 1):\n"
         "    for target, notional in ((0.10, 1.0), (0.15, 1.0), (0.20, 1.0), (0.15, 2.5)):\n"
         "        run(i, target, notional)\n"
-        "panels[0].prices[300, 7] *= 1.001\n"
+        "edited = panels[0].prices.copy()\n"
+        "edited[300, 7] *= 1.001\n"
+        "panels[0] = mvlab.PriceSeries(prices=edited)\n"
         "run(0, 0.15)\n"
         "np.savetxt(sys.stdout, np.column_stack(wealth), fmt='%.17g', delimiter=',',\n"
         "           header=','.join(header), comments='')\n"),

@@ -26,21 +26,15 @@ callable strategy is called in week order.
 
 For N > 1 the static strategy's weights are affine in the target through
 Sigma^-1 [1, mu] and the frontier constants a, b, c (static_mvo._frontier_solve),
-so its block stages compute that table and the target step runs over all of
-it afterwards.  The module keeps one entry, (batch_len, a read-only copy of
-the prices, table), for the last static panel solved, about 0.6 MB at
-50 x 523.  A static call with the same batch_len and equal prices (compared
-after to_returns has passed them: finite and positive, so equal values are
-equal bits, and a panel changed in place misses) skips the block stages.  A
-miss empties the entry and stores the new one only once every block has
-passed.  The entry is replaced as one tuple, so a call on another thread
-reads the old entry or the new one.
+so its block stages compute that table, kept for the last panel and batch_len
+solved (_frontier_table), and the target step runs over all of it afterwards.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -57,9 +51,6 @@ STRATEGIES = ("static", "simple", "multi", "cev")
 BLOCK_ENTRIES = 2**19
 LEDGER_TOL = 1e-9
 DT = 1.0 / estimate.WEEKS_PER_YEAR
-
-# (batch_len, prices, frontier table) of the last static panel solved
-_memo = None
 
 
 @dataclass(frozen=True)
@@ -121,10 +112,15 @@ def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
         mu, sigma = estimate.rolling_estimates(returns, rows, cfg.batch_len)
         theta = np.empty(prices_now.shape)
         for i, t in enumerate(rows.tolist()):
-            theta_i = np.asarray(cfg.strategy(
+            theta_i = cfg.strategy(
                 estimate.ParamEstimate(mu_hat=mu[i], sigma_hat=sigma[i],
                                        batch_start=t - cfg.batch_len, batch_end=t),
-                prices_now[i], t * DT, horizon), float)
+                prices_now[i], t * DT, horizon)
+            try:
+                theta_i = np.asarray(theta_i, float)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"strategy returned theta that is not numeric: {exc}",
+                                index=i) from None
             if theta_i.shape != theta.shape[1:]:
                 raise DataError(f"strategy returned theta of shape {theta_i.shape}, "
                                 f"expected {theta.shape[1:]}", index=i)
@@ -163,16 +159,14 @@ def run_backtest(prices: PriceSeries, cfg: BacktestConfig) -> WealthPath:
         raise WarmupError(
             f"need at least {cfg.batch_len + 3} price rows, got {n_rows}"
         )
-    returns = estimate.to_returns(prices)
-    horizon = (n_rows - 1) * DT
     rows = np.arange(cfg.batch_len + 1, n_rows - 1)
     if cfg.strategy == "static" and prices.n_assets > 1:
-        table = _frontier_table(cfg, returns, prices.prices, horizon, rows)
+        table = _frontier_table(prices, cfg.batch_len)
         theta = cfg.notional * static_mvo._frontier_point(
             table["inv"], table["a"], table["b"], table["c"], cfg.target)[0]
     else:
         theta = np.empty((rows.size, prices.n_assets))
-        _run_blocks(cfg, returns, prices.prices, horizon, rows, theta)
+        _run_blocks(cfg, prices, rows, theta)
     with _naming_week(rows):
         return _ledger(prices.prices, rows, theta, cfg)
 
@@ -184,33 +178,29 @@ def _table_dtype(n_assets: int) -> np.dtype:
                      ("a", np.float64), ("b", np.float64), ("c", np.float64)])
 
 
-def _frontier_table(cfg: BacktestConfig, returns: Array, prices: Array, horizon: float,
-                    rows: Array) -> Array:
-    """The static strategy's frontier table, one row per decision week:
-    the kept one when the last static panel solved had these prices and
-    batch_len, else a new one, which replaces it once every block passed."""
-    global _memo
-    memo = _memo
-    if memo is not None and memo[0] == cfg.batch_len and np.array_equal(memo[1], prices):
-        return memo[2]
-    _memo = None
-    kept = prices.copy()
-    table = np.empty(rows.size, _table_dtype(prices.shape[1]))
-    _run_blocks(cfg, returns, prices, horizon, rows, table)
-    kept.flags.writeable = table.flags.writeable = False
-    _memo = (cfg.batch_len, kept, table)
+@lru_cache(maxsize=1)
+def _frontier_table(prices: PriceSeries, batch_len: int) -> Array:
+    """The static strategy's read-only frontier table, one row per decision
+    week.  The last panel and batch_len solved are kept (a panel cannot
+    change, see PriceSeries), so several targets on one panel solve it
+    once; a call that raises is not kept."""
+    rows = np.arange(batch_len + 1, prices.prices.shape[0] - 1)
+    table = np.empty(rows.size, _table_dtype(prices.n_assets))
+    _run_blocks(BacktestConfig(strategy="static", batch_len=batch_len), prices, rows, table)
+    table.flags.writeable = False
     return table
 
 
-def _run_blocks(cfg: BacktestConfig, returns: Array, prices: Array, horizon: float,
-                rows: Array, out: Array) -> None:
+def _run_blocks(cfg: BacktestConfig, prices: PriceSeries, rows: Array, out: Array) -> None:
     """Fill out's rows, one per decision week in `rows`, with the block
     stage's rows, block by block in week order."""
-    step = _block_weeks(rows.size, prices.shape[1], cfg.batch_len)
+    returns = estimate.to_returns(prices)
+    horizon = (prices.prices.shape[0] - 1) * DT
+    step = _block_weeks(rows.size, prices.n_assets, cfg.batch_len)
     for start in range(0, rows.size, step):
         block = rows[start:start + step]
         with _naming_week(block):
-            out[start:start + block.size] = _block_theta(cfg, returns, prices, block, horizon)
+            out[start:start + block.size] = _block_theta(cfg, returns, prices.prices, block, horizon)
 
 
 def _block_weeks(n_weeks: int, n_assets: int, batch_len: int) -> int:

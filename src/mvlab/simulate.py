@@ -85,14 +85,16 @@ class SimConfig:
         _check_measure(self.measure)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Price panel, one row per step and one column per asset."""
+    """Price panel, one row per step and one column per asset: a read-only
+    float64 copy of the prices given, compared and hashed by identity."""
 
     prices: Array
 
     def __post_init__(self):
-        prices = np.asarray(self.prices, dtype=np.float64)
+        prices = np.array(self.prices, dtype=np.float64)
+        prices.flags.writeable = False
         if prices.ndim == 1:
             prices = prices[:, None]
         if prices.ndim != 2:

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dynamic_policy import _TINY, Solve, _as_square, _as_vector, _check_fields
-from .errors import DefinitenessError, SingularFrontierError
+from .errors import DefinitenessError, DomainError, SingularFrontierError
 
 Array = NDArray[np.float64]
 
@@ -149,9 +149,13 @@ def solve_static_mvo(p: StaticProblem) -> Weights:
 
 
 def frontier_variance(fc: FrontierConstants, target: float) -> float:
-    """Minimal portfolio variance achievable at the given target return."""
+    """Minimal portfolio variance achievable at the given target return;
+    DomainError where it leaves the float range."""
     disc = _discriminant(fc.a, fc.b, fc.c)
-    return (fc.a * target * target - 2.0 * fc.b * target + fc.c) / disc
+    variance = (fc.a * target * target - 2.0 * fc.b * target + fc.c) / disc
+    if not np.isfinite(variance):
+        raise DomainError(f"frontier variance {variance} at target {target:g} is out of range")
+    return variance
 
 
 def kkt_oracle(p: StaticProblem) -> Weights:

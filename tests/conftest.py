@@ -15,13 +15,6 @@ def rng():
     return np.random.default_rng(12345)
 
 
-@pytest.fixture(autouse=True)
-def no_frontier_memo(monkeypatch):
-    """Each test starts with backtest's static frontier memo empty, so no
-    test depends on the panel an earlier one solved."""
-    monkeypatch.setattr(backtest, "_memo", None)
-
-
 def two_streams(seed, paths):
     """(Generator, path count) of each half of a two-stream Monte Carlo,
     half 0 first: the children of SeedSequence(seed).spawn(2) over

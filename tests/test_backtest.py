@@ -240,13 +240,18 @@ class TestBatchedKernel:
         with pytest.raises(LedgerError, match=r"^decision week 27: ledger identity"):
             run_backtest(prices, cfg)
 
-    @pytest.mark.parametrize("theta, shape", [(np.ones(4), r"\(4,\)"), (1.0, r"\(\)")],
-                             ids=["four-entries", "scalar"])
-    def test_callable_theta_of_wrong_shape_is_data_error(self, theta, shape):
-        # a 4-entry or 0-d theta on a 3-asset panel names the week and both shapes
+    @pytest.mark.parametrize("theta, said", [
+        (np.ones(4), r"of shape \(4,\), expected \(3,\)$"),
+        (1.0, r"of shape \(\), expected \(3,\)$"),
+        ("abc", "that is not numeric: could not convert string to float"),
+        ([1.0, [2.0], 3.0], "that is not numeric: setting an array element with a sequence"),
+    ], ids=["four-entries", "scalar", "string", "ragged"])
+    def test_callable_theta_of_wrong_shape_is_data_error(self, theta, said):
+        # a 4-entry, 0-d or non-numeric theta on a 3-asset panel names the
+        # week and what is wrong with it
         prices = gbm_series(n_weeks=60, n_assets=3, seed=0)
         cfg = BacktestConfig(strategy=lambda est, p, t, T: theta)
-        message = rf"^decision week 27: strategy returned theta of shape {shape}, expected \(3,\)$"
+        message = rf"^decision week 27: strategy returned theta {said}"
         with pytest.raises(DataError, match=message):
             run_backtest(prices, cfg)
 
@@ -321,15 +326,15 @@ class TestBlockStage:
 
     @pytest.mark.parametrize("strategy", backtest.STRATEGIES)
     def test_same_bits_in_three_blocks_and_in_one(self, monkeypatch, strategy):
-        # each run computes its own blocks: the static frontier memo is
-        # emptied before it
+        # each run computes its own blocks: the kept static frontier table
+        # is dropped before it
         prices, cfg = gbm_series(n_weeks=523, n_assets=50), BacktestConfig(strategy=strategy)
         paths, counts = [], []
         for entries in (backtest.BLOCK_ENTRIES, 2**24):
             blocks = []
             with monkeypatch.context() as m:
                 m.setattr(backtest, "BLOCK_ENTRIES", entries)
-                m.setattr(backtest, "_memo", None)
+                backtest._frontier_table.cache_clear()
                 recording_blocks(m, blocks.append)
                 paths.append(run_backtest(prices, cfg))
             counts.append(len(blocks))
@@ -347,7 +352,6 @@ class TestBlockStage:
         seen = []
         recording_blocks(monkeypatch, lambda rows: seen.append(
             (threading.current_thread(), threading.active_count())))
-        monkeypatch.setattr(backtest, "_memo", None)  # so a static run computes its blocks
         run_backtest(gbm_series(n_weeks=n_weeks, n_assets=n_assets),
                      BacktestConfig(strategy=strategy))
         assert seen and set(seen) == {(threading.current_thread(), baseline)}
@@ -375,8 +379,7 @@ class TestBlockStage:
     def test_concurrent_runs_keep_their_bits(self, strategy):
         # three callers at once (three threads on two cores) under a short
         # switch interval, alternating between two panels: a run reads no
-        # state another writes but static's frontier memo, which it reads
-        # or replaces whole
+        # state another writes but static's kept frontier table
         panels = [gbm_series(n_weeks=523, n_assets=50, seed=seed) for seed in (0, 1)]
         cfg = BacktestConfig(strategy=strategy)
         want = [run_backtest(prices, cfg).wealth for prices in panels]
@@ -410,8 +413,9 @@ class TestBlockStage:
 
 
 class TestFrontierMemo:
-    """A static backtest on the prices and batch_len that the last static
-    call solved reuses its frontier table and runs no block stage."""
+    """A static backtest on the panel and batch_len that the last static
+    call solved reuses its frontier table and runs no block stage; a panel
+    cannot change once made."""
 
     def test_warm_call_gives_the_cold_bits(self, monkeypatch):
         prices = gbm_series(n_weeks=523, n_assets=50)
@@ -419,7 +423,7 @@ class TestFrontierMemo:
         configs.append(BacktestConfig(strategy="static", target=0.15, notional=2.5))
         cold = []
         for cfg in configs:
-            monkeypatch.setattr(backtest, "_memo", None)
+            backtest._frontier_table.cache_clear()
             cold.append(run_backtest(prices, cfg))
         blocks = []
         recording_blocks(monkeypatch, blocks.append)
@@ -427,32 +431,49 @@ class TestFrontierMemo:
             assert_same_bits(run_backtest(prices, cfg), want)
         assert blocks == []
 
-    def test_panel_changed_in_place_is_solved_again(self, monkeypatch):
-        prices, cfg = gbm_series(n_weeks=523, n_assets=50), BacktestConfig(strategy="static")
-        run_backtest(prices, cfg)
-        prices.prices[300, 7] *= 1.001
-        got = run_backtest(prices, cfg)
-        monkeypatch.setattr(backtest, "_memo", None)
-        assert_same_bits(got, run_backtest(prices, cfg))
+    def test_panel_is_read_only(self):
+        series = gbm_series(n_weeks=60, n_assets=3)
+        with pytest.raises(ValueError, match="read-only"):
+            series.prices[30, 1] *= 1.001
 
-    def test_other_batch_len_misses(self, monkeypatch):
-        prices = gbm_series(n_weeks=523, n_assets=50)
-        run_backtest(prices, BacktestConfig(strategy="static"))
+    def test_panel_keeps_its_own_copy(self):
+        prices = gbm_series(n_weeks=60, n_assets=3).prices.copy()
+        series = PriceSeries(prices=prices)
+        want = prices.copy()
+        prices[30, 1] *= 1.001
+        assert np.array_equal(series.prices, want)
+
+    def test_edited_copy_is_solved_again(self, monkeypatch):
+        series, cfg = gbm_series(n_weeks=523, n_assets=50), BacktestConfig(strategy="static")
+        run_backtest(series, cfg)
+        prices = series.prices.copy()
+        prices[300, 7] *= 1.001
+        edited = PriceSeries(prices=prices)
         blocks = []
         recording_blocks(monkeypatch, blocks.append)
+        got = run_backtest(edited, cfg)
+        assert blocks
+        assert_same_bits(got, run_backtest(PriceSeries(prices=prices), cfg))
+
+    def test_other_batch_len_misses(self):
+        prices = gbm_series(n_weeks=523, n_assets=50)
+        run_backtest(prices, BacktestConfig(strategy="static"))
         cfg = BacktestConfig(strategy="static", batch_len=30)
+        misses = backtest._frontier_table.cache_info().misses
         got = run_backtest(prices, cfg)
-        assert blocks and backtest._memo[0] == 30
-        monkeypatch.setattr(backtest, "_memo", None)
+        assert backtest._frontier_table.cache_info().misses == misses + 1
+        backtest._frontier_table.cache_clear()
         assert_same_bits(got, run_backtest(prices, cfg))
 
-    def test_failing_panel_is_not_kept(self):
+    def test_failing_panel_is_not_kept(self, monkeypatch):
         # constant prices: zero means, so b = c = 0 and a*c - b^2 = 0
         prices, cfg = PriceSeries(prices=np.ones((60, 3))), BacktestConfig(strategy="static")
-        for _ in range(2):
+        blocks = []
+        recording_blocks(monkeypatch, blocks.append)
+        for calls in (1, 2):
             with pytest.raises(SingularFrontierError, match=r"^decision week 27: degenerate"):
                 run_backtest(prices, cfg)
-            assert backtest._memo is None
+            assert len(blocks) == calls
 
 
 class TestConfig:

@@ -555,6 +555,11 @@ def panel_csv(weeks=60, n_assets=3, seed=0):
                  4, "overflow encountered", id="backtest-overflowing-notional"),
     pytest.param({}, ["mvo", "--mu", "0.1,0.2", "--sigma", "1,0;0,1", "--target", "1e308"], 4,
                  "overflow encountered", id="mvo-overflowing-target"),
+    # the target's square overflows in the frontier variance, a Python float
+    *[pytest.param({}, ["mvo", "--mu", "0.1,0.2", "--sigma", "1,0;0,1", "--target", "1e155",
+                        *out], 4, "error: frontier variance inf at target 1e+155 is out of range",
+                   id=f"mvo-overflowing-variance{name}")
+      for name, out in [("", []), ("-out", ["--out", "o"])]],
     # a covariance LAPACK cannot factorise, and one with a pivot below the
     # floor 1e-12 of its largest diagonal entry, which is named
     pytest.param({}, ["mvo", "--mu", "0.1,0.2", "--sigma", "1,2;2,1"], 4,
