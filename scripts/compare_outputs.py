@@ -125,7 +125,9 @@ COMMANDS = [
 # each printing the error a tree raises in place of the value.  Then
 # StaticProblem's verdict, `ok` or the class of the error, on diag(1, x) for
 # x from 1e-13 to 1e-11 and on either side of the floor 1e-12, and on a
-# 3 x 3 family whose last pivot is x.  Then each
+# 3 x 3 family whose last pivot is x.  Then the class, `index` and message
+# of the error ridge_solver raises on a 3- and a 30-asset panel holding a
+# 1e300 return, which its finiteness check must locate.  Then each
 # strategy's backtest wealth path, one CSV column each, on the seeded
 # 50 x 523 GBM panel of the `simulate` defaults, built through the
 # library: at 50 assets the CLI's simple, multi and cev backtests exit 4
@@ -214,6 +216,18 @@ PROBES = {
         "        print('ok')\n"
         "    except Exception as exc:\n"
         "        print(type(exc).__name__)\n"),
+    "non-finite-estimate.txt": (
+        "import numpy as np\n"
+        "from mvlab import errors, estimate\n"
+        "for n in (3, 30):\n"
+        "    returns = np.random.default_rng(5).normal(0.002, 0.03, size=(60, n))\n"
+        "    returns[40, 1] = 1e300\n"
+        "    try:\n"
+        "        with np.errstate(over='ignore'):\n"
+        "            estimate.ridge_solver(returns, np.arange(26, 61))\n"
+        "        print('no error')\n"
+        "    except errors.MvlabError as exc:\n"
+        "        print(type(exc).__name__, exc.index, exc)\n"),
     "backtest-wealth.csv": GBM_PANEL + "print_wealth(readme_panel(0))\n",
     "backtest-wealth-narrow.csv": GBM_PANEL + "print_wealth(gbm_panel(20, 1200, 0))\n",
     "static-sweep.csv": GBM_PANEL + (

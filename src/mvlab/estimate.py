@@ -6,6 +6,8 @@ half a year) form the batch, whose sample mean and covariance are
 annualised by WEEKS_PER_YEAR.  Estimation never looks at or past the
 decision time.  ridge_solver solves with the regularised covariance of
 each batch without forming it when the assets outnumber the batch weeks.
+The decision indices of one call are a run of consecutive weeks, so each
+batch mean is summed lag by lag over contiguous slices of the return rows.
 """
 
 from __future__ import annotations
@@ -46,35 +48,49 @@ def to_returns(p: PriceSeries) -> Array:
     prices = p.prices
     if prices.shape[0] < 2:
         raise DataError("need at least two price rows")
-    bad = np.argwhere(~(np.isfinite(prices) & (prices > 0)))
-    if bad.size:
-        row, col = bad[0]
+    ok = np.isfinite(prices) & (prices > 0)
+    if not ok.all():
+        row, col = np.argwhere(~ok)[0]
         raise DataError(f"price {prices[row, col]} at row {row} is not positive and finite")
     return prices[1:] / prices[:-1] - 1.0
 
 
 def _centred_windows(returns: Array, t_indices, batch_len: int) -> tuple[Array, Array]:
     """Weekly means (k, N) and centred return windows (k, N, batch_len) of
-    the batches ending before each of the k decision indices in t_indices.
+    the batches ending before each of the k decision indices in t_indices,
+    which must be consecutive and ascending.
 
     The batch for index t is return rows [t - batch_len, t), so the
-    batches of t and t + 1 share batch_len - 1 rows; all batches are read
-    at once through a sliding window over the return rows.
+    batches of t and t + 1 share batch_len - 1 rows.  On C-ordered returns
+    of N > 1 assets the means add the contiguous slice of each lag's rows
+    in lag order, then divide by batch_len: the order in which numpy
+    reduces the lag axis of the gathered windows, laid out (k, batch_len,
+    N), so the bits are those of their mean.
     """
     t = np.atleast_1d(np.asarray(t_indices, dtype=np.intp))
     if t.size == 0:
         raise DataError("no decision index given")
-    if t.min() < batch_len:
-        raise WarmupError(
-            f"need {batch_len} return observations before index {t.min()}"
-        )
-    if t.max() > returns.shape[0]:
-        raise DataError(f"t_index {t.max()} beyond available returns")
+    if np.any(np.diff(t) != 1):
+        raise DataError("decision indices must be consecutive")
+    first, k = int(t[0]), t.size
+    if first < batch_len:
+        raise WarmupError(f"need {batch_len} return observations before index {first}")
+    if t[-1] > returns.shape[0]:
+        raise DataError(f"t_index {t[-1]} beyond available returns")
     if batch_len < 2:
         raise DataError("batch too short for a covariance")
     windows = np.lib.stride_tricks.sliding_window_view(returns, batch_len, axis=0)
     centred = windows[t - batch_len]                      # (k, N, batch_len), a copy
-    mean = centred.mean(axis=-1)
+    if centred.strides[-1] == centred.itemsize:
+        # one asset (or Fortran-ordered returns): the gathered lag axis is
+        # contiguous, and numpy sums it pairwise
+        mean = centred.mean(axis=-1)
+    else:
+        f = first - batch_len
+        mean = returns[f:f + k].copy()
+        for j in range(1, batch_len):
+            mean += returns[f + j:f + j + k]
+        mean /= batch_len
     centred -= mean[..., None]
     return mean, centred
 
@@ -82,7 +98,8 @@ def _centred_windows(returns: Array, t_indices, batch_len: int) -> tuple[Array, 
 def rolling_estimates(returns: Array, t_indices,
                       batch_len: int = DEFAULT_BATCH_LEN) -> tuple[Array, Array]:
     """Annualised sample means (k, N) and covariances (k, N, N) of the
-    batches ending before each of the k decision indices in t_indices."""
+    batches ending before each of the k decision indices in t_indices, a
+    run of consecutive ascending indices (else a DataError)."""
     mean, centred = _centred_windows(returns, t_indices, batch_len)
     cov = centred @ np.swapaxes(centred, -1, -2)
     cov *= WEEKS_PER_YEAR / (batch_len - 1)
@@ -92,18 +109,19 @@ def rolling_estimates(returns: Array, t_indices,
 def _check_finite(mu: Array, matrix: Array) -> None:
     """DomainError naming the first batch whose means or regularised
     matrix hold a non-finite entry."""
+    if np.isfinite(mu).all() and np.isfinite(matrix).all():
+        return
     bad = np.flatnonzero(~(np.isfinite(mu).all(axis=1) & np.isfinite(matrix).all(axis=(1, 2))))
-    if bad.size:
-        raise DomainError("non-finite estimate", index=int(bad[0]))
+    raise DomainError("non-finite estimate", index=int(bad[0]))
 
 
 def ridge_solver(returns: Array, t_indices,
                  batch_len: int = DEFAULT_BATCH_LEN) -> tuple[Array, Callable]:
     """Annualised sample means (k, N) of the batches ending before each of
-    the k decision indices in t_indices, and solve(b), which returns
-    (Sigma_hat + rho I)^-1 b for b (k, N, m): Sigma_hat and rho as in
-    rolling_estimates and regularize_covariance.  A non-finite estimate is
-    a DomainError whose `index` is its batch.
+    the k consecutive ascending decision indices in t_indices, and
+    solve(b), which returns (Sigma_hat + rho I)^-1 b for b (k, N, m):
+    Sigma_hat and rho as in rolling_estimates and regularize_covariance.
+    A non-finite estimate is a DomainError whose `index` is its batch.
 
     With X a batch's centred (N, L) window and c = WEEKS_PER_YEAR/(L - 1),
     Sigma_hat + rho I = rho I + c X X^T.  When N < L the N x N matrices are

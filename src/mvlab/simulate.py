@@ -88,20 +88,22 @@ class SimConfig:
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Price panel, one row per step and one column per asset: a read-only
-    float64 copy of the prices given, compared and hashed by identity."""
+    float64 copy of the prices given, compared and hashed by identity.  The
+    copy lives in an immutable bytes buffer, so numpy refuses to make it
+    writeable again."""
 
     prices: Array
 
     def __post_init__(self):
-        prices = np.array(self.prices, dtype=np.float64)
-        prices.flags.writeable = False
+        prices = np.asarray(self.prices, dtype=np.float64)
         if prices.ndim == 1:
             prices = prices[:, None]
         if prices.ndim != 2:
             raise DataError(f"price panel must be 2-D (steps x assets), got shape {prices.shape}")
         if prices.shape[1] == 0:
             raise DataError("price panel has no asset columns")
-        object.__setattr__(self, "prices", prices)
+        frozen = np.frombuffer(prices.tobytes(), np.float64).reshape(prices.shape)
+        object.__setattr__(self, "prices", frozen)
 
     @property
     def n_assets(self) -> int:

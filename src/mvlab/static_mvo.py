@@ -42,8 +42,9 @@ def _discriminant(a, b, c):
     """a*c - b^2, or SingularFrontierError naming the first degenerate entry:
     one not above 1e-12 |a*c| (a NaN, where a*c overflows, too), or one
     whose |a*c| is below the normal float range, where a*c - b^2 has too
-    few digits left to be judged.  Its position in the flattened stack is
-    the error's `index` (None for a scalar)."""
+    few digits left to be judged.  A finite a*c - b^2 is named with the
+    bound it failed.  Its position in the flattened stack is the error's
+    `index` (None for a scalar)."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         ac = a * c
         disc = ac - b * b
@@ -51,8 +52,13 @@ def _discriminant(a, b, c):
     bad = np.flatnonzero(~clear | (np.abs(ac) < _TINY))
     if bad.size:
         i = bad[0]
-        what = (f"a*c - b^2 = {np.ravel(disc)[i]:.3e}" if not np.ravel(clear)[i] else
-                f"a*c = {np.ravel(ac)[i]:.3e} is below the normal float range")
+        d, p = np.ravel(disc)[i], np.ravel(ac)[i]
+        if np.ravel(clear)[i]:
+            what = f"a*c = {p:.3e} is below the normal float range"
+        elif np.isfinite(d):
+            what = f"a*c - b^2 = {d:.3e} is not above {_REL_TOL:g} |a*c| = {_REL_TOL * abs(p):.3e}"
+        else:
+            what = f"a*c - b^2 = {d:.3e}"
         raise SingularFrontierError(f"degenerate frontier: {what}",
                                     index=int(i) if np.ndim(disc) else None)
     return disc

@@ -436,6 +436,16 @@ class TestFrontierMemo:
         with pytest.raises(ValueError, match="read-only"):
             series.prices[30, 1] *= 1.001
 
+    def test_panel_cannot_be_made_writeable(self):
+        # the prices live in an immutable buffer, so neither the array nor
+        # its base can be flagged writeable and then edited behind the
+        # frontier table's back
+        series = gbm_series(n_weeks=60, n_assets=3)
+        for array in (series.prices, series.prices.base):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.flags.writeable = True
+        assert not series.prices.flags.writeable
+
     def test_panel_keeps_its_own_copy(self):
         prices = gbm_series(n_weeks=60, n_assets=3).prices.copy()
         series = PriceSeries(prices=prices)

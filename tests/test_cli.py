@@ -172,6 +172,18 @@ class TestMvo:
     def test_missing_inputs_is_data_error(self):
         assert main(["mvo", "--target", "0.1"]) == 3
 
+    def test_degenerate_frontier_names_the_bound_it_failed(self, tmp_path, capsys):
+        # two zero-variance assets estimate the same returns: a*c - b^2 is
+        # rounding noise, a positive number below 1e-12 |a*c|
+        out = tmp_path / "flat"
+        main(["simulate", "--assets", "2", "--weeks", "40", "--variance", "0",
+              "--out", str(out)])
+        capsys.readouterr()
+        assert main(["mvo", "--input", str(out / "prices.csv")]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: degenerate frontier: a*c - b^2 = 1.115e+43 is not above "
+            "1e-12 |a*c| = 3.009e+46"]
+
     def test_output_dir_mode(self, tmp_path):
         out = tmp_path / "mvo"
         code = main(["mvo", "--mu", "0.1,0.2", "--sigma", "1,0;0,1",

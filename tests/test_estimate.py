@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mvlab.errors import DataError, DomainError, WarmupError
 from mvlab.estimate import (
     RIDGE_EPS,
+    WEEKS_PER_YEAR,
     regularize_covariance,
     ridge_solver,
     rolling_estimates,
@@ -191,3 +193,75 @@ class TestRidgeSolver:
         with np.errstate(over="ignore"), pytest.raises(DomainError, match="^non-finite") as info:
             ridge_solver(returns, np.arange(26, 61))
         assert info.value.index == 15
+
+
+def gathered(returns, t, batch_len=26):
+    """Weekly means and centred windows by the gathered-window formula: the
+    mean over the lag axis of each decision index's sliding window."""
+    windows = sliding_window_view(returns, batch_len, axis=0)[np.asarray(t) - batch_len]
+    mean = windows.mean(axis=-1)
+    windows -= mean[..., None]
+    return mean, windows
+
+
+class TestLagSums:
+    """The means summed lag by lag over contiguous return slices give the
+    bits of the gathered-window formula, and everything built on them
+    follows; the batch is 26 weeks, the panel 100 return rows."""
+
+    @staticmethod
+    def runs(k):
+        # a run inside the panel, and one ending at the last return row
+        return [np.arange(40, 40 + k), np.arange(101 - k, 101)]
+
+    @pytest.mark.parametrize("k", [1, 37])
+    @pytest.mark.parametrize("n", [1, 3, 26, 50])
+    def test_rolling_estimates(self, rng, n, k):
+        returns = rng.normal(0.002, 0.03, size=(100, n))
+        for t in self.runs(k):
+            mean, x = gathered(returns, t)
+            cov = x @ np.swapaxes(x, -1, -2)
+            cov *= WEEKS_PER_YEAR / 25
+            mu, sigma = rolling_estimates(returns, t)
+            np.testing.assert_array_equal(mu, WEEKS_PER_YEAR * mean)
+            np.testing.assert_array_equal(sigma, cov)
+
+    @pytest.mark.parametrize("k", [1, 37])
+    @pytest.mark.parametrize("n", [1, 3, 26, 50])
+    def test_ridge_solver(self, rng, n, k):
+        returns = rng.normal(0.002, 0.03, size=(100, n))
+        for t in self.runs(k):
+            mean, x = gathered(returns, t)
+            b = rng.normal(size=(k, n, 2))
+            c = WEEKS_PER_YEAR / 25
+            if n < 26:
+                sigma = x @ np.swapaxes(x, -1, -2)
+                sigma *= c
+                want = np.linalg.solve(regularize_covariance(sigma), b)
+            else:
+                # Woodbury: (b - c X (rho I + c X^T X)^-1 X^T b) / rho
+                gram = np.swapaxes(x, -1, -2) @ x
+                gram *= c
+                rho = RIDGE_EPS * np.trace(gram, axis1=-2, axis2=-1) / n
+                rho = np.where(rho <= 0, RIDGE_EPS, rho)
+                np.einsum("...ii->...i", gram)[...] += rho[..., None]
+                y = np.linalg.solve(gram, np.swapaxes(x, -1, -2) @ b)
+                want = (b - c * (x @ y)) / rho[:, None, None]
+            mu, solve = ridge_solver(returns, t)
+            np.testing.assert_array_equal(mu, WEEKS_PER_YEAR * mean)
+            np.testing.assert_array_equal(solve(b), want)
+
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    def test_fortran_ordered_returns(self, rng, n):
+        # there the gathered lag axis is contiguous, and numpy sums it pairwise
+        returns = np.asfortranarray(rng.normal(0.002, 0.03, size=(100, n)))
+        t = np.arange(40, 77)
+        mu, _ = rolling_estimates(returns, t)
+        np.testing.assert_array_equal(mu, WEEKS_PER_YEAR * gathered(returns, t)[0])
+
+    @pytest.mark.parametrize("t", [[30, 32], [31, 30], [30, 30]])
+    @pytest.mark.parametrize("estimator", [rolling_estimates, ridge_solver])
+    def test_indices_must_be_consecutive(self, estimator, t):
+        returns = to_returns(series(np.linspace(1.0, 2.0, 40)))
+        with pytest.raises(DataError, match="^decision indices must be consecutive$"):
+            estimator(returns, t)
