@@ -122,7 +122,9 @@ COMMANDS = [
 # the paths end absorbed; and a gain at alpha = 2.5, which steps the
 # implicit step (no floor) at an elasticity that is not an
 # integer, and one at alpha = -4 from S0 = 1e200, whose S0^-alpha overflows,
-# each printing the error a tree raises in place of the value.  Then
+# each printing the error a tree raises in place of the value, and a gain
+# at alpha = 0, sigma_bar = 8, where most Euler paths end absorbed, whose
+# error counts the absorbed paths of both halves' merged state.  Then
 # StaticProblem's verdict, `ok` or the class of the error, on diag(1, x) for
 # x from 1e-13 to 1e-11 and on either side of the floor 1e-12, and on a
 # 3 x 3 family whose last pivot is x.  Then the class, `index` and message
@@ -203,6 +205,13 @@ PROBES = {
         "    print(repr(e.value), repr(e.stderr))\n"
         "except mvlab.errors.MvlabError as exc:\n"
         "    print(f'{type(exc).__name__}: {exc}')\n"),
+    "mc-instability.txt": (
+        "import mvlab, mvlab.errors\n"
+        "c = mvlab.CevParams.single(0.125, 8.0, 0.0, 0.025, 1.0, 1.0)\n"
+        "try:\n"
+        "    print(repr(mvlab.mc_anticipated_gain(c, 1.0, 0.0, 2000, 5)))\n"
+        "except mvlab.errors.MvlabError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"),
     "definiteness.txt": (
         "import numpy as np\n"
         "from mvlab.static_mvo import StaticProblem\n"

@@ -105,8 +105,8 @@ class WealthPath(NamedTuple):
 def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
                  rows: Array, horizon: float) -> Array:
     """Money vectors (k, N) of the strategy at decision rows `rows`; for
-    the static strategy on N > 1 assets, the rows of its frontier table
-    (see _frontier_table) instead."""
+    the static strategy on N > 1 assets, its frontier table over the block
+    instead: static_mvo._frontier_solve's (Sigma^-1 [1, mu], a, b, c)."""
     prices_now = prices[rows]
     if callable(cfg.strategy):
         mu, sigma = estimate.rolling_estimates(returns, rows, cfg.batch_len)
@@ -133,10 +133,8 @@ def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
         if mu.shape[1] == 1:
             # A single asset cannot generally hit the target; invest fully.
             return np.full((rows.size, 1), cfg.notional)
-        inv, a, b, c = static_mvo._frontier_solve(solve, mu)
-        static_mvo._discriminant(a, b, c)  # name a degenerate week in its block
-        table = np.empty(rows.size, _table_dtype(mu.shape[1]))
-        table["inv"], table["a"], table["b"], table["c"] = inv, a, b, c
+        table = static_mvo._frontier_solve(solve, mu)
+        static_mvo._discriminant(*table[1:])  # name a degenerate week in its block
         return table
     if cfg.strategy in ("simple", "multi"):
         return dynamic_policy.gbm_demand(mu - cfg.r, solve, cfg.r, cfg.gamma, tau)
@@ -161,46 +159,41 @@ def run_backtest(prices: PriceSeries, cfg: BacktestConfig) -> WealthPath:
         )
     rows = np.arange(cfg.batch_len + 1, n_rows - 1)
     if cfg.strategy == "static" and prices.n_assets > 1:
-        table = _frontier_table(prices, cfg.batch_len)
         theta = cfg.notional * static_mvo._frontier_point(
-            table["inv"], table["a"], table["b"], table["c"], cfg.target)[0]
+            *_frontier_table(prices, cfg.batch_len), cfg.target)[0]
     else:
-        theta = np.empty((rows.size, prices.n_assets))
-        _run_blocks(cfg, prices, rows, theta)
+        theta = np.concatenate(_run_blocks(cfg, prices, rows))
     with _naming_week(rows):
         return _ledger(prices.prices, rows, theta, cfg)
 
 
-def _table_dtype(n_assets: int) -> np.dtype:
-    """A decision week's row of the static frontier table: Sigma^-1 [1, mu]
-    as (N, 2) and the frontier constants a, b, c."""
-    return np.dtype([("inv", np.float64, (n_assets, 2)),
-                     ("a", np.float64), ("b", np.float64), ("c", np.float64)])
-
-
 @lru_cache(maxsize=1)
-def _frontier_table(prices: PriceSeries, batch_len: int) -> Array:
-    """The static strategy's read-only frontier table, one row per decision
-    week.  The last panel and batch_len solved are kept (a panel cannot
+def _frontier_table(prices: PriceSeries, batch_len: int) -> tuple[Array, Array, Array, Array]:
+    """The static strategy's frontier table, static_mvo._frontier_solve's
+    (Sigma^-1 [1, mu], a, b, c) with one row per decision week, each part
+    read-only.  The last panel and batch_len solved are kept (a panel cannot
     change, see PriceSeries), so several targets on one panel solve it
     once; a call that raises is not kept."""
     rows = np.arange(batch_len + 1, prices.prices.shape[0] - 1)
-    table = np.empty(rows.size, _table_dtype(prices.n_assets))
-    _run_blocks(BacktestConfig(strategy="static", batch_len=batch_len), prices, rows, table)
-    table.flags.writeable = False
+    blocks = _run_blocks(BacktestConfig(strategy="static", batch_len=batch_len), prices, rows)
+    table = tuple(np.concatenate(part) for part in zip(*blocks))
+    for part in table:
+        part.flags.writeable = False
     return table
 
 
-def _run_blocks(cfg: BacktestConfig, prices: PriceSeries, rows: Array, out: Array) -> None:
-    """Fill out's rows, one per decision week in `rows`, with the block
-    stage's rows, block by block in week order."""
+def _run_blocks(cfg: BacktestConfig, prices: PriceSeries, rows: Array) -> list:
+    """The block stage's results (_block_theta) for the decision weeks
+    `rows`, one per block, run block by block in week order."""
     returns = estimate.to_returns(prices)
     horizon = (prices.prices.shape[0] - 1) * DT
     step = _block_weeks(rows.size, prices.n_assets, cfg.batch_len)
+    blocks = []
     for start in range(0, rows.size, step):
         block = rows[start:start + step]
         with _naming_week(block):
-            out[start:start + block.size] = _block_theta(cfg, returns, prices.prices, block, horizon)
+            blocks.append(_block_theta(cfg, returns, prices.prices, block, horizon))
+    return blocks
 
 
 def _block_weeks(n_weeks: int, n_assets: int, batch_len: int) -> int:

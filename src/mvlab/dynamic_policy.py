@@ -282,14 +282,29 @@ def cev_policy(c: CevParams, S: float | Array, t: float) -> Policy:
     return Policy(myopic=myopic, hedging=hedging)
 
 
+def _kappa_sq(m: MarketParams, span: float, name: str, result):
+    """result(kappa^2 span) for a single-asset market, with no warning; a
+    DomainError naming kappa^2 span as `name` if it or a value of the
+    result is not finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k2 = np.float64(m.sharpe) ** 2 * span
+        if not np.isfinite(k2):
+            raise DomainError(f"{name} = {k2:g} is beyond the float range")
+        out = result(k2)
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"{name} = {k2:g} gives a result beyond the float range")
+    return out
+
+
 def anticipated_gain_gbm(m: MarketParams, t: float) -> float:
     """Expected cumulative excess gain of the optimal policy under GBM.
 
-    Constant parameters make the integrand deterministic: kappa^2 (T-t) / gamma.
+    Constant parameters make the integrand deterministic: kappa^2 (T-t) / gamma,
+    a DomainError where it is not finite (_kappa_sq).
     A market of several assets has no scalar kappa (MarketParams.sharpe).
     """
     tau = _check_horizon(t, m.T)
-    return m.sharpe**2 * tau / m.gamma
+    return float(_kappa_sq(m, tau, "kappa^2 tau", lambda k2tau: k2tau / m.gamma))
 
 
 def cev_anticipated_gain_exact(c: CevParams, S: float | Array, t: float) -> float | Array:

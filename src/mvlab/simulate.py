@@ -15,8 +15,7 @@ same step for alpha <= 0 and through the drift-implicit step
 Determinism: identical (config, seed) yields bit-identical output.  A panel
 or an ensemble draws from one numpy Generator seeded by the caller; the two
 Monte Carlo runs draw from two streams spawned from the seed, whatever the
-host's cores (see _run_halves), and step at once on two threads through
-the runner _on_two_threads.
+host's cores, and step at once on two threads (see _run_halves).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import contextvars
 import threading
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -203,38 +201,6 @@ def _check_stable(s, s0, alpha) -> float:
     return float(np.mean(absorbed))
 
 
-def _on_two_threads(first, second) -> tuple:
-    """(first(stop), second(stop)), `first` run on this thread while
-    `second` runs on one worker thread named mvlab-half, in a copy of this
-    thread's context (so under its np.errstate); the worker is always
-    joined.  Both parts get one stop Event and check it between their
-    steps; an error of either (KeyboardInterrupt included) sets it.
-    Caller first: an error of `first` is raised, else an error of `second`
-    is."""
-    stop, failed, done = threading.Event(), [], []
-
-    def run():
-        try:
-            done.append(second(stop))
-        except BaseException as exc:  # raised on the calling thread below
-            stop.set()
-            failed.append(exc)
-
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(run,),
-                              name="mvlab-half")
-    worker.start()
-    try:
-        mine = first(stop)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
-    return mine, done[0]
-
-
 def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alpha,
                 dt: float, n_steps: int) -> list:
     """Steps `paths` CEV paths from the price s0 in two halves at once and
@@ -255,11 +221,14 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
     normals of path i < n // 2 (antithetic pairs), and for odd n path h - 1
     has no partner.  consume(steps, n, start) reads its state, stepped in
     place from the value `start`, after each step and returns a tuple of
-    arrays.  Half 0 steps on _on_two_threads' worker and half 1 on this
+    arrays.  Half 0 steps on one worker thread named mvlab-half, in a copy
+    of this thread's context (so under its np.errstate), and half 1 on this
     thread, at once, as standard_normal and large ufuncs release the GIL; a
-    one-core host computes the same bits from the same two streams.  The
-    runner sets stop once either half raises, and each half checks stop
-    before each step.
+    one-core host computes the same bits from the same two streams.  Each
+    half checks one stop Event before each step, and an error of either
+    (KeyboardInterrupt included) sets it.  The worker is always joined;
+    then an error of this thread's half is raised, else one of the
+    worker's.
     """
     if alpha > 0:
         if 1.0 + 0.5 * alpha * drift * dt <= 0:
@@ -279,8 +248,9 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
             np.copyto(s, out, where=np.greater(s, floor, out=alive))
     children = np.random.SeedSequence(seed).spawn(2)
     sizes = (paths // 2, paths - paths // 2)
+    stop, failed, done = threading.Event(), [], []
 
-    def half(k, stop):
+    def half(k):
         rng, n = np.random.default_rng(children[k]), sizes[k]
         h = n - n // 2
         state, z = np.full(n, start), np.empty(n)
@@ -299,8 +269,26 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
         with np.errstate(over="ignore", invalid="ignore"):
             return (state, *consume(steps(), n, start))
 
-    one, zero = _on_two_threads(partial(half, 1), partial(half, 0))
-    state, *arrays = [np.concatenate(parts) for parts in zip(zero, one)]
+    def run():
+        try:
+            done.append(half(0))
+        except BaseException as exc:  # raised on the calling thread below
+            stop.set()
+            failed.append(exc)
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run,),
+                              name="mvlab-half")
+    worker.start()
+    try:
+        one = half(1)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    state, *arrays = [np.concatenate(parts) for parts in zip(done[0], one)]
     return [check(state), *arrays]
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamic_policy import MarketParams, _check_count, _check_entries
+from .dynamic_policy import MarketParams, _check_count, _check_entries, _kappa_sq
 from .errors import DomainError
 
 MIN_PATHS = 10_000  # compare_strategies_mc's fewest paths
@@ -31,13 +31,14 @@ def tc_wealth_stats(m: MarketParams, W0: float) -> WealthStats:
     """Mean, variance and objective value of the time-consistent terminal wealth.
 
     mean = W0 e^{rT} + kappa^2 T / gamma, variance = kappa^2 T / gamma^2,
-    J = mean - (gamma/2) variance.
+    J = mean - (gamma/2) variance; a DomainError where one is not finite.
     """
-    k2T = m.sharpe**2 * m.T
-    mean = W0 * np.exp(m.r * m.T) + k2T / m.gamma
-    variance = k2T / m.gamma**2
-    return WealthStats(mean=float(mean), variance=float(variance),
-                       value_function=float(mean - 0.5 * m.gamma * variance))
+    def stats(k2T):
+        mean = W0 * np.exp(m.r * m.T) + k2T / m.gamma
+        variance = k2T / np.float64(m.gamma) ** 2
+        return mean, variance, mean - 0.5 * m.gamma * variance
+
+    return WealthStats(*map(float, _kappa_sq(m, m.T, "kappa^2 T", stats)))
 
 
 class StrategyComparison(NamedTuple):
@@ -49,9 +50,9 @@ class StrategyComparison(NamedTuple):
 
 
 def analytic_gap(m: MarketParams) -> float:
-    """E[W_hat] - E[W*] = (1/gamma)(e^{kappa^2 T} - 1 - kappa^2 T) >= 0."""
-    k2T = m.sharpe**2 * m.T
-    return float((np.expm1(k2T) - k2T) / m.gamma)
+    """E[W_hat] - E[W*] = (1/gamma)(e^{kappa^2 T} - 1 - kappa^2 T) >= 0; a
+    DomainError where it is not finite."""
+    return float(_kappa_sq(m, m.T, "kappa^2 T", lambda k2T: (np.expm1(k2T) - k2T) / m.gamma))
 
 
 def compare_strategies_mc(m: MarketParams, W0: float, paths: int,

@@ -55,10 +55,10 @@ def euler_step(s, z, drift, sigma_bar, alpha, dt, floor):
 
 
 def inline_threads(monkeypatch):
-    """Patches the thread of the two-thread runner, simulate._on_two_threads,
-    with a stand-in that runs its target at start, on the calling thread, as
-    a one-core host in effect does; returns the names of the stand-ins
-    started, in order."""
+    """Patches the worker thread of the Monte Carlo runner,
+    simulate._run_halves, with a stand-in that runs its target at start, on
+    the calling thread, as a one-core host in effect does; returns the names
+    of the stand-ins started, in order."""
     started = []
 
     class InlineThread:

@@ -171,8 +171,8 @@ class TestBatchedKernel:
             want = myopic + hedging
         got = backtest._block_theta(cfg, returns, prices.prices, rows, horizon)
         if cfg.strategy == "static":
-            for name, value in zip(("inv", "a", "b", "c"), want):
-                np.testing.assert_array_equal(got[name], value)
+            for part, value in zip(got, want, strict=True):
+                np.testing.assert_array_equal(part, value)
         else:
             np.testing.assert_array_equal(got, want)
 
@@ -430,6 +430,15 @@ class TestFrontierMemo:
         for cfg, want in zip(configs, cold):
             assert_same_bits(run_backtest(prices, cfg), want)
         assert blocks == []
+
+    def test_table_is_read_only(self):
+        # the kept table serves every later call on the panel, so no caller
+        # may write into any of its parts
+        table = backtest._frontier_table(gbm_series(n_weeks=60, n_assets=3), 26)
+        assert len(table) == 4
+        for part in table:
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0.0
 
     def test_panel_is_read_only(self):
         series = gbm_series(n_weeks=60, n_assets=3)

@@ -687,9 +687,9 @@ class TestTwoStreams:
             assert bufs[0].base.size == n
 
     def test_cli_import_leaves_concurrent_futures_out(self):
-        # scipy is a test dependency only; the two-thread runner uses a
-        # plain thread, so neither the import, a price panel nor a
-        # two-stream Monte Carlo loads concurrent.futures
+        # scipy is a test dependency only; the Monte Carlo runner
+        # _run_halves starts a plain thread, so neither the import, a price
+        # panel nor a two-stream Monte Carlo loads concurrent.futures
         code = ("import sys, mvlab.cli\n"
                 "print([m in sys.modules for m in ('concurrent.futures', 'scipy')])\n"
                 "c = mvlab.CevParams.single(0.125, 0.2, 1.0, 0.025, 1.0, 1.0)\n"

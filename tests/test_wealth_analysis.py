@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from mvlab.dynamic_policy import MarketParams
+from mvlab.dynamic_policy import MarketParams, anticipated_gain_gbm
+from mvlab.errors import DomainError
 from mvlab.wealth_analysis import (
     analytic_gap,
     compare_strategies_mc,
@@ -117,6 +120,37 @@ class TestGap:
     def test_zero_iff_zero_sharpe(self):
         assert analytic_gap(market(mu=0.025)) == 0.0
         assert analytic_gap(market()) > 0.0
+
+
+class TestBeyondTheFloatRange:
+    """The GBM analytics raise a DomainError naming kappa^2 T (or tau) where
+    it or their result leaves the float range, and warn nothing."""
+
+    ANALYTICS = {"analytic_gap": analytic_gap,
+                 "tc_wealth_stats": lambda m: tc_wealth_stats(m, 1.0),
+                 "anticipated_gain_gbm": lambda m: anticipated_gain_gbm(m, 0.0)}
+
+    @pytest.mark.parametrize("name", ANALYTICS)
+    @pytest.mark.parametrize("m, match", [
+        (market(mu=1e155), r"kappa\^2 (T|tau) = inf is beyond"),
+        (market(sigma=1e-300), r"kappa\^2 (T|tau) = inf is beyond"),
+        (market(gamma=1e-310), r"kappa\^2 (T|tau) = 0.5 gives a result beyond"),
+    ], ids=["mu-1e155", "sigma-1e-300", "gamma-1e-310"])
+    def test_raises_domain_error_without_warning(self, name, m, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=match):
+                self.ANALYTICS[name](m)
+
+    def test_gap_beyond_the_float_range_at_finite_kappa_sq_t(self):
+        # kappa^2 T = 1.6e9: e^{kappa^2 T} overflows, kappa^2 T itself does not
+        m = market(mu=400.0, sigma=0.2, r=0.02, T=400.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"kappa\^2 T = 1.59984e\+09 gives"):
+                analytic_gap(m)
+            assert np.isfinite(tc_wealth_stats(m, 1.0)).all()
+            assert np.isfinite(anticipated_gain_gbm(m, 0.0))
 
 
 class TestCompareMc:
