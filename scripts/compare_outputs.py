@@ -140,7 +140,11 @@ COMMANDS = [
 # these calls reuse the frontier table of the call before them, so equal
 # bits show that a reused table gives the bits of a fresh solve.  Then each
 # strategy's wealth path on a 20 x 1200 panel of the same market, which
-# runs in two blocks through the (k, N, N) solve that N < L takes.
+# runs in two blocks through the (k, N, N) solve that N < L takes.  Then
+# the class, `index` and message of the error each of three backtests
+# raises on a 2 x 41 panel of that market, whose money vectors are not
+# finite: static at notional 1e308, simple at gamma 5e-324 and a callable
+# strategy returning inf.
 GBM_PANEL = (
     "import sys\n"
     "import numpy as np\n"
@@ -255,6 +259,18 @@ PROBES = {
         "run(0, 0.15)\n"
         "np.savetxt(sys.stdout, np.column_stack(wealth), fmt='%.17g', delimiter=',',\n"
         "           header=','.join(header), comments='')\n"),
+    "nonfinite-money.txt": GBM_PANEL + (
+        "import mvlab.errors\n"
+        "panel = gbm_panel(2, 40, 0)\n"
+        "for kwargs in ({'strategy': 'static', 'notional': 1e308},\n"
+        "               {'strategy': 'simple', 'gamma': 5e-324},\n"
+        "               {'strategy': lambda est, p, t, T: np.full(p.size, np.inf)}):\n"
+        "    try:\n"
+        "        with np.errstate(all='ignore'):\n"
+        "            mvlab.run_backtest(panel, mvlab.BacktestConfig(**kwargs))\n"
+        "        print('no error')\n"
+        "    except mvlab.errors.MvlabError as exc:\n"
+        "        print(type(exc).__name__, exc.index, exc)\n"),
 }
 
 RUNS = [" ".join(argv) for argv in COMMANDS] + [f"probe {name}" for name in PROBES]

@@ -25,9 +25,10 @@ at a time.  The blocks run in week order on the calling thread, so a
 callable strategy is called in week order.
 
 For N > 1 the static strategy's weights are affine in the target through
-Sigma^-1 [1, mu] and the frontier constants a, b, c (static_mvo._frontier_solve),
-so its block stages compute that table, kept for the last panel and batch_len
-solved (_frontier_table), and the target step runs over all of it afterwards.
+Sigma^-1 1, Sigma^-1 mu and the frontier constants a, b, c
+(static_mvo._frontier_solve), so its block stages compute that table with
+each week's checked a*c - b^2, kept for the last panel and batch_len solved
+(_frontier_table), and the target step runs over all of it afterwards.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import dynamic_policy, estimate, static_mvo
-from .errors import DataError, LedgerError, MvlabError, WarmupError
+from .errors import DataError, DomainError, LedgerError, MvlabError, WarmupError
 from .simulate import PriceSeries
 
 Array = NDArray[np.float64]
@@ -106,7 +107,10 @@ def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
                  rows: Array, horizon: float) -> Array:
     """Money vectors (k, N) of the strategy at decision rows `rows`; for
     the static strategy on N > 1 assets, its frontier table over the block
-    instead: static_mvo._frontier_solve's (Sigma^-1 [1, mu], a, b, c)."""
+    instead: Sigma^-1 1 and Sigma^-1 mu (k, N) and a, b, c (k,) from
+    static_mvo._frontier_solve, and a*c - b^2 (k,) from
+    static_mvo._discriminant, the arguments of static_mvo._frontier_point
+    but the target."""
     prices_now = prices[rows]
     if callable(cfg.strategy):
         mu, sigma = estimate.rolling_estimates(returns, rows, cfg.batch_len)
@@ -133,9 +137,9 @@ def _block_theta(cfg: BacktestConfig, returns: Array, prices: Array,
         if mu.shape[1] == 1:
             # A single asset cannot generally hit the target; invest fully.
             return np.full((rows.size, 1), cfg.notional)
-        table = static_mvo._frontier_solve(solve, mu)
-        static_mvo._discriminant(*table[1:])  # name a degenerate week in its block
-        return table
+        inv, a, b, c = static_mvo._frontier_solve(solve, mu)
+        # checked here, so that a degenerate week is named in its block
+        return inv[..., 0], inv[..., 1], a, b, c, static_mvo._discriminant(a, b, c)
     if cfg.strategy in ("simple", "multi"):
         return dynamic_policy.gbm_demand(mu - cfg.r, solve, cfg.r, cfg.gamma, tau)
     # cev: read the estimated covariance as the instantaneous covariance of
@@ -159,8 +163,9 @@ def run_backtest(prices: PriceSeries, cfg: BacktestConfig) -> WealthPath:
         )
     rows = np.arange(cfg.batch_len + 1, n_rows - 1)
     if cfg.strategy == "static" and prices.n_assets > 1:
-        theta = cfg.notional * static_mvo._frontier_point(
-            *_frontier_table(prices, cfg.batch_len), cfg.target)[0]
+        theta = static_mvo._frontier_point(*_frontier_table(prices, cfg.batch_len),
+                                           cfg.target)[0]
+        theta *= cfg.notional
     else:
         theta = np.concatenate(_run_blocks(cfg, prices, rows))
     with _naming_week(rows):
@@ -168,12 +173,13 @@ def run_backtest(prices: PriceSeries, cfg: BacktestConfig) -> WealthPath:
 
 
 @lru_cache(maxsize=1)
-def _frontier_table(prices: PriceSeries, batch_len: int) -> tuple[Array, Array, Array, Array]:
-    """The static strategy's frontier table, static_mvo._frontier_solve's
-    (Sigma^-1 [1, mu], a, b, c) with one row per decision week, each part
-    read-only.  The last panel and batch_len solved are kept (a panel cannot
-    change, see PriceSeries), so several targets on one panel solve it
-    once; a call that raises is not kept."""
+def _frontier_table(prices: PriceSeries, batch_len: int) -> tuple[Array, ...]:
+    """The static strategy's frontier table (see _block_theta) with one row
+    per decision week: Sigma^-1 1, Sigma^-1 mu, a, b, c and a*c - b^2, each
+    part one contiguous read-only array concatenated over the blocks.  The
+    last panel and batch_len solved are kept (a panel cannot change, see
+    PriceSeries), so several targets on one panel solve and check it once;
+    a call that raises is not kept."""
     rows = np.arange(batch_len + 1, prices.prices.shape[0] - 1)
     blocks = _run_blocks(BacktestConfig(strategy="static", batch_len=batch_len), prices, rows)
     table = tuple(np.concatenate(part) for part in zip(*blocks))
@@ -220,25 +226,34 @@ def _naming_week(rows: Array):
 
 
 def _ledger(prices: Array, rows: Array, theta: Array, cfg: BacktestConfig) -> WealthPath:
-    """The ledger recurrence over all decision weeks, with the
-    self-financing identity checked at every rebalancing."""
-    prices_now = prices[rows]
+    """The ledger recurrence over the decision weeks `rows`, one consecutive
+    ascending run, so that P_k and P_{k+1} are two row slices of `prices`,
+    with the self-financing identity checked at every rebalancing.  A money
+    vector whose sum is not finite (a non-finite entry, or entries whose sum
+    overflows) is a DomainError whose `index` is its position in `rows`,
+    raised before the recurrence runs."""
+    first, k = int(rows[0]), rows.size
+    prices_now, prices_next = prices[first:first + k], prices[first + 1:first + k + 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is rejected below
+        spent = theta.sum(axis=1)
+    if not np.isfinite(spent).all():
+        i = int(np.flatnonzero(~np.isfinite(spent))[0])
+        raise DomainError(f"money vector is not finite: sum(theta) = {spent[i]}", index=i)
     shares = theta / prices_now
-    spent = theta.sum(axis=1)
     # Row-wise shares . prices as BLAS dot products.
     stock_now = (shares[:, None, :] @ prices_now[:, :, None])[:, 0, 0]
-    stock = (shares[:, None, :] @ prices[rows + 1][:, :, None])[:, 0, 0]
+    stock = (shares[:, None, :] @ prices_next[:, :, None])[:, 0, 0]
     growth = float(np.exp(cfg.r * DT))
-    w, wealth = 0.0, [0.0]
-    for cost, held in zip(spent.tolist(), stock.tolist()):
-        w = (w - cost) * growth + held
-        wealth.append(w)
-    wealth = np.array(wealth)
+    w = 0.0
+    wealth = np.array([0.0] + [w := (w - cost) * growth + held
+                               for cost, held in zip(spent.tolist(), stock.tolist())])
     # The bond is the cash left at rebalancing, W_k - sum(theta_k), accrued a
     # week; that cash plus the shares' value must be W_k.
     cash = wealth[:-1] - spent
-    _check_identity(cash, stock_now, wealth[:-1], np.abs(cash) + np.abs(theta).sum(axis=1))
-    weeks = np.concatenate([rows[:1], rows + 1])
+    # the shares are used up, so their buffer takes |theta|
+    gross = np.abs(cash) + np.abs(theta, out=shares).sum(axis=1)
+    _check_identity(cash, stock_now, wealth[:-1], gross)
+    weeks = np.arange(first, first + k + 1)
     return WealthPath(
         times=weeks * DT,
         wealth=wealth,

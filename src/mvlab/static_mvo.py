@@ -64,20 +64,22 @@ def _discriminant(a, b, c):
     return disc
 
 
-def _frontier_point(inv: Array, a, b, c, target: float) -> tuple[Array, Array, Array]:
-    """(omega, lambda1, lambda2) at the target m from the outputs of
-    _frontier_solve, over any leading axes:
+def _frontier_point(inv_one: Array, inv_mu: Array, a, b, c, disc,
+                    target: float) -> tuple[Array, Array, Array]:
+    """(omega, lambda1, lambda2) at the target m, over any leading axes,
+    from Sigma^-1 1 and Sigma^-1 mu (the two columns of _frontier_solve's
+    solve), its frontier constants a, b, c, and disc = a*c - b^2 as
+    _discriminant returned it:
 
         omega = ((c - b*m)/(ac - b^2)) Sigma^-1 1 + ((a*m - b)/(ac - b^2)) Sigma^-1 mu,
 
     the Lagrange multipliers being the two scalar prefactors.  The weights
-    are affine in the target, so one solve serves every target.  A
-    degenerate frontier raises SingularFrontierError with the first one's
-    position in the flattened stack as its `index`."""
-    disc = _discriminant(a, b, c)
+    are affine in the target, so one solve, and one check of the
+    discriminant, serves every target."""
     lam1 = (c - b * target) / disc
     lam2 = (a * target - b) / disc
-    omega = lam1[..., None] * inv[..., 0] + lam2[..., None] * inv[..., 1]
+    omega = inv_one * lam1[..., None]
+    omega += inv_mu * lam2[..., None]
     return omega, lam1, lam2
 
 
@@ -150,7 +152,8 @@ def solve_static_mvo(p: StaticProblem) -> Weights:
             )
         return Weights(omega=np.array([1.0]), lambda1=float(p.sigma[0, 0]), lambda2=0.0)
     inv, a, b, c = _frontier_solve(partial(np.linalg.solve, p.sigma), p.mu)
-    omega, lam1, lam2 = _frontier_point(inv, a, b, c, p.target)
+    omega, lam1, lam2 = _frontier_point(inv[..., 0], inv[..., 1], a, b, c,
+                                        _discriminant(a, b, c), p.target)
     return Weights(omega=omega, lambda1=float(lam1), lambda2=float(lam2))
 
 

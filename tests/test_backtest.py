@@ -148,7 +148,7 @@ class TestBatchedKernel:
         # With fewer assets than batch weeks the kernel solves each
         # regularised N x N estimate as it stands; cev scales its right-hand
         # sides and solutions by q = S^(alpha/2); static's block stage gives
-        # its frontier table, Sigma^-1 [1, mu] and a, b, c
+        # its frontier table, Sigma^-1 1, Sigma^-1 mu, a, b, c and a*c - b^2
         cfg = BacktestConfig(**kwargs)
         prices = gbm_series(n_weeks=120, n_assets=10, seed=6)
         returns = estimate.to_returns(prices)
@@ -158,7 +158,8 @@ class TestBatchedKernel:
         sigma = estimate.regularize_covariance(sigma)
         tau = horizon - rows * backtest.DT
         if cfg.strategy == "static":
-            want = static_mvo._frontier_solve(partial(np.linalg.solve, sigma), mu)
+            inv, a, b, c = static_mvo._frontier_solve(partial(np.linalg.solve, sigma), mu)
+            want = (inv[..., 0], inv[..., 1], a, b, c, static_mvo._discriminant(a, b, c))
         elif cfg.strategy == "simple":
             want = dynamic_policy.gbm_demand(mu - cfg.r, partial(np.linalg.solve, sigma),
                                              cfg.r, cfg.gamma, tau)
@@ -233,12 +234,25 @@ class TestBatchedKernel:
         assert np.array_equal(path.week_index, np.arange(27, 524))
 
     @pytest.mark.parametrize("money", [np.nan, np.inf, -np.inf])
-    def test_non_finite_money_is_ledger_error(self, money):
-        # a NaN residual compares False against any tolerance
+    def test_non_finite_money_is_domain_error(self, money):
+        # rejected before the ledger, which would find a NaN residual
         prices = gbm_series(n_weeks=60, seed=0)
         cfg = BacktestConfig(strategy=lambda est, p, t, T: np.array([money]))
-        with pytest.raises(LedgerError, match=r"^decision week 27: ledger identity"):
+        with pytest.raises(DomainError, match=r"^decision week 27: money vector is not finite"):
             run_backtest(prices, cfg)
+
+    @pytest.mark.parametrize("kwargs, week", [
+        ({"strategy": "static", "notional": 1e308}, 35),
+        ({"strategy": "simple", "gamma": 5e-324}, 27),
+    ], ids=["static-notional", "simple-gamma"])
+    def test_overflowing_money_is_domain_error(self, kwargs, week):
+        # finite config fields whose money vector overflows on a 2 x 41
+        # panel: the first such week is named, not blamed on the ledger
+        prices = gbm_series(n_weeks=40, n_assets=2, seed=0)
+        with np.errstate(over="ignore"), \
+                pytest.raises(DomainError, match=rf"^decision week {week}: money vector "
+                                                 r"is not finite: sum\(theta\) = (inf|nan)$"):
+            run_backtest(prices, BacktestConfig(**kwargs))
 
     @pytest.mark.parametrize("theta, said", [
         (np.ones(4), r"of shape \(4,\), expected \(3,\)$"),
@@ -305,8 +319,9 @@ class TestBlockWeeks:
 
 
 def assert_same_bits(path, want):
-    for field in ("wealth", "bond", "stock_value"):
-        assert np.array_equal(getattr(path, field), getattr(want, field)), field
+    for field, got, value in zip(path._fields, path, want, strict=True):
+        assert got.dtype == value.dtype, field
+        np.testing.assert_array_equal(got, value, err_msg=field)
 
 
 def recording_blocks(monkeypatch, record):
@@ -433,10 +448,11 @@ class TestFrontierMemo:
 
     def test_table_is_read_only(self):
         # the kept table serves every later call on the panel, so no caller
-        # may write into any of its parts
+        # may write into any of its parts, each one contiguous array
         table = backtest._frontier_table(gbm_series(n_weeks=60, n_assets=3), 26)
-        assert len(table) == 4
+        assert [part.shape for part in table] == [(33, 3)] * 2 + [(33,)] * 4
         for part in table:
+            assert part.flags.c_contiguous
             with pytest.raises(ValueError, match="read-only"):
                 part[0] = 0.0
 
@@ -493,6 +509,81 @@ class TestFrontierMemo:
             with pytest.raises(SingularFrontierError, match=r"^decision week 27: degenerate"):
                 run_backtest(prices, cfg)
             assert len(blocks) == calls
+
+
+def reference_backtest(prices, cfg):
+    """run_backtest as its target step and ledger were first written: the
+    static target step over the frontier table Sigma^-1 [1, mu] (k, N, 2),
+    a, b, c, the decision rows gathered by index, the row dots by matmul
+    and the recurrence by an append loop.  Other strategies' money comes
+    from the block stage; the identity check is left out, since it moves
+    no output."""
+    rows = np.arange(cfg.batch_len + 1, prices.prices.shape[0] - 1)
+    if cfg.strategy == "static" and prices.n_assets > 1:
+        returns = estimate.to_returns(prices)
+        mu, solve = estimate.ridge_solver(returns, rows, cfg.batch_len)
+        inv, a, b, c = static_mvo._frontier_solve(solve, mu)
+        disc = static_mvo._discriminant(a, b, c)
+        lam1 = (c - b * cfg.target) / disc
+        lam2 = (a * cfg.target - b) / disc
+        theta = cfg.notional * (lam1[..., None] * inv[..., 0] + lam2[..., None] * inv[..., 1])
+    else:
+        theta = np.concatenate(backtest._run_blocks(cfg, prices, rows))
+    prices_now = prices.prices[rows]
+    shares = theta / prices_now
+    spent = theta.sum(axis=1)
+    stock = (shares[:, None, :] @ prices.prices[rows + 1][:, :, None])[:, 0, 0]
+    growth = float(np.exp(cfg.r * backtest.DT))
+    w, wealth = 0.0, [0.0]
+    for cost, held in zip(spent.tolist(), stock.tolist()):
+        w = (w - cost) * growth + held
+        wealth.append(w)
+    wealth = np.array(wealth)
+    cash = wealth[:-1] - spent
+    weeks = np.concatenate([rows[:1], rows + 1])
+    return backtest.WealthPath(times=weeks * backtest.DT, wealth=wealth,
+                               bond=np.concatenate([[0.0], cash * growth]),
+                               stock_value=np.concatenate([[0.0], stock]),
+                               week_index=weeks)
+
+
+class TestReferenceBits:
+    """The target step and the ledger give the bits of reference_backtest
+    on every WealthPath field, the static strategy on a cold and a warm
+    frontier table."""
+
+    CONFIGS = [
+        {"strategy": "static", "target": 0.10},
+        {"strategy": "static", "target": 0.15},
+        {"strategy": "static", "target": 0.20},
+        {"strategy": "static", "target": 0.15, "notional": 2.5},
+        {"strategy": "simple"},
+        {"strategy": "multi"},
+        {"strategy": "cev", "alpha": 1.0},
+        {"strategy": scaled_edge},
+    ]
+    IDS = ["static-0.10", "static-0.15", "static-0.20", "static-notional-2.5",
+           "simple", "multi", "cev", "callable"]
+
+    def check(self, prices, cfg):
+        want = reference_backtest(prices, cfg)
+        backtest._frontier_table.cache_clear()
+        assert_same_bits(run_backtest(prices, cfg), want)  # cold
+        assert_same_bits(run_backtest(prices, cfg), want)  # warm
+
+    @pytest.mark.parametrize("kwargs", CONFIGS, ids=IDS)
+    @pytest.mark.parametrize("n_assets", [1, 3, 30])
+    def test_same_bits_as_the_reference(self, n_assets, kwargs):
+        prices = gbm_series(n_weeks=90, n_assets=n_assets, seed=n_assets)
+        self.check(prices, BacktestConfig(**kwargs))
+
+    @pytest.mark.parametrize("kwargs", CONFIGS, ids=IDS)
+    def test_same_bits_in_three_blocks(self, monkeypatch, kwargs):
+        # the budget of TestBatchedKernel: 129 weeks of 4 assets in three blocks
+        monkeypatch.setattr(backtest, "BLOCK_ENTRIES", 64 * 4 * 26)
+        assert -(-129 // backtest._block_weeks(129, 4, 26)) == 3
+        prices = gbm_series(n_weeks=129 + 27, n_assets=4, seed=129)
+        self.check(prices, BacktestConfig(**kwargs))
 
 
 class TestConfig:

@@ -39,6 +39,11 @@ class TestMaxDrawdown:
         with pytest.raises(DomainError, match="requires positive, finite entries"):
             max_drawdown([1.0, np.inf, 2.0])
 
+    def test_two_dimensional_rejected(self):
+        # the running peak ran down each column and returned 0.0
+        with pytest.raises(DomainError, match=r"one-dimensional series, got shape \(2, 2\)$"):
+            max_drawdown(np.ones((2, 2)))
+
     @given(st.lists(st.floats(min_value=0.01, max_value=100.0,
                               allow_nan=False), min_size=1, max_size=60))
     def test_matches_brute_force(self, values):
@@ -103,6 +108,24 @@ class TestPerfStats:
     def test_non_finite_wealth_names_the_row(self, bad):
         with pytest.raises(DomainError, match=rf"wealth {bad} at row 2 is not finite"):
             perf_stats([0.0, 0.1, bad, 0.2, np.nan], base=1.0)
+
+    def test_two_dimensional_wealth_rejected(self):
+        # was a TypeError from converting a row of returns to a float
+        with pytest.raises(DomainError, match=r"^wealth path must be one-dimensional, "
+                                              r"got shape \(3, 2\)$"):
+            perf_stats(np.zeros((3, 2)), 1.0)
+
+    def test_array_base_rejected(self):
+        # was numpy's ambiguous truth value of an array
+        with pytest.raises(DomainError, match=r"^base must be a scalar, got shape \(2,\)$"):
+            perf_stats([0.0, 0.1], base=np.array([1.0, 2.0]))
+
+    def test_overflowing_equity_names_the_row(self):
+        # base + wealth overflows at row 1: was two RuntimeWarnings, then
+        # the drawdown's positive, finite entries blamed
+        with pytest.raises(DomainError, match=r"^equity base \+ wealth = 1.7e\+308 \+ "
+                                              r"1.7e\+308 at row 1 overflows$"):
+            perf_stats([0.0, 1.7e308, 1.7e308], base=1.7e308)
 
     def test_equity_crossing_zero(self):
         with pytest.raises(DomainError):

@@ -7,7 +7,7 @@ from mvlab.errors import DefinitenessError, SingularFrontierError
 from mvlab.static_mvo import (
     FrontierConstants,
     StaticProblem,
-    _frontier_point,
+    _discriminant,
     _frontier_solve,
     frontier_constants,
     frontier_variance,
@@ -241,7 +241,7 @@ class TestFrontierVariance:
         # identical assets: a*c - b^2 is rounding noise in both functions
         p = StaticProblem(mu=[0.1, 0.1], sigma=np.eye(2), target=0.1)
         with pytest.raises(SingularFrontierError) as weights:
-            _frontier_point(*_frontier_solve(partial(np.linalg.solve, p.sigma), p.mu), p.target)
+            solve_static_mvo(p)
         with pytest.raises(SingularFrontierError) as variance:
             frontier_variance(frontier_constants(p), p.target)
         assert str(weights.value) == str(variance.value)
@@ -319,7 +319,7 @@ class TestUnitsOfSigma:
         sigma = np.stack([twenty_asset_problem(s).sigma for s in (1.0, 1e-160, 1e-200)])
         mu = np.broadcast_to(twenty_asset_problem(1.0).mu, (3, 20))
         with pytest.raises(SingularFrontierError) as info:
-            _frontier_point(*_frontier_solve(partial(np.linalg.solve, sigma), mu), 0.12)
+            _discriminant(*_frontier_solve(partial(np.linalg.solve, sigma), mu)[1:])
         assert info.value.index == 1
 
     @pytest.mark.parametrize("scale", [1e154, 1e160])
@@ -334,5 +334,5 @@ class TestUnitsOfSigma:
         sigma = np.stack([twenty_asset_problem(s).sigma for s in (1.0, 1e153, 1e154, 1e160)])
         mu = np.broadcast_to(twenty_asset_problem(1.0).mu, (4, 20))
         with pytest.raises(SingularFrontierError, match="below the normal") as info:
-            _frontier_point(*_frontier_solve(partial(np.linalg.solve, sigma), mu), 0.12)
+            _discriminant(*_frontier_solve(partial(np.linalg.solve, sigma), mu)[1:])
         assert info.value.index == 2
