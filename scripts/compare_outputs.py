@@ -141,10 +141,13 @@ COMMANDS = [
 # bits show that a reused table gives the bits of a fresh solve.  Then each
 # strategy's wealth path on a 20 x 1200 panel of the same market, which
 # runs in two blocks through the (k, N, N) solve that N < L takes.  Then
-# the class, `index` and message of the error each of three backtests
+# the class, `index` and message of the error each of four backtests
 # raises on a 2 x 41 panel of that market, whose money vectors are not
-# finite: static at notional 1e308, simple at gamma 5e-324 and a callable
-# strategy returning inf.
+# finite or whose gross money overflows: static at notional 1e308, simple
+# at gamma 5e-324, a callable strategy returning inf and one returning
+# (1e308, -1e308).  Then perf_stats' result, or the class and message of
+# its error, on three wealth paths whose std_dev or terminal_return
+# overflows.
 GBM_PANEL = (
     "import sys\n"
     "import numpy as np\n"
@@ -264,13 +267,21 @@ PROBES = {
         "panel = gbm_panel(2, 40, 0)\n"
         "for kwargs in ({'strategy': 'static', 'notional': 1e308},\n"
         "               {'strategy': 'simple', 'gamma': 5e-324},\n"
-        "               {'strategy': lambda est, p, t, T: np.full(p.size, np.inf)}):\n"
+        "               {'strategy': lambda est, p, t, T: np.full(p.size, np.inf)},\n"
+        "               {'strategy': lambda est, p, t, T: np.array([1e308, -1e308])}):\n"
         "    try:\n"
         "        with np.errstate(all='ignore'):\n"
         "            mvlab.run_backtest(panel, mvlab.BacktestConfig(**kwargs))\n"
         "        print('no error')\n"
         "    except mvlab.errors.MvlabError as exc:\n"
         "        print(type(exc).__name__, exc.index, exc)\n"),
+    "perf-stats-overflow.txt": (
+        "import mvlab, mvlab.errors\n"
+        "for wealth, base in (([0, 1.7e308, 0], 1.0), ([0, 2e154, 0], 1.0), ([0, 1e10], 1e-300)):\n"
+        "    try:\n"
+        "        print(repr(mvlab.perf_stats(wealth, base)))\n"
+        "    except mvlab.errors.MvlabError as exc:\n"
+        "        print(type(exc).__name__, exc)\n"),
 }
 
 RUNS = [" ".join(argv) for argv in COMMANDS] + [f"probe {name}" for name in PROBES]

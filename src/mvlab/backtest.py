@@ -230,16 +230,20 @@ def _ledger(prices: Array, rows: Array, theta: Array, cfg: BacktestConfig) -> We
     ascending run, so that P_k and P_{k+1} are two row slices of `prices`,
     with the self-financing identity checked at every rebalancing.  A money
     vector whose sum is not finite (a non-finite entry, or entries whose sum
-    overflows) is a DomainError whose `index` is its position in `rows`,
-    raised before the recurrence runs."""
+    overflows), and then one whose sum of |theta| overflows (its identity
+    tolerance would be infinite), is a DomainError whose `index` is its
+    position in `rows`, raised before the recurrence runs."""
     first, k = int(rows[0]), rows.size
     prices_now, prices_next = prices[first:first + k], prices[first + 1:first + k + 1]
+    shares = np.abs(theta)  # |theta| until its sum is taken, then the shares
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is rejected below
-        spent = theta.sum(axis=1)
-    if not np.isfinite(spent).all():
-        i = int(np.flatnonzero(~np.isfinite(spent))[0])
-        raise DomainError(f"money vector is not finite: sum(theta) = {spent[i]}", index=i)
-    shares = theta / prices_now
+        spent, size = theta.sum(axis=1), shares.sum(axis=1)
+    for what, total in (("money vector is not finite: sum(theta)", spent),
+                        ("gross money overflows: sum(|theta|)", size)):
+        bad = np.flatnonzero(~np.isfinite(total))
+        if bad.size:
+            raise DomainError(f"{what} = {total[bad[0]]}", index=int(bad[0]))
+    np.divide(theta, prices_now, out=shares)
     # Row-wise shares . prices as BLAS dot products.
     stock_now = (shares[:, None, :] @ prices_now[:, :, None])[:, 0, 0]
     stock = (shares[:, None, :] @ prices_next[:, :, None])[:, 0, 0]
@@ -250,8 +254,7 @@ def _ledger(prices: Array, rows: Array, theta: Array, cfg: BacktestConfig) -> We
     # The bond is the cash left at rebalancing, W_k - sum(theta_k), accrued a
     # week; that cash plus the shares' value must be W_k.
     cash = wealth[:-1] - spent
-    # the shares are used up, so their buffer takes |theta|
-    gross = np.abs(cash) + np.abs(theta, out=shares).sum(axis=1)
+    gross = np.abs(cash) + size
     _check_identity(cash, stock_now, wealth[:-1], gross)
     weeks = np.arange(first, first + k + 1)
     return WealthPath(

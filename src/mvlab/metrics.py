@@ -51,7 +51,8 @@ def perf_stats(path, base: float) -> PerfStats:
     deviation of the weekly wealth increments, annualised by
     sqrt(WEEKS_PER_YEAR), divided by base.  The base must be a positive,
     finite scalar, the wealth a nonempty one-dimensional path of finite
-    entries, and the equity curve positive and finite, else a DomainError.
+    entries, and the equity curve positive and finite, else a DomainError;
+    so is a terminal_return or std_dev that overflows.
     """
     if np.ndim(base) != 0:
         raise DomainError(f"base must be a scalar, got shape {np.shape(base)}")
@@ -75,10 +76,11 @@ def perf_stats(path, base: float) -> PerfStats:
                           f"at row {bad[0]} overflows")
     incr = np.diff(wealth)
     std = 0.0
-    if incr.size >= 2:
-        std = float(np.sqrt(WEEKS_PER_YEAR) * np.std(incr, ddof=1) / base)
-    return PerfStats(
-        terminal_return=float(equity[-1] / equity[0] - 1.0),
-        max_drawdown=_drawdown(equity),
-        std_dev=std,
-    )
+    with np.errstate(over="ignore"):  # an overflowing statistic is rejected below
+        terminal = float(equity[-1] / equity[0] - 1.0)
+        if incr.size >= 2:
+            std = float(np.sqrt(WEEKS_PER_YEAR) * np.std(incr, ddof=1) / base)
+    for name, value in (("terminal_return", terminal), ("std_dev", std)):
+        if not np.isfinite(value):
+            raise DomainError(f"{name} = {value} overflows")
+    return PerfStats(terminal_return=terminal, max_drawdown=_drawdown(equity), std_dev=std)

@@ -15,7 +15,8 @@ same step for alpha <= 0 and through the drift-implicit step
 Determinism: identical (config, seed) yields bit-identical output.  A panel
 or an ensemble draws from one numpy Generator seeded by the caller; the two
 Monte Carlo runs draw from two streams spawned from the seed, whatever the
-host's cores, and step at once on two threads (see _run_halves).
+host's cores, and step at once on two threads; each half has one outcome
+slot, its result or its error, and stops once the other's holds an error.
 """
 
 from __future__ import annotations
@@ -225,10 +226,11 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
     of this thread's context (so under its np.errstate), and half 1 on this
     thread, at once, as standard_normal and large ufuncs release the GIL; a
     one-core host computes the same bits from the same two streams.  Each
-    half checks one stop Event before each step, and an error of either
-    (KeyboardInterrupt included) sets it.  The worker is always joined;
-    then an error of this thread's half is raised, else one of the
-    worker's.
+    half writes its outcome to its own slot, its result or the error it
+    raised (KeyboardInterrupt included), and stops before its next step
+    once the other's slot holds an error.  The worker is always joined;
+    then this thread's error is raised, else the worker's, else the two
+    results are merged.
     """
     if alpha > 0:
         if 1.0 + 0.5 * alpha * drift * dt <= 0:
@@ -248,47 +250,41 @@ def _run_halves(seed: int, paths: int, consume, s0: float, drift, sigma_bar, alp
             np.copyto(s, out, where=np.greater(s, floor, out=alive))
     children = np.random.SeedSequence(seed).spawn(2)
     sizes = (paths // 2, paths - paths // 2)
-    stop, failed, done = threading.Event(), [], []
+    results = [None, None]  # each half's outcome: (state, *consume's arrays) or its error
 
     def half(k):
-        rng, n = np.random.default_rng(children[k]), sizes[k]
-        h = n - n // 2
-        state, z = np.full(n, start), np.empty(n)
-        # the Euler step's result and absorption mask; the implicit step needs neither
-        work = () if alpha > 0 else (np.empty(n), np.empty(n, dtype=bool))
-
-        def steps():
-            for _ in range(n_steps):
-                if stop.is_set():
-                    return
-                rng.standard_normal(out=z[:h])
-                np.negative(z[:n - h], out=z[h:])
-                step(state, z, *work)
-                yield state
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (state, *consume(steps(), n, start))
-
-    def run():
         try:
-            done.append(half(0))
-        except BaseException as exc:  # raised on the calling thread below
-            stop.set()
-            failed.append(exc)
+            rng, n = np.random.default_rng(children[k]), sizes[k]
+            h = n - n // 2
+            state, z = np.full(n, start), np.empty(n)
+            # the Euler step's result and absorption mask; the implicit step needs neither
+            work = () if alpha > 0 else (np.empty(n), np.empty(n, dtype=bool))
 
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(run,),
+            def steps():
+                for _ in range(n_steps):
+                    if isinstance(results[1 - k], BaseException):
+                        return
+                    rng.standard_normal(out=z[:h])
+                    np.negative(z[:n - h], out=z[h:])
+                    step(state, z, *work)
+                    yield state
+
+            with np.errstate(over="ignore", invalid="ignore"):
+                results[k] = (state, *consume(steps(), n, start))
+        except BaseException as exc:  # raised on the calling thread below
+            results[k] = exc
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(half, 0),
                               name="mvlab-half")
     worker.start()
     try:
-        one = half(1)
-    except BaseException:
-        stop.set()
-        raise
+        half(1)
     finally:
         worker.join()
-    if failed:
-        raise failed[0]
-    state, *arrays = [np.concatenate(parts) for parts in zip(done[0], one)]
+    for outcome in (results[1], results[0]):
+        if isinstance(outcome, BaseException):
+            raise outcome
+    state, *arrays = [np.concatenate(parts) for parts in zip(*results)]
     return [check(state), *arrays]
 
 

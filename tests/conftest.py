@@ -1,4 +1,3 @@
-import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -57,8 +56,10 @@ def euler_step(s, z, drift, sigma_bar, alpha, dt, floor):
 def inline_threads(monkeypatch):
     """Patches the worker thread of the Monte Carlo runner,
     simulate._run_halves, with a stand-in that runs its target at start, on
-    the calling thread, as a one-core host in effect does; returns the names
-    of the stand-ins started, in order."""
+    the calling thread, as a one-core host in effect does: half 0 then runs
+    to its end before half 1 starts, and each half's outcome slot rule is
+    the same as on two threads.  Returns the names of the stand-ins
+    started, in order."""
     started = []
 
     class InlineThread:
@@ -72,8 +73,7 @@ def inline_threads(monkeypatch):
         def join(self):
             pass
 
-    monkeypatch.setattr(simulate, "threading",
-                        SimpleNamespace(Thread=InlineThread, Event=threading.Event))
+    monkeypatch.setattr(simulate, "threading", SimpleNamespace(Thread=InlineThread))
     return started
 
 

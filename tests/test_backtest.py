@@ -254,6 +254,15 @@ class TestBatchedKernel:
                                                  r"is not finite: sum\(theta\) = (inf|nan)$"):
             run_backtest(prices, BacktestConfig(**kwargs))
 
+    def test_overflowing_gross_money_is_domain_error(self):
+        # sum(theta) is 0, but sum(|theta|) overflows, so the identity's
+        # tolerance LEDGER_TOL x gross would be infinite and pass any residual
+        prices = gbm_series(n_weeks=40, n_assets=2, seed=0)
+        cfg = BacktestConfig(strategy=lambda est, p, t, T: np.array([1e308, -1e308]))
+        with pytest.raises(DomainError, match=r"^decision week 27: gross money overflows: "
+                                              r"sum\(\|theta\|\) = inf$"):
+            run_backtest(prices, cfg)
+
     @pytest.mark.parametrize("theta, said", [
         (np.ones(4), r"of shape \(4,\), expected \(3,\)$"),
         (1.0, r"of shape \(\), expected \(3,\)$"),

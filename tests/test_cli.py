@@ -572,6 +572,11 @@ def panel_csv(weeks=60, n_assets=3, seed=0):
                         *out], 4, "error: frontier variance inf at target 1e+155 is out of range",
                    id=f"mvo-overflowing-variance{name}")
       for name, out in [("", []), ("-out", ["--out", "o"])]],
+    # a terminal return beyond the float range, on a tiny base
+    pytest.param({"w.csv": "week_index,time_years,wealth,bond,stock_value\n0,0,0,0,0\n"
+                           "1,0.02,1e10,0,1e10\n"},
+                 ["report", "--input", "w.csv", "--base", "1e-300", "--out", "o"], 4,
+                 "error: terminal_return = inf overflows", id="report-overflowing-return"),
     # a covariance LAPACK cannot factorise, and one with a pivot below the
     # floor 1e-12 of its largest diagonal entry, which is named
     pytest.param({}, ["mvo", "--mu", "0.1,0.2", "--sigma", "1,2;2,1"], 4,

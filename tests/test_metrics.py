@@ -127,6 +127,16 @@ class TestPerfStats:
                                               r"1.7e\+308 at row 1 overflows$"):
             perf_stats([0.0, 1.7e308, 1.7e308], base=1.7e308)
 
+    @pytest.mark.parametrize("wealth, base, said", [
+        ([0.0, 1.7e308, 0.0], 1.0, "std_dev"),
+        ([0.0, 2e154, 0.0], 1.0, "std_dev"),
+        ([0.0, 1e10], 1e-300, "terminal_return"),
+    ], ids=["std-of-1.7e308", "square-of-2e154", "return-on-base-1e-300"])
+    def test_overflowing_statistic_names_it(self, wealth, base, said):
+        # a statistic beyond the float range is refused, not returned as inf
+        with pytest.raises(DomainError, match=rf"^{said} = inf overflows$"):
+            perf_stats(wealth, base)
+
     def test_equity_crossing_zero(self):
         with pytest.raises(DomainError):
             perf_stats([0.0, -2.0], base=1.0)
